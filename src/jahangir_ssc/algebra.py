@@ -9,23 +9,29 @@ min_j |supp(m_j) \\ supp(m_i)| at every position.
 The block ordering lists the facet-ideal generators of J(2,m) by the
 length of the leading run of deleted spokes (longest run first,
 lexicographic inside each block). The test suite, not this module, is
-the arbiter that this ordering passes the quotient test; the searcher
-below is the fallback for arbitrary ideals.
+the arbiter that this ordering passes the quotient test.
+
+For any other graph, or on request, the certificate is the canonical
+facet order itself: spanning trees sorted as edge tuples. A spanning
+complex is the independence complex of a graphic matroid, and the
+lexicographic order of a matroid's bases is a shelling (Bjorner, "The
+homology and shellability of matroids and geometric lattices", 1992;
+Provan-Billera, 1980). The verdict still runs both checks on it.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
 from .complexes import SimplicialComplex, is_pure, spanning_complex
-from .errors import CapacityError, InvalidParameterError, PurityError
+from .errors import InvalidParameterError, PurityError
 from .graphs import Graph, jahangir_order, spoke_index
 from .spanning import enumerate_spanning_trees_jahangir
 
-SEARCH_GENERATOR_LIMIT = 2000
-SEARCH_STATE_BUDGET = 500_000
+# The quotient and shelling checks are quadratic in the facet count; past
+# this many facets the generic certificate is not checked.
+CERTIFICATE_CHECK_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -143,88 +149,6 @@ def prefix_block_ordering(m: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Ordering search
-
-
-def find_qlq_ordering(ideal: MonomialIdeal,
-                      seed: int = 0,
-                      state_budget: int = SEARCH_STATE_BUDGET) -> tuple[int, ...] | None:
-    """Search for any generator ordering passing the quotient test.
-
-    Depth-first insertion with backtracking; a generator may extend the
-    prefix when some chosen generator's support differs from its own in
-    exactly one element. Dead prefixes are memoized by their generator
-    set, which is sound because viability depends only on the set.
-    Returns None only after the search space is exhausted; blowing the
-    state budget raises CapacityError instead.
-    """
-    r = len(ideal.generators)
-    if r > SEARCH_GENERATOR_LIMIT:
-        raise CapacityError(
-            f"{r} generators exceed the search limit {SEARCH_GENERATOR_LIMIT}")
-    if r <= 1:
-        return tuple(range(r))
-    supports = [g.support for g in ideal.generators]
-    rng = random.Random(seed)
-
-    # enables[j] lists the k whose colon step against j alone is linear;
-    # the relation is directional once degrees are mixed
-    enables: list[list[int]] = [[] for _ in range(r)]
-    for a in range(r):
-        for b in range(r):
-            if a != b and len(supports[a] - supports[b]) == 1:
-                enables[a].append(b)
-
-    chosen: list[int] = []
-    in_prefix = [False] * r
-    enabled = [0] * r  # how many chosen neighbors each generator has
-    dead: set[frozenset[int]] = set()
-    states = 0
-
-    def extend() -> bool:
-        nonlocal states
-        if len(chosen) == r:
-            return True
-        key = frozenset(chosen)
-        if key in dead:
-            return False
-        states += 1
-        if states > state_budget:
-            raise CapacityError(
-                f"ordering search exceeded {state_budget} states; verdict unknown")
-        candidates = [k for k in range(r) if not in_prefix[k] and enabled[k] > 0]
-        rng.shuffle(candidates)
-        for k in candidates:
-            chosen.append(k)
-            in_prefix[k] = True
-            for h in enables[k]:
-                enabled[h] += 1
-            if extend():
-                return True
-            for h in enables[k]:
-                enabled[h] -= 1
-            in_prefix[k] = False
-            chosen.pop()
-        dead.add(key)
-        return False
-
-    starts = list(range(r))
-    rng.shuffle(starts)
-    for first in starts:
-        chosen.append(first)
-        in_prefix[first] = True
-        for h in enables[first]:
-            enabled[h] += 1
-        if extend():
-            return tuple(chosen)
-        for h in enables[first]:
-            enabled[h] -= 1
-        in_prefix[first] = False
-        chosen.pop()
-    return None
-
-
-# ---------------------------------------------------------------------------
 # Shellings
 
 
@@ -275,8 +199,12 @@ def is_shelling(facets: Sequence[frozenset[int]]) -> bool:
 
 @dataclass(frozen=True)
 class CMVerdict:
-    """Cohen-Macaulay verdict for a spanning complex. cohen_macaulay is
-    None when the search aborted on capacity, never on failure."""
+    """Cohen-Macaulay verdict for a spanning complex. The certificate is
+    the block ordering of J(2,m) or, with ordering_source "search", the
+    canonical facet order. cohen_macaulay is None when the canonical
+    order went unchecked or failed the quotient test, which the matroid
+    theorem rules out; it is False only when a requested block ordering
+    fails."""
 
     cohen_macaulay: bool | None
     certificate: tuple[int, ...] | None
@@ -285,12 +213,11 @@ class CMVerdict:
     shelling_agrees: bool | None
 
 
-def cohen_macaulay_verdict(g: Graph, ordering: str = "auto",
-                           seed: int = 0) -> CMVerdict:
+def cohen_macaulay_verdict(g: Graph, ordering: str = "auto") -> CMVerdict:
     """Build the spanning complex and facet ideal of g, then certify
-    Cohen-Macaulayness by exhibiting an ordering with quasi-linear
-    quotients (block ordering first on Jahangir graphs, search
-    otherwise). False requires exhaustive search failure.
+    Cohen-Macaulayness by an ordering with quasi-linear quotients: the
+    block ordering first on Jahangir graphs, the canonical facet order
+    otherwise. Every certificate is checked, never assumed.
     """
     if ordering not in ("auto", "block", "search"):
         raise InvalidParameterError(f"unknown ordering strategy {ordering!r}")
@@ -312,12 +239,9 @@ def cohen_macaulay_verdict(g: Graph, ordering: str = "auto",
         if ordering == "block":
             return CMVerdict(False, None, "block", block_failure, None)
 
-    try:
-        found = find_qlq_ordering(ideal, seed=seed)
-    except CapacityError:
+    r = len(ideal.generators)
+    canonical = tuple(range(r))
+    if r > CERTIFICATE_CHECK_LIMIT or not has_quasi_linear_quotients(ideal, canonical)[0]:
         return CMVerdict(None, None, "search", block_failure, None)
-    if found is None:
-        return CMVerdict(False, None, "search", block_failure, None)
-    facets_in_order = [ideal.generators[k].support for k in found]
-    return CMVerdict(True, found, "search", block_failure,
-                     shelling_agrees=is_shelling(facets_in_order))
+    return CMVerdict(True, canonical, "search", block_failure,
+                     shelling_agrees=is_shelling(complex_.facets))

@@ -5,7 +5,7 @@ engines) and `graph` (reads a JSON document and allows the generic
 engines only). Exit codes: 0 success, 1 usage or parse error,
 2 capacity error, 3 verify found at least one mismatch.
 
-Output is byte-deterministic for fixed inputs, flags, and seed; the
+Output is byte-deterministic for fixed inputs and flags; the
 optional --timings field is the one deliberately nondeterministic
 extra and is off by default.
 """
@@ -61,7 +61,9 @@ def _build_parser() -> _Parser:
                        help="cycle catalog (paper is an alias of word)")
         p.add_argument("--ordering", choices=("block", "paper", "search"), default=None,
                        help="generator ordering for cm (paper is an alias of block)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0,
+                       help="accepted for compatibility and echoed by verify; "
+                       "has no effect")
         p.add_argument("--timings", action="store_true",
                        help="include wall-clock timings in verify output")
 
@@ -155,8 +157,8 @@ def _hilbert_payload(g: Graph, mode: str, m: int | None, meta: dict) -> dict:
             "denominator_power": series.denominator_power}
 
 
-def _cm_payload(g: Graph, ordering: str, seed: int, meta: dict) -> dict:
-    verdict = cohen_macaulay_verdict(g, ordering=ordering, seed=seed)
+def _cm_payload(g: Graph, ordering: str, meta: dict) -> dict:
+    verdict = cohen_macaulay_verdict(g, ordering=ordering)
     return {**meta,
             "cohen_macaulay": verdict.cohen_macaulay,
             "ordering_source": verdict.ordering_source,
@@ -212,8 +214,7 @@ def _execute(args: argparse.Namespace) -> tuple[dict, int]:
         if args.action == "cm":
             _guard_tree_enumeration(g)
             source = "block" if ordering == "block" else "search"
-            return _cm_payload(g, source, args.seed,
-                               {**meta, "ordering": ordering}), 0
+            return _cm_payload(g, source, {**meta, "ordering": ordering}), 0
         report = build_jahangir_report(m, seed=args.seed, timed=args.timings)
         payload = _report_payload(report, meta)
         return payload, MISMATCH_EXIT if report.mismatch_count else 0
@@ -250,8 +251,7 @@ def _execute(args: argparse.Namespace) -> tuple[dict, int]:
         return _hilbert_payload(g, mode, None, {**meta, "mode": mode}), 0
     if args.action == "cm":
         _guard_tree_enumeration(g)
-        return _cm_payload(g, "search", args.seed,
-                           {**meta, "ordering": "search"}), 0
+        return _cm_payload(g, "search", {**meta, "ordering": "search"}), 0
     _guard_tree_enumeration(g)
     report = build_graph_report(g, seed=args.seed, timed=args.timings)
     payload = _report_payload(report, meta)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, InvalidParameterError
 from .graphs import Graph, enumerate_simple_cycles, is_connected
-from .spanning import enumerate_spanning_trees_generic
+from .spanning import _find, enumerate_spanning_trees_generic
 
 # f-vectors are plain tuples of arbitrary-precision ints, f_0..f_d.
 FVector = tuple
@@ -88,15 +88,9 @@ def f_vector_direct(g: Graph) -> FVector:
     n, edges = g.vertex_count, g.edges
     counts = [0] * max(n - 1, 1)
 
-    def find(parent: list[int], x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def rec(pos: int, size: int, parent: list[int]) -> None:
         for ei in range(pos, len(edges)):
-            ru, rv = find(parent, edges[ei][0]), find(parent, edges[ei][1])
+            ru, rv = _find(parent, edges[ei][0]), _find(parent, edges[ei][1])
             if ru == rv:
                 continue  # would close a cycle
             child = parent[:]

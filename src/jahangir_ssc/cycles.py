@@ -24,6 +24,7 @@ from itertools import combinations
 from .errors import InvalidParameterError
 from .graphs import (
     Graph,
+    _is_simple_cycle_mask,
     base_cycle_indices,
     build_jahangir,
     enumerate_simple_cycles,
@@ -90,31 +91,6 @@ def claimed_order(k: int) -> int:
     return 2 * (k + 1)
 
 
-def _is_simple_cycle_edges(edges: frozenset[int], g: Graph) -> bool:
-    deg: dict[int, int] = {}
-    for i in edges:
-        u, v = g.edges[i]
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    if not deg or any(d != 2 for d in deg.values()):
-        return False
-    adj: dict[int, list[int]] = {x: [] for x in deg}
-    for i in edges:
-        u, v = g.edges[i]
-        adj[u].append(v)
-        adj[v].append(u)
-    start = next(iter(deg))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(deg)
-
-
 def word_cycle_catalog(m: int) -> CycleCatalog:
     """The full word catalog: m*m entries, one per (length, start)."""
     if m < 3:
@@ -123,11 +99,12 @@ def word_cycle_catalog(m: int) -> CycleCatalog:
     entries = []
     for word in all_words(m):
         edges = word_edge_set(word, m)
+        mask = sum(1 << i for i in edges)
         entries.append(CycleCatalogEntry(
             word=word,
             edges=edges,
             beta=len(edges),
-            is_simple_cycle=_is_simple_cycle_edges(edges, g)))
+            is_simple_cycle=_is_simple_cycle_mask(mask, g.edges)))
     return CycleCatalog(m=m, entries=tuple(entries))
 
 

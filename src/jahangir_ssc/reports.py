@@ -11,9 +11,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .algebra import cohen_macaulay_verdict
+from .algebra import CERTIFICATE_CHECK_LIMIT, cohen_macaulay_verdict
 from .complexes import (
     F_VECTOR_EDGE_LIMIT,
+    SimplicialComplex,
     dimension,
     f_vector_direct,
     is_pure,
@@ -27,7 +28,6 @@ from .cycles import (
 )
 from .errors import CapacityError
 from .formulas import (
-    EXACT_IE_CYCLE_LIMIT,
     FORMULA_M_RANGE,
     binomial,
     f_vector_exact_ie,
@@ -38,10 +38,9 @@ from .formulas import (
 from .graphs import Graph, build_jahangir, matrix_tree_count
 from .spanning import enumerate_spanning_trees_jahangir, verify_partition
 
-# Budget for the exhaustive engines inside a verify run; larger cases
-# are reported as unchecked rather than left to crawl.
+# Budget for the exhaustive forest walk inside a verify run; larger
+# cases are reported as unchecked rather than left to crawl.
 VERIFY_DIRECT_EDGE_LIMIT = 18
-VERIFY_CM_GENERATOR_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -84,14 +83,67 @@ class _Collector:
         self.claims.append(claim)
 
 
-def _hilbert_identity_claim(f, facet_count: int) -> ClaimResult:
-    series = hilbert_series(f)
+def _direct_f_vector(g: Graph) -> tuple[int, ...] | None:
+    """The forest-count oracle shared by a report's claims, or None when
+    the graph is over the verify budget."""
+    if g.edge_count > min(F_VECTOR_EDGE_LIMIT, VERIFY_DIRECT_EDGE_LIMIT):
+        return None
+    return f_vector_direct(g)
+
+
+def _claim_exact_ie(g: Graph, f_direct: tuple[int, ...] | None) -> ClaimResult:
+    claimed_source = "inclusion-exclusion over the true cycle catalog"
+    if f_direct is None:
+        return ClaimResult(
+            name="f_vector_exact_ie", claimed=None, claimed_source=claimed_source,
+            oracle=None, oracle_source="exhaustive forest count",
+            verdict="unchecked",
+            detail={"reason": "forest count over verify budget"})
+    try:
+        ie = f_vector_exact_ie(g)
+    except CapacityError as exc:
+        return ClaimResult(
+            name="f_vector_exact_ie", claimed=None, claimed_source=claimed_source,
+            oracle=_fvec_strings(f_direct), oracle_source="exhaustive forest count",
+            verdict="unchecked", detail={"reason": str(exc)})
+    return ClaimResult(
+        name="f_vector_exact_ie",
+        claimed=_fvec_strings(ie),
+        claimed_source=claimed_source,
+        oracle=_fvec_strings(f_direct),
+        oracle_source="exhaustive forest count",
+        verdict="match" if ie == f_direct else "mismatch")
+
+
+def _claim_dimension(g: Graph, complex_: SimplicialComplex) -> ClaimResult:
+    # a spanning tree has V - 1 edges; for J(2,m) that is dimension 2m - 1
+    dim = dimension(complex_)
+    pure = is_pure(complex_)
+    ok = dim == g.vertex_count - 2 and pure
+    return ClaimResult(
+        name="dimension_and_purity",
+        claimed={"dimension": g.vertex_count - 2, "pure": True},
+        claimed_source="spanning-tree size rule",
+        oracle={"dimension": dim, "pure": pure},
+        oracle_source="facet inspection",
+        verdict="match" if ok else "mismatch")
+
+
+def _claim_hilbert(f_direct: tuple[int, ...] | None, facet_count: int) -> ClaimResult:
+    if f_direct is None:
+        return ClaimResult(
+            name="hilbert_series", claimed=None,
+            claimed_source="series identities", oracle=None,
+            oracle_source="exact polynomial expansion",
+            verdict="unchecked",
+            detail={"reason": "forest count over verify budget"})
+    series = hilbert_series(f_direct)
     top_ok = series.numerator_at(1) == facet_count
-    d = len(f) - 1
+    d = len(f_direct) - 1
     bad_degrees = []
     for j in range(1, 2 * (d + 1) + 1):
         expanded = hilbert_function(series, j)
-        combinatorial = sum(fi * binomial(j - 1, i) for i, fi in enumerate(f))
+        combinatorial = sum(fi * binomial(j - 1, i) for i, fi in enumerate(f_direct))
         if expanded != combinatorial:
             bad_degrees.append({"degree": j, "expansion": str(expanded),
                                 "combinatorial": str(combinatorial)})
@@ -111,6 +163,8 @@ def _hilbert_identity_claim(f, facet_count: int) -> ClaimResult:
 
 
 def build_jahangir_report(m: int, seed: int = 0, timed: bool = False) -> RunReport:
+    """Structured claims about J(2,m) against the oracles. seed is only
+    echoed in the parameters; no claim depends on it."""
     g = build_jahangir(m)
     col = _Collector(timed)
 
@@ -188,12 +242,11 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False) -> RunRepo
             verdict="match" if not mism else "mismatch",
             detail={"mismatches": mism})
 
-    direct_ok = g.edge_count <= min(F_VECTOR_EDGE_LIMIT, VERIFY_DIRECT_EDGE_LIMIT)
-    f_direct = f_vector_direct(g) if direct_ok else None
+    f_direct = _direct_f_vector(g)
 
     def claim_formula() -> ClaimResult:
         lo, hi = FORMULA_M_RANGE
-        if not (lo <= m <= hi and direct_ok):
+        if not (lo <= m <= hi and f_direct is not None):
             return ClaimResult(
                 name="f_vector_closed_form",
                 claimed=None,
@@ -219,56 +272,10 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False) -> RunRepo
             verdict="match" if not diverging else "mismatch",
             detail={"diverging_indices": diverging})
 
-    def claim_exact_ie() -> ClaimResult:
-        cycle_count = len(oracle_catalog.entries)
-        if cycle_count > EXACT_IE_CYCLE_LIMIT or not direct_ok:
-            return ClaimResult(
-                name="f_vector_exact_ie",
-                claimed=None,
-                claimed_source="inclusion-exclusion over the true cycle catalog",
-                oracle=None,
-                oracle_source="exhaustive forest count",
-                verdict="unchecked",
-                detail={"reason": f"{cycle_count} cycles vs limit {EXACT_IE_CYCLE_LIMIT}"
-                        if cycle_count > EXACT_IE_CYCLE_LIMIT
-                        else "forest count over verify budget"})
-        ie = f_vector_exact_ie(g)
-        return ClaimResult(
-            name="f_vector_exact_ie",
-            claimed=_fvec_strings(ie),
-            claimed_source="inclusion-exclusion over the true cycle catalog",
-            oracle=_fvec_strings(f_direct),
-            oracle_source="exhaustive forest count",
-            verdict="match" if ie == f_direct else "mismatch")
-
     complex_ = spanning_complex(g)
 
-    def claim_dimension() -> ClaimResult:
-        dim = dimension(complex_)
-        pure = is_pure(complex_)
-        ok = dim == 2 * m - 1 and pure
-        return ClaimResult(
-            name="dimension_and_purity",
-            claimed={"dimension": 2 * m - 1, "pure": True},
-            claimed_source="spanning-tree size rule",
-            oracle={"dimension": dim, "pure": pure},
-            oracle_source="facet inspection",
-            verdict="match" if ok else "mismatch")
-
-    def claim_hilbert() -> ClaimResult:
-        if f_direct is None:
-            return ClaimResult(
-                name="hilbert_series",
-                claimed=None,
-                claimed_source="series identities",
-                oracle=None,
-                oracle_source="exact polynomial expansion",
-                verdict="unchecked",
-                detail={"reason": "forest count over verify budget"})
-        return _hilbert_identity_claim(f_direct, len(complex_.facets))
-
     def claim_cm() -> ClaimResult:
-        if len(complex_.facets) > VERIFY_CM_GENERATOR_LIMIT:
+        if len(complex_.facets) > CERTIFICATE_CHECK_LIMIT:
             return ClaimResult(
                 name="cohen_macaulay",
                 claimed=True,
@@ -277,7 +284,7 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False) -> RunRepo
                 oracle_source="quasi-linear quotient check",
                 verdict="unchecked",
                 detail={"reason": "facet ideal over verify budget"})
-        verdict = cohen_macaulay_verdict(g, ordering="auto", seed=seed)
+        verdict = cohen_macaulay_verdict(g, ordering="auto")
         if verdict.cohen_macaulay is None:
             v = "unchecked"
         elif verdict.cohen_macaulay and verdict.shelling_agrees:
@@ -296,7 +303,9 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False) -> RunRepo
 
     for builder in (claim_tree_count, claim_partition, claim_catalog_size,
                     claim_catalog_orders, claim_intersections, claim_formula,
-                    claim_exact_ie, claim_dimension, claim_hilbert, claim_cm):
+                    lambda: _claim_exact_ie(g, f_direct),
+                    lambda: _claim_dimension(g, complex_),
+                    lambda: _claim_hilbert(f_direct, len(complex_.facets)), claim_cm):
         col.add(builder)
     return RunReport(
         command="jahangir",
@@ -306,7 +315,8 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False) -> RunRepo
 
 
 def build_graph_report(g: Graph, seed: int = 0, timed: bool = False) -> RunReport:
-    """Generic-engine cross-checks for an arbitrary connected graph."""
+    """Generic-engine cross-checks for an arbitrary connected graph. seed
+    is only echoed in the parameters."""
     col = _Collector(timed)
     complex_ = spanning_complex(g)
     mt = matrix_tree_count(g)
@@ -320,65 +330,16 @@ def build_graph_report(g: Graph, seed: int = 0, timed: bool = False) -> RunRepor
             oracle_source="fraction-free determinant",
             verdict="match" if len(complex_.facets) == mt else "mismatch")
 
-    direct_ok = g.edge_count <= min(F_VECTOR_EDGE_LIMIT, VERIFY_DIRECT_EDGE_LIMIT)
-    f_direct = f_vector_direct(g) if direct_ok else None
-
-    def claim_fvector() -> ClaimResult:
-        if f_direct is None:
-            return ClaimResult(
-                name="f_vector_exact_ie", claimed=None,
-                claimed_source="inclusion-exclusion over the cycle catalog",
-                oracle=None, oracle_source="exhaustive forest count",
-                verdict="unchecked",
-                detail={"reason": "forest count over verify budget"})
-        try:
-            ie = f_vector_exact_ie(g)
-        except CapacityError as exc:
-            return ClaimResult(
-                name="f_vector_exact_ie", claimed=None,
-                claimed_source="inclusion-exclusion over the cycle catalog",
-                oracle=_fvec_strings(f_direct),
-                oracle_source="exhaustive forest count",
-                verdict="unchecked", detail={"reason": str(exc)})
-        return ClaimResult(
-            name="f_vector_exact_ie",
-            claimed=_fvec_strings(ie),
-            claimed_source="inclusion-exclusion over the cycle catalog",
-            oracle=_fvec_strings(f_direct),
-            oracle_source="exhaustive forest count",
-            verdict="match" if ie == f_direct else "mismatch")
-
-    def claim_dimension() -> ClaimResult:
-        dim = dimension(complex_)
-        pure = is_pure(complex_)
-        ok = dim == g.vertex_count - 2 and pure
-        return ClaimResult(
-            name="dimension_and_purity",
-            claimed={"dimension": g.vertex_count - 2, "pure": True},
-            claimed_source="spanning-tree size rule",
-            oracle={"dimension": dim, "pure": pure},
-            oracle_source="facet inspection",
-            verdict="match" if ok else "mismatch")
-
-    def claim_hilbert() -> ClaimResult:
-        if f_direct is None:
-            return ClaimResult(
-                name="hilbert_series", claimed=None,
-                claimed_source="series identities", oracle=None,
-                oracle_source="exact polynomial expansion",
-                verdict="unchecked",
-                detail={"reason": "forest count over verify budget"})
-        return _hilbert_identity_claim(f_direct, len(complex_.facets))
+    f_direct = _direct_f_vector(g)
 
     def claim_cm() -> ClaimResult:
-        verdict = cohen_macaulay_verdict(g, ordering="search", seed=seed)
+        verdict = cohen_macaulay_verdict(g, ordering="search")
         if verdict.cohen_macaulay is None:
             return ClaimResult(
                 name="cohen_macaulay_consistency", claimed=None,
                 claimed_source="quotient ordering search", oracle=None,
                 oracle_source="shelling cross-check", verdict="unchecked",
                 detail={"reason": "ordering search over budget"})
-        consistent = (not verdict.cohen_macaulay) or bool(verdict.shelling_agrees)
         return ClaimResult(
             name="cohen_macaulay_consistency",
             claimed={"quotient_ordering_shells": True},
@@ -386,10 +347,12 @@ def build_graph_report(g: Graph, seed: int = 0, timed: bool = False) -> RunRepor
             oracle={"cohen_macaulay": verdict.cohen_macaulay,
                     "shelling_agrees": verdict.shelling_agrees},
             oracle_source="shelling cross-check",
-            verdict="match" if consistent else "mismatch")
+            verdict="match" if verdict.shelling_agrees else "mismatch")
 
-    for builder in (claim_tree_count, claim_fvector, claim_dimension,
-                    claim_hilbert, claim_cm):
+    for builder in (claim_tree_count,
+                    lambda: _claim_exact_ie(g, f_direct),
+                    lambda: _claim_dimension(g, complex_),
+                    lambda: _claim_hilbert(f_direct, len(complex_.facets)), claim_cm):
         col.add(builder)
     return RunReport(
         command="graph",

@@ -45,6 +45,14 @@ class SpanningTreeRecord:
     tree_class: TreeClass
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def enumerate_spanning_trees_generic(g: Graph) -> list[frozenset[int]]:
     """All spanning-tree edge sets of g, each once, canonical order.
 
@@ -61,18 +69,12 @@ def enumerate_spanning_trees_generic(g: Graph) -> list[frozenset[int]]:
     out: list[frozenset[int]] = []
     chosen: list[int] = []
 
-    def find(parent: list[int], x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def still_connectable(pos: int) -> bool:
         # chosen edges plus everything from pos on must span one component
         parent = list(range(n))
         comps = n
         for ei in itertools.chain(chosen, range(pos, total)):
-            ru, rv = find(parent, edges[ei][0]), find(parent, edges[ei][1])
+            ru, rv = _find(parent, edges[ei][0]), _find(parent, edges[ei][1])
             if ru != rv:
                 parent[ru] = rv
                 comps -= 1
@@ -87,7 +89,7 @@ def enumerate_spanning_trees_generic(g: Graph) -> list[frozenset[int]]:
         if pos == total or total - pos < ncomp - 1:
             return
         u, v = edges[pos]
-        ru, rv = find(parent, u), find(parent, v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             child = parent[:]
             child[ru] = rv

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from jahangir_ssc import (
-    CapacityError,
     Graph,
     InvalidParameterError,
     MonomialIdeal,
@@ -17,7 +16,6 @@ from jahangir_ssc import (
     enumerate_spanning_trees_generic,
     f_vector_direct,
     facet_ideal,
-    find_qlq_ordering,
     has_quasi_linear_quotients,
     is_shelling,
     prefix_block_ordering,
@@ -172,48 +170,6 @@ def test_block_ordering_structure(m):
 
 
 # ---------------------------------------------------------------------------
-# ordering search
-
-
-def test_find_ordering_triangle():
-    ideal = facet_ideal(spanning_complex(TRIANGLE))
-    ordering = find_qlq_ordering(ideal)
-    assert ordering is not None
-    assert has_quasi_linear_quotients(ideal, ordering)[0]
-
-
-def test_find_ordering_j3(j3):
-    ideal = facet_ideal(spanning_complex(j3))
-    ordering = find_qlq_ordering(ideal, seed=0)
-    assert ordering is not None
-    assert has_quasi_linear_quotients(ideal, ordering)[0]
-
-
-def test_find_ordering_is_seed_deterministic(j3):
-    ideal = facet_ideal(spanning_complex(j3))
-    assert find_qlq_ordering(ideal, seed=5) == find_qlq_ordering(ideal, seed=5)
-
-
-def test_find_ordering_exhausts_to_none():
-    # two generators at support distance two: either order fails, and
-    # the search must prove that rather than give up
-    ideal = MonomialIdeal((mono(0, 1), mono(2, 3)))
-    assert find_qlq_ordering(ideal) is None
-
-
-def test_find_ordering_generator_cap():
-    gens = tuple(mono(i, 10_000 + i) for i in range(2001))
-    with pytest.raises(CapacityError):
-        find_qlq_ordering(MonomialIdeal(gens))
-
-
-def test_find_ordering_state_budget(j3):
-    ideal = facet_ideal(spanning_complex(j3))
-    with pytest.raises(CapacityError):
-        find_qlq_ordering(ideal, state_budget=10)
-
-
-# ---------------------------------------------------------------------------
 # shellings
 
 
@@ -350,16 +306,47 @@ def test_verdict_search_mode(j3):
 
 
 def test_verdict_search_reports_shelling_honestly(j4):
-    # a searched certificate is a quotient witness; whether it happens
-    # to be a shelling too is reported, never assumed
+    # the canonical certificate is a shelling by theorem; the verdict
+    # still checks both properties and reports them, never assumes them
     c = spanning_complex(j4)
     ideal = facet_ideal(c)
-    for seed in (0, 3):
-        verdict = cohen_macaulay_verdict(j4, ordering="search", seed=seed)
+    verdict = cohen_macaulay_verdict(j4, ordering="search")
+    assert verdict.cohen_macaulay is True
+    assert verdict.certificate == tuple(range(len(c.facets)))
+    assert has_quasi_linear_quotients(ideal, verdict.certificate)[0]
+    facets = [c.facets[i] for i in verdict.certificate]
+    assert verdict.shelling_agrees is True
+    assert verdict.shelling_agrees == is_shelling(facets)
+
+
+def test_verdict_search_certificate_is_lexicographic_shelling():
+    # the lexicographic order of a graphic matroid's bases is a shelling,
+    # so the generic certificate is the identity on every connected graph
+    rng = random.Random(61)
+    for _ in range(40):
+        n, edges = random_connected_graph(rng, max_vertices=7, max_extra=4,
+                                          max_edges=10)
+        g = Graph(n, tuple(edges))
+        c = spanning_complex(g)
+        verdict = cohen_macaulay_verdict(g, ordering="search")
         assert verdict.cohen_macaulay is True
-        assert has_quasi_linear_quotients(ideal, verdict.certificate)[0]
-        facets = [c.facets[i] for i in verdict.certificate]
-        assert verdict.shelling_agrees == is_shelling(facets)
+        assert verdict.ordering_source == "search"
+        assert verdict.certificate == tuple(range(len(c.facets)))
+        assert verdict.shelling_agrees is True
+        if len(c.facets) <= 40:
+            assert naive_is_shelling(list(c.facets))
+
+
+def test_verdict_search_leaves_large_ideals_unchecked():
+    # the quadratic checks stop at CERTIFICATE_CHECK_LIMIT facets; the
+    # verdict is then unknown, never False
+    from jahangir_ssc.algebra import CERTIFICATE_CHECK_LIMIT
+
+    j6 = build_jahangir(6)
+    assert len(spanning_complex(j6).facets) > CERTIFICATE_CHECK_LIMIT
+    verdict = cohen_macaulay_verdict(j6, ordering="search")
+    assert verdict.cohen_macaulay is None
+    assert verdict.certificate is None and verdict.shelling_agrees is None
 
 
 def test_verdict_block_requires_the_family():

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +199,37 @@ def test_graph_fvector_and_cm(triangle_file, run_cli):
     assert cm["cohen_macaulay"] is True and cm["ordering_source"] == "search"
 
 
+@pytest.fixture(scope="module")
+def petersen_file(tmp_path_factory):
+    from jahangir_ssc import Graph, emit_graph
+
+    edges = []
+    for i in range(5):
+        edges += [(i, (i + 1) % 5), (i, i + 5), (i + 5, (i + 2) % 5 + 5)]
+    path = tmp_path_factory.mktemp("docs") / "petersen.json"
+    path.write_text(emit_graph(Graph(10, tuple(edges))))
+    return str(path)
+
+
+def test_graph_cm_petersen(petersen_file, run_cli):
+    # 2000 facets: the canonical order is the certificate, and a shelling
+    res = run_cli("graph", "--input", petersen_file, "cm")
+    assert res.code == 0
+    cm = res.json()
+    assert cm["cohen_macaulay"] is True and cm["ordering_source"] == "search"
+    assert cm["certificate"] == list(range(2000))
+    assert cm["shelling_agrees"] is True
+
+
+def test_graph_verify_petersen(petersen_file, run_cli):
+    # 57 simple cycles: exact inclusion-exclusion answers within its step cap
+    res = run_cli("graph", "--input", petersen_file, "verify")
+    assert res.code == 0
+    claims = res.json()["claims"]
+    assert len(claims) == 5
+    assert [c["verdict"] for c in claims] == ["match"] * 5
+
+
 # ---------------------------------------------------------------------------
 # failure paths and exit codes
 
@@ -230,12 +263,23 @@ def test_parse_errors_exit_1(tmp_path, run_cli):
     assert missing.code == 1 and "cannot read" in missing.stderr
 
 
-def test_capacity_errors_exit_2(run_cli):
+def test_capacity_errors_exit_2(tmp_path, run_cli):
+    from jahangir_ssc import Graph, emit_graph
+
     res = run_cli("jahangir", "--m", "6", "f-vector", "--mode", "formula")
     assert res.code == 2
     assert "capacity" in res.stderr
     # 524172 spanning trees: the determinant precheck refuses to enumerate
     assert run_cli("jahangir", "--m", "10", "facets").code == 2
+    # K7 plus 15 pendant leaves: 1172 cycles, none pruned, past the step cap
+    edges = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+    edges += [(i % 7, 7 + i) for i in range(15)]
+    path = tmp_path / "k7_leaves.json"
+    path.write_text(emit_graph(Graph(22, tuple(edges))))
+    for action in ("f-vector", "hilbert"):
+        res = run_cli("graph", "--input", str(path), action, "--mode", "exact-ie")
+        assert res.code == 2
+        assert "step bound" in res.stderr
 
 
 def test_stdout_stays_clean_on_errors(run_cli):
@@ -249,14 +293,18 @@ def test_stdout_stays_clean_on_errors(run_cli):
 
 
 def test_module_entry_point(triangle_file):
+    # the child imports the package from this checkout's src/
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "jahangir_ssc", "jahangir", "--m", "3", "hilbert"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["denominator_power"] == 6
 
     bad = subprocess.run(
         [sys.executable, "-m", "jahangir_ssc", "graph", "--input",
          triangle_file, "classes"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert bad.returncode == 1

@@ -113,10 +113,17 @@ def test_exact_ie_random_graphs():
 
 
 def test_exact_ie_capacity():
-    # K5 already has 37 simple cycles, past the subset-scan cap
-    edges = tuple((u, v) for u in range(5) for v in range(u + 1, 5))
-    with pytest.raises(CapacityError):
-        f_vector_exact_ie(Graph(5, edges))
+    # the cap counts work, not cycles: K5's 37 simple cycles answer at
+    # once, while J(2,9)'s 73 run past the step bound. K7 plus 15 pendant
+    # leaves prunes none of its 1172 cycles, so its first descent goes
+    # deeper than the interpreter's recursion limit before the step bound.
+    k5 = Graph(5, tuple((u, v) for u in range(5) for v in range(u + 1, 5)))
+    assert f_vector_exact_ie(k5) == f_vector_direct(k5)
+    k7_leaves = Graph(22, tuple((u, v) for u in range(7) for v in range(u + 1, 7))
+                      + tuple((i % 7, 7 + i) for i in range(15)))
+    for g in (build_jahangir(9), k7_leaves):
+        with pytest.raises(CapacityError, match="step bound"):
+            f_vector_exact_ie(g)
 
 
 def test_exact_ie_rejects_disconnected():
