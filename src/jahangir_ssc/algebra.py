@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .complexes import SimplicialComplex, is_pure, spanning_complex
 from .errors import InvalidParameterError, PurityError
-from .graphs import Graph, jahangir_order, spoke_index
+from .graphs import Graph, jahangir_order, matrix_tree_count, spoke_index
 from .spanning import enumerate_spanning_trees_jahangir
 
 # The quotient and shelling checks are quadratic in the facet count; past
@@ -203,8 +203,7 @@ class CMVerdict:
     the block ordering of J(2,m) or, with ordering_source "search", the
     canonical facet order. cohen_macaulay is None when the canonical
     order went unchecked or failed the quotient test, which the matroid
-    theorem rules out; it is False only when a requested block ordering
-    fails."""
+    theorem rules out; it is False only when the block ordering fails."""
 
     cohen_macaulay: bool | None
     certificate: tuple[int, ...] | None
@@ -216,32 +215,34 @@ class CMVerdict:
 def cohen_macaulay_verdict(g: Graph, ordering: str = "auto") -> CMVerdict:
     """Build the spanning complex and facet ideal of g, then certify
     Cohen-Macaulayness by an ordering with quasi-linear quotients: the
-    block ordering first on Jahangir graphs, the canonical facet order
-    otherwise. Every certificate is checked, never assumed.
+    block ordering ("block") or the canonical facet order ("search").
+    "auto" picks the block ordering on Jahangir graphs and the canonical
+    order otherwise. Every certificate is checked, never assumed.
     """
     if ordering not in ("auto", "block", "search"):
         raise InvalidParameterError(f"unknown ordering strategy {ordering!r}")
-    complex_ = spanning_complex(g)
-    ideal = facet_ideal(complex_)
     m = jahangir_order(g)
+    if ordering == "auto":
+        ordering = "search" if m is None else "block"
     if ordering == "block" and m is None:
         raise InvalidParameterError("block ordering is only defined for J(2,m)")
+    # the tree count is the facet count: decide the size before enumerating
+    if ordering == "search" and matrix_tree_count(g) > CERTIFICATE_CHECK_LIMIT:
+        return CMVerdict(None, None, "search", None, None)
+    complex_ = spanning_complex(g)
+    ideal = facet_ideal(complex_)
 
-    block_failure: int | None = None
-    if m is not None and ordering in ("auto", "block"):
+    if ordering == "block":
         perm = prefix_block_ordering(m)
         ok, failure = has_quasi_linear_quotients(ideal, perm)
-        if ok:
-            facets_in_order = [ideal.generators[k].support for k in perm]
-            return CMVerdict(True, perm, "block", None,
-                             shelling_agrees=is_shelling(facets_in_order))
-        block_failure = failure
-        if ordering == "block":
-            return CMVerdict(False, None, "block", block_failure, None)
+        if not ok:
+            return CMVerdict(False, None, "block", failure, None)
+        facets_in_order = [ideal.generators[k].support for k in perm]
+        return CMVerdict(True, perm, "block", None,
+                         shelling_agrees=is_shelling(facets_in_order))
 
-    r = len(ideal.generators)
-    canonical = tuple(range(r))
-    if r > CERTIFICATE_CHECK_LIMIT or not has_quasi_linear_quotients(ideal, canonical)[0]:
-        return CMVerdict(None, None, "search", block_failure, None)
-    return CMVerdict(True, canonical, "search", block_failure,
+    canonical = tuple(range(len(ideal.generators)))
+    if not has_quasi_linear_quotients(ideal, canonical)[0]:
+        return CMVerdict(None, None, "search", None, None)
+    return CMVerdict(True, canonical, "search", None,
                      shelling_agrees=is_shelling(complex_.facets))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -83,30 +84,30 @@ def _build_parser() -> _Parser:
 # Payload builders (plain dicts, deterministic key order)
 
 
-def _facet_payload(g: Graph, command: str, meta: dict) -> dict:
+def _facet_payload(g: Graph, trees: int, meta: dict) -> dict:
     complex_ = spanning_complex(g)
     if g.labels is not None:
         facets = [[str(g.label_of(i)) for i in sorted(f)] for f in complex_.facets]
     else:
         facets = [sorted(f) for f in complex_.facets]
     return {**meta, "count": len(complex_.facets),
-            "matrix_tree_count": matrix_tree_count(g), "facets": facets}
+            "matrix_tree_count": trees, "facets": facets}
 
 
-def _classes_payload(m: int, meta: dict) -> dict:
+def _classes_payload(m: int, trees: int, meta: dict) -> dict:
     records = enumerate_spanning_trees_jahangir(m)
     counts: dict[str, int] = {}
     for rec in records:
         counts[rec.tree_class.value] = counts.get(rec.tree_class.value, 0) + 1
     ordered = {k: counts.get(k, 0) for k in ("CJ1", "CJ2", "CJ3a", "CJ3b", "CJ3c")}
     return {**meta, "counts": ordered, "total": len(records),
-            "matrix_tree_count": matrix_tree_count(build_jahangir(m))}
+            "matrix_tree_count": trees}
 
 
-def _catalog_payload(catalog: CycleCatalog, g: Graph | None, meta: dict) -> dict:
+def _catalog_payload(catalog: CycleCatalog, g: Graph, meta: dict) -> dict:
     entries = []
     for e in catalog.entries:
-        if g is not None and g.labels is not None:
+        if g.labels is not None:
             edges = [str(g.label_of(i)) for i in sorted(e.edges)]
         else:
             edges = sorted(e.edges)
@@ -116,18 +117,17 @@ def _catalog_payload(catalog: CycleCatalog, g: Graph | None, meta: dict) -> dict
     return {**meta, "count": len(entries), "entries": entries}
 
 
+def _f_vector(g: Graph, mode: str, m: int | None) -> tuple[int, ...]:
+    """The f-vector from the engine that --mode names; the closed form
+    is reachable only from the jahangir command, which supplies m."""
+    if mode == "formula":
+        return f_vector_formula(m).values
+    return f_vector_exact_ie(g) if mode == "exact-ie" else f_vector_direct(g)
+
+
 def _fvector_payload(g: Graph, mode: str, m: int | None, meta: dict) -> dict:
-    if mode == "direct":
-        values = f_vector_direct(g)
-        return {**meta, "f_vector": [str(x) for x in values]}
-    if mode == "exact-ie":
-        values = f_vector_exact_ie(g)
-        return {**meta, "f_vector": [str(x) for x in values]}
-    # closed form: only defined for the structured family
-    if m is None:
-        raise InvalidParameterError(
-            "the closed-form engine needs the structured family; "
-            "use --mode direct or exact-ie")
+    if mode != "formula":
+        return {**meta, "f_vector": [str(x) for x in _f_vector(g, mode, m)]}
     formula = f_vector_formula(m)
     oracle = f_vector_direct(g)
     mism = [{"index": i, "closed_form": str(a), "direct": str(b)}
@@ -142,15 +142,7 @@ def _fvector_payload(g: Graph, mode: str, m: int | None, meta: dict) -> dict:
 
 
 def _hilbert_payload(g: Graph, mode: str, m: int | None, meta: dict) -> dict:
-    if mode == "exact-ie":
-        values = f_vector_exact_ie(g)
-    elif mode == "formula":
-        if m is None:
-            raise InvalidParameterError(
-                "the closed-form engine needs the structured family")
-        values = f_vector_formula(m).values
-    else:
-        values = f_vector_direct(g)
+    values = _f_vector(g, mode, m)
     series = hilbert_series(values)
     return {**meta, "f_vector": [str(x) for x in values],
             "numerator": [str(c) for c in series.numerator],
@@ -169,93 +161,79 @@ def _cm_payload(g: Graph, ordering: str, meta: dict) -> dict:
 
 
 def _report_payload(report: RunReport, meta: dict) -> dict:
-    claims = [{"name": c.name, "claimed": c.claimed,
-               "claimed_source": c.claimed_source, "oracle": c.oracle,
-               "oracle_source": c.oracle_source, "verdict": c.verdict,
-               "detail": c.detail} for c in report.claims]
-    return {**meta, "parameters": report.parameters, "claims": claims,
+    return {**meta, "parameters": report.parameters,
+            "claims": [dataclasses.asdict(c) for c in report.claims],
             "mismatches": report.mismatch_count, "timings": report.timings}
 
 
-def _guard_tree_enumeration(g: Graph) -> None:
+def _guard_tree_enumeration(g: Graph) -> int:
+    """The spanning-tree count of g, refused past the enumeration limit."""
     count = matrix_tree_count(g)
     if count > TREE_ENUMERATION_LIMIT:
         raise CapacityError(
             f"{count} spanning trees exceed the enumeration limit "
             f"{TREE_ENUMERATION_LIMIT}")
+    return count
 
 
 def _execute(args: argparse.Namespace) -> tuple[dict, int]:
     mode = _MODE_ALIASES.get(args.mode, args.mode)
     catalog = _CATALOG_ALIASES.get(args.catalog, args.catalog)
     ordering = _ORDERING_ALIASES.get(args.ordering, args.ordering)
+    action = args.action
 
     if args.command == "jahangir":
         if args.n != 2:
             raise InvalidParameterError("--n must be 2 (reserved for future use)")
         m = args.m
         g = build_jahangir(m)
-        meta = {"command": "jahangir", "action": args.action, "m": m}
+        meta = {"command": "jahangir", "action": action, "m": m}
         catalog = catalog or "word"
         ordering = ordering or "block"
-        if args.action == "facets":
-            _guard_tree_enumeration(g)
-            return _facet_payload(g, "jahangir", meta), 0
-        if args.action == "classes":
-            _guard_tree_enumeration(g)
-            return _classes_payload(m, meta), 0
-        if args.action == "cycles":
-            cat = word_cycle_catalog(m) if catalog == "word" else oracle_cycle_catalog(g)
-            return _catalog_payload(cat, g, {**meta, "catalog": catalog}), 0
-        if args.action == "f-vector":
-            return _fvector_payload(g, mode, m, {**meta, "mode": mode}), 0
-        if args.action == "hilbert":
-            return _hilbert_payload(g, mode, m, {**meta, "mode": mode}), 0
-        if args.action == "cm":
-            _guard_tree_enumeration(g)
-            source = "block" if ordering == "block" else "search"
-            return _cm_payload(g, source, {**meta, "ordering": ordering}), 0
-        report = build_jahangir_report(m, seed=args.seed, timed=args.timings)
-        payload = _report_payload(report, meta)
-        return payload, MISMATCH_EXIT if report.mismatch_count else 0
+    else:
+        # graph command: generic engines only
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise GraphParseError(f"cannot read {args.input}: {exc.strerror}") from None
+        m = None
+        g = parse_graph(text)
+        meta = {"command": "graph", "action": action, "input": args.input}
+        for flag, value, structured in (("--mode", mode, "formula"),
+                                        ("--catalog", catalog, "word"),
+                                        ("--ordering", ordering, "block")):
+            if value == structured:
+                raise InvalidParameterError(
+                    f"{flag} {value} requires the jahangir command")
+        if action == "classes":
+            raise InvalidParameterError(
+                "tree classes are defined only for the jahangir command")
+        catalog = "oracle"
+        ordering = "search"
 
-    # graph command: generic engines only
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise GraphParseError(f"cannot read {args.input}: {exc.strerror}") from None
-    g = parse_graph(text)
-    meta = {"command": "graph", "action": args.action, "input": args.input}
-    if mode == "formula":
-        raise InvalidParameterError(
-            "--mode formula requires the jahangir command")
-    if catalog == "word":
-        raise InvalidParameterError(
-            "--catalog word requires the jahangir command")
-    if ordering == "block":
-        raise InvalidParameterError(
-            "--ordering block requires the jahangir command")
-    if args.action == "facets":
-        _guard_tree_enumeration(g)
-        return _facet_payload(g, "graph", meta), 0
-    if args.action == "classes":
-        raise InvalidParameterError(
-            "tree classes are defined only for the jahangir command")
-    if args.action == "cycles":
-        return _catalog_payload(oracle_cycle_catalog(g), g,
-                                {**meta, "catalog": "oracle"}), 0
-    if args.action == "f-vector":
-        return _fvector_payload(g, mode, None, {**meta, "mode": mode}), 0
-    if args.action == "hilbert":
-        return _hilbert_payload(g, mode, None, {**meta, "mode": mode}), 0
-    if args.action == "cm":
-        _guard_tree_enumeration(g)
-        return _cm_payload(g, "search", {**meta, "ordering": "search"}), 0
-    _guard_tree_enumeration(g)
-    report = build_graph_report(g, seed=args.seed, timed=args.timings)
-    payload = _report_payload(report, meta)
-    return payload, MISMATCH_EXIT if report.mismatch_count else 0
+    # every action that enumerates spanning trees passes the one guard
+    trees = None
+    if action in ("facets", "classes", "cm", "verify"):
+        trees = _guard_tree_enumeration(g)
+    if action == "facets":
+        return _facet_payload(g, trees, meta), 0
+    if action == "classes":
+        return _classes_payload(m, trees, meta), 0
+    if action == "cycles":
+        cat = word_cycle_catalog(m) if catalog == "word" else oracle_cycle_catalog(g)
+        return _catalog_payload(cat, g, {**meta, "catalog": catalog}), 0
+    if action == "f-vector":
+        return _fvector_payload(g, mode, m, {**meta, "mode": mode}), 0
+    if action == "hilbert":
+        return _hilbert_payload(g, mode, m, {**meta, "mode": mode}), 0
+    if action == "cm":
+        return _cm_payload(g, ordering, {**meta, "ordering": ordering}), 0
+    if m is None:
+        report = build_graph_report(g, seed=args.seed, timed=args.timings)
+    else:
+        report = build_jahangir_report(m, seed=args.seed, timed=args.timings)
+    return _report_payload(report, meta), MISMATCH_EXIT if report.mismatch_count else 0
 
 
 # ---------------------------------------------------------------------------

@@ -199,9 +199,8 @@ class HilbertSeries:
 def hilbert_series(f: tuple[int, ...]) -> HilbertSeries:
     """Hilbert series of the face ring of a complex with f-vector f:
     numerator (1-t)^(d+1) + sum_i f_i t^(i+1) (1-t)^(d-i) over
-    (1-t)^(d+1), all in exact integer arithmetic."""
-    if not f:
-        raise InvalidParameterError("f-vector must be nonempty")
+    (1-t)^(d+1), all in exact integer arithmetic. The complex {empty
+    set}, with f = (), has series 1."""
     d = len(f) - 1
     num = _one_minus_t_power(d + 1)
     for i, fi in enumerate(f):

@@ -70,17 +70,25 @@ def _fvec_strings(f) -> list[str]:
     return [str(x) for x in f]
 
 
-class _Collector:
-    def __init__(self, timed: bool) -> None:
-        self.claims: list[ClaimResult] = []
-        self.timings: dict | None = {} if timed else None
+def _unchecked(name: str, claimed_source: str, oracle_source: str, reason: str,
+               claimed: object = None, oracle: object = None) -> ClaimResult:
+    return ClaimResult(name=name, claimed=claimed, claimed_source=claimed_source,
+                       oracle=oracle, oracle_source=oracle_source,
+                       verdict="unchecked", detail={"reason": reason})
 
-    def add(self, builder) -> None:
+
+def _run_claims(command: str, parameters: dict, builders, timed: bool) -> RunReport:
+    """Run each claim builder in order, timing each one when asked."""
+    claims: list[ClaimResult] = []
+    timings: dict | None = {} if timed else None
+    for builder in builders:
         start = time.perf_counter()
         claim = builder()
-        if self.timings is not None:
-            self.timings[claim.name] = round(time.perf_counter() - start, 3)
-        self.claims.append(claim)
+        if timings is not None:
+            timings[claim.name] = round(time.perf_counter() - start, 3)
+        claims.append(claim)
+    return RunReport(command=command, parameters=parameters, claims=tuple(claims),
+                     timings=timings)
 
 
 def _direct_f_vector(g: Graph) -> tuple[int, ...] | None:
@@ -94,18 +102,13 @@ def _direct_f_vector(g: Graph) -> tuple[int, ...] | None:
 def _claim_exact_ie(g: Graph, f_direct: tuple[int, ...] | None) -> ClaimResult:
     claimed_source = "inclusion-exclusion over the true cycle catalog"
     if f_direct is None:
-        return ClaimResult(
-            name="f_vector_exact_ie", claimed=None, claimed_source=claimed_source,
-            oracle=None, oracle_source="exhaustive forest count",
-            verdict="unchecked",
-            detail={"reason": "forest count over verify budget"})
+        return _unchecked("f_vector_exact_ie", claimed_source, "exhaustive forest count",
+                          "forest count over verify budget")
     try:
         ie = f_vector_exact_ie(g)
     except CapacityError as exc:
-        return ClaimResult(
-            name="f_vector_exact_ie", claimed=None, claimed_source=claimed_source,
-            oracle=_fvec_strings(f_direct), oracle_source="exhaustive forest count",
-            verdict="unchecked", detail={"reason": str(exc)})
+        return _unchecked("f_vector_exact_ie", claimed_source, "exhaustive forest count",
+                          str(exc), oracle=_fvec_strings(f_direct))
     return ClaimResult(
         name="f_vector_exact_ie",
         claimed=_fvec_strings(ie),
@@ -131,12 +134,8 @@ def _claim_dimension(g: Graph, complex_: SimplicialComplex) -> ClaimResult:
 
 def _claim_hilbert(f_direct: tuple[int, ...] | None, facet_count: int) -> ClaimResult:
     if f_direct is None:
-        return ClaimResult(
-            name="hilbert_series", claimed=None,
-            claimed_source="series identities", oracle=None,
-            oracle_source="exact polynomial expansion",
-            verdict="unchecked",
-            detail={"reason": "forest count over verify budget"})
+        return _unchecked("hilbert_series", "series identities",
+                          "exact polynomial expansion", "forest count over verify budget")
     series = hilbert_series(f_direct)
     top_ok = series.numerator_at(1) == facet_count
     d = len(f_direct) - 1
@@ -166,8 +165,6 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False) -> RunRepo
     """Structured claims about J(2,m) against the oracles. seed is only
     echoed in the parameters; no claim depends on it."""
     g = build_jahangir(m)
-    col = _Collector(timed)
-
     records = enumerate_spanning_trees_jahangir(m)
     partition = verify_partition(m)
     mt = matrix_tree_count(g)
@@ -247,14 +244,9 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False) -> RunRepo
     def claim_formula() -> ClaimResult:
         lo, hi = FORMULA_M_RANGE
         if not (lo <= m <= hi and f_direct is not None):
-            return ClaimResult(
-                name="f_vector_closed_form",
-                claimed=None,
-                claimed_source="closed-form engine",
-                oracle=None,
-                oracle_source="exhaustive forest count",
-                verdict="unchecked",
-                detail={"reason": f"closed form supports m in {lo}..{hi} only"})
+            return _unchecked("f_vector_closed_form", "closed-form engine",
+                              "exhaustive forest count",
+                              f"closed form supports m in {lo}..{hi} only")
         formula = f_vector_formula(m)
         diverging = [{"index": i, "closed_form": str(a), "direct": str(b)}
                      for i, (a, b) in enumerate(zip(formula.values, f_direct))
@@ -276,14 +268,9 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False) -> RunRepo
 
     def claim_cm() -> ClaimResult:
         if len(complex_.facets) > CERTIFICATE_CHECK_LIMIT:
-            return ClaimResult(
-                name="cohen_macaulay",
-                claimed=True,
-                claimed_source="quotient ordering construction",
-                oracle=None,
-                oracle_source="quasi-linear quotient check",
-                verdict="unchecked",
-                detail={"reason": "facet ideal over verify budget"})
+            return _unchecked("cohen_macaulay", "quotient ordering construction",
+                              "quasi-linear quotient check",
+                              "facet ideal over verify budget", claimed=True)
         verdict = cohen_macaulay_verdict(g, ordering="auto")
         if verdict.cohen_macaulay is None:
             v = "unchecked"
@@ -301,23 +288,17 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False) -> RunRepo
             detail={"ordering_source": verdict.ordering_source,
                     "shelling_agrees": verdict.shelling_agrees})
 
-    for builder in (claim_tree_count, claim_partition, claim_catalog_size,
-                    claim_catalog_orders, claim_intersections, claim_formula,
-                    lambda: _claim_exact_ie(g, f_direct),
-                    lambda: _claim_dimension(g, complex_),
-                    lambda: _claim_hilbert(f_direct, len(complex_.facets)), claim_cm):
-        col.add(builder)
-    return RunReport(
-        command="jahangir",
-        parameters={"m": m, "seed": seed},
-        claims=tuple(col.claims),
-        timings=col.timings)
+    return _run_claims("jahangir", {"m": m, "seed": seed}, (
+        claim_tree_count, claim_partition, claim_catalog_size,
+        claim_catalog_orders, claim_intersections, claim_formula,
+        lambda: _claim_exact_ie(g, f_direct),
+        lambda: _claim_dimension(g, complex_),
+        lambda: _claim_hilbert(f_direct, len(complex_.facets)), claim_cm), timed)
 
 
 def build_graph_report(g: Graph, seed: int = 0, timed: bool = False) -> RunReport:
     """Generic-engine cross-checks for an arbitrary connected graph. seed
     is only echoed in the parameters."""
-    col = _Collector(timed)
     complex_ = spanning_complex(g)
     mt = matrix_tree_count(g)
 
@@ -335,27 +316,21 @@ def build_graph_report(g: Graph, seed: int = 0, timed: bool = False) -> RunRepor
     def claim_cm() -> ClaimResult:
         verdict = cohen_macaulay_verdict(g, ordering="search")
         if verdict.cohen_macaulay is None:
-            return ClaimResult(
-                name="cohen_macaulay_consistency", claimed=None,
-                claimed_source="quotient ordering search", oracle=None,
-                oracle_source="shelling cross-check", verdict="unchecked",
-                detail={"reason": "ordering search over budget"})
+            return _unchecked("cohen_macaulay_consistency", "lexicographic facet order",
+                              "shelling cross-check",
+                              "facet count over the certificate check limit")
         return ClaimResult(
             name="cohen_macaulay_consistency",
             claimed={"quotient_ordering_shells": True},
-            claimed_source="quotient ordering search",
+            claimed_source="lexicographic facet order",
             oracle={"cohen_macaulay": verdict.cohen_macaulay,
                     "shelling_agrees": verdict.shelling_agrees},
             oracle_source="shelling cross-check",
             verdict="match" if verdict.shelling_agrees else "mismatch")
 
-    for builder in (claim_tree_count,
-                    lambda: _claim_exact_ie(g, f_direct),
-                    lambda: _claim_dimension(g, complex_),
-                    lambda: _claim_hilbert(f_direct, len(complex_.facets)), claim_cm):
-        col.add(builder)
-    return RunReport(
-        command="graph",
-        parameters={"vertices": g.vertex_count, "edges": g.edge_count, "seed": seed},
-        claims=tuple(col.claims),
-        timings=col.timings)
+    return _run_claims(
+        "graph", {"vertices": g.vertex_count, "edges": g.edge_count, "seed": seed}, (
+            claim_tree_count,
+            lambda: _claim_exact_ie(g, f_direct),
+            lambda: _claim_dimension(g, complex_),
+            lambda: _claim_hilbert(f_direct, len(complex_.facets)), claim_cm), timed)

@@ -337,16 +337,38 @@ def test_verdict_search_certificate_is_lexicographic_shelling():
             assert naive_is_shelling(list(c.facets))
 
 
-def test_verdict_search_leaves_large_ideals_unchecked():
+def test_verdict_search_leaves_large_ideals_unchecked(monkeypatch):
     # the quadratic checks stop at CERTIFICATE_CHECK_LIMIT facets; the
-    # verdict is then unknown, never False
-    from jahangir_ssc.algebra import CERTIFICATE_CHECK_LIMIT
+    # verdict is then unknown, never False, and the tree count decides
+    # that before any tree is enumerated
+    from jahangir_ssc import algebra
 
     j6 = build_jahangir(6)
-    assert len(spanning_complex(j6).facets) > CERTIFICATE_CHECK_LIMIT
+    assert len(spanning_complex(j6).facets) > algebra.CERTIFICATE_CHECK_LIMIT
+
+    def no_enumeration(g):
+        raise AssertionError("spanning complex built past the check limit")
+
+    monkeypatch.setattr(algebra, "spanning_complex", no_enumeration)
     verdict = cohen_macaulay_verdict(j6, ordering="search")
     assert verdict.cohen_macaulay is None
     assert verdict.certificate is None and verdict.shelling_agrees is None
+
+
+def test_verdict_auto_reports_a_failing_block_ordering(monkeypatch, j3):
+    # "auto" means the block ordering on J(2,m), with no fallback to the
+    # canonical order: an ordering that fails the quotient test is False
+    from jahangir_ssc import algebra
+
+    facets = spanning_complex(j3).facets
+    far = next(i for i, f in enumerate(facets) if len(facets[0] - f) >= 2)
+    failing = (0, far) + tuple(i for i in range(1, len(facets)) if i != far)
+    monkeypatch.setattr(algebra, "prefix_block_ordering", lambda m: failing)
+    verdict = cohen_macaulay_verdict(j3, ordering="auto")
+    assert verdict.cohen_macaulay is False
+    assert verdict.ordering_source == "block"
+    assert verdict.block_first_failure == 1
+    assert verdict.certificate is None
 
 
 def test_verdict_block_requires_the_family():

@@ -49,6 +49,14 @@ def test_graph_report_triangle(triangle_file):
     assert [c.verdict for c in report.claims] == ["match"] * 5
 
 
+def test_graph_report_leaves_large_certificates_unchecked():
+    # J(2,6) has 2700 facets, past the certificate check limit
+    cm = build_graph_report(build_jahangir(6)).claims[-1]
+    assert cm.name == "cohen_macaulay_consistency" and cm.verdict == "unchecked"
+    assert cm.claimed_source == "lexicographic facet order"
+    assert cm.detail == {"reason": "facet count over the certificate check limit"}
+
+
 # ---------------------------------------------------------------------------
 # happy paths
 
@@ -211,6 +219,22 @@ def petersen_file(tmp_path_factory):
     return str(path)
 
 
+def test_graph_one_vertex(tmp_path, run_cli):
+    # the complex {empty set}: f-vector (), Hilbert series 1
+    path = tmp_path / "one.json"
+    path.write_text('{"vertices": 1, "edges": []}')
+    runs = {action: run_cli("graph", "--input", str(path), action)
+            for action in ("facets", "cycles", "f-vector", "hilbert", "cm", "verify")}
+    assert {a: r.code for a, r in runs.items()} == dict.fromkeys(runs, 0)
+    assert runs["facets"].json()["facets"] == [[]]
+    assert runs["f-vector"].json()["f_vector"] == []
+    hilbert = runs["hilbert"].json()
+    assert hilbert["numerator"] == ["1"] and hilbert["denominator_power"] == 0
+    assert runs["cm"].json()["cohen_macaulay"] is True
+    claims = runs["verify"].json()["claims"]
+    assert [c["verdict"] for c in claims] == ["match"] * 5
+
+
 def test_graph_cm_petersen(petersen_file, run_cli):
     # 2000 facets: the canonical order is the certificate, and a shelling
     res = run_cli("graph", "--input", petersen_file, "cm")
@@ -270,7 +294,10 @@ def test_capacity_errors_exit_2(tmp_path, run_cli):
     assert res.code == 2
     assert "capacity" in res.stderr
     # 524172 spanning trees: the determinant precheck refuses to enumerate
-    assert run_cli("jahangir", "--m", "10", "facets").code == 2
+    for action in ("facets", "verify"):
+        res = run_cli("jahangir", "--m", "10", action)
+        assert res.code == 2
+        assert res.stderr.startswith("capacity error:")
     # K7 plus 15 pendant leaves: 1172 cycles, none pruned, past the step cap
     edges = [(u, v) for u in range(7) for v in range(u + 1, 7)]
     edges += [(i % 7, 7 + i) for i in range(15)]

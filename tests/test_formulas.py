@@ -167,8 +167,8 @@ def test_hilbert_function_identity():
 
 
 def test_hilbert_validation():
-    with pytest.raises(InvalidParameterError):
-        hilbert_series(())
+    # the complex {empty set} has f-vector () and Hilbert series 1
+    assert hilbert_series(()) == HilbertSeries((1,), 0)
     with pytest.raises(InvalidParameterError):
         HilbertSeries((2, 1), 3)
     with pytest.raises(InvalidParameterError):
