@@ -24,7 +24,7 @@ from .complexes import f_vector_direct, spanning_complex
 from .cycles import CycleCatalog, oracle_cycle_catalog, word_cycle_catalog
 from .errors import CapacityError, GraphParseError, InvalidParameterError, JssError
 from .formulas import f_vector_exact_ie, f_vector_formula, hilbert_series
-from .graphs import Graph, build_jahangir, matrix_tree_count, parse_graph
+from .graphs import Graph, build_jahangir, is_connected, matrix_tree_count, parse_graph
 from .reports import RunReport, build_graph_report, build_jahangir_report
 from .spanning import enumerate_spanning_trees_jahangir
 
@@ -209,6 +209,10 @@ def _execute(args: argparse.Namespace) -> tuple[dict, int]:
         if action == "classes":
             raise InvalidParameterError(
                 "tree classes are defined only for the jahangir command")
+        if action != "cycles" and not is_connected(g):
+            raise InvalidParameterError(
+                "a graph with no vertex or more than one component has no "
+                "spanning complex")
         catalog = "oracle"
         ordering = "search"
 

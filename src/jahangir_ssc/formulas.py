@@ -16,7 +16,7 @@ Two inclusion-exclusion engines live here, deliberately kept apart:
 * f_vector_exact_ie is the corrected engine: it runs full
   inclusion-exclusion over the true simple-cycle catalog using exact
   union cardinalities at every order, so it must agree with the
-  exhaustive forest count wherever both run.
+  direct forest count wherever both run.
 """
 
 from __future__ import annotations
@@ -160,22 +160,6 @@ def f_vector_exact_ie(g: Graph) -> tuple[int, ...]:
 # Hilbert series of the face ring
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _one_minus_t_power(p: int) -> list[int]:
-    out = [1]
-    for _ in range(p):
-        out = _poly_mul(out, [1, -1])
-    return out
-
-
 @dataclass(frozen=True)
 class HilbertSeries:
     """Exact rational function: integer numerator coefficients in
@@ -198,14 +182,14 @@ class HilbertSeries:
 
 def hilbert_series(f: tuple[int, ...]) -> HilbertSeries:
     """Hilbert series of the face ring of a complex with f-vector f:
-    numerator (1-t)^(d+1) + sum_i f_i t^(i+1) (1-t)^(d-i) over
-    (1-t)^(d+1), all in exact integer arithmetic. The complex {empty
-    set}, with f = (), has series 1."""
+    numerator sum_j f_{j-1} t^j (1-t)^(d+1-j) over (1-t)^(d+1), with
+    f_{-1} = 1, in exact integer arithmetic. Its coefficients are
+    h_k = sum_{j<=k} (-1)^(k-j) C(d+1-j, k-j) f_{j-1}. The complex
+    {empty set}, with f = (), has series 1."""
     d = len(f) - 1
-    num = _one_minus_t_power(d + 1)
-    for i, fi in enumerate(f):
-        term = _poly_mul([0] * (i + 1) + [fi], _one_minus_t_power(d - i))
-        num = [a + b for a, b in itertools.zip_longest(num, term, fillvalue=0)]
+    faces = (1, *f)  # faces[j] = f_{j-1}
+    num = [sum((-1) ** (k - j) * comb(d + 1 - j, k - j) * faces[j] for j in range(k + 1))
+           for k in range(d + 2)]
     while len(num) > 1 and num[-1] == 0:
         num.pop()
     return HilbertSeries(numerator=tuple(num), denominator_power=d + 1)

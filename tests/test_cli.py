@@ -49,6 +49,19 @@ def test_graph_report_triangle(triangle_file):
     assert [c.verdict for c in report.claims] == ["match"] * 5
 
 
+def test_graph_report_checks_hilbert_past_the_exact_ie_budget():
+    # a 20-cycle: past the 18-edge budget of inclusion-exclusion only
+    from jahangir_ssc import Graph
+
+    g = Graph(20, tuple((i, (i + 1) % 20) for i in range(20)))
+    claims = {c.name: c for c in build_graph_report(g).claims}
+    assert claims["hilbert_series"].verdict == "match"
+    ie = claims["f_vector_exact_ie"]
+    assert ie.verdict == "unchecked"
+    assert ie.detail == {"reason": "inclusion-exclusion over verify budget"}
+    assert ie.oracle[-1] == "20"
+
+
 def test_graph_report_leaves_large_certificates_unchecked():
     # J(2,6) has 2700 facets, past the certificate check limit
     cm = build_graph_report(build_jahangir(6)).claims[-1]
@@ -108,6 +121,14 @@ def test_mode_paper_is_an_alias(run_cli):
     assert via_alias.code == direct.code == 0
     assert via_alias.stdout == direct.stdout
     assert via_alias.json()["mode"] == "formula"  # echoed normalized
+
+
+def test_fvector_large_m(run_cli):
+    # 30 edges: the frontier sweep answers at once
+    res = run_cli("jahangir", "--m", "10", "f-vector")
+    assert res.code == 0
+    f = res.json()["f_vector"]
+    assert len(f) == 20 and f[0] == "30" and f[-1] == "524172"
 
 
 def test_hilbert_json(run_cli):
@@ -235,6 +256,22 @@ def test_graph_one_vertex(tmp_path, run_cli):
     assert [c["verdict"] for c in claims] == ["match"] * 5
 
 
+def test_graph_without_spanning_complex(tmp_path, run_cli):
+    # no vertex, or two components: only cycles answers, with one message
+    message = ("error: a graph with no vertex or more than one component "
+               "has no spanning complex\n")
+    for name, doc, cycles_code in (("empty", '{"vertices": 0, "edges": []}', 1),
+                                   ("split", '{"vertices": 4, "edges": [[0, 1], [2, 3]]}', 0)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(doc)
+        for action in ("facets", "cycles", "f-vector", "hilbert", "cm", "verify"):
+            res = run_cli("graph", "--input", str(path), action)
+            if action == "cycles":
+                assert res.code == cycles_code
+            else:
+                assert (res.code, res.stdout, res.stderr) == (1, "", message)
+
+
 def test_graph_cm_petersen(petersen_file, run_cli):
     # 2000 facets: the canonical order is the certificate, and a shelling
     res = run_cli("graph", "--input", petersen_file, "cm")
@@ -298,6 +335,13 @@ def test_capacity_errors_exit_2(tmp_path, run_cli):
         res = run_cli("jahangir", "--m", "10", action)
         assert res.code == 2
         assert res.stderr.startswith("capacity error:")
+    # K12: the frontier sweep is past its step bound
+    k12 = tmp_path / "k12.json"
+    k12.write_text(emit_graph(Graph(12, tuple(
+        (u, v) for u in range(12) for v in range(u + 1, 12)))))
+    res = run_cli("graph", "--input", str(k12), "f-vector")
+    assert res.code == 2
+    assert res.stderr.startswith("capacity error:") and "step bound" in res.stderr
     # K7 plus 15 pendant leaves: 1172 cycles, none pruned, past the step cap
     edges = [(u, v) for u in range(7) for v in range(u + 1, 7)]
     edges += [(i % 7, 7 + i) for i in range(15)]

@@ -109,10 +109,40 @@ def test_f_vector_trees():
 
 def test_f_vector_random_graphs():
     rng = random.Random(23)
-    for _ in range(12):
-        n, edges = random_connected_graph(rng)
+    for _ in range(60):
+        n, edges = random_connected_graph(rng, max_vertices=10, max_extra=6, max_edges=14)
         g = Graph(n, tuple(edges))
         assert f_vector_direct(g) == brute_f_vector(n, edges)
+
+
+def test_f_vector_ignores_edge_order():
+    # the sweep's frontier depends on the order, the forest counts do not
+    rng = random.Random(29)
+    for g in (build_jahangir(5), Graph(10, tuple(
+            (u, v) for u in range(5) for v in range(u + 1, 10) if (v - u) % 3))):
+        want = f_vector_direct(g)
+        for _ in range(5):
+            edges = list(g.edges)
+            rng.shuffle(edges)
+            assert f_vector_direct(Graph(g.vertex_count, tuple(edges))) == want
+
+
+def test_f_vector_jahangir_ends():
+    for m in range(3, 41):
+        g = build_jahangir(m)
+        f = f_vector_direct(g)
+        assert len(f) == 2 * m
+        assert f[0] == 3 * m
+        assert f[-1] == matrix_tree_count(g)
+
+
+def test_f_vector_complete_graph_top_entry():
+    # Cayley: K_n has n^(n-2) spanning trees
+    for n in range(2, 11):
+        g = Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
+        f = f_vector_direct(g)
+        assert f[0] == n * (n - 1) // 2
+        assert f[-1] == n ** (n - 2)
 
 
 def test_f_vector_length_matches_dimension(j3):
@@ -121,9 +151,11 @@ def test_f_vector_length_matches_dimension(j3):
 
 
 def test_f_vector_capacity():
-    g = Graph(32, tuple((i, i + 1) for i in range(31)))
-    with pytest.raises(CapacityError):
-        f_vector_direct(g)
+    # a 31-edge path is swept at once; K12 is past the step bound
+    path = Graph(32, tuple((i, i + 1) for i in range(31)))
+    assert f_vector_direct(path) == tuple(math.comb(31, i + 1) for i in range(31))
+    with pytest.raises(CapacityError, match="step bound"):
+        f_vector_direct(Graph(12, tuple((u, v) for u in range(12) for v in range(u + 1, 12))))
 
 
 def test_f_vector_rejects_disconnected():

@@ -158,7 +158,10 @@ def test_hilbert_numerator_at_one_is_top_entry():
 def test_hilbert_function_identity():
     # dimension counts in the face ring: sum over faces of the ways to
     # place degree j on them
-    for f in (J3_F, (3, 3), (5,)):
+    rng = random.Random(11)
+    randoms = [tuple(rng.randint(0, 10 ** 6) for _ in range(rng.randint(1, 12)))
+               for _ in range(20)]
+    for f in (J3_F, (3, 3), (5,), *randoms):
         s = hilbert_series(f)
         assert hilbert_function(s, 0) == 1
         for j in range(1, 2 * len(f) + 1):
