@@ -49,9 +49,10 @@ class SimplicialComplex:
     def __post_init__(self) -> None:
         if self.ground_size < 0:
             raise InvalidParameterError("ground set size must be nonnegative")
-        for f in self.facets:
-            if any(not 0 <= x < self.ground_size for x in f):
-                raise InvalidParameterError(f"facet {sorted(f)} leaves the ground set")
+        outside = frozenset().union(*self.facets).difference(range(self.ground_size))
+        if outside:
+            f = next(f for f in self.facets if not f.isdisjoint(outside))
+            raise InvalidParameterError(f"facet {sorted(f)} leaves the ground set")
         if len(set(self.facets)) != len(self.facets):
             raise InvalidParameterError("duplicate facets")
         # equal-sized distinct facets are automatically incomparable;

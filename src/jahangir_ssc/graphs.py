@@ -24,8 +24,12 @@ EdgeSet = frozenset
 
 HUB = 0
 
-# Cycle-space enumeration walks 2^mu masks; mu above this is refused.
-MAX_INDEPENDENT_CYCLES = 26
+# Cycle-space enumeration walks 2^mu masks; mu above this is refused, so
+# a scan takes about 1 s at most. A mask costs 3-8 us on one core of a
+# shared 2-core AMD EPYC machine: at rank 17 a chain of triangles and
+# J(2,17) take 0.66 s and a 2x18 ladder 1.04 s, and each further rank
+# doubles the time.
+MAX_INDEPENDENT_CYCLES = 17
 
 
 @dataclass(frozen=True)

@@ -93,35 +93,37 @@ def _run_claims(command: str, parameters: dict, builders, timed: bool) -> RunRep
                      timings=timings)
 
 
-def _direct_f_vector(g: Graph) -> tuple[int, ...] | None:
-    """The forest-count oracle shared by a report's claims, or None when
-    the forest sweep refuses at its step bound."""
+def _direct_f_vector(g: Graph) -> tuple[tuple[int, ...] | None, str | None]:
+    """The forest-count oracle shared by a report's claims, and None with
+    the reason when the forest sweep refuses at its step bound."""
     try:
-        return f_vector_direct(g)
-    except CapacityError:
-        return None
+        return f_vector_direct(g), None
+    except CapacityError as exc:
+        return None, str(exc)
 
 
-def _claim_exact_ie(g: Graph, f_direct: tuple[int, ...] | None) -> ClaimResult:
+def _claim_exact_ie(g: Graph, f_direct: tuple[int, ...] | None,
+                    sweep_refusal: str | None) -> ClaimResult:
     claimed_source = "inclusion-exclusion over the true cycle catalog"
+    oracle_source = "frontier forest sweep"
     if f_direct is None:
-        return _unchecked("f_vector_exact_ie", claimed_source, "exhaustive forest count",
-                          "forest count over verify budget")
+        return _unchecked("f_vector_exact_ie", claimed_source, oracle_source,
+                          sweep_refusal)
     if g.edge_count > VERIFY_EXACT_IE_EDGE_LIMIT:
-        return _unchecked("f_vector_exact_ie", claimed_source, "exhaustive forest count",
+        return _unchecked("f_vector_exact_ie", claimed_source, oracle_source,
                           "inclusion-exclusion over verify budget",
                           oracle=_fvec_strings(f_direct))
     try:
         ie = f_vector_exact_ie(g)
     except CapacityError as exc:
-        return _unchecked("f_vector_exact_ie", claimed_source, "exhaustive forest count",
+        return _unchecked("f_vector_exact_ie", claimed_source, oracle_source,
                           str(exc), oracle=_fvec_strings(f_direct))
     return ClaimResult(
         name="f_vector_exact_ie",
         claimed=_fvec_strings(ie),
         claimed_source=claimed_source,
         oracle=_fvec_strings(f_direct),
-        oracle_source="exhaustive forest count",
+        oracle_source=oracle_source,
         verdict="match" if ie == f_direct else "mismatch")
 
 
@@ -139,10 +141,11 @@ def _claim_dimension(g: Graph, complex_: SimplicialComplex) -> ClaimResult:
         verdict="match" if ok else "mismatch")
 
 
-def _claim_hilbert(f_direct: tuple[int, ...] | None, facet_count: int) -> ClaimResult:
+def _claim_hilbert(f_direct: tuple[int, ...] | None, sweep_refusal: str | None,
+                   facet_count: int) -> ClaimResult:
     if f_direct is None:
         return _unchecked("hilbert_series", "series identities",
-                          "exact polynomial expansion", "forest count over verify budget")
+                          "exact polynomial expansion", sweep_refusal)
     series = hilbert_series(f_direct)
     top_ok = series.numerator_at(1) == facet_count
     d = len(f_direct) - 1
@@ -246,13 +249,13 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False) -> RunRepo
             verdict="match" if not mism else "mismatch",
             detail={"mismatches": mism})
 
-    f_direct = _direct_f_vector(g)
+    f_direct, sweep_refusal = _direct_f_vector(g)
 
     def claim_formula() -> ClaimResult:
         lo, hi = FORMULA_M_RANGE
         if not (lo <= m <= hi and f_direct is not None):
             return _unchecked("f_vector_closed_form", "closed-form engine",
-                              "exhaustive forest count",
+                              "frontier forest sweep",
                               f"closed form supports m in {lo}..{hi} only")
         formula = f_vector_formula(m)
         diverging = [{"index": i, "closed_form": str(a), "direct": str(b)}
@@ -267,7 +270,7 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False) -> RunRepo
             claimed=_fvec_strings(formula.values),
             claimed_source="closed-form engine over the word catalog",
             oracle=_fvec_strings(f_direct),
-            oracle_source="exhaustive forest count",
+            oracle_source="frontier forest sweep",
             verdict="match" if not diverging else "mismatch",
             detail={"diverging_indices": diverging})
 
@@ -298,9 +301,10 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False) -> RunRepo
     return _run_claims("jahangir", {"m": m, "seed": seed}, (
         claim_tree_count, claim_partition, claim_catalog_size,
         claim_catalog_orders, claim_intersections, claim_formula,
-        lambda: _claim_exact_ie(g, f_direct),
+        lambda: _claim_exact_ie(g, f_direct, sweep_refusal),
         lambda: _claim_dimension(g, complex_),
-        lambda: _claim_hilbert(f_direct, len(complex_.facets)), claim_cm), timed)
+        lambda: _claim_hilbert(f_direct, sweep_refusal, len(complex_.facets)),
+        claim_cm), timed)
 
 
 def build_graph_report(g: Graph, seed: int = 0, timed: bool = False) -> RunReport:
@@ -318,7 +322,7 @@ def build_graph_report(g: Graph, seed: int = 0, timed: bool = False) -> RunRepor
             oracle_source="fraction-free determinant",
             verdict="match" if len(complex_.facets) == mt else "mismatch")
 
-    f_direct = _direct_f_vector(g)
+    f_direct, sweep_refusal = _direct_f_vector(g)
 
     def claim_cm() -> ClaimResult:
         verdict = cohen_macaulay_verdict(g, ordering="search")
@@ -338,6 +342,7 @@ def build_graph_report(g: Graph, seed: int = 0, timed: bool = False) -> RunRepor
     return _run_claims(
         "graph", {"vertices": g.vertex_count, "edges": g.edge_count, "seed": seed}, (
             claim_tree_count,
-            lambda: _claim_exact_ie(g, f_direct),
+            lambda: _claim_exact_ie(g, f_direct, sweep_refusal),
             lambda: _claim_dimension(g, complex_),
-            lambda: _claim_hilbert(f_direct, len(complex_.facets)), claim_cm), timed)
+            lambda: _claim_hilbert(f_direct, sweep_refusal, len(complex_.facets)),
+            claim_cm), timed)

@@ -1,7 +1,11 @@
 """Spanning-tree enumeration, generic and structured.
 
-The generic enumerator is the oracle: plain backtracking over the edge
-list with a connectivity probe, emitting edge sets in canonical order.
+The generic enumerator is the oracle: backtracking over the edge list
+that includes an edge before excluding it, so edge sets come out in
+canonical order. An edge that closes a cycle is skipped; any other edge
+may be excluded unless it is a bridge of the chosen edges plus those
+still to come, which a probe decides by uniting the later edges into a
+copy of the current union-find until the edge's two ends meet.
 
 The structured enumerator builds the same trees for J(2,m) by the
 cutting-down rules: choose which spokes to delete (never all m), then
@@ -56,51 +60,55 @@ def _find(parent: list[int], x: int) -> int:
 def enumerate_spanning_trees_generic(g: Graph) -> list[frozenset[int]]:
     """All spanning-tree edge sets of g, each once, canonical order.
 
-    Backtracking over edge positions; a branch that excludes an edge
-    is taken only if the remaining edges can still connect the graph.
-    Disconnected input yields an empty list.
+    Backtracking over edge positions, including an edge before
+    excluding it, so trees come out lexicographic by sorted edge tuple.
+    The chosen edges plus the edges still to come always connect g; an
+    edge may be excluded unless it is a bridge of that edge set, which
+    a local probe from the current union-find decides. Disconnected
+    input yields an empty list.
     """
     n, edges = g.vertex_count, g.edges
-    if n == 0:
+    if not is_connected(g):
         return []
-    if n == 1:
-        return [frozenset()]
     total = len(edges)
     out: list[frozenset[int]] = []
     chosen: list[int] = []
 
-    def still_connectable(pos: int) -> bool:
-        # chosen edges plus everything from pos on must span one component
-        parent = list(range(n))
-        comps = n
-        for ei in itertools.chain(chosen, range(pos, total)):
-            ru, rv = _find(parent, edges[ei][0]), _find(parent, edges[ei][1])
-            if ru != rv:
-                parent[ru] = rv
-                comps -= 1
-                if comps == 1:
-                    return True
-        return False
+    def bridge(pos: int, ru: int, rv: int, parent: list[int]) -> bool:
+        # can the edges after pos join the roots ru and rv? union them
+        # into a copy of the chosen edges' components until they meet,
+        # following the two roots as their sets are linked
+        probe = parent[:]
+        for ei in range(pos + 1, total):
+            a, b = _find(probe, edges[ei][0]), _find(probe, edges[ei][1])
+            if a != b:
+                probe[a] = b
+                if a == ru:
+                    ru = b
+                elif a == rv:
+                    rv = b
+                if ru == rv:
+                    return False
+        return True
 
     def rec(pos: int, ncomp: int, parent: list[int]) -> None:
         if ncomp == 1:
             out.append(frozenset(chosen))
             return
-        if pos == total or total - pos < ncomp - 1:
-            return
-        u, v = edges[pos]
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            child = parent[:]
-            child[ru] = rv
-            chosen.append(pos)
-            rec(pos + 1, ncomp - 1, child)
-            chosen.pop()
-        if still_connectable(pos + 1):
+        while True:  # an edge that closes a cycle is excluded at no cost
+            ru, rv = _find(parent, edges[pos][0]), _find(parent, edges[pos][1])
+            if ru != rv:
+                break
+            pos += 1
+        child = parent[:]
+        child[ru] = rv
+        chosen.append(pos)
+        rec(pos + 1, ncomp - 1, child)
+        chosen.pop()
+        if not bridge(pos, ru, rv, parent):
             rec(pos + 1, ncomp, parent)
 
     rec(0, n, list(range(n)))
-    out.sort(key=lambda s: tuple(sorted(s)))
     return out
 
 
@@ -213,10 +221,8 @@ def verify_partition(m: int) -> PartitionReport:
             disjoint = False
         seen[rec.kept] = rec.tree_class
     generic_set = set(generic)
-    missing = tuple(sorted((t for t in generic_set if t not in seen),
-                           key=lambda s: tuple(sorted(s))))
-    extra = tuple(sorted((t for t in seen if t not in generic_set),
-                         key=lambda s: tuple(sorted(s))))
+    missing = tuple(sorted(generic_set.difference(seen), key=lambda s: tuple(sorted(s))))
+    extra = tuple(sorted(seen.keys() - generic_set, key=lambda s: tuple(sorted(s))))
     return PartitionReport(
         m=m,
         class_counts=tuple((cls.value, counts[cls]) for cls in TreeClass),

@@ -141,6 +141,14 @@ def test_qlq_triangle_every_ordering():
         assert has_quasi_linear_quotients(ideal, perm)[0]
 
 
+def test_qlq_rejects_mixed_degrees():
+    # the swap pass needs generators of one degree, as the shelling test
+    # needs facets of one size
+    ideal = MonomialIdeal((mono(0, 1), mono(2), mono(1, 3)))
+    with pytest.raises(PurityError):
+        has_quasi_linear_quotients(ideal, (0, 1, 2))
+
+
 def test_qlq_rejects_non_permutations(j3):
     ideal = facet_ideal(spanning_complex(j3))
     with pytest.raises(InvalidParameterError):
@@ -195,14 +203,38 @@ def test_is_shelling_block_order(j3):
     assert naive_is_shelling(facets)
 
 
+def _naive_first_failure(facets):
+    for i in range(1, len(facets)):
+        if naive_colon_mindeg(facets[:i], facets[i]) != 1:
+            return i
+    return None
+
+
 def test_is_shelling_matches_naive_on_random_families():
+    # both checks against the literal definitions: random equal-size
+    # families, then random and one-swap orders of the J(2,3) and J(2,4)
+    # facets, whose canonical order passes both
     rng = random.Random(41)
+    families = []
     for _ in range(60):
         n, k = 6, rng.randint(2, 4)
         count = rng.randint(2, 7)
         pool = list(itertools.combinations(range(n), k))
         rng.shuffle(pool)
-        facets = [frozenset(c) for c in pool[:count]]
+        families.append([frozenset(c) for c in pool[:count]])
+    for m, orders in ((3, 12), (4, 4)):
+        facets = list(spanning_complex(build_jahangir(m)).facets)
+        families.append(facets)
+        for _ in range(orders):
+            families.append(rng.sample(facets, len(facets)))
+            swapped = facets[:]
+            a, b = rng.randrange(len(facets)), rng.randrange(len(facets))
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            families.append(swapped)
+    for facets in families:
+        ideal = MonomialIdeal(tuple(SquarefreeMonomial(f) for f in facets))
+        ok, failure = has_quasi_linear_quotients(ideal, range(len(facets)))
+        assert failure == _naive_first_failure(facets) and ok == (failure is None)
         assert is_shelling(facets) == naive_is_shelling(facets)
 
 
@@ -338,7 +370,7 @@ def test_verdict_search_certificate_is_lexicographic_shelling():
 
 
 def test_verdict_search_leaves_large_ideals_unchecked(monkeypatch):
-    # the quadratic checks stop at CERTIFICATE_CHECK_LIMIT facets; the
+    # the certificate checks stop at CERTIFICATE_CHECK_LIMIT facets; the
     # verdict is then unknown, never False, and the tree count decides
     # that before any tree is enumerated
     from jahangir_ssc import algebra

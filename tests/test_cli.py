@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from jahangir_ssc import build_jahangir, build_graph_report, build_jahangir_report
+from jahangir_ssc.graphs import MAX_INDEPENDENT_CYCLES
 
 EXPECTED_MISMATCH_CLAIMS = {
     "cycle_catalog_size",
@@ -291,6 +293,26 @@ def test_graph_verify_petersen(petersen_file, run_cli):
     assert [c["verdict"] for c in claims] == ["match"] * 5
 
 
+def test_graph_verify_names_the_refusing_sweep(tmp_path, run_cli):
+    # a 150-vertex path with its four chords listed last: every chord end
+    # stays in the sweep's frontier, so the sweep refuses, and the claims
+    # it would check give its own refusal as their reason
+    from jahangir_ssc import Graph, emit_graph
+
+    edges = [(i, i + 1) for i in range(149)] + [(a, a + 3) for a in (16, 48, 80, 112)]
+    path = tmp_path / "long.json"
+    path.write_text(emit_graph(Graph(150, tuple(edges))))
+    res = run_cli("graph", "--input", str(path), "verify")
+    assert res.code == 0
+    claims = {c["name"]: c for c in res.json()["claims"]}
+    reason = {"reason": "forest sweep over 153 edges exceeds the step bound 1200000"}
+    ie, hilbert = claims["f_vector_exact_ie"], claims["hilbert_series"]
+    assert ie["verdict"] == hilbert["verdict"] == "unchecked"
+    assert ie["oracle_source"] == "frontier forest sweep"
+    assert ie["detail"] == hilbert["detail"] == reason
+    assert claims["spanning_tree_count"]["oracle"] == 256
+
+
 # ---------------------------------------------------------------------------
 # failure paths and exit codes
 
@@ -351,6 +373,19 @@ def test_capacity_errors_exit_2(tmp_path, run_cli):
         res = run_cli("graph", "--input", str(path), action, "--mode", "exact-ie")
         assert res.code == 2
         assert "step bound" in res.stderr
+    # a chain of triangles one past the cycle-space rank cap: refused
+    # before the 2^rank scan starts
+    k = MAX_INDEPENDENT_CYCLES + 1
+    edges = []
+    for i in range(k):
+        edges += [(2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2), (2 * i, 2 * i + 2)]
+    path = tmp_path / "triangles.json"
+    path.write_text(emit_graph(Graph(2 * k + 1, tuple(edges))))
+    start = time.perf_counter()
+    res = run_cli("graph", "--input", str(path), "cycles")
+    assert time.perf_counter() - start < 1.0
+    assert res.code == 2
+    assert res.stderr.startswith("capacity error:") and "cycle space rank" in res.stderr
 
 
 def test_stdout_stays_clean_on_errors(run_cli):

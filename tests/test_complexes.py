@@ -51,8 +51,8 @@ def test_spanning_complex_rejects_disconnected():
 
 
 def test_complex_validation():
-    with pytest.raises(InvalidParameterError):
-        SimplicialComplex(2, (frozenset({0, 5}),))
+    with pytest.raises(InvalidParameterError, match=r"facet \[0, 5\] leaves"):
+        SimplicialComplex(2, (frozenset({0, 1}), frozenset({0, 5})))
     with pytest.raises(InvalidParameterError):
         SimplicialComplex(3, (frozenset({0}), frozenset({0})))
     with pytest.raises(InvalidParameterError):  # facet inside a facet

@@ -253,7 +253,7 @@ def test_simple_cycles_canonical_order(j3):
 
 
 def test_simple_cycles_capacity():
-    n = 9  # K9 has 28 independent cycles, above the 26 cap
+    n = 9  # K9 has 28 independent cycles, above the cap
     edges = tuple((u, v) for u in range(n) for v in range(u + 1, n))
     with pytest.raises(CapacityError):
         enumerate_simple_cycles(Graph(n, edges))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -52,6 +53,15 @@ def test_generic_path_and_singleton():
 
 def test_generic_disconnected_is_empty():
     assert enumerate_spanning_trees_generic(Graph(4, ((0, 1), (2, 3)))) == []
+    # two 20-vertex wheels: refused before any backtracking, which would
+    # otherwise walk the product of both components' tree sets
+    edges = []
+    for base in (0, 20):
+        edges += [(base, base + i) for i in range(1, 20)]
+        edges += [(base + i, base + i % 19 + 1) for i in range(1, 20)]
+    start = time.perf_counter()
+    assert enumerate_spanning_trees_generic(Graph(40, tuple(edges))) == []
+    assert time.perf_counter() - start < 0.1
 
 
 def test_generic_matches_brute_force(j3):
@@ -66,18 +76,28 @@ def test_generic_count_matches_determinant(m):
 
 
 def test_generic_random_graphs():
+    # shuffled edge lists, so that bridges and cycle-closing edges turn
+    # up at every position of the backtracking
     rng = random.Random(11)
-    for _ in range(15):
+    for _ in range(120):
         n, edges = random_connected_graph(rng)
+        rng.shuffle(edges)
         g = Graph(n, tuple(edges))
         trees = enumerate_spanning_trees_generic(g)
         assert len(trees) == len(set(trees)) == matrix_tree_count(g)
         assert set(trees) == brute_spanning_trees(n, edges)
+        assert trees == sorted(trees, key=sorted)
 
 
-def test_generic_canonical_order(j3):
-    trees = enumerate_spanning_trees_generic(j3)
-    assert trees == sorted(trees, key=sorted)
+def test_generic_canonical_order(j3, j4):
+    # emitted in order, lexicographic by sorted edge tuple, also when the
+    # edge list is not in the family's own order
+    shuffled = list(j4.edges)
+    random.Random(13).shuffle(shuffled)
+    for g in (j3, j4, Graph(j4.vertex_count, tuple(shuffled))):
+        trees = enumerate_spanning_trees_generic(g)
+        assert trees == sorted(trees, key=sorted)
+        assert len(trees) == matrix_tree_count(g)
 
 
 # ---------------------------------------------------------------------------
