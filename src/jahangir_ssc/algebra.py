@@ -1,16 +1,19 @@
 """Facet ideals, quasi-linear quotients, shellings, and the
 Cohen-Macaulay verdict.
 
-The colon ideal of a squarefree monomial prefix is never materialized:
-for squarefree monomials its minimal generator degrees are the sizes of
-the support differences, min_j |supp(m_j) \\ supp(m_i)|. For generators
-of one degree that minimum is 1 exactly when some swap of one variable,
-supp(m_i) - x + y, is an earlier support. Both certificate checks
-share one pass that finds, for each facet, the elements x for which
-such a swap exists: a set lookup per swap. The quotient test needs one
-such x at every position; the shelling test fails at F_i exactly when
-an earlier facet contains all of them, which an AND of per-element
-bitsets of facet positions answers.
+A facet-ideal generator is the squarefree monomial whose support is a
+facet, so it is carried as the facet's edge-set mask; the ideal checks
+only that its generators are distinct and of one degree. The colon
+ideal of a prefix is never materialized: for squarefree monomials its
+minimal generator degrees are the sizes of the support differences,
+min_j |supp(m_j) \\ supp(m_i)|. For generators of one degree that
+minimum is 1 exactly when some swap of one variable, supp(m_i) - x + y,
+is an earlier support. Both certificate checks share one pass that
+finds, for each facet, the elements x for which such a swap exists: a
+set lookup per swap. The quotient test needs one such x at every
+position; the shelling test fails at F_i exactly when an earlier facet
+contains all of them, which an AND of per-element bitsets of facet
+positions answers.
 
 The block ordering lists the facet-ideal generators of J(2,m) by the
 length of the leading run of deleted spokes (longest run first,
@@ -30,9 +33,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .complexes import SimplicialComplex, is_pure, spanning_complex
+from .complexes import SimplicialComplex, spanning_complex
 from .errors import InvalidParameterError, PurityError
-from .graphs import Graph, jahangir_order, matrix_tree_count, spoke_index
+from .graphs import (
+    EdgeSet,
+    Graph,
+    build_jahangir,
+    jahangir_order,
+    matrix_tree_count,
+    spoke_index,
+)
 from .spanning import enumerate_spanning_trees_jahangir
 
 # Past this many facets the generic certificate is not checked. Both
@@ -44,38 +54,20 @@ CERTIFICATE_CHECK_LIMIT = 2000
 
 
 @dataclass(frozen=True)
-class SquarefreeMonomial:
-    """A squarefree monomial, carried as its variable-index support."""
-
-    support: frozenset[int]
-
-    @property
-    def degree(self) -> int:
-        return len(self.support)
-
-
-@dataclass(frozen=True)
 class MonomialIdeal:
-    """Monomial ideal given by a minimal ordered generating system."""
+    """Squarefree monomial ideal given by ordered generators of one
+    degree, each carried as the edge-set mask of its support. Distinct
+    generators of one degree never divide each other, so the generating
+    system is minimal."""
 
-    generators: tuple[SquarefreeMonomial, ...]
+    generators: tuple[EdgeSet, ...]
 
     def __post_init__(self) -> None:
-        degrees = {g.degree for g in self.generators}
-        supports = [g.support for g in self.generators]
-        if len(set(supports)) != len(supports):
+        if len(set(self.generators)) != len(self.generators):
             raise InvalidParameterError("generating system is not minimal: duplicate")
-        if len(degrees) > 1:
-            # mixed degrees force the quadratic divisibility check
-            for i, a in enumerate(supports):
-                for b in supports[i + 1:]:
-                    if a <= b or b <= a:
-                        raise InvalidParameterError(
-                            "generating system is not minimal: one generator "
-                            "divides another")
-
-    def __len__(self) -> int:
-        return len(self.generators)
+        if len({g.bit_count() for g in self.generators}) > 1:
+            raise PurityError("generators of mixed degree: the quotient theory "
+                              "requires a pure complex")
 
 
 def facet_ideal(c: SimplicialComplex) -> MonomialIdeal:
@@ -84,32 +76,22 @@ def facet_ideal(c: SimplicialComplex) -> MonomialIdeal:
     downstream quotient theory."""
     if not c.facets:
         raise InvalidParameterError("facet ideal of an empty complex")
-    if not is_pure(c):
-        raise PurityError("facet ideal requires a pure complex")
-    return MonomialIdeal(tuple(SquarefreeMonomial(f) for f in c.facets))
+    return MonomialIdeal(c.facets)
 
 
-def colon_mindeg(previous: Sequence[SquarefreeMonomial],
-                 current: SquarefreeMonomial) -> int:
-    """Minimal generator degree of (m_1,...,m_{i-1}) : (m_i) for
-    squarefree monomials: min over j of |supp(m_j) - supp(m_i)|."""
-    if not previous:
-        raise InvalidParameterError("colon quotient needs a nonempty prefix")
-    return min(len(p.support - current.support) for p in previous)
-
-
-def _swap_pass(facets: Sequence[frozenset[int]]) -> Iterator[int]:
+def _swap_pass(facets: Sequence[EdgeSet]) -> Iterator[EdgeSet]:
     """The one pass behind both certificate checks, over equal-sized
-    facets in order: for each facet F_i after the first, the bitmask of
-    its usable elements, the x in F_i for which some swap F_i - x + y is
-    an earlier facet. Each swap is one set lookup."""
-    masks = [sum(1 << x for x in f) for f in facets]
+    facets in order: for each facet F_i, the mask of its usable
+    elements, the x in F_i for which some swap F_i - x + y is an earlier
+    facet (none for F_0). Each swap is one set lookup."""
     universe = 0
-    for mask in masks:
+    for mask in facets:
         universe |= mask
+    if universe < 0:
+        raise InvalidParameterError("edge-set masks must be nonnegative")
     elements = [1 << x for x in range(universe.bit_length()) if universe >> x & 1]
-    seen = {masks[0]}
-    for mask in masks[1:]:
+    seen: set[EdgeSet] = set()
+    for mask in facets:
         outside = [y for y in elements if not mask & y]
         usable = 0
         for x in elements:
@@ -129,19 +111,13 @@ def has_quasi_linear_quotients(
     """True when every colon step along the ordering has minimal degree
     exactly 1; on failure also returns the first failing position.
 
-    The generators must have one degree. Then a colon step is linear
-    exactly when some swap of one variable turns the current generator
-    into an earlier one, which the swap pass looks up."""
-    r = len(ideal.generators)
-    if sorted(ordering) != list(range(r)):
+    The generators have one degree, so a colon step is linear exactly
+    when some swap of one variable turns the current generator into an
+    earlier one, which the swap pass looks up."""
+    if sorted(ordering) != list(range(len(ideal.generators))):
         raise InvalidParameterError("ordering is not a permutation of the generators")
-    if len({g.degree for g in ideal.generators}) > 1:
-        raise PurityError("quotient test requires generators of one degree")
-    if r < 2:
-        return True, None
-    supports = [ideal.generators[k].support for k in ordering]
-    for i, usable in enumerate(_swap_pass(supports), start=1):
-        if not usable:
+    for i, usable in enumerate(_swap_pass([ideal.generators[k] for k in ordering])):
+        if i and not usable:
             return False, i
     return True, None
 
@@ -150,14 +126,18 @@ def has_quasi_linear_quotients(
 # The block ordering for J(2,m)
 
 
-def _leading_spoke_run(removed: frozenset[int], m: int) -> int:
+def _leading_spoke_run(removed: EdgeSet, m: int) -> int:
     k = 0
-    for j in range(1, m + 1):
-        if spoke_index(j, m) in removed:
-            k += 1
-        else:
-            break
+    while k < m and removed >> spoke_index(k + 1, m) & 1:
+        k += 1
     return k
+
+
+def _lexicographic(masks: list[EdgeSet]) -> list[EdgeSet]:
+    """Edge sets of one size in ascending order of their index tuples.
+    For equal sizes that is the descending order of the binary strings
+    read from bit 0 up, a key several times cheaper than the tuple."""
+    return sorted(masks, key=lambda s: bin(s)[:1:-1], reverse=True)
 
 
 def prefix_block_ordering(m: int) -> tuple[int, ...]:
@@ -167,17 +147,16 @@ def prefix_block_ordering(m: int) -> tuple[int, ...]:
     if m < 3:
         raise InvalidParameterError(f"m must be >= 3, got {m}")
     records = enumerate_spanning_trees_jahangir(m)
-    canonical = sorted((rec.kept for rec in records), key=lambda s: tuple(sorted(s)))
+    canonical = _lexicographic([rec.kept for rec in records])
     position = {kept: i for i, kept in enumerate(canonical)}
-    every_edge = frozenset(range(3 * m))
-    buckets: dict[int, list[frozenset[int]]] = {}
+    every_edge = (1 << 3 * m) - 1
+    buckets: dict[int, list[EdgeSet]] = {}
     for rec in records:
         buckets.setdefault(_leading_spoke_run(rec.removed, m), []).append(rec.removed)
     perm: list[int] = []
     for k in range(m - 1, -1, -1):
-        block = buckets.get(k, [])
-        block.sort(key=lambda s: tuple(sorted(s)))
-        perm.extend(position[every_edge - removed] for removed in block)
+        perm.extend(position[every_edge ^ removed]
+                    for removed in _lexicographic(buckets.get(k, [])))
     return tuple(perm)
 
 
@@ -185,7 +164,7 @@ def prefix_block_ordering(m: int) -> tuple[int, ...]:
 # Shellings
 
 
-def is_shelling(facets: Sequence[frozenset[int]]) -> bool:
+def is_shelling(facets: Sequence[EdgeSet]) -> bool:
     """Classical shelling test for an ordered pure facet list: for all
     i and j < i some k < i has |F_i - F_k| = 1 and F_i cap F_j inside
     F_i cap F_k.
@@ -194,14 +173,10 @@ def is_shelling(facets: Sequence[frozenset[int]]) -> bool:
     F_i exactly when some earlier facet contains every usable element.
     The earlier facets containing an element are kept as a bitset of
     positions per element, so the test is an AND of those bitsets."""
-    if not facets:
-        return True
-    if len({len(f) for f in facets}) != 1:
+    if len({f.bit_count() for f in facets}) > 1:
         raise PurityError("shelling test requires equal-sized facets")
     holders: dict[int, int] = {}   # element bit -> positions of facets with it
-    for x in facets[0]:
-        holders[1 << x] = 1
-    for i, usable in enumerate(_swap_pass(facets), start=1):
+    for i, usable in enumerate(_swap_pass(facets)):
         earlier = (1 << i) - 1
         x = usable
         while x and earlier:
@@ -210,9 +185,11 @@ def is_shelling(facets: Sequence[frozenset[int]]) -> bool:
             x ^= low
         if earlier:
             return False
-        for x in facets[i]:
-            bit = 1 << x
-            holders[bit] = holders.get(bit, 0) | 1 << i
+        x = facets[i]
+        while x:
+            low = x & -x
+            holders[low] = holders.get(low, 0) | 1 << i
+            x ^= low
     return True
 
 
@@ -239,16 +216,23 @@ def cohen_macaulay_verdict(g: Graph, ordering: str = "auto") -> CMVerdict:
     """Build the spanning complex and facet ideal of g, then certify
     Cohen-Macaulayness by an ordering with quasi-linear quotients: the
     block ordering ("block") or the canonical facet order ("search").
-    "auto" picks the block ordering on Jahangir graphs and the canonical
-    order otherwise. Every certificate is checked, never assumed.
+    "auto" picks the block ordering on J(2,m) in its canonical edge
+    order and the canonical facet order otherwise. Every certificate is
+    checked, never assumed.
     """
     if ordering not in ("auto", "block", "search"):
         raise InvalidParameterError(f"unknown ordering strategy {ordering!r}")
+    # the block ordering permutes the facets of J(2,m) in its canonical
+    # edge order, so it applies only where g lists the edges that way
     m = jahangir_order(g)
+    if m is not None and any(sorted(e) != sorted(c)
+                             for e, c in zip(g.edges, build_jahangir(m).edges)):
+        m = None
     if ordering == "auto":
         ordering = "search" if m is None else "block"
     if ordering == "block" and m is None:
-        raise InvalidParameterError("block ordering is only defined for J(2,m)")
+        raise InvalidParameterError(
+            "block ordering is only defined for J(2,m) in its canonical edge order")
     # the tree count is the facet count: decide the size before enumerating
     if ordering == "search" and matrix_tree_count(g) > CERTIFICATE_CHECK_LIMIT:
         return CMVerdict(None, None, "search", None, None)
@@ -260,7 +244,7 @@ def cohen_macaulay_verdict(g: Graph, ordering: str = "auto") -> CMVerdict:
         ok, failure = has_quasi_linear_quotients(ideal, perm)
         if not ok:
             return CMVerdict(False, None, "block", failure, None)
-        facets_in_order = [ideal.generators[k].support for k in perm]
+        facets_in_order = [ideal.generators[k] for k in perm]
         return CMVerdict(True, perm, "block", None,
                          shelling_agrees=is_shelling(facets_in_order))
 

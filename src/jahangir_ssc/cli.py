@@ -24,7 +24,14 @@ from .complexes import f_vector_direct, spanning_complex
 from .cycles import CycleCatalog, oracle_cycle_catalog, word_cycle_catalog
 from .errors import CapacityError, GraphParseError, InvalidParameterError, JssError
 from .formulas import f_vector_exact_ie, f_vector_formula, hilbert_series
-from .graphs import Graph, build_jahangir, is_connected, matrix_tree_count, parse_graph
+from .graphs import (
+    Graph,
+    build_jahangir,
+    edge_indices,
+    is_connected,
+    matrix_tree_count,
+    parse_graph,
+)
 from .reports import RunReport, build_graph_report, build_jahangir_report
 from .spanning import enumerate_spanning_trees_jahangir
 
@@ -35,6 +42,17 @@ MISMATCH_EXIT = 3
 # Enumerating every spanning tree of an arbitrary document is refused
 # past this count; the determinant tells us the size in advance.
 TREE_ENUMERATION_LIMIT = 500_000
+
+# The largest m served: the forest sweep, the engine that reaches
+# furthest, refuses J(2,208). Past it only the word catalog would go on,
+# with m*m entries and about m^3 output lines, so a larger m is refused
+# before J(2,m) is built. At m = 207 on one core of a shared 2-core AMD
+# EPYC machine (wall time, peak RSS): f-vector 0.12 s, 17 MB; hilbert
+# 0.33 s, 17 MB; the oracle catalog, exact-ie and formula modes refused
+# in 0.1 s; facets, classes, cm and verify refused by the tree-count
+# guard in 1.7-2.2 s, 19 MB; the word catalog 16 s and 185 MB as JSON,
+# 8.5 s and 339 MB as CSV or text.
+JAHANGIR_M_LIMIT = 207
 
 _MODE_ALIASES = {"paper": "formula"}
 _CATALOG_ALIASES = {"paper": "word"}
@@ -84,14 +102,20 @@ def _build_parser() -> _Parser:
 # Payload builders (plain dicts, deterministic key order)
 
 
+def _edge_lister(g: Graph):
+    """Edge sets as output lists: of labels where g has them, else of
+    indices."""
+    if g.labels is None:
+        return lambda mask: list(edge_indices(mask))
+    names = [str(label) for label in g.labels]
+    return lambda mask: [names[i] for i in edge_indices(mask)]
+
+
 def _facet_payload(g: Graph, trees: int, meta: dict) -> dict:
     complex_ = spanning_complex(g)
-    if g.labels is not None:
-        facets = [[str(g.label_of(i)) for i in sorted(f)] for f in complex_.facets]
-    else:
-        facets = [sorted(f) for f in complex_.facets]
-    return {**meta, "count": len(complex_.facets),
-            "matrix_tree_count": trees, "facets": facets}
+    listed = _edge_lister(g)
+    return {**meta, "count": len(complex_.facets), "matrix_tree_count": trees,
+            "facets": [listed(f) for f in complex_.facets]}
 
 
 def _classes_payload(m: int, trees: int, meta: dict) -> dict:
@@ -105,15 +129,10 @@ def _classes_payload(m: int, trees: int, meta: dict) -> dict:
 
 
 def _catalog_payload(catalog: CycleCatalog, g: Graph, meta: dict) -> dict:
-    entries = []
-    for e in catalog.entries:
-        if g.labels is not None:
-            edges = [str(g.label_of(i)) for i in sorted(e.edges)]
-        else:
-            edges = sorted(e.edges)
-        entries.append({"word": list(e.word) if e.word is not None else None,
-                        "edges": edges, "beta": e.beta,
-                        "is_simple_cycle": e.is_simple_cycle})
+    listed = _edge_lister(g)
+    entries = [{"word": list(e.word) if e.word is not None else None,
+                "edges": listed(e.edges), "beta": e.beta,
+                "is_simple_cycle": e.is_simple_cycle} for e in catalog.entries]
     return {**meta, "count": len(entries), "entries": entries}
 
 
@@ -186,6 +205,9 @@ def _execute(args: argparse.Namespace) -> tuple[dict, int]:
         if args.n != 2:
             raise InvalidParameterError("--n must be 2 (reserved for future use)")
         m = args.m
+        if m > JAHANGIR_M_LIMIT:
+            raise CapacityError(
+                f"m = {m} exceeds {JAHANGIR_M_LIMIT}, the largest m any engine answers")
         g = build_jahangir(m)
         meta = {"command": "jahangir", "action": action, "m": m}
         catalog = catalog or "word"
@@ -242,10 +264,6 @@ def _execute(args: argparse.Namespace) -> tuple[dict, int]:
 
 # ---------------------------------------------------------------------------
 # Formatters
-
-
-def _to_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def _csv_rows(payload: dict) -> list[list[object]]:
@@ -354,7 +372,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        sys.stdout.write(_to_json(payload))
+        # streamed: the document is never held as one string
+        json.dump(payload, sys.stdout, indent=2)
+        sys.stdout.write("\n")
     elif args.format == "csv":
         sys.stdout.write(_to_csv(payload))
     else:

@@ -3,7 +3,8 @@
 Faces are never materialized: a face of the spanning complex of a
 connected graph is exactly an acyclic edge subset (every forest extends
 to a spanning tree), so the f-vector is the forest count by edge number
-and the minimal non-faces are exactly the simple cycles.
+and the minimal non-faces are exactly the simple cycles, which
+graphs.enumerate_simple_cycles lists.
 
 The forests are counted by a frontier sweep over the edges (the
 connectivity-state method of Sekine, Imai and Tani, "Computing the Tutte
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError, InvalidParameterError
-from .graphs import Graph, enumerate_simple_cycles, is_connected
+from .graphs import EdgeSet, Graph, edge_indices, is_connected
 from .spanning import enumerate_spanning_trees_generic
 
 # f-vectors are plain tuples of arbitrary-precision ints, f_0..f_d.
@@ -37,37 +38,39 @@ F_VECTOR_STEP_LIMIT = 1_200_000
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A complex given by its facets over a ground set 0..ground_size-1.
+    """A complex given by its facets, edge sets over a ground set
+    0..ground_size-1.
 
     Facets must be pairwise incomparable; faces are implicitly the
     downward closure and are never stored.
     """
 
     ground_size: int
-    facets: tuple[frozenset[int], ...]
+    facets: tuple[EdgeSet, ...]
 
     def __post_init__(self) -> None:
         if self.ground_size < 0:
             raise InvalidParameterError("ground set size must be nonnegative")
-        outside = frozenset().union(*self.facets).difference(range(self.ground_size))
-        if outside:
-            f = next(f for f in self.facets if not f.isdisjoint(outside))
-            raise InvalidParameterError(f"facet {sorted(f)} leaves the ground set")
+        for f in self.facets:
+            if f < 0 or f >> self.ground_size:  # a negative mask has no index list
+                shown = list(edge_indices(f)) if f >= 0 else f
+                raise InvalidParameterError(f"facet {shown} leaves the ground set")
         if len(set(self.facets)) != len(self.facets):
             raise InvalidParameterError("duplicate facets")
         # equal-sized distinct facets are automatically incomparable;
         # only mixed sizes need the quadratic containment check
-        by_size: dict[int, list[frozenset[int]]] = {}
+        by_size: dict[int, list[EdgeSet]] = {}
         for f in self.facets:
-            by_size.setdefault(len(f), []).append(f)
+            by_size.setdefault(f.bit_count(), []).append(f)
         if len(by_size) > 1:
             sizes = sorted(by_size)
             for i, small in enumerate(sizes):
                 for big in sizes[i + 1:]:
                     for a in by_size[small]:
-                        if any(a <= b for b in by_size[big]):
+                        if any(a & b == a for b in by_size[big]):
                             raise InvalidParameterError(
-                                f"facet {sorted(a)} is contained in another facet")
+                                f"facet {list(edge_indices(a))} is contained in "
+                                "another facet")
 
 
 def spanning_complex(g: Graph) -> SimplicialComplex:
@@ -82,13 +85,13 @@ def spanning_complex(g: Graph) -> SimplicialComplex:
 def dimension(c: SimplicialComplex) -> int:
     if not c.facets:
         raise InvalidParameterError("empty complex has no dimension")
-    return max(len(f) for f in c.facets) - 1
+    return max(f.bit_count() for f in c.facets) - 1
 
 
 def is_pure(c: SimplicialComplex) -> bool:
     if not c.facets:
         raise InvalidParameterError("empty complex has no purity")
-    return len({len(f) for f in c.facets}) == 1
+    return len({f.bit_count() for f in c.facets}) == 1
 
 
 def _plus(a: list[int], b: list[int]) -> list[int]:
@@ -157,12 +160,3 @@ def f_vector_direct(g: Graph) -> FVector:
     # forest to the spanning trees
     (forests,) = table.values()
     return tuple(forests[1:])
-
-
-def minimal_nonfaces(g: Graph) -> list[frozenset[int]]:
-    """Inclusion-minimal non-faces of the spanning complex: exactly the
-    simple cycles of g (each is dependent, every proper subset is a
-    forest)."""
-    if not is_connected(g):
-        raise InvalidParameterError("minimal non-faces need a connected graph")
-    return enumerate_simple_cycles(g)

@@ -23,10 +23,12 @@ from itertools import combinations
 
 from .errors import InvalidParameterError
 from .graphs import (
+    EdgeSet,
     Graph,
     _is_simple_cycle_mask,
     base_cycle_indices,
     build_jahangir,
+    edge_indices,
     enumerate_simple_cycles,
     jahangir_order,
     spoke_index,
@@ -36,11 +38,11 @@ from .graphs import (
 @dataclass(frozen=True)
 class CycleCatalogEntry:
     """One catalog cycle: its word (None for cycles with no word), its
-    edge-index set, its recorded order beta = |edges|, and whether the
-    edge set really is a simple cycle."""
+    edge set, its recorded order beta = |edges|, and whether the edge
+    set really is a simple cycle."""
 
     word: tuple[int, ...] | None
-    edges: frozenset[int]
+    edges: EdgeSet
     beta: int
     is_simple_cycle: bool
 
@@ -75,14 +77,14 @@ def validate_word(word: tuple[int, ...], m: int) -> None:
             raise InvalidParameterError(f"word indices must be consecutive, got {word!r}")
 
 
-def word_edge_set(word: tuple[int, ...], m: int) -> frozenset[int]:
+def word_edge_set(word: tuple[int, ...], m: int) -> EdgeSet:
     """Union of the word's base cycles minus the interior spokes."""
-    edges: set[int] = set()
+    edges = 0
     for j in word:
         edges |= base_cycle_indices(j, m)
     for j in word[1:]:
-        edges.discard(spoke_index(j, m))
-    return frozenset(edges)
+        edges &= ~(1 << spoke_index(j, m))
+    return edges
 
 
 def claimed_order(k: int) -> int:
@@ -99,12 +101,11 @@ def word_cycle_catalog(m: int) -> CycleCatalog:
     entries = []
     for word in all_words(m):
         edges = word_edge_set(word, m)
-        mask = sum(1 << i for i in edges)
         entries.append(CycleCatalogEntry(
             word=word,
             edges=edges,
-            beta=len(edges),
-            is_simple_cycle=_is_simple_cycle_mask(mask, g.edges)))
+            beta=edges.bit_count(),
+            is_simple_cycle=_is_simple_cycle_mask(edges, g.edges)))
     return CycleCatalog(m=m, entries=tuple(entries))
 
 
@@ -113,34 +114,28 @@ def oracle_cycle_catalog(g: Graph) -> CycleCatalog:
 
     When g is structurally a Jahangir graph, cycles matching a word
     keep that word; everything else (notably the outer rim cycle) gets
-    word None.
+    word None. The cycles are enumerated first, so the cycle-space rank
+    cap refuses a large graph before the m*m words are built.
     """
     if not g.edges and g.vertex_count == 0:
         raise InvalidParameterError("graph must have at least one vertex")
+    cycles = enumerate_simple_cycles(g)
     m = jahangir_order(g)
-    by_edges: dict[frozenset[int], tuple[int, ...]] = {}
+    by_edges: dict[EdgeSet, tuple[int, ...]] = {}
     if m is not None:
         # g's edge order may differ from the canonical one; translate.
-        canon = build_jahangir(m)
         pos = {}
         for idx, (u, v) in enumerate(g.edges):
             pos[(u, v) if u <= v else (v, u)] = idx
-        trans = []
-        for u, v in canon.edges:
-            trans.append(pos[(u, v) if u <= v else (v, u)])
+        trans = [pos[(u, v) if u <= v else (v, u)] for u, v in build_jahangir(m).edges]
         for word in all_words(m):
             canonical = word_edge_set(word, m)
-            translated = frozenset(trans[i] for i in canonical)
-            if translated not in by_edges:
-                by_edges[translated] = word
-    entries = []
-    for cyc in enumerate_simple_cycles(g):
-        entries.append(CycleCatalogEntry(
-            word=by_edges.get(cyc),
-            edges=cyc,
-            beta=len(cyc),
-            is_simple_cycle=True))
-    return CycleCatalog(m=m, entries=tuple(entries))
+            translated = sum(1 << trans[i] for i in edge_indices(canonical))
+            by_edges.setdefault(translated, word)
+    entries = tuple(CycleCatalogEntry(word=by_edges.get(cyc), edges=cyc,
+                                      beta=cyc.bit_count(), is_simple_cycle=True)
+                    for cyc in cycles)
+    return CycleCatalog(m=m, entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +250,8 @@ def predict_intersection(u: tuple[int, ...], v: tuple[int, ...], m: int) -> int:
     return predict_intersection_partial(u, v, m)
 
 
-def direct_intersection(a: frozenset[int], b: frozenset[int]) -> int:
-    return len(a & b)
+def direct_intersection(a: EdgeSet, b: EdgeSet) -> int:
+    return (a & b).bit_count()
 
 
 @dataclass(frozen=True)

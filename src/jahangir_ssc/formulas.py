@@ -116,15 +116,9 @@ def f_vector_exact_ie(g: Graph) -> tuple[int, ...]:
     """
     if not is_connected(g):
         raise InvalidParameterError("f-vector of the spanning complex needs a connected graph")
-    cycles = enumerate_simple_cycles(g)
+    masks = enumerate_simple_cycles(g)
     edge_count = g.edge_count
     fmax = g.vertex_count - 1  # largest forest of a connected graph
-    masks = []
-    for cyc in cycles:
-        mk = 0
-        for i in cyc:
-            mk |= 1 << i
-        masks.append(mk)
     values = [binomial(edge_count, i + 1) for i in range(fmax)]
     steps = 0
     # Depth-first over subsets with an explicit stack, so the depth (up to
@@ -140,7 +134,7 @@ def f_vector_exact_ie(g: Graph) -> tuple[int, ...]:
             steps += 1 + max(fmax - size + 1, 0)
             if steps > EXACT_IE_STEP_LIMIT:
                 raise CapacityError(
-                    f"inclusion-exclusion over {len(cycles)} simple cycles "
+                    f"inclusion-exclusion over {len(masks)} simple cycles "
                     f"exceeds the step bound {EXACT_IE_STEP_LIMIT}")
             if size > fmax:
                 continue

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, GraphParseError, InvalidParameterError
 
-# Edge-index sets (frozensets of int) are the universal currency for
-# cycles, facets, faces, and monomial supports.
-EdgeSet = frozenset
+# An edge set is an int bit mask, bit i standing for edge i: the one
+# form of every cycle, spanning tree, facet, face and facet-ideal
+# generator. edge_indices turns it into index tuples for output.
+EdgeSet = int
 
 HUB = 0
 
@@ -56,6 +57,14 @@ class EdgeLabel:
         if len(text) < 3 or text[0] != "e" or not text[1:].isdigit():
             raise InvalidParameterError(f"bad edge label {text!r}")
         return cls(j=int(text[1:-1]), i=int(text[-1]))
+
+
+def edge_indices(mask: EdgeSet) -> tuple[int, ...]:
+    """The edge indices in an edge-set mask, ascending: the form for
+    output, error messages and canonical sort keys."""
+    if mask < 0:
+        raise InvalidParameterError(f"edge-set mask must be nonnegative, got {mask}")
+    return tuple([i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"])
 
 
 def _normalize(u: int, v: int) -> tuple[int, int]:
@@ -137,10 +146,11 @@ def rim_indices(j: int, m: int) -> tuple[int, int]:
     return (base + 1, base + 2)
 
 
-def base_cycle_indices(j: int, m: int) -> frozenset[int]:
+def base_cycle_indices(j: int, m: int) -> EdgeSet:
     """Edge set of the j-th base cycle: its spoke, its two rim edges,
-    and the next spoke (wrapping after m)."""
-    return frozenset((spoke_index(j, m), *rim_indices(j, m), spoke_index(j + 1, m)))
+    and the next spoke (wrapping after m). The first three are
+    consecutive indices."""
+    return 0b111 << spoke_index(j, m) | 1 << spoke_index(j + 1, m)
 
 
 def build_jahangir(m: int) -> Graph:
@@ -322,9 +332,9 @@ def _is_simple_cycle_mask(mask: int, edges: tuple[tuple[int, int], ...]) -> bool
     return len(seen) == len(deg)
 
 
-def enumerate_simple_cycles(g: Graph) -> list[frozenset[int]]:
-    """Every simple cycle of g as an edge-index set, each exactly once,
-    sorted canonically.
+def enumerate_simple_cycles(g: Graph) -> list[EdgeSet]:
+    """Every simple cycle of g as an edge set, each exactly once, sorted
+    canonically (by ascending index tuple).
 
     Strategy: build a spanning forest, take the fundamental cycle of
     each non-tree edge, and scan all xor-combinations, keeping those
@@ -384,6 +394,4 @@ def enumerate_simple_cycles(g: Graph) -> list[frozenset[int]]:
             i += 1
         if mask and mask not in found and _is_simple_cycle_mask(mask, edges):
             found.add(mask)
-    cycles = [frozenset(i for i in range(len(edges)) if mk >> i & 1) for mk in found]
-    cycles.sort(key=lambda s: tuple(sorted(s)))
-    return cycles
+    return sorted(found, key=edge_indices)

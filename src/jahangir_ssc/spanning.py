@@ -23,7 +23,15 @@ from enum import Enum
 
 from .cycles import cyclic_runs
 from .errors import ClassificationError, InvalidParameterError
-from .graphs import Graph, build_jahangir, is_connected, rim_indices, spoke_index
+from .graphs import (
+    EdgeSet,
+    Graph,
+    build_jahangir,
+    edge_indices,
+    is_connected,
+    rim_indices,
+    spoke_index,
+)
 
 
 class TreeClass(str, Enum):
@@ -39,13 +47,13 @@ class TreeClass(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpanningTreeRecord:
     """A spanning tree of J(2,m) as the pair (kept, removed) plus its
     class. kept is the facet; removed is its m-edge complement."""
 
-    kept: frozenset[int]
-    removed: frozenset[int]
+    kept: EdgeSet
+    removed: EdgeSet
     tree_class: TreeClass
 
 
@@ -57,7 +65,7 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def enumerate_spanning_trees_generic(g: Graph) -> list[frozenset[int]]:
+def enumerate_spanning_trees_generic(g: Graph) -> list[EdgeSet]:
     """All spanning-tree edge sets of g, each once, canonical order.
 
     Backtracking over edge positions, including an edge before
@@ -71,8 +79,7 @@ def enumerate_spanning_trees_generic(g: Graph) -> list[frozenset[int]]:
     if not is_connected(g):
         return []
     total = len(edges)
-    out: list[frozenset[int]] = []
-    chosen: list[int] = []
+    out: list[EdgeSet] = []
 
     def bridge(pos: int, ru: int, rv: int, parent: list[int]) -> bool:
         # can the edges after pos join the roots ru and rv? union them
@@ -91,9 +98,9 @@ def enumerate_spanning_trees_generic(g: Graph) -> list[frozenset[int]]:
                     return False
         return True
 
-    def rec(pos: int, ncomp: int, parent: list[int]) -> None:
+    def rec(pos: int, ncomp: int, parent: list[int], chosen: EdgeSet) -> None:
         if ncomp == 1:
-            out.append(frozenset(chosen))
+            out.append(chosen)
             return
         while True:  # an edge that closes a cycle is excluded at no cost
             ru, rv = _find(parent, edges[pos][0]), _find(parent, edges[pos][1])
@@ -102,13 +109,11 @@ def enumerate_spanning_trees_generic(g: Graph) -> list[frozenset[int]]:
             pos += 1
         child = parent[:]
         child[ru] = rv
-        chosen.append(pos)
-        rec(pos + 1, ncomp - 1, child)
-        chosen.pop()
+        rec(pos + 1, ncomp - 1, child, chosen | 1 << pos)
         if not bridge(pos, ru, rv, parent):
-            rec(pos + 1, ncomp, parent)
+            rec(pos + 1, ncomp, parent, chosen)
 
-    rec(0, n, list(range(n)))
+    rec(0, n, list(range(n)), 0)
     return out
 
 
@@ -130,22 +135,20 @@ def _classify_spoke_set(deleted_spokes: set[int], m: int) -> TreeClass:
     return TreeClass.DROP_MIXED
 
 
-def _rim_pools(deleted_spokes: set[int], m: int) -> list[list[int]]:
-    """One pool of candidate rim deletions per constraint: each maximal
-    run of deleted spokes merges the run's cycles with the one before
-    it and demands exactly one rim deletion from the merged cycle; each
-    untouched cycle demands one of its own two rim edges."""
-    pools: list[list[int]] = []
+def _rim_pools(deleted_spokes: set[int], m: int) -> list[list[EdgeSet]]:
+    """One pool of candidate rim deletions, as one-edge sets, per
+    constraint: each maximal run of deleted spokes merges the run's
+    cycles with the one before it and demands exactly one rim deletion
+    from the merged cycle; each untouched cycle demands one of its own
+    two rim edges."""
+    pools: list[list[EdgeSet]] = []
     covered: set[int] = set()
     for run in cyclic_runs(deleted_spokes, m):
         first = run[0] - 1 if run[0] > 1 else m
         merged = [first] + run
         covered.update(merged)
-        pool: list[int] = []
-        for j in merged:
-            pool.extend(rim_indices(j, m))
-        pools.append(pool)
-    pools.extend(list(rim_indices(j, m))
+        pools.append([1 << i for j in merged for i in rim_indices(j, m)])
+    pools.extend([1 << i for i in rim_indices(j, m)]
                  for j in range(1, m + 1) if j not in covered)
     return pools
 
@@ -155,21 +158,21 @@ def enumerate_spanning_trees_jahangir(m: int) -> list[SpanningTreeRecord]:
     deterministic order (deleted-spoke count, then lexicographic)."""
     if m < 3:
         raise InvalidParameterError(f"m must be >= 3, got {m}")
-    every_edge = frozenset(range(3 * m))
+    every_edge = (1 << 3 * m) - 1
     records: list[SpanningTreeRecord] = []
     for rho in range(m):  # never all m spokes
         for spokes in itertools.combinations(range(1, m + 1), rho):
             deleted = set(spokes)
             cls = _classify_spoke_set(deleted, m)
-            base = frozenset(spoke_index(j, m) for j in deleted)
+            base = sum(1 << spoke_index(j, m) for j in deleted)
             for picks in itertools.product(*_rim_pools(deleted, m)):
-                removed = base | frozenset(picks)
+                removed = base + sum(picks)  # the picked rim edges are distinct
                 records.append(SpanningTreeRecord(
-                    kept=every_edge - removed, removed=removed, tree_class=cls))
+                    kept=every_edge ^ removed, removed=removed, tree_class=cls))
     return records
 
 
-def classify_tree(removed: frozenset[int], m: int) -> TreeClass:
+def classify_tree(removed: EdgeSet, m: int) -> TreeClass:
     """Class of the spanning tree whose removed edge set is given.
 
     Raises ClassificationError unless removed really is the complement
@@ -178,15 +181,16 @@ def classify_tree(removed: frozenset[int], m: int) -> TreeClass:
     if m < 3:
         raise InvalidParameterError(f"m must be >= 3, got {m}")
     g = build_jahangir(m)
-    if len(removed) != m or not all(0 <= i < 3 * m for i in removed):
-        raise ClassificationError(f"not an m-edge cut set: {sorted(removed)}")
-    kept = [g.edges[i] for i in range(3 * m) if i not in removed]
+    if removed < 0 or removed >> 3 * m or removed.bit_count() != m:
+        shown = list(edge_indices(removed)) if removed >= 0 else removed
+        raise ClassificationError(f"not an m-edge cut set: {shown}")
+    kept = [g.edges[i] for i in range(3 * m) if not removed >> i & 1]
     sub = Graph(g.vertex_count, tuple(kept))
     # 2m edges on 2m+1 vertices: connected implies spanning tree
     if not is_connected(sub):
         raise ClassificationError(
-            f"complement of {sorted(removed)} is not a spanning tree")
-    deleted_spokes = {j for j in range(1, m + 1) if spoke_index(j, m) in removed}
+            f"complement of {list(edge_indices(removed))} is not a spanning tree")
+    deleted_spokes = {j for j in range(1, m + 1) if removed >> spoke_index(j, m) & 1}
     return _classify_spoke_set(deleted_spokes, m)
 
 
@@ -198,8 +202,8 @@ class PartitionReport:
     generic_total: int
     disjoint: bool
     union_matches: bool
-    missing: tuple[frozenset[int], ...]   # generic trees no record produced
-    extra: tuple[frozenset[int], ...]     # records outside the generic set
+    missing: tuple[EdgeSet, ...]   # generic trees no record produced
+    extra: tuple[EdgeSet, ...]     # records outside the generic set
 
     @property
     def ok(self) -> bool:
@@ -213,7 +217,7 @@ def verify_partition(m: int) -> PartitionReport:
     records = enumerate_spanning_trees_jahangir(m)
     generic = enumerate_spanning_trees_generic(build_jahangir(m))
     counts = {cls: 0 for cls in TreeClass}
-    seen: dict[frozenset[int], TreeClass] = {}
+    seen: dict[EdgeSet, TreeClass] = {}
     disjoint = True
     for rec in records:
         counts[rec.tree_class] += 1
@@ -221,8 +225,8 @@ def verify_partition(m: int) -> PartitionReport:
             disjoint = False
         seen[rec.kept] = rec.tree_class
     generic_set = set(generic)
-    missing = tuple(sorted(generic_set.difference(seen), key=lambda s: tuple(sorted(s))))
-    extra = tuple(sorted(seen.keys() - generic_set, key=lambda s: tuple(sorted(s))))
+    missing = tuple(sorted(generic_set.difference(seen), key=edge_indices))
+    extra = tuple(sorted(seen.keys() - generic_set, key=edge_indices))
     return PartitionReport(
         m=m,
         class_counts=tuple((cls.value, counts[cls]) for cls in TreeClass),

@@ -17,6 +17,17 @@ from fractions import Fraction
 Edge = tuple[int, int]
 
 
+def as_set(mask: int) -> frozenset[int]:
+    """The index set of one of the library's edge-set masks (bit i
+    stands for edge i)."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def as_mask(indices) -> int:
+    """The library's edge-set mask of an index set."""
+    return sum(1 << i for i in set(indices))
+
+
 def component_count(n: int, edges: list[Edge]) -> int:
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:

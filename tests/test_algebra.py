@@ -9,12 +9,8 @@ from jahangir_ssc import (
     MonomialIdeal,
     PurityError,
     SimplicialComplex,
-    SquarefreeMonomial,
     build_jahangir,
     cohen_macaulay_verdict,
-    colon_mindeg,
-    enumerate_spanning_trees_generic,
-    f_vector_direct,
     facet_ideal,
     has_quasi_linear_quotients,
     is_shelling,
@@ -22,13 +18,24 @@ from jahangir_ssc import (
     spanning_complex,
 )
 
-from oracles import naive_colon_mindeg, naive_is_shelling, random_connected_graph
+from oracles import (
+    as_mask,
+    as_set,
+    naive_colon_mindeg,
+    naive_is_shelling,
+    random_connected_graph,
+)
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
 
 
 def mono(*vars_):
-    return SquarefreeMonomial(frozenset(vars_))
+    """The squarefree monomial with these variables, as its support mask."""
+    return as_mask(vars_)
+
+
+def naive_shelling(facets):
+    return naive_is_shelling([as_set(f) for f in facets])
 
 
 # ---------------------------------------------------------------------------
@@ -38,24 +45,24 @@ def mono(*vars_):
 def test_facet_ideal_triangle():
     ideal = facet_ideal(spanning_complex(TRIANGLE))
     assert len(ideal.generators) == 3
-    assert all(g.degree == 2 for g in ideal.generators)
+    assert all(g.bit_count() == 2 for g in ideal.generators)
 
 
 @pytest.mark.parametrize("m, count", [(3, 50), (4, 192)])
 def test_facet_ideal_family(m, count):
     ideal = facet_ideal(spanning_complex(build_jahangir(m)))
     assert len(ideal.generators) == count
-    assert all(g.degree == 2 * m for g in ideal.generators)
+    assert all(g.bit_count() == 2 * m for g in ideal.generators)
 
 
 def test_facet_ideal_generators_track_facets(j3):
     c = spanning_complex(j3)
     ideal = facet_ideal(c)
-    assert tuple(g.support for g in ideal.generators) == c.facets
+    assert ideal.generators == c.facets
 
 
 def test_facet_ideal_rejects_non_pure():
-    c = SimplicialComplex(3, (frozenset({0, 1}), frozenset({2})))
+    c = SimplicialComplex(3, (mono(0, 1), mono(2)))
     with pytest.raises(PurityError):
         facet_ideal(c)
 
@@ -66,49 +73,14 @@ def test_facet_ideal_rejects_empty():
 
 
 def test_monomial_ideal_minimality():
+    # distinct generators of one degree never divide each other; a
+    # generator dividing another has a smaller degree, which the
+    # quotient theory refuses as impure
     with pytest.raises(InvalidParameterError):
         MonomialIdeal((mono(0, 1), mono(0, 1)))
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(PurityError):
         MonomialIdeal((mono(0), mono(0, 1)))  # one divides the other
     MonomialIdeal((mono(0, 1), mono(1, 2)))  # incomparable is fine
-
-
-# ---------------------------------------------------------------------------
-# colon degrees
-
-
-def test_colon_mindeg_basics():
-    assert colon_mindeg([mono(0, 1)], mono(0, 2)) == 1
-    assert colon_mindeg([mono(0, 1)], mono(2, 3)) == 2
-    assert colon_mindeg([mono(0, 1), mono(1, 2)], mono(2, 3)) == 1
-    with pytest.raises(InvalidParameterError):
-        colon_mindeg([], mono(0, 1))
-
-
-def test_colon_mindeg_matches_naive():
-    rng = random.Random(17)
-    for _ in range(50):
-        supports = [frozenset(rng.sample(range(8), rng.randint(1, 4)))
-                    for _ in range(rng.randint(1, 6))]
-        current = frozenset(rng.sample(range(8), rng.randint(1, 4)))
-        prev = [SquarefreeMonomial(s) for s in supports]
-        assert colon_mindeg(prev, SquarefreeMonomial(current)) == \
-            naive_colon_mindeg(supports, current)
-
-
-def test_colon_mindeg_monotone_in_prefix(j3):
-    gens = facet_ideal(spanning_complex(j3)).generators
-    rng = random.Random(29)
-    for _ in range(20):
-        cur = gens[rng.randrange(len(gens))]
-        others = [g for g in gens if g is not cur]
-        rng.shuffle(others)
-        last = None
-        for stop in range(1, len(others) + 1, 7):
-            value = colon_mindeg(others[:stop], cur)
-            if last is not None:
-                assert value <= last
-            last = value
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +115,16 @@ def test_qlq_triangle_every_ordering():
 
 def test_qlq_rejects_mixed_degrees():
     # the swap pass needs generators of one degree, as the shelling test
-    # needs facets of one size
-    ideal = MonomialIdeal((mono(0, 1), mono(2), mono(1, 3)))
+    # needs facets of one size: the ideal refuses mixed degrees at once
     with pytest.raises(PurityError):
-        has_quasi_linear_quotients(ideal, (0, 1, 2))
+        MonomialIdeal((mono(0, 1), mono(2), mono(1, 3)))
+
+
+def test_certificate_checks_reject_negative_masks():
+    with pytest.raises(InvalidParameterError, match="nonnegative"):
+        has_quasi_linear_quotients(MonomialIdeal((mono(0, 1), -3)), (0, 1))
+    with pytest.raises(InvalidParameterError, match="nonnegative"):
+        is_shelling([-3, mono(0, 1)])
 
 
 def test_qlq_rejects_non_permutations(j3):
@@ -165,14 +143,13 @@ def test_block_ordering_structure(m):
 
     g = build_jahangir(m)
     ideal = facet_ideal(spanning_complex(g))
-    every_edge = frozenset(range(g.edge_count))
+    every_edge = (1 << g.edge_count) - 1
     ordering = prefix_block_ordering(m)
-    runs = [_leading_spoke_run(every_edge - ideal.generators[i].support, m)
-            for i in ordering]
+    runs = [_leading_spoke_run(every_edge ^ ideal.generators[i], m) for i in ordering]
     assert runs == sorted(runs, reverse=True)
     assert runs[0] == m - 1 and runs[-1] == 0
     for k in range(m):
-        block = [tuple(sorted(every_edge - ideal.generators[i].support))
+        block = [sorted(as_set(every_edge ^ ideal.generators[i]))
                  for i, run in zip(ordering, runs) if run == k]
         assert block == sorted(block)
 
@@ -183,16 +160,16 @@ def test_block_ordering_structure(m):
 
 def test_is_shelling_small():
     assert is_shelling([])
-    assert is_shelling([frozenset({0, 1})])
+    assert is_shelling([mono(0, 1)])
     facets = list(spanning_complex(TRIANGLE).facets)
     for perm in itertools.permutations(facets):
-        assert is_shelling(list(perm)) == naive_is_shelling(list(perm))
+        assert is_shelling(list(perm)) == naive_shelling(perm)
         assert is_shelling(list(perm))
 
 
 def test_is_shelling_rejects_non_pure():
     with pytest.raises(PurityError):
-        is_shelling([frozenset({0, 1}), frozenset({2})])
+        is_shelling([mono(0, 1), mono(2)])
 
 
 def test_is_shelling_block_order(j3):
@@ -200,12 +177,13 @@ def test_is_shelling_block_order(j3):
     ordering = prefix_block_ordering(3)
     facets = [c.facets[i] for i in ordering]
     assert is_shelling(facets)
-    assert naive_is_shelling(facets)
+    assert naive_shelling(facets)
 
 
 def _naive_first_failure(facets):
-    for i in range(1, len(facets)):
-        if naive_colon_mindeg(facets[:i], facets[i]) != 1:
+    sets = [as_set(f) for f in facets]
+    for i in range(1, len(sets)):
+        if naive_colon_mindeg(sets[:i], sets[i]) != 1:
             return i
     return None
 
@@ -221,7 +199,7 @@ def test_is_shelling_matches_naive_on_random_families():
         count = rng.randint(2, 7)
         pool = list(itertools.combinations(range(n), k))
         rng.shuffle(pool)
-        families.append([frozenset(c) for c in pool[:count]])
+        families.append([as_mask(c) for c in pool[:count]])
     for m, orders in ((3, 12), (4, 4)):
         facets = list(spanning_complex(build_jahangir(m)).facets)
         families.append(facets)
@@ -232,10 +210,10 @@ def test_is_shelling_matches_naive_on_random_families():
             swapped[a], swapped[b] = swapped[b], swapped[a]
             families.append(swapped)
     for facets in families:
-        ideal = MonomialIdeal(tuple(SquarefreeMonomial(f) for f in facets))
+        ideal = MonomialIdeal(tuple(facets))
         ok, failure = has_quasi_linear_quotients(ideal, range(len(facets)))
         assert failure == _naive_first_failure(facets) and ok == (failure is None)
-        assert is_shelling(facets) == naive_is_shelling(facets)
+        assert is_shelling(facets) == naive_shelling(facets)
 
 
 # The quotient test and the shelling test are NOT equal ordering by
@@ -246,19 +224,14 @@ def test_is_shelling_matches_naive_on_random_families():
 # the intersection subcomplex (so the shelling test fails). The two
 # notions do coincide on every certificate this package emits, which
 # the verdict records as shelling_agrees.
-COUNTEREXAMPLE = [
-    frozenset({0, 1, 2}),
-    frozenset({1, 2, 3}),
-    frozenset({2, 3, 4}),
-    frozenset({0, 1, 4}),
-]
+COUNTEREXAMPLE = [mono(0, 1, 2), mono(1, 2, 3), mono(2, 3, 4), mono(0, 1, 4)]
 
 
 def test_quotients_do_not_imply_shelling():
-    ideal = MonomialIdeal(tuple(SquarefreeMonomial(f) for f in COUNTEREXAMPLE))
+    ideal = MonomialIdeal(tuple(COUNTEREXAMPLE))
     assert has_quasi_linear_quotients(ideal, (0, 1, 2, 3)) == (True, None)
     assert not is_shelling(COUNTEREXAMPLE)
-    assert not naive_is_shelling(COUNTEREXAMPLE)
+    assert not naive_shelling(COUNTEREXAMPLE)
 
 
 def test_shelling_implies_quasi_linear_quotients(j3):
@@ -366,7 +339,7 @@ def test_verdict_search_certificate_is_lexicographic_shelling():
         assert verdict.certificate == tuple(range(len(c.facets)))
         assert verdict.shelling_agrees is True
         if len(c.facets) <= 40:
-            assert naive_is_shelling(list(c.facets))
+            assert naive_shelling(c.facets)
 
 
 def test_verdict_search_leaves_large_ideals_unchecked(monkeypatch):
@@ -393,7 +366,7 @@ def test_verdict_auto_reports_a_failing_block_ordering(monkeypatch, j3):
     from jahangir_ssc import algebra
 
     facets = spanning_complex(j3).facets
-    far = next(i for i, f in enumerate(facets) if len(facets[0] - f) >= 2)
+    far = next(i for i, f in enumerate(facets) if (facets[0] & ~f).bit_count() >= 2)
     failing = (0, far) + tuple(i for i in range(1, len(facets)) if i != far)
     monkeypatch.setattr(algebra, "prefix_block_ordering", lambda m: failing)
     verdict = cohen_macaulay_verdict(j3, ordering="auto")
@@ -406,6 +379,26 @@ def test_verdict_auto_reports_a_failing_block_ordering(monkeypatch, j3):
 def test_verdict_block_requires_the_family():
     with pytest.raises(InvalidParameterError):
         cohen_macaulay_verdict(TRIANGLE, ordering="block")
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_verdict_on_a_reordered_family(m):
+    # the block ordering indexes the facets of J(2,m) in its canonical
+    # edge order; a shuffled edge list is certified by the canonical
+    # facet order instead, and an explicit block request is refused
+    g = build_jahangir(m)
+    edges = list(g.edges)
+    random.Random(m).shuffle(edges)
+    shuffled = Graph(g.vertex_count, tuple(edges))
+    for ordering in ("auto", "search"):
+        verdict = cohen_macaulay_verdict(shuffled, ordering=ordering)
+        assert verdict.cohen_macaulay is True and verdict.shelling_agrees is True
+        assert verdict.ordering_source == "search"
+    with pytest.raises(InvalidParameterError, match="canonical edge order"):
+        cohen_macaulay_verdict(shuffled, ordering="block")
+    # either orientation of each edge keeps the canonical order
+    flipped = Graph(g.vertex_count, tuple((v, u) for u, v in g.edges))
+    assert cohen_macaulay_verdict(flipped).ordering_source == "block"
 
 
 def test_verdict_certificate_is_checkable(j4):

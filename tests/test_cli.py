@@ -388,6 +388,45 @@ def test_capacity_errors_exit_2(tmp_path, run_cli):
     assert res.stderr.startswith("capacity error:") and "cycle space rank" in res.stderr
 
 
+# Run in a child capped at 1 GB of address space, so that a regression
+# fails here instead of exhausting the machine: each request must be
+# refused before anything of size m^2 is built.
+CAPPED_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from jahangir_ssc import CapacityError, build_jahangir, oracle_cycle_catalog
+from jahangir_ssc.cli import main
+try:
+    oracle_cycle_catalog(build_jahangir(300))
+    sys.exit("the oracle catalog of J(2,300) answered")
+except CapacityError:
+    pass
+for argv in (["jahangir", "--m", "1000", "cycles", "--catalog", "oracle"],
+             ["jahangir", "--m", "1000000", "cycles"],
+             ["jahangir", "--m", "1000000", "f-vector"],
+             ["jahangir", "--m", "208", "f-vector"]):
+    if main(argv) != 2:
+        sys.exit(f"{argv} was not refused")
+"""
+
+
+def test_large_m_is_refused_within_a_memory_cap():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", CAPPED_CHILD], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"capacity error: m = {m} exceeds 207, the largest m any engine answers"
+        for m in (1000, 1000000, 1000000, 208)]
+
+
+def test_jahangir_207_is_answered(run_cli):
+    res = run_cli("jahangir", "--m", "207", "f-vector")
+    assert res.code == 0 and len(res.json()["f_vector"]) == 414
+
+
 def test_stdout_stays_clean_on_errors(run_cli):
     res = run_cli("jahangir", "--m", "6", "f-vector", "--mode", "formula")
     assert res.stdout == ""

@@ -14,11 +14,17 @@ from jahangir_ssc import (
     f_vector_direct,
     is_pure,
     matrix_tree_count,
-    minimal_nonfaces,
     spanning_complex,
 )
 
-from oracles import brute_f_vector, is_acyclic, random_connected_graph
+from oracles import (
+    as_mask,
+    as_set,
+    brute_f_vector,
+    brute_simple_cycles,
+    is_acyclic,
+    random_connected_graph,
+)
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
 
@@ -33,8 +39,7 @@ J4_F = (12, 66, 220, 491, 760, 808, 552, 192)
 def test_spanning_complex_triangle():
     c = spanning_complex(TRIANGLE)
     assert c.ground_size == 3
-    assert sorted(c.facets, key=sorted) == [
-        frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})]
+    assert c.facets == (as_mask({0, 1}), as_mask({0, 2}), as_mask({1, 2}))
     assert dimension(c) == 1
     assert is_pure(c)
 
@@ -42,7 +47,7 @@ def test_spanning_complex_triangle():
 def test_spanning_complex_j3(j3):
     c = spanning_complex(j3)
     assert len(c.facets) == 50
-    assert all(len(f) == 6 for f in c.facets)
+    assert all(f.bit_count() == 6 for f in c.facets)
 
 
 def test_spanning_complex_rejects_disconnected():
@@ -52,13 +57,15 @@ def test_spanning_complex_rejects_disconnected():
 
 def test_complex_validation():
     with pytest.raises(InvalidParameterError, match=r"facet \[0, 5\] leaves"):
-        SimplicialComplex(2, (frozenset({0, 1}), frozenset({0, 5})))
+        SimplicialComplex(2, (as_mask({0, 1}), as_mask({0, 5})))
+    with pytest.raises(InvalidParameterError, match="facet -1 leaves"):
+        SimplicialComplex(2, (as_mask({0, 1}), -1))
     with pytest.raises(InvalidParameterError):
-        SimplicialComplex(3, (frozenset({0}), frozenset({0})))
-    with pytest.raises(InvalidParameterError):  # facet inside a facet
-        SimplicialComplex(3, (frozenset({0, 1}), frozenset({0})))
+        SimplicialComplex(3, (as_mask({0}), as_mask({0})))
+    with pytest.raises(InvalidParameterError, match=r"facet \[0\] is contained"):
+        SimplicialComplex(3, (as_mask({0, 1}), as_mask({0})))
     # incomparable mixed sizes are a legal (non-pure) complex
-    c = SimplicialComplex(3, (frozenset({0, 1}), frozenset({2})))
+    c = SimplicialComplex(3, (as_mask({0, 1}), as_mask({2})))
     assert not is_pure(c)
     assert dimension(c) == 1
 
@@ -168,10 +175,17 @@ def test_f_vector_rejects_disconnected():
 
 
 def test_minimal_nonfaces_are_the_simple_cycles(j3):
-    assert minimal_nonfaces(j3) == enumerate_simple_cycles(j3)
-    assert len(minimal_nonfaces(TRIANGLE)) == 1
+    # each simple cycle is a non-face whose every proper subset is a face
+    for g in (j3, TRIANGLE):
+        n, edges = g.vertex_count, list(g.edges)
+        cycles = [as_set(c) for c in enumerate_simple_cycles(g)]
+        assert set(cycles) == brute_simple_cycles(n, edges)
+        for cycle in cycles:
+            assert not is_acyclic(n, [edges[i] for i in cycle])
+            for drop in cycle:
+                assert is_acyclic(n, [edges[i] for i in cycle - {drop}])
     tree = Graph(4, ((0, 1), (1, 2), (2, 3)))
-    assert minimal_nonfaces(tree) == []
+    assert enumerate_simple_cycles(tree) == []
 
 
 def test_faces_are_downward_closed(j3):

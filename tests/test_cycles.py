@@ -20,6 +20,9 @@ from jahangir_ssc import (
     word_of,
 )
 from jahangir_ssc.cycles import all_words, cyclic_runs, follows, validate_word
+from jahangir_ssc.graphs import edge_indices
+
+from oracles import as_mask
 
 
 def _by_word(catalog):
@@ -49,7 +52,7 @@ def test_catalog_rejects_small_m():
 
 def test_catalog_entry_single_cycle(j3):
     entry = _by_word(word_cycle_catalog(3))[(1,)]
-    labels = {str(j3.label_of(i)) for i in entry.edges}
+    labels = {str(j3.label_of(i)) for i in edge_indices(entry.edges)}
     assert labels == {"e11", "e12", "e13", "e21"}
     assert entry.beta == 4
     assert entry.is_simple_cycle
@@ -58,7 +61,7 @@ def test_catalog_entry_single_cycle(j3):
 def test_catalog_entry_two_cycles(j3):
     # two joined base cycles: the shared spoke drops out
     entry = _by_word(word_cycle_catalog(3))[(1, 2)]
-    labels = {str(j3.label_of(i)) for i in entry.edges}
+    labels = {str(j3.label_of(i)) for i in edge_indices(entry.edges)}
     assert labels == {"e11", "e12", "e13", "e22", "e23", "e31"}
     assert entry.beta == 6
     assert entry.is_simple_cycle
@@ -90,7 +93,7 @@ def test_word_edge_set_wraparound():
     m = 4
     edges = word_edge_set((4, 1), m)
     g = build_jahangir(m)
-    labels = {str(g.label_of(i)) for i in edges}
+    labels = {str(g.label_of(i)) for i in edge_indices(edges)}
     assert labels == {"e41", "e42", "e43", "e12", "e13", "e21"}
 
 
@@ -203,7 +206,7 @@ def test_predict_is_symmetric():
 
 
 def test_direct_intersection():
-    assert direct_intersection(frozenset({1, 2}), frozenset({2, 3})) == 1
+    assert direct_intersection(as_mask({1, 2}), as_mask({2, 3})) == 1
     assert direct_intersection(word_edge_set((1,), 3),
                                word_edge_set((2,), 3)) == 1
 

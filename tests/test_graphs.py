@@ -9,6 +9,7 @@ from jahangir_ssc import (
     GraphParseError,
     InvalidParameterError,
     build_jahangir,
+    edge_indices,
     emit_graph,
     enumerate_simple_cycles,
     is_connected,
@@ -19,6 +20,8 @@ from jahangir_ssc import (
 from jahangir_ssc.graphs import base_cycle_indices, rim_indices, spoke_index
 
 from oracles import (
+    as_mask,
+    as_set,
     brute_simple_cycles,
     laplacian_tree_count,
     random_connected_graph,
@@ -68,15 +71,23 @@ def test_edge_index_helpers():
         assert g.labels[r1] == EdgeLabel(j, 2)
         assert g.labels[r2] == EdgeLabel(j, 3)
     # cycle j closes with the next spoke, wrapping at m
-    assert base_cycle_indices(1, m) == frozenset({0, 1, 2, 3})
-    assert base_cycle_indices(m, m) == frozenset({9, 10, 11, 0})
+    assert base_cycle_indices(1, m) == as_mask({0, 1, 2, 3})
+    assert base_cycle_indices(m, m) == as_mask({9, 10, 11, 0})
+
+
+def test_edge_indices():
+    assert edge_indices(0) == ()
+    assert edge_indices(0b1011) == (0, 1, 3)
+    assert edge_indices(1 << 70) == (70,)
+    with pytest.raises(InvalidParameterError, match="nonnegative"):
+        edge_indices(-1)
 
 
 def test_base_cycles_are_cycles(j3):
     for j in range(1, 4):
         idx = base_cycle_indices(j, 3)
         deg: dict[int, int] = {}
-        for i in idx:
+        for i in edge_indices(idx):
             for x in j3.edges[i]:
                 deg[x] = deg.get(x, 0) + 1
         assert all(d == 2 for d in deg.values())
@@ -208,14 +219,14 @@ def test_matrix_tree_random_agrees_with_fraction_oracle():
 def test_simple_cycles_j3(j3):
     cycles = enumerate_simple_cycles(j3)
     assert len(cycles) == 7
-    assert sorted(len(c) for c in cycles) == [4, 4, 4, 6, 6, 6, 6]
-    assert set(cycles) == brute_simple_cycles(j3.vertex_count, list(j3.edges))
+    assert sorted(c.bit_count() for c in cycles) == [4, 4, 4, 6, 6, 6, 6]
+    assert set(map(as_set, cycles)) == brute_simple_cycles(j3.vertex_count, list(j3.edges))
 
 
 def test_simple_cycles_j4(j4):
     cycles = enumerate_simple_cycles(j4)
     assert len(cycles) == 13
-    assert set(cycles) == brute_simple_cycles(j4.vertex_count, list(j4.edges))
+    assert set(map(as_set, cycles)) == brute_simple_cycles(j4.vertex_count, list(j4.edges))
 
 
 def test_simple_cycles_counts_follow_family_rule():
@@ -236,7 +247,7 @@ def test_simple_cycles_disconnected():
     g = Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
     cycles = enumerate_simple_cycles(g)
     assert len(cycles) == 2
-    assert set(cycles) == brute_simple_cycles(6, list(g.edges))
+    assert set(map(as_set, cycles)) == brute_simple_cycles(6, list(g.edges))
 
 
 def test_simple_cycles_random():
@@ -244,12 +255,14 @@ def test_simple_cycles_random():
     for _ in range(20):
         n, edges = random_connected_graph(rng)
         g = Graph(n, tuple(edges))
-        assert set(enumerate_simple_cycles(g)) == brute_simple_cycles(n, edges)
+        assert set(map(as_set, enumerate_simple_cycles(g))) == \
+            brute_simple_cycles(n, edges)
 
 
 def test_simple_cycles_canonical_order(j3):
-    cycles = enumerate_simple_cycles(j3)
-    assert cycles == sorted(cycles, key=lambda c: sorted(c))
+    # ascending index tuples, mixed sizes included
+    tuples = [sorted(as_set(c)) for c in enumerate_simple_cycles(j3)]
+    assert tuples == sorted(tuples)
 
 
 def test_simple_cycles_capacity():

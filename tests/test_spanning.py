@@ -18,6 +18,8 @@ from jahangir_ssc import (
 from jahangir_ssc.graphs import spoke_index
 
 from oracles import (
+    as_mask,
+    as_set,
     brute_spanning_trees,
     is_spanning_tree,
     random_connected_graph,
@@ -41,14 +43,13 @@ CLASS_COUNTS = {
 
 def test_generic_triangle():
     trees = enumerate_spanning_trees_generic(Graph(3, ((0, 1), (1, 2), (0, 2))))
-    assert sorted(trees, key=sorted) == [
-        frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})]
+    assert trees == [as_mask({0, 1}), as_mask({0, 2}), as_mask({1, 2})]
 
 
 def test_generic_path_and_singleton():
     path = Graph(3, ((0, 1), (1, 2)))
-    assert enumerate_spanning_trees_generic(path) == [frozenset({0, 1})]
-    assert enumerate_spanning_trees_generic(Graph(1, ())) == [frozenset()]
+    assert enumerate_spanning_trees_generic(path) == [as_mask({0, 1})]
+    assert enumerate_spanning_trees_generic(Graph(1, ())) == [0]
 
 
 def test_generic_disconnected_is_empty():
@@ -65,7 +66,7 @@ def test_generic_disconnected_is_empty():
 
 
 def test_generic_matches_brute_force(j3):
-    assert set(enumerate_spanning_trees_generic(j3)) == brute_spanning_trees(
+    assert set(map(as_set, enumerate_spanning_trees_generic(j3))) == brute_spanning_trees(
         j3.vertex_count, list(j3.edges))
 
 
@@ -85,8 +86,9 @@ def test_generic_random_graphs():
         g = Graph(n, tuple(edges))
         trees = enumerate_spanning_trees_generic(g)
         assert len(trees) == len(set(trees)) == matrix_tree_count(g)
-        assert set(trees) == brute_spanning_trees(n, edges)
-        assert trees == sorted(trees, key=sorted)
+        assert set(map(as_set, trees)) == brute_spanning_trees(n, edges)
+        tuples = [sorted(as_set(t)) for t in trees]
+        assert tuples == sorted(tuples)
 
 
 def test_generic_canonical_order(j3, j4):
@@ -96,7 +98,8 @@ def test_generic_canonical_order(j3, j4):
     random.Random(13).shuffle(shuffled)
     for g in (j3, j4, Graph(j4.vertex_count, tuple(shuffled))):
         trees = enumerate_spanning_trees_generic(g)
-        assert trees == sorted(trees, key=sorted)
+        tuples = [sorted(as_set(t)) for t in trees]
+        assert tuples == sorted(tuples)
         assert len(trees) == matrix_tree_count(g)
 
 
@@ -124,10 +127,11 @@ def test_structured_equals_generic_as_sets(m):
 def test_structured_records_are_consistent(j4):
     all_edges = frozenset(range(j4.edge_count))
     for rec in enumerate_spanning_trees_jahangir(4):
-        assert rec.kept | rec.removed == all_edges
-        assert not rec.kept & rec.removed
-        assert len(rec.removed) == 4  # cyclomatic number of J(2,m) is m
-        chosen = [j4.edges[i] for i in rec.kept]
+        kept, removed = as_set(rec.kept), as_set(rec.removed)
+        assert kept | removed == all_edges
+        assert not kept & removed
+        assert len(removed) == 4  # cyclomatic number of J(2,m) is m
+        chosen = [j4.edges[i] for i in kept]
         assert is_spanning_tree(j4.vertex_count, chosen)
 
 
@@ -136,7 +140,7 @@ def test_structured_keeps_at_least_one_spoke():
     for m in (3, 4, 5):
         spokes = {spoke_index(j, m) for j in range(1, m + 1)}
         for rec in enumerate_spanning_trees_jahangir(m):
-            assert not spokes <= rec.removed
+            assert not spokes <= as_set(rec.removed)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +157,7 @@ def test_classify_named_examples(j3):
     from jahangir_ssc import EdgeLabel
 
     def by_labels(*names):
-        return frozenset(j3.index_of_label(EdgeLabel.parse(n)) for n in names)
+        return as_mask(j3.index_of_label(EdgeLabel.parse(n)) for n in names)
 
     assert classify_tree(by_labels("e12", "e22", "e32"), 3) == TreeClass.KEEP_ALL_SPOKES
     assert classify_tree(by_labels("e11", "e12", "e22"), 3) == TreeClass.DROP_ONE_SPOKE
@@ -163,19 +167,21 @@ def test_classify_named_examples(j3):
 def test_classify_rejects_non_trees():
     # removing all three spokes leaves the hub isolated
     with pytest.raises(ClassificationError):
-        classify_tree(frozenset({0, 3, 6}), 3)
+        classify_tree(as_mask({0, 3, 6}), 3)
     # removing a full base cycle disconnects its middle rim vertex
-    with pytest.raises(ClassificationError):
-        classify_tree(frozenset({0, 1, 2}), 3)
+    with pytest.raises(ClassificationError, match=r"complement of \[0, 1, 2\]"):
+        classify_tree(as_mask({0, 1, 2}), 3)
 
 
 def test_classify_rejects_bad_input():
     with pytest.raises(ClassificationError):
-        classify_tree(frozenset({0, 1}), 3)  # wrong cardinality
-    with pytest.raises(ClassificationError):
-        classify_tree(frozenset({0, 1, 99}), 3)  # out of range
+        classify_tree(as_mask({0, 1}), 3)  # wrong cardinality
+    with pytest.raises(ClassificationError, match=r"cut set: \[0, 1, 99\]"):
+        classify_tree(as_mask({0, 1, 99}), 3)  # out of range
+    with pytest.raises(ClassificationError, match="cut set: -8"):
+        classify_tree(-8, 3)  # a negative mask has infinitely many bits
     with pytest.raises(InvalidParameterError):
-        classify_tree(frozenset({0, 1}), 2)  # family needs m >= 3
+        classify_tree(as_mask({0, 1}), 2)  # family needs m >= 3
 
 
 # ---------------------------------------------------------------------------
