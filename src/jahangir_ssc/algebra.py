@@ -38,6 +38,7 @@ from .errors import InvalidParameterError, PurityError
 from .graphs import (
     EdgeSet,
     Graph,
+    _normalize,
     build_jahangir,
     jahangir_order,
     matrix_tree_count,
@@ -225,7 +226,7 @@ def cohen_macaulay_verdict(g: Graph, ordering: str = "auto") -> CMVerdict:
     # the block ordering permutes the facets of J(2,m) in its canonical
     # edge order, so it applies only where g lists the edges that way
     m = jahangir_order(g)
-    if m is not None and any(sorted(e) != sorted(c)
+    if m is not None and any(_normalize(*e) != _normalize(*c)
                              for e, c in zip(g.edges, build_jahangir(m).edges)):
         m = None
     if ordering == "auto":

@@ -15,15 +15,15 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import sys
+from collections.abc import Iterator
 
 from .algebra import cohen_macaulay_verdict
 from .complexes import f_vector_direct, spanning_complex
 from .cycles import CycleCatalog, oracle_cycle_catalog, word_cycle_catalog
 from .errors import CapacityError, GraphParseError, InvalidParameterError, JssError
-from .formulas import f_vector_exact_ie, f_vector_formula, hilbert_series
+from .formulas import f_vector_divergence, f_vector_exact_ie, f_vector_formula, hilbert_series
 from .graphs import (
     Graph,
     build_jahangir,
@@ -47,11 +47,11 @@ TREE_ENUMERATION_LIMIT = 500_000
 # furthest, refuses J(2,208). Past it only the word catalog would go on,
 # with m*m entries and about m^3 output lines, so a larger m is refused
 # before J(2,m) is built. At m = 207 on one core of a shared 2-core AMD
-# EPYC machine (wall time, peak RSS): f-vector 0.12 s, 17 MB; hilbert
-# 0.33 s, 17 MB; the oracle catalog, exact-ie and formula modes refused
-# in 0.1 s; facets, classes, cm and verify refused by the tree-count
-# guard in 1.7-2.2 s, 19 MB; the word catalog 16 s and 185 MB as JSON,
-# 8.5 s and 339 MB as CSV or text.
+# EPYC machine (wall time, peak RSS, least of 3): f-vector 0.08 s,
+# 17 MB; hilbert 0.20 s, 17 MB; the oracle catalog, exact-ie and formula
+# modes refused in 0.06 s, 17 MB; facets, classes, cm and verify refused
+# by the tree-count guard in 1.5-1.6 s, 19 MB; the word catalog 9.4 s
+# as JSON, 5.5 s as CSV and 4.9 s as text, 185 MB in each format.
 JAHANGIR_M_LIMIT = 207
 
 _MODE_ALIASES = {"paper": "formula"}
@@ -149,14 +149,12 @@ def _fvector_payload(g: Graph, mode: str, m: int | None, meta: dict) -> dict:
         return {**meta, "f_vector": [str(x) for x in _f_vector(g, mode, m)]}
     formula = f_vector_formula(m)
     oracle = f_vector_direct(g)
-    mism = [{"index": i, "closed_form": str(a), "direct": str(b)}
-            for i, (a, b) in enumerate(zip(formula.values, oracle)) if a != b]
     audit = [{"words": [list(w) for w in t.words], "sign": t.sign,
               "union_estimate": t.union_estimate} for t in formula.terms]
     return {**meta,
             "f_vector": [str(x) for x in formula.values],
             "oracle_f_vector": [str(x) for x in oracle],
-            "mismatch_indices": mism,
+            "mismatch_indices": f_vector_divergence(formula.values, oracle),
             "audit": audit}
 
 
@@ -266,96 +264,81 @@ def _execute(args: argparse.Namespace) -> tuple[dict, int]:
 # Formatters
 
 
-def _csv_rows(payload: dict) -> list[list[object]]:
+def _csv_rows(payload: dict) -> Iterator[list[object]]:
+    """The CSV rows of a payload, yielded one at a time."""
     action = payload["action"]
     if action == "facets":
-        rows = [["index", "edges"]]
-        rows += [[i, " ".join(str(x) for x in f)]
-                 for i, f in enumerate(payload["facets"])]
-        return rows
-    if action == "classes":
-        rows = [["class", "count"]]
-        rows += [[k, v] for k, v in payload["counts"].items()]
-        rows.append(["total", payload["total"]])
-        return rows
-    if action == "cycles":
-        rows = [["word", "beta", "is_simple_cycle", "edges"]]
+        yield ["index", "edges"]
+        for i, f in enumerate(payload["facets"]):
+            yield [i, " ".join(str(x) for x in f)]
+    elif action == "classes":
+        yield ["class", "count"]
+        yield from ([k, v] for k, v in payload["counts"].items())
+        yield ["total", payload["total"]]
+    elif action == "cycles":
+        yield ["word", "beta", "is_simple_cycle", "edges"]
         for e in payload["entries"]:
             word = " ".join(str(x) for x in e["word"]) if e["word"] else ""
-            rows.append([word, e["beta"], e["is_simple_cycle"],
-                         " ".join(str(x) for x in e["edges"])])
-        return rows
-    if action == "f-vector":
-        rows = [["i", "f_i"]]
-        rows += [[i, v] for i, v in enumerate(payload["f_vector"])]
+            yield [word, e["beta"], e["is_simple_cycle"],
+                   " ".join(str(x) for x in e["edges"])]
+    elif action == "f-vector":
+        yield ["i", "f_i"]
+        yield from ([i, v] for i, v in enumerate(payload["f_vector"]))
         for item in payload.get("mismatch_indices", []):
-            rows.append(["mismatch", f"i={item['index']} closed_form={item['closed_form']}"
-                         f" direct={item['direct']}"])
-        return rows
-    if action == "hilbert":
-        rows = [["k", "numerator_coefficient"]]
-        rows += [[k, c] for k, c in enumerate(payload["numerator"])]
-        rows.append(["denominator_power", payload["denominator_power"]])
-        return rows
-    if action == "cm":
-        keys = ("cohen_macaulay", "ordering_source", "block_first_failure",
-                "shelling_agrees")
-        return [["key", "value"]] + [[k, payload[k]] for k in keys]
-    rows = [["claim", "verdict", "claimed", "oracle"]]
-    for c in payload["claims"]:
-        rows.append([c["name"], c["verdict"],
-                     json.dumps(c["claimed"]), json.dumps(c["oracle"])])
-    return rows
+            yield ["mismatch", f"i={item['index']} closed_form={item['closed_form']}"
+                   f" direct={item['direct']}"]
+    elif action == "hilbert":
+        yield ["k", "numerator_coefficient"]
+        yield from ([k, c] for k, c in enumerate(payload["numerator"]))
+        yield ["denominator_power", payload["denominator_power"]]
+    elif action == "cm":
+        yield ["key", "value"]
+        for k in ("cohen_macaulay", "ordering_source", "block_first_failure",
+                  "shelling_agrees"):
+            yield [k, payload[k]]
+    else:
+        yield ["claim", "verdict", "claimed", "oracle"]
+        for c in payload["claims"]:
+            yield [c["name"], c["verdict"], json.dumps(c["claimed"]), json.dumps(c["oracle"])]
 
 
-def _to_csv(payload: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(_csv_rows(payload))
-    return buf.getvalue()
-
-
-def _to_text(payload: dict) -> str:
+def _text_lines(payload: dict) -> Iterator[str]:
+    """The text rendering of a payload, yielded line by line."""
     action = payload["action"]
-    lines: list[str] = []
     if action == "facets":
-        lines.append(f"{payload['count']} facets "
-                     f"(matrix-tree count {payload['matrix_tree_count']})")
-        lines += [" ".join(str(x) for x in f) for f in payload["facets"]]
+        yield (f"{payload['count']} facets "
+               f"(matrix-tree count {payload['matrix_tree_count']})")
+        for f in payload["facets"]:
+            yield " ".join(str(x) for x in f)
     elif action == "classes":
-        lines += [f"{k}: {v}" for k, v in payload["counts"].items()]
-        lines.append(f"total: {payload['total']} "
-                     f"(matrix-tree count {payload['matrix_tree_count']})")
+        yield from (f"{k}: {v}" for k, v in payload["counts"].items())
+        yield (f"total: {payload['total']} "
+               f"(matrix-tree count {payload['matrix_tree_count']})")
     elif action == "cycles":
-        lines.append(f"{payload['count']} catalog entries")
+        yield f"{payload['count']} catalog entries"
         for e in payload["entries"]:
             word = ",".join(str(x) for x in e["word"]) if e["word"] else "-"
             flag = "" if e["is_simple_cycle"] else "  [not a simple cycle]"
-            lines.append(f"word {word}: beta {e['beta']}, edges "
-                         + " ".join(str(x) for x in e["edges"]) + flag)
+            yield (f"word {word}: beta {e['beta']}, edges "
+                   + " ".join(str(x) for x in e["edges"]) + flag)
     elif action == "f-vector":
-        lines.append("f = (" + ", ".join(payload["f_vector"]) + ")")
+        yield "f = (" + ", ".join(payload["f_vector"]) + ")"
         for item in payload.get("mismatch_indices", []):
-            lines.append(f"  diverges from the direct oracle at i={item['index']}: "
-                         f"{item['closed_form']} vs {item['direct']}")
+            yield (f"  diverges from the direct oracle at i={item['index']}: "
+                   f"{item['closed_form']} vs {item['direct']}")
     elif action == "hilbert":
-        terms = []
-        for k, c in enumerate(payload["numerator"]):
-            if c != "0":
-                terms.append(f"{c}*t^{k}" if k else c)
-        lines.append(" + ".join(terms)
-                     + f" over (1-t)^{payload['denominator_power']}")
+        terms = [f"{c}*t^{k}" if k else c
+                 for k, c in enumerate(payload["numerator"]) if c != "0"]
+        yield " + ".join(terms) + f" over (1-t)^{payload['denominator_power']}"
     elif action == "cm":
-        lines.append(f"cohen_macaulay: {payload['cohen_macaulay']}")
-        lines.append(f"ordering_source: {payload['ordering_source']}")
-        lines.append(f"shelling_agrees: {payload['shelling_agrees']}")
+        for key in ("cohen_macaulay", "ordering_source", "shelling_agrees"):
+            yield f"{key}: {payload[key]}"
     else:
         for c in payload["claims"]:
-            lines.append(f"[{c['verdict']:>9}] {c['name']}: "
-                         f"claimed {json.dumps(c['claimed'])} "
-                         f"vs oracle {json.dumps(c['oracle'])}")
-        lines.append(f"mismatches: {payload['mismatches']}")
-    return "\n".join(lines) + "\n"
+            yield (f"[{c['verdict']:>9}] {c['name']}: "
+                   f"claimed {json.dumps(c['claimed'])} "
+                   f"vs oracle {json.dumps(c['oracle'])}")
+        yield f"mismatches: {payload['mismatches']}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -371,14 +354,15 @@ def main(argv: list[str] | None = None) -> int:
     except JssError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # every format is streamed: the document is never held as one string
     if args.format == "json":
-        # streamed: the document is never held as one string
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
     elif args.format == "csv":
-        sys.stdout.write(_to_csv(payload))
+        csv.writer(sys.stdout, lineterminator="\n").writerows(_csv_rows(payload))
     else:
-        sys.stdout.write(_to_text(payload))
+        for line in _text_lines(payload):
+            sys.stdout.write(line + "\n")
     return code
 
 

@@ -26,6 +26,7 @@ from .graphs import (
     EdgeSet,
     Graph,
     _is_simple_cycle_mask,
+    _normalize,
     base_cycle_indices,
     build_jahangir,
     edge_indices,
@@ -124,10 +125,8 @@ def oracle_cycle_catalog(g: Graph) -> CycleCatalog:
     by_edges: dict[EdgeSet, tuple[int, ...]] = {}
     if m is not None:
         # g's edge order may differ from the canonical one; translate.
-        pos = {}
-        for idx, (u, v) in enumerate(g.edges):
-            pos[(u, v) if u <= v else (v, u)] = idx
-        trans = [pos[(u, v) if u <= v else (v, u)] for u, v in build_jahangir(m).edges]
+        pos = {_normalize(u, v): idx for idx, (u, v) in enumerate(g.edges)}
+        trans = [pos[_normalize(u, v)] for u, v in build_jahangir(m).edges]
         for word in all_words(m):
             canonical = word_edge_set(word, m)
             translated = sum(1 << trans[i] for i in edge_indices(canonical))

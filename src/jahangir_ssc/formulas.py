@@ -105,6 +105,18 @@ def f_vector_formula(m: int) -> FormulaFVector:
     return FormulaFVector(m=m, values=tuple(values), terms=tuple(terms))
 
 
+def f_vector_divergence(closed_form: tuple[int, ...],
+                        direct: tuple[int, ...]) -> list[dict]:
+    """Where the closed-form f-vector departs from the direct one: one
+    entry per differing index, and one more when the lengths differ."""
+    diverging = [{"index": i, "closed_form": str(a), "direct": str(b)}
+                 for i, (a, b) in enumerate(zip(closed_form, direct)) if a != b]
+    if len(closed_form) != len(direct):
+        diverging.append({"index": "length", "closed_form": str(len(closed_form)),
+                          "direct": str(len(direct))})
+    return diverging
+
+
 def f_vector_exact_ie(g: Graph) -> tuple[int, ...]:
     """f-vector by inclusion-exclusion over the true cycle catalog with
     exact unions at every order.

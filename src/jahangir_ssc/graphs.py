@@ -26,10 +26,10 @@ EdgeSet = int
 HUB = 0
 
 # Cycle-space enumeration walks 2^mu masks; mu above this is refused, so
-# a scan takes about 1 s at most. A mask costs 3-8 us on one core of a
-# shared 2-core AMD EPYC machine: at rank 17 a chain of triangles and
-# J(2,17) take 0.66 s and a 2x18 ladder 1.04 s, and each further rank
-# doubles the time.
+# a scan stays under 1 s. A mask costs 1.4-5.4 us on one core of a
+# shared 2-core AMD EPYC machine (least of 3): at rank 17 a chain of
+# triangles takes 0.18 s, J(2,17) 0.21 s and the 2x18 ladder, the
+# slowest shape, 0.71 s; each further rank doubles the time.
 MAX_INDEPENDENT_CYCLES = 17
 
 
@@ -306,92 +306,67 @@ def matrix_tree_count(g: Graph) -> int:
 
 
 def _is_simple_cycle_mask(mask: int, edges: tuple[tuple[int, int], ...]) -> bool:
-    # A simple cycle is a connected 2-regular edge subset.
-    deg: dict[int, int] = {}
-    sub = []
-    for i, (u, v) in enumerate(edges):
-        if mask >> i & 1:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-            sub.append((u, v))
-    if not deg or any(d != 2 for d in deg.values()):
+    # A simple cycle is a connected 2-regular edge subset. Only the
+    # mask's own edges are read, and a vertex's third edge ends the test.
+    nbrs: dict[int, list[int]] = {}
+    size = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        u, v = edges[low.bit_length() - 1]
+        size += 1
+        a, b = nbrs.setdefault(u, []), nbrs.setdefault(v, [])
+        if len(a) == 2 or len(b) == 2:
+            return False
+        a.append(v)
+        b.append(u)
+    # degrees sum to 2 * size and none exceeds 2, so all are 2 exactly
+    # when size vertices are touched
+    if not size or len(nbrs) != size:
         return False
-    adj: dict[int, list[int]] = {x: [] for x in deg}
-    for u, v in sub:
-        adj[u].append(v)
-        adj[v].append(u)
-    start = next(iter(deg))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(deg)
+    # 2-regular: connected when the walk around one cycle uses every edge
+    prev, x, length = u, v, 1
+    while x != u:
+        a, b = nbrs[x]
+        prev, x = x, b if a == prev else a
+        length += 1
+    return length == size
 
 
 def enumerate_simple_cycles(g: Graph) -> list[EdgeSet]:
     """Every simple cycle of g as an edge set, each exactly once, sorted
     canonically (by ascending index tuple).
 
-    Strategy: build a spanning forest, take the fundamental cycle of
-    each non-tree edge, and scan all xor-combinations, keeping those
-    that are connected and 2-regular.
+    Strategy: a DFS forest records each vertex's path from its root, so
+    the fundamental cycle of a non-tree edge (u, v) is its bit xor the
+    two root paths. The fundamental cycles are independent: a Gray-code
+    walk visits each of the 2^mu - 1 nonzero combinations once, one xor
+    per step, and keeps those that are connected and 2-regular.
     """
-    n, edges = g.vertex_count, g.edges
     adj = g.adjacency()
-    parent = [-1] * n
-    parent_edge = [-1] * n
-    seen = [False] * n
-    in_tree = [False] * len(edges)
-    for root in range(n):
-        if seen[root]:
+    path: list[int | None] = [None] * g.vertex_count  # None: not reached yet
+    for root in range(g.vertex_count):
+        if path[root] is not None:
             continue
-        seen[root] = True
+        path[root] = 0
         stack = [root]
         while stack:
             x = stack.pop()
             for y, idx in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    parent[y] = x
-                    parent_edge[y] = idx
-                    in_tree[idx] = True
+                if path[y] is None:
+                    path[y] = path[x] | 1 << idx
                     stack.append(y)
-
-    def tree_path_mask(u: int, v: int) -> int:
-        # xor of edge bits along the unique forest path from u to v
-        chain: dict[int, int] = {}
-        x, acc = u, 0
-        while x != -1:
-            chain[x] = acc
-            if parent[x] == -1:
-                break
-            acc ^= 1 << parent_edge[x]
-            x = parent[x]
-        x, acc = v, 0
-        while x not in chain:
-            acc ^= 1 << parent_edge[x]
-            x = parent[x]
-        return acc ^ chain[x]
-
-    fundamental = [(1 << idx) ^ tree_path_mask(u, v)
-                   for idx, (u, v) in enumerate(edges) if not in_tree[idx]]
+    # a tree edge's bit cancels against the two root paths, giving 0
+    closed = (1 << idx ^ path[u] ^ path[v] for idx, (u, v) in enumerate(g.edges))
+    fundamental = [cycle for cycle in closed if cycle]
     if len(fundamental) > MAX_INDEPENDENT_CYCLES:
         raise CapacityError(
             f"cycle space rank {len(fundamental)} exceeds "
             f"{MAX_INDEPENDENT_CYCLES}; exhaustive cycle enumeration refused")
-    found: set[int] = set()
-    for bits in range(1, 1 << len(fundamental)):
-        mask = 0
-        b, i = bits, 0
-        while b:
-            if b & 1:
-                mask ^= fundamental[i]
-            b >>= 1
-            i += 1
-        if mask and mask not in found and _is_simple_cycle_mask(mask, edges):
-            found.add(mask)
-    return sorted(found, key=edge_indices)
+    cycles = []
+    mask = 0
+    for k in range(1, 1 << len(fundamental)):
+        mask ^= fundamental[(k & -k).bit_length() - 1]
+        if _is_simple_cycle_mask(mask, g.edges):
+            cycles.append(mask)
+    return sorted(cycles, key=edge_indices)

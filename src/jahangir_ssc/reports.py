@@ -29,6 +29,7 @@ from .errors import CapacityError
 from .formulas import (
     FORMULA_M_RANGE,
     binomial,
+    f_vector_divergence,
     f_vector_exact_ie,
     f_vector_formula,
     hilbert_function,
@@ -258,13 +259,7 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False) -> RunRepo
                               "frontier forest sweep",
                               f"closed form supports m in {lo}..{hi} only")
         formula = f_vector_formula(m)
-        diverging = [{"index": i, "closed_form": str(a), "direct": str(b)}
-                     for i, (a, b) in enumerate(zip(formula.values, f_direct))
-                     if a != b]
-        if len(formula.values) != len(f_direct):
-            diverging.append({"index": "length",
-                              "closed_form": str(len(formula.values)),
-                              "direct": str(len(f_direct))})
+        diverging = f_vector_divergence(formula.values, f_direct)
         return ClaimResult(
             name="f_vector_closed_form",
             claimed=_fvec_strings(formula.values),

@@ -17,7 +17,7 @@ from jahangir_ssc import (
     hilbert_series,
     word_cycle_catalog,
 )
-from jahangir_ssc.formulas import binomial
+from jahangir_ssc.formulas import binomial, f_vector_divergence
 
 from oracles import random_connected_graph
 
@@ -42,6 +42,11 @@ def test_formula_matches_direct_except_last(j3):
     mismatches = [i for i, (a, b) in enumerate(zip(formula, direct)) if a != b]
     assert mismatches == [5]
     assert formula[5] == 51 and direct[5] == 50
+    assert f_vector_divergence(formula, direct) == [
+        {"index": 5, "closed_form": "51", "direct": "50"}]
+    # a length difference is one more entry, after the differing indices
+    assert f_vector_divergence(formula, direct[:5]) == [
+        {"index": "length", "closed_form": "6", "direct": "5"}]
 
 
 def test_formula_audit_reproduces_the_values():

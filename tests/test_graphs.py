@@ -17,7 +17,13 @@ from jahangir_ssc import (
     matrix_tree_count,
     parse_graph,
 )
-from jahangir_ssc.graphs import base_cycle_indices, rim_indices, spoke_index
+from jahangir_ssc.graphs import (
+    MAX_INDEPENDENT_CYCLES,
+    _is_simple_cycle_mask,
+    base_cycle_indices,
+    rim_indices,
+    spoke_index,
+)
 
 from oracles import (
     as_mask,
@@ -232,9 +238,12 @@ def test_simple_cycles_j4(j4):
 def test_simple_cycles_counts_follow_family_rule():
     # m base cycles, then one merged cycle per run of consecutive
     # spokes dropped: m^2 - m + 1 in total
-    for m in (3, 4, 5, 6):
+    for m in (3, 4, 5, 6, 17):
         cycles = enumerate_simple_cycles(build_jahangir(m))
         assert len(cycles) == m * m - m + 1
+    # J(2,17) sits exactly at the rank cap: 51 edges, 35 vertices
+    g = build_jahangir(17)
+    assert g.edge_count - g.vertex_count + 1 == MAX_INDEPENDENT_CYCLES
 
 
 def test_simple_cycles_acyclic_graphs():
@@ -263,6 +272,55 @@ def test_simple_cycles_canonical_order(j3):
     # ascending index tuples, mixed sizes included
     tuples = [sorted(as_set(c)) for c in enumerate_simple_cycles(j3)]
     assert tuples == sorted(tuples)
+
+
+def test_simple_cycle_mask_named_shapes():
+    # a theta graph (three paths from 0 to 4: edges 0-1, 2-3, 4-5), two
+    # triangles on 5..7 (6-8) and 8..10 (9-11), a chord 1-2 (12), a
+    # pendant edge at 5 (13) and a triangle 5-9-10 (14, 10, 15)
+    edges = ((0, 1), (1, 4), (0, 2), (2, 4), (0, 3), (3, 4),
+             (5, 6), (6, 7), (5, 7), (8, 9), (9, 10), (8, 10),
+             (1, 2), (5, 11), (5, 9), (5, 10))
+
+    def simple(*indices):
+        return _is_simple_cycle_mask(as_mask(indices), edges)
+
+    assert not simple()
+    assert not any(simple(i) for i in range(len(edges)))
+    assert not simple(0, 1) and not simple(0, 1, 3) and not simple(6, 7)
+    assert simple(0, 1, 2, 3) and simple(2, 3, 4, 5) and simple(0, 1, 4, 5)
+    assert not simple(0, 1, 2, 3, 4, 5)        # the whole theta graph
+    assert not simple(0, 1, 2, 3, 12)          # a square with a chord
+    assert simple(0, 2, 12) and simple(6, 7, 8) and simple(14, 10, 15)
+    assert not simple(6, 7, 8, 9, 10, 11)      # two disjoint cycles
+    assert not simple(6, 7, 8, 14, 10, 15)     # two cycles sharing vertex 5
+    assert not simple(6, 7, 8, 13)             # a cycle with a pendant edge
+
+
+def test_simple_cycle_mask_matches_brute_force():
+    # random graphs, edge lists shuffled and reoriented: every mask up to 8
+    # edges, else 256 random masks, the empty mask and every cycle
+    rng = random.Random(11)
+    for _ in range(60):
+        n, edges = random_connected_graph(rng, max_vertices=10, max_extra=6, max_edges=13)
+        rng.shuffle(edges)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        cycles = brute_simple_cycles(n, edges)
+        masks = range(1 << len(edges))
+        if len(edges) > 8:
+            masks = [0, *rng.sample(masks, 256), *map(as_mask, cycles)]
+        for mask in masks:
+            assert _is_simple_cycle_mask(mask, tuple(edges)) == (as_set(mask) in cycles)
+
+
+def test_simple_cycles_at_the_rank_cap():
+    # a chain of 17 triangles has rank 17 and exactly its 17 triangles
+    k = MAX_INDEPENDENT_CYCLES
+    edges = []
+    for i in range(k):
+        edges += [(2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2), (2 * i, 2 * i + 2)]
+    cycles = enumerate_simple_cycles(Graph(2 * k + 1, tuple(edges)))
+    assert cycles == [0b111 << 3 * i for i in range(k)]
 
 
 def test_simple_cycles_capacity():
