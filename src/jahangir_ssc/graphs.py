@@ -337,36 +337,44 @@ def enumerate_simple_cycles(g: Graph) -> list[EdgeSet]:
     """Every simple cycle of g as an edge set, each exactly once, sorted
     canonically (by ascending index tuple).
 
-    Strategy: a DFS forest records each vertex's path from its root, so
-    the fundamental cycle of a non-tree edge (u, v) is its bit xor the
-    two root paths. The fundamental cycles are independent: a Gray-code
-    walk visits each of the 2^mu - 1 nonzero combinations once, one xor
-    per step, and keeps those that are connected and 2-regular.
+    Strategy: a DFS forest records each vertex's edge to its parent and
+    its depth; the rank E - V + roots meets the cap before any mask is
+    built. A non-tree edge's fundamental cycle is its bit plus the forest
+    path between its ends. The fundamental cycles are independent: a
+    Gray-code walk visits each nonzero combination once, one xor per
+    step, and keeps the connected 2-regular ones.
     """
+    n, edges = g.vertex_count, g.edges
     adj = g.adjacency()
-    path: list[int | None] = [None] * g.vertex_count  # None: not reached yet
-    for root in range(g.vertex_count):
-        if path[root] is not None:
-            continue
-        path[root] = 0
-        stack = [root]
+    up, depth = [-1] * n, [-1] * n  # edge to the parent; depth -1: not reached
+    for root in (r for r in range(n) if depth[r] < 0):
+        depth[root], stack = 0, [root]
         while stack:
             x = stack.pop()
             for y, idx in adj[x]:
-                if path[y] is None:
-                    path[y] = path[x] | 1 << idx
+                if depth[y] < 0:
+                    depth[y], up[y] = depth[x] + 1, idx
                     stack.append(y)
-    # a tree edge's bit cancels against the two root paths, giving 0
-    closed = (1 << idx ^ path[u] ^ path[v] for idx, (u, v) in enumerate(g.edges))
-    fundamental = [cycle for cycle in closed if cycle]
-    if len(fundamental) > MAX_INDEPENDENT_CYCLES:
-        raise CapacityError(
-            f"cycle space rank {len(fundamental)} exceeds "
-            f"{MAX_INDEPENDENT_CYCLES}; exhaustive cycle enumeration refused")
-    cycles = []
-    mask = 0
+    rank = len(edges) - n + depth.count(0)  # one root per component
+    if rank > MAX_INDEPENDENT_CYCLES:
+        raise CapacityError(f"cycle space rank {rank} exceeds {MAX_INDEPENDENT_CYCLES}; "
+                            "exhaustive cycle enumeration refused")
+    tree, fundamental = set(up), []
+    for chord in (idx for idx in range(len(edges)) if idx not in tree):
+        (u, v), walk = edges[chord], [chord]
+        while u != v:  # climb from the deeper end until the ends meet
+            if depth[u] < depth[v]:
+                u, v = v, u
+            walk.append(up[u])
+            a, b = edges[up[u]]
+            u = b if a == u else a
+        bits = bytearray(len(edges) // 8 + 1)  # linear, unlike big-int xors
+        for idx in walk:
+            bits[idx >> 3] |= 1 << (idx & 7)
+        fundamental.append(int.from_bytes(bits, "little"))
+    cycles, mask = [], 0
     for k in range(1, 1 << len(fundamental)):
         mask ^= fundamental[(k & -k).bit_length() - 1]
-        if _is_simple_cycle_mask(mask, g.edges):
+        if _is_simple_cycle_mask(mask, edges):
             cycles.append(mask)
     return sorted(cycles, key=edge_indices)

@@ -410,16 +410,52 @@ for argv in (["jahangir", "--m", "1000", "cycles", "--catalog", "oracle"],
 """
 
 
-def test_large_m_is_refused_within_a_memory_cap():
+def _run_child(script: str, *args: str) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", CAPPED_CHILD], capture_output=True,
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
                           text=True, env=env, timeout=60)
+
+
+def test_large_m_is_refused_within_a_memory_cap():
+    proc = _run_child(CAPPED_CHILD)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines() == [
         f"capacity error: m = {m} exceeds 207, the largest m any engine answers"
         for m in (1000, 1000000, 1000000, 208)]
+
+
+# A path of 200,000 vertices is a forest as deep as it is long: a mask
+# kept per vertex for its root path would need V^2/2 bits, 2.5 GB here.
+# Under the same 1 GB cap, a tree, three short cycles far apart in the
+# edge order, and a rank-18 refusal must each come back.
+DEEP_PATH_CHILD = """
+import contextlib, io, json, os, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from jahangir_ssc import Graph, emit_graph
+from jahangir_ssc.cli import main
+n = 200000
+path = tuple((i, i + 1) for i in range(n - 1))
+for k, chords in enumerate(([], [(0, 3), (1, 4), (n - 5, n - 1)],
+                            [(i, i + 2) for i in range(0, 72, 4)])):
+    doc = os.path.join(sys.argv[1], f"path{k}.json")
+    with open(doc, "w") as fh:
+        fh.write(emit_graph(Graph(n, path + tuple(chords))))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["graph", "--input", doc, "cycles"])
+    print(code, json.loads(out.getvalue())["count"] if code == 0 else None)
+"""
+
+
+def test_deep_forest_is_scanned_within_a_memory_cap(tmp_path):
+    proc = _run_child(DEEP_PATH_CHILD, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 0", "0 4", "2 None"]
+    assert proc.stderr.splitlines() == [
+        f"capacity error: cycle space rank 18 exceeds {MAX_INDEPENDENT_CYCLES}; "
+        "exhaustive cycle enumeration refused"]
 
 
 def test_jahangir_207_is_answered(run_cli):
