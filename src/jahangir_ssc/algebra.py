@@ -8,12 +8,12 @@ ideal of a prefix is never materialized: for squarefree monomials its
 minimal generator degrees are the sizes of the support differences,
 min_j |supp(m_j) \\ supp(m_i)|. For generators of one degree that
 minimum is 1 exactly when some swap of one variable, supp(m_i) - x + y,
-is an earlier support. Both certificate checks share one pass that
-finds, for each facet, the elements x for which such a swap exists: a
-set lookup per swap. The quotient test needs one such x at every
-position; the shelling test fails at F_i exactly when an earlier facet
-contains all of them, which an AND of per-element bitsets of facet
-positions answers.
+is an earlier support. One pass over the facets in order answers both
+certificate checks: for each facet it finds the elements x for which
+such a swap exists (a set lookup per swap); the quotient test needs one
+such x at every position, and the shelling test fails at F_i exactly
+when an earlier facet contains all of them, which an AND of per-element
+bitsets of facet positions answers. A verdict makes that pass once.
 
 The block ordering lists the facet-ideal generators of J(2,m) by the
 length of the leading run of deleted spokes (longest run first,
@@ -31,7 +31,7 @@ Provan-Billera, 1980). The verdict still runs both checks on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .complexes import SimplicialComplex, spanning_complex
 from .errors import InvalidParameterError, PurityError
@@ -46,11 +46,12 @@ from .graphs import (
 )
 from .spanning import enumerate_spanning_trees_jahangir
 
-# Past this many facets the generic certificate is not checked. Both
-# checks share one swap pass, a few lookups per facet; on one core of a
-# shared 2-core AMD EPYC machine they take 0.011 s together at the cap
-# (the Petersen graph's 2000 facets), 0.020 s on J(2,6)'s 2700 and
-# 0.10 s on J(2,7)'s 10,082, so the cap could rise well past its value.
+# Past this many facets the generic certificate is not checked. One
+# certificate pass answers both checks, a few lookups per facet; on one
+# core of a shared 2-core AMD EPYC machine (least of 3) it takes 0.005 s
+# at the cap (the Petersen graph's 2000 facets), 0.010 s on J(2,6)'s
+# 2700, 0.052 s on J(2,7)'s 10,082 and 0.31 s on J(2,8)'s 37,632, so the
+# cap could rise well past its value.
 CERTIFICATE_CHECK_LIMIT = 2000
 
 
@@ -80,30 +81,45 @@ def facet_ideal(c: SimplicialComplex) -> MonomialIdeal:
     return MonomialIdeal(c.facets)
 
 
-def _swap_pass(facets: Sequence[EdgeSet]) -> Iterator[EdgeSet]:
+def _certify(facets: Sequence[EdgeSet]) -> tuple[int | None, bool]:
     """The one pass behind both certificate checks, over equal-sized
-    facets in order: for each facet F_i, the mask of its usable
-    elements, the x in F_i for which some swap F_i - x + y is an earlier
-    facet (none for F_0). Each swap is one set lookup."""
+    facets in order. An element x of F_i is usable when some swap
+    F_i - x + y is an earlier facet: one set lookup per swap. Returns
+    the first position after 0 with no usable element, where the
+    quotient test fails (None if there is none), and whether the order
+    is a shelling. A quotient failure fails the shelling test too, so
+    the pass stops there."""
+    if len({f.bit_count() for f in facets}) > 1:
+        raise PurityError("shelling test requires equal-sized facets")
     universe = 0
     for mask in facets:
         universe |= mask
     if universe < 0:
         raise InvalidParameterError("edge-set masks must be nonnegative")
     elements = [1 << x for x in range(universe.bit_length()) if universe >> x & 1]
+    holders = dict.fromkeys(elements, 0)   # element -> positions of facets with it
     seen: set[EdgeSet] = set()
-    for mask in facets:
+    shelling = True
+    for i, mask in enumerate(facets):
+        inside = [x for x in elements if mask & x]
         outside = [y for y in elements if not mask & y]
-        usable = 0
-        for x in elements:
-            if mask & x:
-                base = mask ^ x
-                for y in outside:
-                    if base | y in seen:
-                        usable |= x
-                        break
-        yield usable
+        usable, earlier = 0, (1 << i) - 1
+        for x in inside:
+            base = mask ^ x
+            for y in outside:
+                if base | y in seen:
+                    usable |= x
+                    earlier &= holders[x]
+                    break
+        if i and not usable:
+            return i, False
+        # the shelling fails at F_i when an earlier facet holds every usable x
+        shelling = shelling and not earlier
+        if shelling:
+            for x in inside:
+                holders[x] |= 1 << i
         seen.add(mask)
+    return None, shelling
 
 
 def has_quasi_linear_quotients(
@@ -114,13 +130,11 @@ def has_quasi_linear_quotients(
 
     The generators have one degree, so a colon step is linear exactly
     when some swap of one variable turns the current generator into an
-    earlier one, which the swap pass looks up."""
+    earlier one, which the certificate pass looks up."""
     if sorted(ordering) != list(range(len(ideal.generators))):
         raise InvalidParameterError("ordering is not a permutation of the generators")
-    for i, usable in enumerate(_swap_pass([ideal.generators[k] for k in ordering])):
-        if i and not usable:
-            return False, i
-    return True, None
+    failure = _certify([ideal.generators[k] for k in ordering])[0]
+    return failure is None, failure
 
 
 # ---------------------------------------------------------------------------
@@ -168,30 +182,10 @@ def prefix_block_ordering(m: int) -> tuple[int, ...]:
 def is_shelling(facets: Sequence[EdgeSet]) -> bool:
     """Classical shelling test for an ordered pure facet list: for all
     i and j < i some k < i has |F_i - F_k| = 1 and F_i cap F_j inside
-    F_i cap F_k.
-
-    With the usable elements of F_i from the swap pass, that fails at
-    F_i exactly when some earlier facet contains every usable element.
-    The earlier facets containing an element are kept as a bitset of
-    positions per element, so the test is an AND of those bitsets."""
-    if len({f.bit_count() for f in facets}) > 1:
-        raise PurityError("shelling test requires equal-sized facets")
-    holders: dict[int, int] = {}   # element bit -> positions of facets with it
-    for i, usable in enumerate(_swap_pass(facets)):
-        earlier = (1 << i) - 1
-        x = usable
-        while x and earlier:
-            low = x & -x
-            earlier &= holders.get(low, 0)
-            x ^= low
-        if earlier:
-            return False
-        x = facets[i]
-        while x:
-            low = x & -x
-            holders[low] = holders.get(low, 0) | 1 << i
-            x ^= low
-    return True
+    F_i cap F_k. That fails at F_i exactly when some earlier facet
+    contains every usable element of F_i, which the certificate pass
+    checks."""
+    return _certify(facets)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +231,14 @@ def cohen_macaulay_verdict(g: Graph, ordering: str = "auto") -> CMVerdict:
     # the tree count is the facet count: decide the size before enumerating
     if ordering == "search" and matrix_tree_count(g) > CERTIFICATE_CHECK_LIMIT:
         return CMVerdict(None, None, "search", None, None)
-    complex_ = spanning_complex(g)
-    ideal = facet_ideal(complex_)
-
+    facets = spanning_complex(g).facets
     if ordering == "block":
         perm = prefix_block_ordering(m)
-        ok, failure = has_quasi_linear_quotients(ideal, perm)
-        if not ok:
+        failure, shelling = _certify([facets[k] for k in perm])
+        if failure is not None:
             return CMVerdict(False, None, "block", failure, None)
-        facets_in_order = [ideal.generators[k] for k in perm]
-        return CMVerdict(True, perm, "block", None,
-                         shelling_agrees=is_shelling(facets_in_order))
-
-    canonical = tuple(range(len(ideal.generators)))
-    if not has_quasi_linear_quotients(ideal, canonical)[0]:
+        return CMVerdict(True, perm, "block", None, shelling)
+    failure, shelling = _certify(facets)
+    if failure is not None:
         return CMVerdict(None, None, "search", None, None)
-    return CMVerdict(True, canonical, "search", None,
-                     shelling_agrees=is_shelling(complex_.facets))
+    return CMVerdict(True, tuple(range(len(facets))), "search", None, shelling)

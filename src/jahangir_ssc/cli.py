@@ -54,6 +54,14 @@ TREE_ENUMERATION_LIMIT = 500_000
 # as JSON, 5.5 s as CSV and 4.9 s as text, 185 MB in each format.
 JAHANGIR_M_LIMIT = 207
 
+# The determinant behind the tree-count guard takes O(V^3) pure-Python
+# steps, so a graph with more vertices than J(2,207)'s 415 is refused
+# before it runs. On the machine above, J(2,207) and a 415-vertex cycle
+# take 1.3 s each (least of 3); single runs took 9.5 s on an 800-vertex
+# cycle, and 22 s and 58 s on random 415-vertex graphs with 4,296 and
+# 42,932 edges, whose entries grow to thousands of bits.
+TREE_GUARD_VERTEX_LIMIT = 2 * JAHANGIR_M_LIMIT + 1
+
 _MODE_ALIASES = {"paper": "formula"}
 _CATALOG_ALIASES = {"paper": "word"}
 _ORDERING_ALIASES = {"paper": "block"}
@@ -184,7 +192,12 @@ def _report_payload(report: RunReport, meta: dict) -> dict:
 
 
 def _guard_tree_enumeration(g: Graph) -> int:
-    """The spanning-tree count of g, refused past the enumeration limit."""
+    """The spanning-tree count of g, refused past the enumeration limit
+    and, before the determinant runs, past its vertex bound."""
+    if g.vertex_count > TREE_GUARD_VERTEX_LIMIT:
+        raise CapacityError(
+            f"{g.vertex_count} vertices exceed {TREE_GUARD_VERTEX_LIMIT}, the largest "
+            "graph whose spanning trees are counted")
     count = matrix_tree_count(g)
     if count > TREE_ENUMERATION_LIMIT:
         raise CapacityError(

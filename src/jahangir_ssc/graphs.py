@@ -26,11 +26,17 @@ EdgeSet = int
 HUB = 0
 
 # Cycle-space enumeration walks 2^mu masks; mu above this is refused, so
-# a scan stays under 1 s. A mask costs 1.4-5.4 us on one core of a
+# a scan stays under 1 s. A mask costs 1.2-4.0 us on one core of a
 # shared 2-core AMD EPYC machine (least of 3): at rank 17 a chain of
-# triangles takes 0.18 s, J(2,17) 0.21 s and the 2x18 ladder, the
-# slowest shape, 0.71 s; each further rank doubles the time.
+# triangles takes 0.16 s, J(2,17) 0.17 s and the 2x18 ladder, the
+# slowest shape, 0.52 s; each further rank doubles the time.
 MAX_INDEPENDENT_CYCLES = 17
+
+# The scan keeps adjacency lists and two entries per vertex, so a graph
+# with more vertices is refused before any of them is built. On the same
+# machine a 250,000-vertex path closed into one cycle is scanned by
+# `graph ... cycles` in 0.7 s at 182 MB of peak RSS.
+MAX_CYCLE_SCAN_VERTICES = 250_000
 
 
 @dataclass(frozen=True)
@@ -247,7 +253,8 @@ def emit_graph(g: Graph) -> str:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.vertex_count == 0:
+    # fewer than V - 1 edges cannot connect V vertices: no adjacency needed
+    if g.vertex_count == 0 or g.edge_count < g.vertex_count - 1:
         return False
     adj = g.adjacency()
     seen = [False] * g.vertex_count
@@ -307,13 +314,15 @@ def matrix_tree_count(g: Graph) -> int:
 
 def _is_simple_cycle_mask(mask: int, edges: tuple[tuple[int, int], ...]) -> bool:
     # A simple cycle is a connected 2-regular edge subset. Only the
-    # mask's own edges are read, and a vertex's third edge ends the test.
+    # mask's own edges are read, found in its binary string as
+    # edge_indices finds them (linear, where peeling off the lowest bit
+    # of a wide int is not), and a vertex's third edge ends the test.
     nbrs: dict[int, list[int]] = {}
     size = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        u, v = edges[low.bit_length() - 1]
+    for i, bit in enumerate(bin(mask)[:1:-1]):
+        if bit == "0":
+            continue
+        u, v = edges[i]
         size += 1
         a, b = nbrs.setdefault(u, []), nbrs.setdefault(v, [])
         if len(a) == 2 or len(b) == 2:
@@ -345,6 +354,9 @@ def enumerate_simple_cycles(g: Graph) -> list[EdgeSet]:
     step, and keeps the connected 2-regular ones.
     """
     n, edges = g.vertex_count, g.edges
+    if n > MAX_CYCLE_SCAN_VERTICES:
+        raise CapacityError(f"{n} vertices exceed {MAX_CYCLE_SCAN_VERTICES}; "
+                            "exhaustive cycle enumeration refused")
     adj = g.adjacency()
     up, depth = [-1] * n, [-1] * n  # edge to the parent; depth -1: not reached
     for root in (r for r in range(n) if depth[r] < 0):

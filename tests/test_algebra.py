@@ -405,3 +405,52 @@ def test_verdict_certificate_is_checkable(j4):
     verdict = cohen_macaulay_verdict(j4)
     ideal = facet_ideal(spanning_complex(j4))
     assert has_quasi_linear_quotients(ideal, verdict.certificate)[0]
+
+
+# ---------------------------------------------------------------------------
+# the one certificate pass
+
+
+def test_each_verdict_makes_one_certificate_pass(monkeypatch, j4):
+    # the quotient test and the shelling cross-check come from one pass
+    # over the facets in the certificate's order, never two
+    from jahangir_ssc import algebra
+
+    petersen = Graph(10, tuple(edge for i in range(5) for edge in
+                               ((i, (i + 1) % 5), (i, i + 5), (i + 5, (i + 2) % 5 + 5))))
+    certify, passes = algebra._certify, []
+
+    def counted(facets):
+        passes.append(len(facets))
+        return certify(facets)
+
+    monkeypatch.setattr(algebra, "_certify", counted)
+    for g, ordering, facets in ((j4, "block", 192), (petersen, "search", 2000)):
+        passes.clear()
+        verdict = cohen_macaulay_verdict(g, ordering=ordering)
+        assert verdict.cohen_macaulay is True and verdict.shelling_agrees is True
+        assert passes == [facets]
+
+
+def test_certificate_pass_matches_both_checks_and_the_definitions():
+    # canonical and shuffled facet orders of random connected graphs: the
+    # pass gives the quotient test's first failure and the shelling test's
+    # answer, and both follow the literal definitions
+    from jahangir_ssc.algebra import _certify
+
+    rng = random.Random(67)
+    for _ in range(40):
+        n, edges = random_connected_graph(rng, max_vertices=7, max_extra=4,
+                                          max_edges=10)
+        c = spanning_complex(Graph(n, tuple(edges)))
+        shuffled = list(range(len(c.facets)))
+        rng.shuffle(shuffled)
+        for ordering in (range(len(c.facets)), shuffled):
+            facets = [c.facets[i] for i in ordering]
+            failure, shelling = _certify(facets)
+            assert (failure, shelling) == (
+                has_quasi_linear_quotients(facet_ideal(c), ordering)[1],
+                is_shelling(facets))
+            if len(facets) <= 40:
+                assert failure == _naive_first_failure(facets)
+                assert shelling == naive_shelling(facets)

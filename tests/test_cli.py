@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from jahangir_ssc import build_jahangir, build_graph_report, build_jahangir_report
-from jahangir_ssc.graphs import MAX_INDEPENDENT_CYCLES
+from jahangir_ssc.cli import TREE_GUARD_VERTEX_LIMIT
+from jahangir_ssc.graphs import MAX_CYCLE_SCAN_VERTICES, MAX_INDEPENDENT_CYCLES
 
 EXPECTED_MISMATCH_CLAIMS = {
     "cycle_catalog_size",
@@ -429,7 +430,8 @@ def test_large_m_is_refused_within_a_memory_cap():
 # A path of 200,000 vertices is a forest as deep as it is long: a mask
 # kept per vertex for its root path would need V^2/2 bits, 2.5 GB here.
 # Under the same 1 GB cap, a tree, three short cycles far apart in the
-# edge order, and a rank-18 refusal must each come back.
+# edge order, the whole path closed into one cycle, and a rank-18
+# refusal must each come back.
 DEEP_PATH_CHILD = """
 import contextlib, io, json, os, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -437,7 +439,7 @@ from jahangir_ssc import Graph, emit_graph
 from jahangir_ssc.cli import main
 n = 200000
 path = tuple((i, i + 1) for i in range(n - 1))
-for k, chords in enumerate(([], [(0, 3), (1, 4), (n - 5, n - 1)],
+for k, chords in enumerate(([], [(0, 3), (1, 4), (n - 5, n - 1)], [(0, n - 1)],
                             [(i, i + 2) for i in range(0, 72, 4)])):
     doc = os.path.join(sys.argv[1], f"path{k}.json")
     with open(doc, "w") as fh:
@@ -452,10 +454,57 @@ for k, chords in enumerate(([], [(0, 3), (1, 4), (n - 5, n - 1)],
 def test_deep_forest_is_scanned_within_a_memory_cap(tmp_path):
     proc = _run_child(DEEP_PATH_CHILD, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["0 0", "0 4", "2 None"]
+    assert proc.stdout.splitlines() == ["0 0", "0 4", "0 1", "2 None"]
     assert proc.stderr.splitlines() == [
         f"capacity error: cycle space rank 18 exceeds {MAX_INDEPENDENT_CYCLES}; "
         "exhaustive cycle enumeration refused"]
+
+
+# Forty bytes name 10^8 vertices. Nothing may be built per vertex: the
+# spanning-complex actions see at once that no edge connects them, the
+# cycle scan refuses by its vertex bound, and every action ends in one
+# line on stderr under the 1 GB cap.
+HUGE_EMPTY_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from jahangir_ssc.cli import ACTIONS, main
+for action in ACTIONS:
+    print(action, main(["graph", "--input", sys.argv[1], action]))
+"""
+
+
+def test_a_huge_empty_document_is_refused_within_a_memory_cap(tmp_path):
+    doc = tmp_path / "empty.json"
+    doc.write_text('{"vertices": 100000000, "edges": []}')
+    proc = _run_child(HUGE_EMPTY_CHILD, str(doc))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "facets 1", "classes 1", "cycles 2", "f-vector 1", "hilbert 1", "cm 1", "verify 1"]
+    disconnected = ("error: a graph with no vertex or more than one component has "
+                    "no spanning complex")
+    assert proc.stderr.splitlines() == [
+        disconnected,
+        "error: tree classes are defined only for the jahangir command",
+        f"capacity error: 100000000 vertices exceed {MAX_CYCLE_SCAN_VERTICES}; "
+        "exhaustive cycle enumeration refused",
+        disconnected, disconnected, disconnected, disconnected]
+
+
+def test_tree_count_guard_refuses_before_the_determinant(run_cli, tmp_path):
+    # the determinant of an 800-cycle takes about 9 s; the vertex bound
+    # refuses it at once
+    from jahangir_ssc import Graph, emit_graph
+
+    n = 800
+    path = tmp_path / "cycle.json"
+    path.write_text(emit_graph(Graph(n, tuple((i, (i + 1) % n) for i in range(n)))))
+    start = time.perf_counter()
+    res = run_cli("graph", "--input", str(path), "facets")
+    assert time.perf_counter() - start < 1.0
+    assert res.code == 2 and res.stdout == ""
+    assert res.stderr == (f"capacity error: {n} vertices exceed {TREE_GUARD_VERTEX_LIMIT}, "
+                          "the largest graph whose spanning trees are counted\n")
+    assert TREE_GUARD_VERTEX_LIMIT >= build_jahangir(207).vertex_count
 
 
 def test_jahangir_207_is_answered(run_cli):
