@@ -207,13 +207,15 @@ class CMVerdict:
     shelling_agrees: bool | None
 
 
-def cohen_macaulay_verdict(g: Graph, ordering: str = "auto") -> CMVerdict:
+def cohen_macaulay_verdict(g: Graph, ordering: str = "auto",
+                           trees: int | None = None) -> CMVerdict:
     """Build the spanning complex and facet ideal of g, then certify
     Cohen-Macaulayness by an ordering with quasi-linear quotients: the
     block ordering ("block") or the canonical facet order ("search").
     "auto" picks the block ordering on J(2,m) in its canonical edge
     order and the canonical facet order otherwise. Every certificate is
-    checked, never assumed.
+    checked, never assumed. trees is g's spanning-tree count where the
+    caller has it, and is computed when needed otherwise.
     """
     if ordering not in ("auto", "block", "search"):
         raise InvalidParameterError(f"unknown ordering strategy {ordering!r}")
@@ -229,7 +231,8 @@ def cohen_macaulay_verdict(g: Graph, ordering: str = "auto") -> CMVerdict:
         raise InvalidParameterError(
             "block ordering is only defined for J(2,m) in its canonical edge order")
     # the tree count is the facet count: decide the size before enumerating
-    if ordering == "search" and matrix_tree_count(g) > CERTIFICATE_CHECK_LIMIT:
+    if ordering == "search" and CERTIFICATE_CHECK_LIMIT < (
+            matrix_tree_count(g) if trees is None else trees):
         return CMVerdict(None, None, "search", None, None)
     facets = spanning_complex(g).facets
     if ordering == "block":

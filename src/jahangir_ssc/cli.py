@@ -174,8 +174,8 @@ def _hilbert_payload(g: Graph, mode: str, m: int | None, meta: dict) -> dict:
             "denominator_power": series.denominator_power}
 
 
-def _cm_payload(g: Graph, ordering: str, meta: dict) -> dict:
-    verdict = cohen_macaulay_verdict(g, ordering=ordering)
+def _cm_payload(g: Graph, ordering: str, trees: int, meta: dict) -> dict:
+    verdict = cohen_macaulay_verdict(g, ordering=ordering, trees=trees)
     return {**meta,
             "cohen_macaulay": verdict.cohen_macaulay,
             "ordering_source": verdict.ordering_source,
@@ -249,7 +249,8 @@ def _execute(args: argparse.Namespace) -> tuple[dict, int]:
         catalog = "oracle"
         ordering = "search"
 
-    # every action that enumerates spanning trees passes the one guard
+    # every action that enumerates spanning trees passes the one guard,
+    # whose determinant is the request's only one
     trees = None
     if action in ("facets", "classes", "cm", "verify"):
         trees = _guard_tree_enumeration(g)
@@ -265,11 +266,11 @@ def _execute(args: argparse.Namespace) -> tuple[dict, int]:
     if action == "hilbert":
         return _hilbert_payload(g, mode, m, {**meta, "mode": mode}), 0
     if action == "cm":
-        return _cm_payload(g, ordering, {**meta, "ordering": ordering}), 0
+        return _cm_payload(g, ordering, trees, {**meta, "ordering": ordering}), 0
     if m is None:
-        report = build_graph_report(g, seed=args.seed, timed=args.timings)
+        report = build_graph_report(g, seed=args.seed, timed=args.timings, trees=trees)
     else:
-        report = build_jahangir_report(m, seed=args.seed, timed=args.timings)
+        report = build_jahangir_report(m, seed=args.seed, timed=args.timings, trees=trees)
     return _report_payload(report, meta), MISMATCH_EXIT if report.mismatch_count else 0
 
 

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, InvalidParameterError
 from .graphs import EdgeSet, Graph, edge_indices, is_connected
-from .spanning import enumerate_spanning_trees_generic
+from .spanning import (
+    _entered,
+    _frontier_steps,
+    _kept,
+    _merged,
+    enumerate_spanning_trees_generic,
+)
 
 # f-vectors are plain tuples of arbitrary-precision ints, f_0..f_d.
 FVector = tuple
@@ -101,13 +107,6 @@ def _plus(a: list[int], b: list[int]) -> list[int]:
     return [x + y for x, y in zip(a, b)] + a[len(b):]
 
 
-def _canonical(labels: list[int]) -> tuple[int, ...]:
-    """Block labels renumbered in order of first appearance, so equal
-    partitions get equal keys."""
-    seen: dict[int, int] = {}
-    return tuple(seen.setdefault(x, len(seen)) for x in labels)
-
-
 def f_vector_direct(g: Graph) -> FVector:
     """f_i = number of (i+1)-edge acyclic subsets, by a frontier sweep
     over the edges in g's own order.
@@ -122,40 +121,27 @@ def f_vector_direct(g: Graph) -> FVector:
     """
     if not is_connected(g):
         raise InvalidParameterError("f-vector of the spanning complex needs a connected graph")
-    last = {}
-    for i, (u, v) in enumerate(g.edges):
-        last[u] = last[v] = i
-    frontier: list[int] = []
     table: dict[tuple[int, ...], list[int]] = {(): [1]}
     steps = 0
-    for i, (u, v) in enumerate(g.edges):
+    for fresh, pu, pv, keep, _ in _frontier_steps(g.edges):
         if steps > F_VECTOR_STEP_LIMIT:
             raise CapacityError(
                 f"forest sweep over {g.edge_count} edges exceeds the step bound "
                 f"{F_VECTOR_STEP_LIMIT}")
-        for w in (u, v):
-            if w not in frontier:  # enters as a block of its own
-                frontier.append(w)
-                table = {s + (max(s, default=-1) + 1,): c for s, c in table.items()}
-        pu, pv = frontier.index(u), frontier.index(v)
-        keep = [p for p, w in enumerate(frontier) if last[w] != i]
-        leaving = len(keep) < len(frontier)
+        if fresh:
+            table = {_entered(s, fresh): c for s, c in table.items()}
         carried: dict[tuple[int, ...], list[int]] = {}
         for s, c in table.items():
             a, b = s[pu], s[pv]
             moves = [(s, c)]
             if a != b:
-                lo, hi = min(a, b), max(a, b)
-                # the merged labels stay in order of first appearance
-                moves.append((tuple(lo if x == hi else x - (x > hi) for x in s), [0] + c))
+                moves.append((_merged(s, a, b), [0] + c))
             for key, counts in moves:
                 steps += len(counts)
-                if leaving:
-                    key = _canonical([key[p] for p in keep])
+                key = _kept(key, keep)
                 old = carried.get(key)
                 carried[key] = counts if old is None else _plus(old, counts)
         table = carried
-        frontier = [frontier[p] for p in keep]
     # every vertex has left: one state, whose counts run from the empty
     # forest to the spanning trees
     (forests,) = table.values()

@@ -172,13 +172,15 @@ def _claim_hilbert(f_direct: tuple[int, ...] | None, sweep_refusal: str | None,
                 "diverging_degrees": bad_degrees})
 
 
-def build_jahangir_report(m: int, seed: int = 0, timed: bool = False) -> RunReport:
+def build_jahangir_report(m: int, seed: int = 0, timed: bool = False,
+                          trees: int | None = None) -> RunReport:
     """Structured claims about J(2,m) against the oracles. seed is only
-    echoed in the parameters; no claim depends on it."""
+    echoed in the parameters; no claim depends on it. trees is the
+    determinant's spanning-tree count where the caller has it."""
     g = build_jahangir(m)
     records = enumerate_spanning_trees_jahangir(m)
     partition = verify_partition(m)
-    mt = matrix_tree_count(g)
+    mt = matrix_tree_count(g) if trees is None else trees
 
     def claim_tree_count() -> ClaimResult:
         ok = len(records) == mt == partition.generic_total
@@ -187,7 +189,7 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False) -> RunRepo
             claimed=len(records),
             claimed_source="structured cutting-down enumeration",
             oracle={"matrix_tree": mt, "generic_enumeration": partition.generic_total},
-            oracle_source="fraction-free determinant and generic backtracking",
+            oracle_source="fraction-free determinant and generic frontier enumeration",
             verdict="match" if ok else "mismatch")
 
     def claim_partition() -> ClaimResult:
@@ -302,17 +304,19 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False) -> RunRepo
         claim_cm), timed)
 
 
-def build_graph_report(g: Graph, seed: int = 0, timed: bool = False) -> RunReport:
+def build_graph_report(g: Graph, seed: int = 0, timed: bool = False,
+                       trees: int | None = None) -> RunReport:
     """Generic-engine cross-checks for an arbitrary connected graph. seed
-    is only echoed in the parameters."""
+    is only echoed in the parameters. trees is the determinant's
+    spanning-tree count where the caller has it."""
     complex_ = spanning_complex(g)
-    mt = matrix_tree_count(g)
+    mt = matrix_tree_count(g) if trees is None else trees
 
     def claim_tree_count() -> ClaimResult:
         return ClaimResult(
             name="spanning_tree_count",
             claimed=len(complex_.facets),
-            claimed_source="generic backtracking enumeration",
+            claimed_source="generic frontier enumeration",
             oracle=mt,
             oracle_source="fraction-free determinant",
             verdict="match" if len(complex_.facets) == mt else "mismatch")
@@ -320,7 +324,7 @@ def build_graph_report(g: Graph, seed: int = 0, timed: bool = False) -> RunRepor
     f_direct, sweep_refusal = _direct_f_vector(g)
 
     def claim_cm() -> ClaimResult:
-        verdict = cohen_macaulay_verdict(g, ordering="search")
+        verdict = cohen_macaulay_verdict(g, ordering="search", trees=mt)
         if verdict.cohen_macaulay is None:
             return _unchecked("cohen_macaulay_consistency", "lexicographic facet order",
                               "shelling cross-check",

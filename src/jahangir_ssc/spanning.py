@@ -1,11 +1,15 @@
 """Spanning-tree enumeration, generic and structured.
 
-The generic enumerator is the oracle: backtracking over the edge list
-that includes an edge before excluding it, so edge sets come out in
-canonical order. An edge that closes a cycle is skipped; any other edge
-may be excluded unless it is a bridge of the chosen edges plus those
-still to come, which a probe decides by uniting the later edges into a
-copy of the current union-find until the edge's two ends meet.
+The generic enumerator is the oracle: a frontier-based search over the
+edge list (Sekine, Imai and Tani, ISAAC 1995; Kawahara, Inoue, Iwashita
+and Minato, IEICE Trans. Fundamentals E100-A(9), 2017), the connectivity
+states of the forest sweep in complexes.f_vector_direct. A forward pass
+builds the graph of frontier states, each distinct state with one
+include and one exclude move, and drops every move after which the
+edges still to come cannot complete a spanning tree; a backward pass
+lists each state's completions, include before exclude, so edge sets
+come out in canonical order. A level holds at most as many states as
+there are trees, and only a handful where the frontier stays small.
 
 The structured enumerator builds the same trees for J(2,m) by the
 cutting-down rules: choose which spokes to delete (never all m), then
@@ -65,56 +69,160 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
+def _canonical(labels: list[int]) -> tuple[int, ...]:
+    """Block labels renumbered in order of first appearance, so equal
+    partitions get equal keys."""
+    seen: dict[int, int] = {}
+    return tuple(seen.setdefault(x, len(seen)) for x in labels)
+
+
+def _entered(state: tuple[int, ...], fresh: int) -> tuple[int, ...]:
+    """state with fresh new frontier vertices as blocks of their own."""
+    top = max(state, default=-1) + 1
+    return state + tuple(range(top, top + fresh))
+
+
+def _merged(state: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """state with blocks a != b merged; the labels stay in order of
+    first appearance."""
+    lo, hi = min(a, b), max(a, b)
+    return tuple(lo if x == hi else x - (x > hi) for x in state)
+
+
+def _kept(state: tuple[int, ...], keep: list[int] | None) -> tuple[int, ...]:
+    """state without the vertices that leave, keep naming the positions
+    that stay (None: all of them), renumbered canonically."""
+    return state if keep is None else _canonical([state[p] for p in keep])
+
+
+def _frontier_steps(edges: tuple[tuple[int, int], ...]):
+    """The frontier at each edge, for a sweep over the edges in order.
+
+    Yields, per edge i = (u, v): the number of its ends new to the
+    frontier, which enter at the end of it; the positions of u and v in
+    it; the positions that stay after edge i, or None when none leaves;
+    and the frontier itself, new ends included. A vertex leaves after
+    its last edge.
+    """
+    last = {}
+    for i, (u, v) in enumerate(edges):
+        last[u] = last[v] = i
+    frontier: list[int] = []
+    for i, (u, v) in enumerate(edges):
+        fresh = 0
+        for w in (u, v):
+            if w not in frontier:
+                frontier.append(w)
+                fresh += 1
+        keep = [p for p, w in enumerate(frontier) if last[w] != i]
+        yield (fresh, frontier.index(u), frontier.index(v),
+               keep if len(keep) < len(frontier) else None, frontier)
+        frontier = [frontier[p] for p in keep]
+
+
+def _meet(state: tuple[int, ...], reach: tuple[int, ...], a: int, b: int) -> bool:
+    """Whether blocks a and b of a partial forest meet through the edges
+    still to come. state gives each frontier vertex its block, reach its
+    component among the edges still to come, or -1 when it has none."""
+    parent = list(range(max(state) + 1))
+    first: dict[int, int] = {}
+    for x, c in zip(state, reach):
+        if c >= 0:
+            y = first.setdefault(c, x)
+            if y != x:
+                parent[_find(parent, x)] = _find(parent, y)
+    return _find(parent, a) == _find(parent, b)
+
+
 def enumerate_spanning_trees_generic(g: Graph) -> list[EdgeSet]:
     """All spanning-tree edge sets of g, each once, canonical order.
 
-    Backtracking over edge positions, including an edge before
-    excluding it, so trees come out lexicographic by sorted edge tuple.
-    The chosen edges plus the edges still to come always connect g; an
-    edge may be excluded unless it is a bridge of that edge set, which
-    a local probe from the current union-find decides. Disconnected
-    input yields an empty list.
+    Frontier-based search in two passes over g's edge order. The
+    forward pass builds the state graph: a state is the partition of
+    the frontier into the blocks of a partial forest, and each distinct
+    state gets one include and one exclude move, kept only when the
+    edges still to come can complete the forest. So every state kept
+    lies on some tree, and a level never holds more states than there
+    are trees. The backward pass lists each state's completions,
+    include before exclude, so the trees come out lexicographic by
+    sorted edge tuple. Disconnected input yields an empty list.
     """
-    n, edges = g.vertex_count, g.edges
     if not is_connected(g):
         return []
-    total = len(edges)
-    out: list[EdgeSet] = []
+    edges = g.edges
+    steps = list(_frontier_steps(edges))
+    # reach[i]: each frontier vertex's component among the edges after
+    # i, numbered in order of first appearance, -1 when it leaves at i
+    reach: list[tuple[int, ...]] = [()] * len(edges)
+    later = list(range(g.vertex_count))
+    for i in range(len(edges) - 1, -1, -1):
+        _, _, _, keep, frontier = steps[i]
+        stays = range(len(frontier)) if keep is None else set(keep)
+        ids: dict[int, int] = {}
+        reach[i] = tuple(ids.setdefault(_find(later, w), len(ids)) if p in stays else -1
+                         for p, w in enumerate(frontier))
+        u, v = edges[i]
+        later[_find(later, u)] = _find(later, v)
 
-    def bridge(pos: int, ru: int, rv: int, parent: list[int]) -> bool:
-        # can the edges after pos join the roots ru and rv? union them
-        # into a copy of the chosen edges' components until they meet,
-        # following the two roots as their sets are linked
-        probe = parent[:]
-        for ei in range(pos + 1, total):
-            a, b = _find(probe, edges[ei][0]), _find(probe, edges[ei][1])
+    # forward: per edge, each state's (include, exclude) targets at the
+    # next level, -1 for none
+    moves: list[list[tuple[int, int]]] = []
+    states: list[tuple[int, ...]] = [()]
+    for (fresh, pu, pv, keep, _), comp in zip(steps, reach):
+        index: dict[tuple[int, ...], int] = {}
+        level = []
+        for s in states:
+            if fresh:
+                s = _entered(s, fresh)
+            a, b = s[pu], s[pv]
+            inc = exc = -1
+            # taking the edge leaves the forest plus the edges to come
+            # as connected as before, so the include move always lives
             if a != b:
-                probe[a] = b
-                if a == ru:
-                    ru = b
-                elif a == rv:
-                    rv = b
-                if ru == rv:
-                    return False
-        return True
+                inc = index.setdefault(_kept(_merged(s, a, b), keep), len(index))
+            # skipping it loses the trees only where it is a bridge
+            if a == b or _meet(s, comp, a, b):
+                exc = index.setdefault(_kept(s, keep), len(index))
+            level.append((inc, exc))
+        moves.append(level)
+        states = list(index)
 
-    def rec(pos: int, ncomp: int, parent: list[int], chosen: EdgeSet) -> None:
-        if ncomp == 1:
-            out.append(chosen)
-            return
-        while True:  # an edge that closes a cycle is excluded at no cost
-            ru, rv = _find(parent, edges[pos][0]), _find(parent, edges[pos][1])
-            if ru != rv:
-                break
-            pos += 1
-        child = parent[:]
-        child[ru] = rv
-        rec(pos + 1, ncomp - 1, child, chosen | 1 << pos)
-        if not bridge(pos, ru, rv, parent):
-            rec(pos + 1, ncomp, parent, chosen)
-
-    rec(0, n, list(range(n)), 0)
-    return out
+    # backward: each state's completions, edge masks over the later
+    # edges; a list whose last user is its include move takes the bit in
+    # place, one whose last user is its exclude move is taken as it is
+    done: list[list[EdgeSet] | None] = [[0]]
+    for i in range(len(moves) - 1, -1, -1):
+        level = moves.pop()
+        bit = 1 << i
+        users = [0] * len(done)
+        for move in level:
+            for j in move:
+                if j >= 0:
+                    users[j] += 1
+        below, done = done, []
+        for inc, exc in level:
+            out = None
+            if inc >= 0:
+                users[inc] -= 1
+                src = below[inc]
+                if users[inc]:
+                    out = [t | bit for t in src]
+                else:
+                    below[inc] = None
+                    for k, t in enumerate(src):
+                        src[k] = t | bit
+                    out = src
+            if exc >= 0:
+                users[exc] -= 1
+                src = below[exc]
+                if not users[exc]:
+                    below[exc] = None
+                if out is not None:
+                    out += src
+                else:
+                    out = src[:] if users[exc] else src
+            done.append(out)
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +272,13 @@ def enumerate_spanning_trees_jahangir(m: int) -> list[SpanningTreeRecord]:
         for spokes in itertools.combinations(range(1, m + 1), rho):
             deleted = set(spokes)
             cls = _classify_spoke_set(deleted, m)
-            base = sum(1 << spoke_index(j, m) for j in deleted)
-            for picks in itertools.product(*_rim_pools(deleted, m)):
-                removed = base + sum(picks)  # the picked rim edges are distinct
-                records.append(SpanningTreeRecord(
-                    kept=every_edge ^ removed, removed=removed, tree_class=cls))
+            # one pick per pool, in the order of itertools.product; the
+            # picked rim edges are distinct, so their bits add
+            sums = [sum(1 << spoke_index(j, m) for j in deleted)]
+            for pool in _rim_pools(deleted, m):
+                sums = [s + p for s in sums for p in pool]
+            records += [SpanningTreeRecord(kept=every_edge ^ removed, removed=removed,
+                                           tree_class=cls) for removed in sums]
     return records
 
 

@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive and structurally different from
 the library: determinants over Fraction instead of fraction-free
-integer elimination, powerset scans instead of backtracking, component
+integer elimination, powerset scans instead of frontier search, component
 counting by breadth-first search instead of union-find. Slow is fine;
 independence is the point.
 """

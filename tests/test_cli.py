@@ -73,6 +73,35 @@ def test_graph_report_leaves_large_certificates_unchecked():
     assert cm.detail == {"reason": "facet count over the certificate check limit"}
 
 
+def test_one_determinant_per_request(run_cli, triangle_file):
+    # the tree-count guard's determinant serves the whole request: the
+    # reports and the cm verdict take its count instead of their own
+    from jahangir_ssc import graphs
+
+    determinant = graphs.matrix_tree_count.__code__
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is determinant:
+            calls += 1
+
+    for argv in (("jahangir", "--m", "3", "verify"),
+                 ("jahangir", "--m", "3", "cm"),
+                 ("jahangir", "--m", "3", "cm", "--ordering", "search"),
+                 ("jahangir", "--m", "3", "facets"),
+                 ("graph", "--input", triangle_file, "verify"),
+                 ("graph", "--input", triangle_file, "cm")):
+        calls = 0
+        sys.setprofile(count)
+        try:
+            res = run_cli(*argv)
+        finally:
+            sys.setprofile(None)
+        assert res.code in (0, 3), argv
+        assert calls == 1, argv
+
+
 # ---------------------------------------------------------------------------
 # happy paths
 

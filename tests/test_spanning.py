@@ -22,6 +22,7 @@ from oracles import (
     as_set,
     brute_spanning_trees,
     is_spanning_tree,
+    laplacian_tree_count,
     random_connected_graph,
 )
 
@@ -50,11 +51,14 @@ def test_generic_path_and_singleton():
     path = Graph(3, ((0, 1), (1, 2)))
     assert enumerate_spanning_trees_generic(path) == [as_mask({0, 1})]
     assert enumerate_spanning_trees_generic(Graph(1, ())) == [0]
+    # far deeper than the interpreter's recursion limit
+    long = Graph(3000, tuple((i, i + 1) for i in range(2999)))
+    assert enumerate_spanning_trees_generic(long) == [(1 << 2999) - 1]
 
 
 def test_generic_disconnected_is_empty():
     assert enumerate_spanning_trees_generic(Graph(4, ((0, 1), (2, 3)))) == []
-    # two 20-vertex wheels: refused before any backtracking, which would
+    # two 20-vertex wheels: refused before any search, which would
     # otherwise walk the product of both components' tree sets
     edges = []
     for base in (0, 20):
@@ -78,7 +82,7 @@ def test_generic_count_matches_determinant(m):
 
 def test_generic_random_graphs():
     # shuffled edge lists, so that bridges and cycle-closing edges turn
-    # up at every position of the backtracking
+    # up at every position of the search
     rng = random.Random(11)
     for _ in range(120):
         n, edges = random_connected_graph(rng)
@@ -103,6 +107,45 @@ def test_generic_canonical_order(j3, j4):
         assert len(trees) == matrix_tree_count(g)
 
 
+def _adversarial_orders() -> list:
+    """Edge orders that stress the frontier: long frontiers, edges that
+    close cycles only at the end, bridges everywhere."""
+    rng = random.Random(17)
+    # the golden 150-vertex document scaled down: every chord end waits
+    # in the frontier until the chords, listed last, close their cycles
+    shapes = [("path, chords last", 24,
+               [(i, i + 1) for i in range(23)] + [(a, a + 3) for a in (2, 8, 14, 20)])]
+    cycle = [(i, (i + 1) % 13) for i in range(13)]
+    rng.shuffle(cycle)
+    shapes.append(("scrambled cycle", 13, cycle))
+    tree = [(rng.randrange(v), v) for v in range(1, 12)]
+    rng.shuffle(tree)
+    shapes.append(("tree", 12, tree))
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    leaves = [(i, 5 + i) for i in range(5)]
+    shapes.append(("K5, pendant leaves first", 10, leaves + k5))
+    shapes.append(("K5, pendant leaves last", 10, k5 + leaves))
+    for k in range(12):
+        n, edges = random_connected_graph(rng, max_vertices=12, max_extra=5, max_edges=16)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        rng.shuffle(edges)
+        shapes.append((f"sparse random {k}", n, edges))
+    return [pytest.param(n, edges, id=name) for name, n, edges in shapes]
+
+
+def _assert_canonical(trees: list[int]) -> None:
+    tuples = [sorted(as_set(t)) for t in trees]
+    assert all(a < b for a, b in zip(tuples, tuples[1:]))
+
+
+@pytest.mark.parametrize("n, edges", _adversarial_orders())
+def test_generic_adversarial_orders(n, edges):
+    trees = enumerate_spanning_trees_generic(Graph(n, tuple(edges)))
+    assert set(map(as_set, trees)) == brute_spanning_trees(n, edges)
+    assert len(trees) == laplacian_tree_count(n, edges)
+    _assert_canonical(trees)
+
+
 # ---------------------------------------------------------------------------
 # structured enumeration
 
@@ -117,7 +160,7 @@ def test_structured_class_counts(m):
     assert len(records) == matrix_tree_count(build_jahangir(m))
 
 
-@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("m", range(3, 10))
 def test_structured_equals_generic_as_sets(m):
     g = build_jahangir(m)
     structured = {rec.kept for rec in enumerate_spanning_trees_jahangir(m)}
