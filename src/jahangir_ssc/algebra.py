@@ -30,14 +30,14 @@ Provan-Billera, 1980). The verdict still runs both checks on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .complexes import SimplicialComplex, spanning_complex
 from .errors import InvalidParameterError, PurityError
 from .graphs import (
     EdgeSet,
     Graph,
+    _Checked,
     _normalize,
     build_jahangir,
     jahangir_order,
@@ -55,16 +55,19 @@ from .spanning import enumerate_spanning_trees_jahangir
 CERTIFICATE_CHECK_LIMIT = 2000
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class _MonomialIdealFields(NamedTuple):
+    generators: tuple[EdgeSet, ...]
+
+
+class MonomialIdeal(_Checked, _MonomialIdealFields):
     """Squarefree monomial ideal given by ordered generators of one
     degree, each carried as the edge-set mask of its support. Distinct
     generators of one degree never divide each other, so the generating
     system is minimal."""
 
-    generators: tuple[EdgeSet, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(set(self.generators)) != len(self.generators):
             raise InvalidParameterError("generating system is not minimal: duplicate")
         if len({g.bit_count() for g in self.generators}) > 1:
@@ -192,8 +195,7 @@ def is_shelling(facets: Sequence[EdgeSet]) -> bool:
 # Verdict
 
 
-@dataclass(frozen=True)
-class CMVerdict:
+class CMVerdict(NamedTuple):
     """Cohen-Macaulay verdict for a spanning complex. The certificate is
     the block ordering of J(2,m) or, with ordering_source "search", the
     canonical facet order. cohen_macaulay is None when the canonical

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from collections.abc import Iterator
@@ -187,7 +186,7 @@ def _cm_payload(g: Graph, ordering: str, trees: int, meta: dict) -> dict:
 
 def _report_payload(report: RunReport, meta: dict) -> dict:
     return {**meta, "parameters": report.parameters,
-            "claims": [dataclasses.asdict(c) for c in report.claims],
+            "claims": [c._asdict() for c in report.claims],
             "mismatches": report.mismatch_count, "timings": report.timings}
 
 

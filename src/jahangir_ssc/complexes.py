@@ -15,10 +15,10 @@ small pathwidth such as J(2,m), and is capped by the work it does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityError, InvalidParameterError
-from .graphs import EdgeSet, Graph, edge_indices, is_connected
+from .graphs import EdgeSet, Graph, _Checked, edge_indices, is_connected
 from .spanning import (
     _entered,
     _frontier_steps,
@@ -42,8 +42,12 @@ FVector = tuple
 F_VECTOR_STEP_LIMIT = 1_200_000
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class _SimplicialComplexFields(NamedTuple):
+    ground_size: int
+    facets: tuple[EdgeSet, ...]
+
+
+class SimplicialComplex(_Checked, _SimplicialComplexFields):
     """A complex given by its facets, edge sets over a ground set
     0..ground_size-1.
 
@@ -51,10 +55,9 @@ class SimplicialComplex:
     downward closure and are never stored.
     """
 
-    ground_size: int
-    facets: tuple[EdgeSet, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.ground_size < 0:
             raise InvalidParameterError("ground set size must be nonnegative")
         for f in self.facets:

@@ -18,8 +18,8 @@ intersection and collects disagreements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import InvalidParameterError
 from .graphs import (
@@ -36,8 +36,7 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class CycleCatalogEntry:
+class CycleCatalogEntry(NamedTuple):
     """One catalog cycle: its word (None for cycles with no word), its
     edge set, its recorded order beta = |edges|, and whether the edge
     set really is a simple cycle."""
@@ -48,11 +47,12 @@ class CycleCatalogEntry:
     is_simple_cycle: bool
 
 
-@dataclass(frozen=True)
-class CycleCatalog:
+class CycleCatalog(NamedTuple):
     m: int | None
     entries: tuple[CycleCatalogEntry, ...]
 
+    # The entry count, not the field count: len(catalog) is how callers
+    # size a catalog. Iterating still yields the two fields.
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -253,8 +253,7 @@ def direct_intersection(a: EdgeSet, b: EdgeSet) -> int:
     return (a & b).bit_count()
 
 
-@dataclass(frozen=True)
-class IntersectionMismatch:
+class IntersectionMismatch(NamedTuple):
     word_a: tuple[int, ...]
     word_b: tuple[int, ...]
     relation: str
@@ -262,8 +261,7 @@ class IntersectionMismatch:
     actual: int
 
 
-@dataclass(frozen=True)
-class IntersectionSurvey:
+class IntersectionSurvey(NamedTuple):
     m: int
     pairs_checked: int
     mismatches: tuple[IntersectionMismatch, ...]

@@ -22,22 +22,26 @@ Two inclusion-exclusion engines live here, deliberately kept apart:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .cycles import direct_intersection, word_cycle_catalog
 from .errors import CapacityError, InvalidParameterError
-from .graphs import Graph, enumerate_simple_cycles, is_connected
+from .graphs import Graph, _Checked, enumerate_simple_cycles, is_connected
 
 FORMULA_M_RANGE = (3, 5)
 # Work bound of exact inclusion-exclusion, in steps: one per candidate
-# cycle tried, pruned or not, plus one per binomial term added. Sized to
-# keep the engine near 0.5 s: on one core of a shared 2-core AMD EPYC
-# machine (least of 5 runs), J(2,9) and J(2,10) are refused after
-# 0.47 s, while J(2,8) (57 cycles) answers in 0.27 s and K7 (1172
-# cycles) in 0.54 s. K7 with 15 pendant leaves, whose steps are mostly
-# binomial terms, is refused after 0.8 s. The simple-cycle enumeration
-# that precedes it is not counted here.
+# cycle tried, pruned or not; one per 64-bit machine word of the sum each
+# binomial term leaves, the first row C(E, j) included, so a term of a
+# small graph costs 1; and the square of the words of each first-row
+# entry, the cost of writing the answer in decimal. On one core of a
+# shared 2-core AMD EPYC machine (least of 3 runs, in-process), J(2,8)
+# (57 cycles) answers in 0.76 s and K7 (1172 cycles) in 0.57 s, while
+# J(2,9) is refused after 1.09 s and K7 with 15 pendant leaves, whose
+# steps are mostly short rows, after 3.1 s. A path with two chords
+# answers at 2,000 vertices in 0.013 s and is refused at 4,000 in
+# 0.019 s and at 20,000 in 0.16 s, before its first row is complete.
+# The simple-cycle enumeration that precedes it is not counted here.
 EXACT_IE_STEP_LIMIT = 3_000_000
 
 
@@ -49,8 +53,7 @@ def binomial(a: int, b: int) -> int:
     return comb(a, b)
 
 
-@dataclass(frozen=True)
-class FormulaTerm:
+class FormulaTerm(NamedTuple):
     """One correction term of the closed form: the catalog words it
     involves, its sign, and its union estimate U. It contributes
     sign * C(3m - U, i+1 - U) to f_i."""
@@ -60,8 +63,7 @@ class FormulaTerm:
     union_estimate: int
 
 
-@dataclass(frozen=True)
-class FormulaFVector:
+class FormulaFVector(NamedTuple):
     m: int
     values: tuple[int, ...]
     terms: tuple[FormulaTerm, ...]
@@ -131,8 +133,35 @@ def f_vector_exact_ie(g: Graph) -> tuple[int, ...]:
     masks = enumerate_simple_cycles(g)
     edge_count = g.edge_count
     fmax = g.vertex_count - 1  # largest forest of a connected graph
-    values = [binomial(edge_count, i + 1) for i in range(fmax)]
+    refusal = (f"inclusion-exclusion over {len(masks)} simple cycles "
+               f"exceeds the step bound {EXACT_IE_STEP_LIMIT}")
+    counts = [0] * (fmax + 1)  # counts[j]: j-edge subsets, signed over T
     steps = 0
+
+    def add_row(size: int, sign: int) -> None:
+        """Add sign * C(edge_count - size, j - size) to counts[j] for
+        j = size..fmax, each binomial by the multiplicative recurrence
+        from the one before. A term costs one step per machine word of
+        the sum it leaves, since its add, multiply and divide are linear
+        in the words."""
+        nonlocal steps
+        top = edge_count - size
+        c = sign
+        for k, j in enumerate(range(size, fmax + 1)):
+            total = counts[j] + c
+            counts[j] = total
+            steps += total.bit_length() // 64 + 1
+            if steps > EXACT_IE_STEP_LIMIT:
+                raise CapacityError(refusal)
+            c = c * (top - k) // (k + 1)
+
+    add_row(0, 1)  # the empty T: every edge subset
+    # Each entry of the answer is at most this row's, and writing an entry
+    # of W machine words in decimal takes time quadratic in W: on a large
+    # sparse document that, not the sum, dominates the request.
+    steps += sum((x.bit_length() // 64 + 1) ** 2 for x in counts)
+    if steps > EXACT_IE_STEP_LIMIT:
+        raise CapacityError(refusal)
     # Depth-first over subsets with an explicit stack, so the depth (up to
     # the cycle count) is bounded by the step cap, not by the interpreter's
     # recursion limit. A frame is (remaining candidates, union, sign).
@@ -143,20 +172,17 @@ def f_vector_exact_ie(g: Graph) -> tuple[int, ...]:
         for t in candidates:
             merged = union_mask | masks[t]
             size = merged.bit_count()
-            steps += 1 + max(fmax - size + 1, 0)
+            steps += 1
             if steps > EXACT_IE_STEP_LIMIT:
-                raise CapacityError(
-                    f"inclusion-exclusion over {len(masks)} simple cycles "
-                    f"exceeds the step bound {EXACT_IE_STEP_LIMIT}")
+                raise CapacityError(refusal)
             if size > fmax:
                 continue
-            child_sign = -sign
-            for i in range(size - 1, fmax):
-                values[i] += child_sign * binomial(edge_count - size, i + 1 - size)
-            stack.append((iter(range(t + 1, n)), merged, child_sign))
+            add_row(size, -sign)
+            stack.append((iter(range(t + 1, n)), merged, -sign))
             break
         else:
             stack.pop()
+    values = counts[1:]
     while values and values[-1] == 0:
         values.pop()
     return tuple(values)
@@ -166,15 +192,18 @@ def f_vector_exact_ie(g: Graph) -> tuple[int, ...]:
 # Hilbert series of the face ring
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
-    """Exact rational function: integer numerator coefficients in
-    ascending powers of t over (1 - t)**denominator_power."""
-
+class _HilbertSeriesFields(NamedTuple):
     numerator: tuple[int, ...]
     denominator_power: int
 
-    def __post_init__(self) -> None:
+
+class HilbertSeries(_Checked, _HilbertSeriesFields):
+    """Exact rational function: integer numerator coefficients in
+    ascending powers of t over (1 - t)**denominator_power."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.numerator:
             raise InvalidParameterError("numerator must be nonempty")
         if self.numerator[0] != 1:

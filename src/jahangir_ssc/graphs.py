@@ -14,7 +14,7 @@ depend on this order staying put.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityError, GraphParseError, InvalidParameterError
 
@@ -39,15 +39,36 @@ MAX_INDEPENDENT_CYCLES = 17
 MAX_CYCLE_SCAN_VERTICES = 250_000
 
 
-@dataclass(frozen=True)
-class EdgeLabel:
-    """Label e{j}{i}: j is the cycle index, i the position within the
-    cycle (1 = spoke shared with the hub, 2 and 3 = rim edges)."""
+class _Checked:
+    """Base of the records that check their fields. typing.NamedTuple
+    forbids __new__ in its own class body, so such a record is a
+    subclass of this and of a NamedTuple holding its fields; building it
+    by position, by keyword, by _make or by _replace runs its _check."""
 
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _EdgeLabelFields(NamedTuple):
     j: int
     i: int
 
-    def __post_init__(self) -> None:
+
+class EdgeLabel(_Checked, _EdgeLabelFields):
+    """Label e{j}{i}: j is the cycle index, i the position within the
+    cycle (1 = spoke shared with the hub, 2 and 3 = rim edges)."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.j < 1:
             raise InvalidParameterError(f"cycle index must be >= 1, got {self.j}")
         if not 1 <= self.i <= 3:
@@ -77,8 +98,13 @@ def _normalize(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
-class Graph:
+class _GraphFields(NamedTuple):
+    vertex_count: int
+    edges: tuple[tuple[int, int], ...]
+    labels: tuple[EdgeLabel, ...] | None = None
+
+
+class Graph(_Checked, _GraphFields):
     """Simple undirected graph with an ordered edge list.
 
     Immutable after construction; all operations in this package are
@@ -86,11 +112,9 @@ class Graph:
     list one to one.
     """
 
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-    labels: tuple[EdgeLabel, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.vertex_count < 0:
             raise InvalidParameterError("vertex count must be nonnegative")
         seen: set[tuple[int, int]] = set()

@@ -9,7 +9,7 @@ as mismatches with both values side by side, never patched over.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import CERTIFICATE_CHECK_LIMIT, cohen_macaulay_verdict
 from .complexes import (
@@ -46,8 +46,7 @@ from .spanning import enumerate_spanning_trees_jahangir, verify_partition
 VERIFY_EXACT_IE_EDGE_LIMIT = 18
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     name: str
     claimed: object
     claimed_source: str
@@ -57,8 +56,7 @@ class ClaimResult:
     detail: object = None
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     command: str
     parameters: dict
     claims: tuple[ClaimResult, ...]

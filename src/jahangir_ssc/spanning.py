@@ -22,8 +22,8 @@ and jointly exhaust the generic enumeration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .cycles import cyclic_runs
 from .errors import ClassificationError, InvalidParameterError
@@ -51,8 +51,7 @@ class TreeClass(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
-class SpanningTreeRecord:
+class SpanningTreeRecord(NamedTuple):
     """A spanning tree of J(2,m) as the pair (kept, removed) plus its
     class. kept is the facet; removed is its m-edge complement."""
 
@@ -277,8 +276,8 @@ def enumerate_spanning_trees_jahangir(m: int) -> list[SpanningTreeRecord]:
             sums = [sum(1 << spoke_index(j, m) for j in deleted)]
             for pool in _rim_pools(deleted, m):
                 sums = [s + p for s in sums for p in pool]
-            records += [SpanningTreeRecord(kept=every_edge ^ removed, removed=removed,
-                                           tree_class=cls) for removed in sums]
+            records += [SpanningTreeRecord(every_edge ^ removed, removed, cls)
+                        for removed in sums]
     return records
 
 
@@ -304,8 +303,7 @@ def classify_tree(removed: EdgeSet, m: int) -> TreeClass:
     return _classify_spoke_set(deleted_spokes, m)
 
 
-@dataclass(frozen=True)
-class PartitionReport:
+class PartitionReport(NamedTuple):
     m: int
     class_counts: tuple[tuple[str, int], ...]
     total: int

@@ -418,6 +418,24 @@ def test_capacity_errors_exit_2(tmp_path, run_cli):
     assert res.stderr.startswith("capacity error:") and "cycle space rank" in res.stderr
 
 
+def test_exact_ie_refuses_large_sparse_documents_within_budget(tmp_path, run_cli):
+    # two 4-cycles on a long path: three subsets of cycles, but every
+    # binomial is thousands of bits wide and the answer grows as V^2 bits,
+    # so the step bound must charge the words, not count the terms
+    from jahangir_ssc import Graph, emit_graph
+
+    for n in (4000, 20000):
+        edges = tuple((i, i + 1) for i in range(n - 1)) + ((0, 3), (n // 2, n // 2 + 3))
+        path = tmp_path / f"path{n}.json"
+        path.write_text(emit_graph(Graph(n, edges)))
+        start = time.perf_counter()
+        res = run_cli("graph", "--input", str(path), "f-vector", "--mode", "exact-ie")
+        assert time.perf_counter() - start < 2.0
+        assert res.code == 2
+        assert res.stderr == ("capacity error: inclusion-exclusion over 2 simple cycles "
+                              "exceeds the step bound 3000000\n")
+
+
 # Run in a child capped at 1 GB of address space, so that a regression
 # fails here instead of exhausting the machine: each request must be
 # refused before anything of size m^2 is built.
@@ -454,6 +472,28 @@ def test_large_m_is_refused_within_a_memory_cap():
     assert proc.stderr.splitlines() == [
         f"capacity error: m = {m} exceeds 207, the largest m any engine answers"
         for m in (1000, 1000000, 1000000, 208)]
+
+
+# The tracer of perfbench indexes the eight layer modules right after
+# `import jahangir_ssc.cli`, and a request must not pay for dataclasses
+# and the inspect, ast and dis modules it pulls in. A child, because the
+# test session has imported them already.
+STARTUP_CHILD = """
+import sys
+import jahangir_ssc.cli
+print(*sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
+print(*sorted(m for m in sys.modules if m.startswith("jahangir_ssc.")))
+"""
+
+
+def test_startup_imports_every_layer_and_no_dataclass_machinery():
+    proc = _run_child(STARTUP_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    unwanted, modules = proc.stdout.split("\n")[:2]
+    assert unwanted == ""
+    layers = ("graphs", "cycles", "spanning", "complexes", "formulas", "algebra",
+              "reports", "cli")
+    assert {f"jahangir_ssc.{layer}" for layer in layers} <= set(modules.split())
 
 
 # A path of 200,000 vertices is a forest as deep as it is long: a mask

@@ -131,6 +131,19 @@ def test_exact_ie_capacity():
             f_vector_exact_ie(g)
 
 
+def test_exact_ie_wide_binomials():
+    # a 600-vertex path with two disjoint 4-cycles: its rows of binomials
+    # are hundreds of bits wide, and inclusion-exclusion over the cycles
+    # {A}, {B}, {A, B} is checked against math.comb, term by term
+    n = 600
+    g = Graph(n, tuple((i, i + 1) for i in range(n - 1)) + ((0, 3), (300, 303)))
+    e = g.edge_count
+    expected = tuple(binomial(e, j) - 2 * binomial(e - 4, j - 4) + binomial(e - 8, j - 8)
+                     for j in range(1, n))
+    assert max(expected).bit_length() > 500
+    assert f_vector_exact_ie(g) == expected
+
+
 def test_exact_ie_rejects_disconnected():
     with pytest.raises(InvalidParameterError):
         f_vector_exact_ie(Graph(4, ((0, 1), (2, 3))))
