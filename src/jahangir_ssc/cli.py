@@ -46,19 +46,23 @@ TREE_ENUMERATION_LIMIT = 500_000
 # furthest, refuses J(2,208). Past it only the word catalog would go on,
 # with m*m entries and about m^3 output lines, so a larger m is refused
 # before J(2,m) is built. At m = 207 on one core of a shared 2-core AMD
-# EPYC machine (wall time, peak RSS, least of 3): f-vector 0.08 s,
-# 17 MB; hilbert 0.20 s, 17 MB; the oracle catalog, exact-ie and formula
-# modes refused in 0.06 s, 17 MB; facets, classes, cm and verify refused
-# by the tree-count guard in 1.5-1.6 s, 19 MB; the word catalog 9.4 s
-# as JSON, 5.5 s as CSV and 4.9 s as text, 185 MB in each format.
+# EPYC machine (wall time, peak RSS, least of 3): f-vector 0.15 s,
+# 16 MB; hilbert 0.55 s, 16 MB; the oracle catalog, exact-ie and formula
+# modes refused in 0.10-0.12 s, 16 MB; facets, classes, cm and verify
+# refused by the tree-count guard in 0.12-0.13 s, 16 MB; the word
+# catalog 26 s as JSON, 15 s as CSV and 12 s as text, 182 MB in each
+# format.
 JAHANGIR_M_LIMIT = 207
 
-# The determinant behind the tree-count guard takes O(V^3) pure-Python
-# steps, so a graph with more vertices than J(2,207)'s 415 is refused
-# before it runs. On the machine above, J(2,207) and a 415-vertex cycle
-# take 1.3 s each (least of 3); single runs took 9.5 s on an 800-vertex
-# cycle, and 22 s and 58 s on random 415-vertex graphs with 4,296 and
-# 42,932 edges, whose entries grow to thousands of bits.
+# The tree-count guard refuses a graph with more vertices than
+# J(2,207)'s 415 before it counts. The count is a sparse elimination
+# that is fast on sparse graphs: in-process on the machine above (least
+# of 3), J(2,207) takes 3-6 ms, and 415- and 800-vertex cycles 1-2 ms.
+# Dense graphs still cost O(V^3) steps on entries thousands of bits
+# wide: single runs took 29 s and 99 s on random 415-vertex graphs with
+# 4,296 and 42,932 edges. The cap bounds those, and an answer's output:
+# up to 500,000 trees of at most 414 edges. Lifting it needs a budget
+# on the output.
 TREE_GUARD_VERTEX_LIMIT = 2 * JAHANGIR_M_LIMIT + 1
 
 _MODE_ALIASES = {"paper": "formula"}

@@ -294,42 +294,63 @@ def is_connected(g: Graph) -> bool:
 
 
 def matrix_tree_count(g: Graph) -> int:
-    """Number of spanning trees, as the determinant of a reduced
-    Laplacian computed by fraction-free integer elimination.
+    """Number of spanning trees, as a cofactor of the Laplacian computed
+    by sparse fraction-free (Bareiss) elimination.
+
+    The Laplacian keeps one dict of nonzero entries per vertex. Pivots
+    are taken in minimum-degree order on the fill graph, which keeps the
+    fill of a sparse graph small whatever its labels, and the vertex
+    left last is the one deleted: the leading minor of order V - 1 is
+    the count. A step rewrites only the entries between two neighbours
+    of its pivot. Any other entry is scaled by D[k] / D[k-1] at step k,
+    D[k] being the k-th leading minor, so one written at step s reads
+    value * D[k] // D[s] at step k, exactly, as Bareiss entries are
+    minors. The matrix is positive semidefinite, so a zero pivot means a
+    zero count.
 
     Exact for any size; disconnected graphs give 0.
     """
     n = g.vertex_count
     if n == 0:
         raise InvalidParameterError("graph must have at least one vertex")
-    if n == 1:
-        return 1
-    lap = [[0] * n for _ in range(n)]
+    # row u maps each column v to (value, step the value was written at)
+    rows: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
     for u, v in g.edges:
-        lap[u][u] += 1
-        lap[v][v] += 1
-        lap[u][v] -= 1
-        lap[v][u] -= 1
-    mat = [row[1:] for row in lap[1:]]
-    size = n - 1
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if mat[k][k] == 0:
-            for r in range(k + 1, size):
-                if mat[r][k] != 0:
-                    mat[k], mat[r] = mat[r], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return 0  # singular: no spanning tree
-        for r in range(k + 1, size):
-            for c in range(k + 1, size):
-                # Bareiss step: division is exact by construction
-                mat[r][c] = (mat[r][c] * mat[k][k] - mat[r][k] * mat[k][c]) // prev
-            mat[r][k] = 0
-        prev = mat[k][k]
-    return sign * mat[size - 1][size - 1]
+        rows[u][v] = rows[v][u] = (-1, 0)
+    # vertices by row length, a stale entry skipped when popped: a sparse
+    # fill graph has few distinct lengths, and no request imports heapq
+    by_size: dict[int, set[int]] = {}
+    for v, row in enumerate(rows):
+        row[v] = (len(row), 0)
+        by_size.setdefault(len(row), set()).add(v)
+    minors = [1]
+    while len(minors) < n:
+        size = min(by_size)
+        p = by_size[size].pop()
+        if not by_size[size]:
+            del by_size[size]
+        if len(rows[p]) != size:
+            continue
+        prev, last = len(minors) - 1, minors[-1]
+        value, s = rows[p].pop(p)
+        pivot = value * last // minors[s]
+        if pivot == 0:
+            return 0
+        pivot_row = [(c, v if s == prev else v * last // minors[s])
+                     for c, (v, s) in rows[p].items()]
+        rows[p] = {}  # a stale entry of p never matches length 0
+        for i, (r, a_rp) in enumerate(pivot_row):
+            row = rows[r]
+            del row[p]
+            for c, a_pc in pivot_row[i:]:
+                v, s = row.get(c, (0, prev))
+                if s != prev:
+                    v = v * last // minors[s]
+                row[c] = rows[c][r] = ((pivot * v - a_rp * a_pc) // last, prev + 1)
+        for r, _ in pivot_row:
+            by_size.setdefault(len(rows[r]), set()).add(r)
+        minors.append(pivot)
+    return minors[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -560,8 +560,7 @@ def test_a_huge_empty_document_is_refused_within_a_memory_cap(tmp_path):
 
 
 def test_tree_count_guard_refuses_before_the_determinant(run_cli, tmp_path):
-    # the determinant of an 800-cycle takes about 9 s; the vertex bound
-    # refuses it at once
+    # the vertex bound refuses an 800-cycle before its tree count runs
     from jahangir_ssc import Graph, emit_graph
 
     n = 800
@@ -574,6 +573,31 @@ def test_tree_count_guard_refuses_before_the_determinant(run_cli, tmp_path):
     assert res.stderr == (f"capacity error: {n} vertices exceed {TREE_GUARD_VERTEX_LIMIT}, "
                           "the largest graph whose spanning trees are counted\n")
     assert TREE_GUARD_VERTEX_LIMIT >= build_jahangir(207).vertex_count
+
+
+def test_tree_counts_at_the_guard_cap_answer_within_budget(run_cli, tmp_path):
+    # the guard counts the trees of its largest graphs in milliseconds,
+    # so J(2,207)'s refusal and a 415-cycle's answer come quickly
+    trees = ("24725343818967091450444086481126047509107706246989474567211283"
+             "198039568775920544226439307706965763312507243644734938050")
+    start = time.perf_counter()
+    res = run_cli("jahangir", "--m", "207", "verify")
+    assert time.perf_counter() - start < 1.0
+    assert res.code == 2 and res.stdout == ""
+    assert res.stderr == (f"capacity error: {trees} spanning trees exceed the "
+                          "enumeration limit 500000\n")
+
+    from jahangir_ssc import Graph, emit_graph
+
+    n = TREE_GUARD_VERTEX_LIMIT
+    path = tmp_path / "cycle.json"
+    path.write_text(emit_graph(Graph(n, tuple((i, (i + 1) % n) for i in range(n)))))
+    start = time.perf_counter()
+    res = run_cli("graph", "--input", str(path), "cm")
+    assert time.perf_counter() - start < 2.0
+    assert res.code == 0 and res.stderr == ""
+    doc = res.json()
+    assert doc["cohen_macaulay"] is True and len(doc["certificate"]) == n
 
 
 def test_jahangir_207_is_answered(run_cli):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -185,6 +186,17 @@ def test_parse_errors_name_the_entry(text, needle):
 # spanning-tree count
 
 
+def relabelled(n, edges, rng):
+    """The graph with its vertices permuted, its edges shuffled and each
+    edge's ends swapped at random: the pivot order must not care."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    out = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
+           for u, v in edges]
+    rng.shuffle(out)
+    return Graph(n, tuple(out))
+
+
 def test_matrix_tree_small():
     assert matrix_tree_count(TRIANGLE) == 3
     path = Graph(4, ((0, 1), (1, 2), (2, 3)))
@@ -198,9 +210,13 @@ def test_matrix_tree_small():
 
 def test_matrix_tree_complete_graphs():
     # Cayley: n^(n-2)
-    for n in (4, 5, 6):
+    rng = random.Random(15)
+    for n in range(2, 11):
         edges = tuple((u, v) for u in range(n) for v in range(u + 1, n))
         assert matrix_tree_count(Graph(n, edges)) == n ** (n - 2)
+        complete = relabelled(n, edges, rng)
+        assert matrix_tree_count(complete) == n ** (n - 2) == \
+            laplacian_tree_count(n, list(complete.edges))
 
 
 def test_matrix_tree_family():
@@ -216,6 +232,69 @@ def test_matrix_tree_random_agrees_with_fraction_oracle():
         n, edges = random_connected_graph(rng)
         g = Graph(n, tuple(edges))
         assert matrix_tree_count(g) == laplacian_tree_count(n, edges)
+
+
+def test_matrix_tree_relabelled_random_graphs_agree_with_fraction_oracle():
+    rng = random.Random(11)
+    for _ in range(80):
+        n, edges = random_connected_graph(rng, max_vertices=16, max_extra=30, max_edges=45)
+        g = relabelled(n, edges, rng)
+        assert matrix_tree_count(g) == laplacian_tree_count(n, list(g.edges))
+
+
+def test_matrix_tree_trees_and_cycles():
+    rng = random.Random(12)
+    for n in range(1, 40):
+        tree = relabelled(n, [(rng.randrange(v), v) for v in range(1, n)], rng)
+        assert matrix_tree_count(tree) == 1
+    for n in range(3, 40):
+        cycle = relabelled(n, [(i, (i + 1) % n) for i in range(n)], rng)
+        assert matrix_tree_count(cycle) == n
+
+
+def test_matrix_tree_jahangir_agrees_with_fraction_oracle():
+    for m in range(3, 31):
+        g = build_jahangir(m)
+        assert matrix_tree_count(g) == laplacian_tree_count(g.vertex_count, list(g.edges))
+
+
+def test_matrix_tree_long_sparse_path_under_relabelling():
+    # a 150-vertex path with chords (a, a+3), the benchmark's long shape:
+    # the oracle judges it once, each relabelling must agree
+    n = 150
+    edges = [(i, i + 1) for i in range(n - 1)] + [(a, a + 3) for a in range(0, n - 3, 9)]
+    want = laplacian_tree_count(n, edges)
+    assert want == 4 ** 17
+    rng = random.Random(13)
+    for _ in range(5):
+        assert matrix_tree_count(relabelled(n, edges, rng)) == want
+
+
+def test_matrix_tree_disconnected_documents_count_zero():
+    n = 12
+    cycle = [(i, (i + 1) % 7) for i in range(7)]
+    two_components = cycle + [(i, i + 1) for i in range(7, n - 1)]
+    isolated_first = [(u + 1, v + 1) for u, v in cycle] + [(7, 8), (8, 9), (9, 10), (10, 11)]
+    isolated_last = cycle + [(6, 7), (7, 8), (8, 9), (9, 10)]
+    rng = random.Random(14)
+    for edges in (two_components, isolated_first, isolated_last):
+        assert laplacian_tree_count(n, edges) == 0
+        assert matrix_tree_count(Graph(n, tuple(edges))) == 0
+        assert matrix_tree_count(relabelled(n, edges, rng)) == 0
+    assert matrix_tree_count(Graph(3, ())) == 0
+
+
+@pytest.mark.parametrize("g", [
+    build_jahangir(207),
+    Graph(415, tuple((i, (i + 1) % 415) for i in range(415))),
+], ids=["J(2,207)", "cycle415"])
+def test_matrix_tree_count_at_the_guard_cap_within_budget(g):
+    # the largest graphs the CLI guard counts: they take milliseconds,
+    # and a dense O(V^3) elimination takes seconds
+    start = time.perf_counter()
+    count = matrix_tree_count(g)
+    assert time.perf_counter() - start < 0.25
+    assert count > 0
 
 
 # ---------------------------------------------------------------------------
