@@ -60,18 +60,22 @@ class SimplicialComplex(_Checked, _SimplicialComplexFields):
     def _check(self) -> None:
         if self.ground_size < 0:
             raise InvalidParameterError("ground set size must be nonnegative")
-        for f in self.facets:
-            if f < 0 or f >> self.ground_size:  # a negative mask has no index list
-                shown = list(edge_indices(f)) if f >= 0 else f
-                raise InvalidParameterError(f"facet {shown} leaves the ground set")
-        if len(set(self.facets)) != len(self.facets):
+        facets = self.facets
+        # the extremes decide the range test; the loop names the first
+        # facet outside it
+        if facets and (min(facets) < 0 or max(facets) >> self.ground_size):
+            for f in facets:
+                if f < 0 or f >> self.ground_size:  # a negative mask has no index list
+                    shown = list(edge_indices(f)) if f >= 0 else f
+                    raise InvalidParameterError(f"facet {shown} leaves the ground set")
+        if len(set(facets)) != len(facets):
             raise InvalidParameterError("duplicate facets")
         # equal-sized distinct facets are automatically incomparable;
         # only mixed sizes need the quadratic containment check
-        by_size: dict[int, list[EdgeSet]] = {}
-        for f in self.facets:
-            by_size.setdefault(f.bit_count(), []).append(f)
-        if len(by_size) > 1:
+        if len(set(map(int.bit_count, facets))) > 1:
+            by_size: dict[int, list[EdgeSet]] = {}
+            for f in facets:
+                by_size.setdefault(f.bit_count(), []).append(f)
             sizes = sorted(by_size)
             for i, small in enumerate(sizes):
                 for big in sizes[i + 1:]:
@@ -94,13 +98,13 @@ def spanning_complex(g: Graph) -> SimplicialComplex:
 def dimension(c: SimplicialComplex) -> int:
     if not c.facets:
         raise InvalidParameterError("empty complex has no dimension")
-    return max(f.bit_count() for f in c.facets) - 1
+    return max(map(int.bit_count, c.facets)) - 1
 
 
 def is_pure(c: SimplicialComplex) -> bool:
     if not c.facets:
         raise InvalidParameterError("empty complex has no purity")
-    return len({f.bit_count() for f in c.facets}) == 1
+    return len(set(map(int.bit_count, c.facets))) == 1
 
 
 def _plus(a: list[int], b: list[int]) -> list[int]:

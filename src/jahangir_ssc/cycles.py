@@ -173,6 +173,10 @@ def predict_intersection_nested(u: tuple[int, ...], v: tuple[int, ...], m: int) 
     validate_word(v, m)
     if not set(u) <= set(v):
         raise InvalidParameterError(f"{u!r} is not nested in {v!r}")
+    return _nested(u, v)
+
+
+def _nested(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     beta = claimed_order(len(u))
     u1, up = u[0], u[-1]
     v1, vq = v[0], v[-1]
@@ -191,21 +195,20 @@ def predict_intersection_disjoint(u: tuple[int, ...], v: tuple[int, ...], m: int
     validate_word(v, m)
     if set(u) & set(v):
         raise InvalidParameterError(f"{u!r} and {v!r} are not disjoint")
-    total = 0
-    if follows(u[-1], v[0], m):
-        total += 1
-    if follows(v[-1], u[0], m):
-        total += 1
-    return total
+    return _disjoint(u, v, m)
 
 
-def _partial_one_way(u: tuple[int, ...], v: tuple[int, ...], m: int) -> int | None:
+def _disjoint(u: tuple[int, ...], v: tuple[int, ...], m: int) -> int:
+    return follows(u[-1], v[0], m) + follows(v[-1], u[0], m)
+
+
+def _partial_one_way(u: tuple[int, ...], v: tuple[int, ...], common: set[int],
+                     m: int) -> int | None:
     # Sum the overlap rule over maximal runs of the shared indices.
     # Each run must sit at an end of v; a run at v's start earns a
     # bonus spoke when v wraps straight into u, a run at v's end when
     # u wraps straight into v. Returns None if a run is anchored at
     # neither end (the caller then retries with the roles swapped).
-    common = set(u) & set(v)
     total = 0
     for run in cyclic_runs(common, m):
         if run[0] == v[0]:
@@ -225,9 +228,13 @@ def predict_intersection_partial(u: tuple[int, ...], v: tuple[int, ...], m: int)
     su, sv = set(u), set(v)
     if not (su & sv) or su <= sv or sv <= su:
         raise InvalidParameterError(f"{u!r} and {v!r} do not partially overlap")
-    result = _partial_one_way(u, v, m)
+    return _partial(u, v, su & sv, m)
+
+
+def _partial(u: tuple[int, ...], v: tuple[int, ...], common: set[int], m: int) -> int:
+    result = _partial_one_way(u, v, common, m)
     if result is None:
-        result = _partial_one_way(v, u, m)
+        result = _partial_one_way(v, u, common, m)
     if result is None:
         raise InvalidParameterError(
             f"overlap of {u!r} and {v!r} is not anchored at a word boundary")
@@ -239,14 +246,20 @@ def predict_intersection(u: tuple[int, ...], v: tuple[int, ...], m: int) -> int:
     words: every pair is nested, disjoint, or partially overlapping."""
     validate_word(u, m)
     validate_word(v, m)
+    return _predict(u, v, m)
+
+
+def _predict(u: tuple[int, ...], v: tuple[int, ...], m: int) -> int:
+    """predict_intersection for words already validated."""
     su, sv = set(u), set(v)
     if su <= sv:
-        return predict_intersection_nested(u, v, m)
+        return _nested(u, v)
     if sv <= su:
-        return predict_intersection_nested(v, u, m)
-    if not (su & sv):
-        return predict_intersection_disjoint(u, v, m)
-    return predict_intersection_partial(u, v, m)
+        return _nested(v, u)
+    common = su & sv
+    if not common:
+        return _disjoint(u, v, m)
+    return _partial(u, v, common, m)
 
 
 def direct_intersection(a: EdgeSet, b: EdgeSet) -> int:
@@ -283,11 +296,13 @@ def intersection_survey(m: int) -> IntersectionSurvey:
     if m < 3:
         raise InvalidParameterError(f"m must be >= 3, got {m}")
     words = all_words(m)
+    for w in words:
+        validate_word(w, m)
     edge_sets = {w: word_edge_set(w, m) for w in words}
     checked = 0
     bad = []
     for u, v in combinations(words, 2):
-        predicted = predict_intersection(u, v, m)
+        predicted = _predict(u, v, m)
         actual = direct_intersection(edge_sets[u], edge_sets[v])
         checked += 1
         if predicted != actual:

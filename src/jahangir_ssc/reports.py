@@ -9,6 +9,8 @@ as mismatches with both values side by side, never patched over.
 from __future__ import annotations
 
 import time
+from itertools import accumulate
+from operator import mul
 from typing import NamedTuple
 
 from .algebra import CERTIFICATE_CHECK_LIMIT, cohen_macaulay_verdict
@@ -28,11 +30,9 @@ from .cycles import (
 from .errors import CapacityError
 from .formulas import (
     FORMULA_M_RANGE,
-    binomial,
     f_vector_divergence,
     f_vector_exact_ie,
     f_vector_formula,
-    hilbert_function,
     hilbert_series,
 )
 from .graphs import Graph, build_jahangir, matrix_tree_count
@@ -148,13 +148,23 @@ def _claim_hilbert(f_direct: tuple[int, ...] | None, sweep_refusal: str | None,
     series = hilbert_series(f_direct)
     top_ok = series.numerator_at(1) == facet_count
     d = len(f_direct) - 1
+    top = 2 * (d + 1)
+    # the power series up to t^top: 1/(1-t) sums prefixes, so the
+    # numerator's coefficients summed denominator_power times over
+    expansion = [*series.numerator, *[0] * (top + 1 - len(series.numerator))]
+    for _ in range(series.denominator_power):
+        expansion = list(accumulate(expansion))
+    # degree j counts the faces by sum_i f_i C(j-1, i): row holds
+    # C(j-1, i) for i = 0..d, one Pascal step per degree
+    row = [1] + [0] * d
     bad_degrees = []
-    for j in range(1, 2 * (d + 1) + 1):
-        expanded = hilbert_function(series, j)
-        combinatorial = sum(fi * binomial(j - 1, i) for i, fi in enumerate(f_direct))
+    for j in range(1, top + 1):
+        expanded = expansion[j]
+        combinatorial = sum(map(mul, f_direct, row))
         if expanded != combinatorial:
             bad_degrees.append({"degree": j, "expansion": str(expanded),
                                 "combinatorial": str(combinatorial)})
+        row = [1] + [a + b for a, b in zip(row[1:], row)]
     ok = top_ok and not bad_degrees
     return ClaimResult(
         name="hilbert_series",

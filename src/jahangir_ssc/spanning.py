@@ -22,7 +22,9 @@ and jointly exhaust the generic enumeration.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 from .cycles import cyclic_runs
@@ -146,8 +148,15 @@ def enumerate_spanning_trees_generic(g: Graph) -> list[EdgeSet]:
     include before exclude, so the trees come out lexicographic by
     sorted edge tuple. Disconnected input yields an empty list.
     """
+    return list(_generic_trees(g))
+
+
+# One slot per enumerator: a verify run asks for the same trees several
+# times, and each call copies the cached tuple into a fresh list.
+@lru_cache(maxsize=1, typed=True)
+def _generic_trees(g: Graph) -> tuple[EdgeSet, ...]:
     if not is_connected(g):
-        return []
+        return ()
     edges = g.edges
     steps = list(_frontier_steps(edges))
     # reach[i]: each frontier vertex's component among the edges after
@@ -221,7 +230,7 @@ def enumerate_spanning_trees_generic(g: Graph) -> list[EdgeSet]:
                 else:
                     out = src[:] if users[exc] else src
             done.append(out)
-    return done[0]
+    return tuple(done[0])
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +274,15 @@ def enumerate_spanning_trees_jahangir(m: int) -> list[SpanningTreeRecord]:
     deterministic order (deleted-spoke count, then lexicographic)."""
     if m < 3:
         raise InvalidParameterError(f"m must be >= 3, got {m}")
+    return list(_structured_trees(m))
+
+
+@lru_cache(maxsize=1, typed=True)
+def _structured_trees(m: int) -> tuple[SpanningTreeRecord, ...]:
     every_edge = (1 << 3 * m) - 1
+    # a record checks nothing, so it is built without the Python-level
+    # __new__ of its class
+    new = tuple.__new__
     records: list[SpanningTreeRecord] = []
     for rho in range(m):  # never all m spokes
         for spokes in itertools.combinations(range(1, m + 1), rho):
@@ -276,9 +293,9 @@ def enumerate_spanning_trees_jahangir(m: int) -> list[SpanningTreeRecord]:
             sums = [sum(1 << spoke_index(j, m) for j in deleted)]
             for pool in _rim_pools(deleted, m):
                 sums = [s + p for s in sums for p in pool]
-            records += [SpanningTreeRecord(every_edge ^ removed, removed, cls)
+            records += [new(SpanningTreeRecord, (every_edge ^ removed, removed, cls))
                         for removed in sums]
-    return records
+    return tuple(records)
 
 
 def classify_tree(removed: EdgeSet, m: int) -> TreeClass:
@@ -324,23 +341,17 @@ def verify_partition(m: int) -> PartitionReport:
     land in the report, not in an exception."""
     records = enumerate_spanning_trees_jahangir(m)
     generic = enumerate_spanning_trees_generic(build_jahangir(m))
-    counts = {cls: 0 for cls in TreeClass}
-    seen: dict[EdgeSet, TreeClass] = {}
-    disjoint = True
-    for rec in records:
-        counts[rec.tree_class] += 1
-        if rec.kept in seen:
-            disjoint = False
-        seen[rec.kept] = rec.tree_class
+    counts = Counter(rec.tree_class for rec in records)
+    kept = {rec.kept for rec in records}
     generic_set = set(generic)
-    missing = tuple(sorted(generic_set.difference(seen), key=edge_indices))
-    extra = tuple(sorted(seen.keys() - generic_set, key=edge_indices))
+    missing = tuple(sorted(generic_set - kept, key=edge_indices))
+    extra = tuple(sorted(kept - generic_set, key=edge_indices))
     return PartitionReport(
         m=m,
         class_counts=tuple((cls.value, counts[cls]) for cls in TreeClass),
         total=len(records),
         generic_total=len(generic),
-        disjoint=disjoint,
+        disjoint=len(kept) == len(records),
         union_matches=not missing and not extra and len(records) == len(generic),
         missing=missing,
         extra=extra)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from jahangir_ssc import build_jahangir, build_graph_report, build_jahangir_report
+from jahangir_ssc import (
+    Graph,
+    build_graph_report,
+    build_jahangir,
+    build_jahangir_report,
+    f_vector_direct,
+    hilbert_function,
+    hilbert_series,
+    reports,
+)
 from jahangir_ssc.cli import TREE_GUARD_VERTEX_LIMIT
 from jahangir_ssc.graphs import MAX_CYCLE_SCAN_VERTICES, MAX_INDEPENDENT_CYCLES
 
@@ -71,6 +81,41 @@ def test_graph_report_leaves_large_certificates_unchecked():
     assert cm.name == "cohen_macaulay_consistency" and cm.verdict == "unchecked"
     assert cm.claimed_source == "lexicographic facet order"
     assert cm.detail == {"reason": "facet count over the certificate check limit"}
+
+
+def _termwise_diverging_degrees(series, f):
+    """The Hilbert identities degree by degree: one hilbert_function
+    call and a fresh binomial per term."""
+    out = []
+    for j in range(1, 2 * len(f) + 1):
+        expanded = hilbert_function(series, j)
+        combinatorial = sum(fi * math.comb(j - 1, i) for i, fi in enumerate(f))
+        if expanded != combinatorial:
+            out.append({"degree": j, "expansion": str(expanded),
+                        "combinatorial": str(combinatorial)})
+    return out
+
+
+@pytest.mark.parametrize("shift", [0, 1, -3])
+def test_hilbert_claim_matches_the_termwise_identities(monkeypatch, shift):
+    # shifting the series' top coefficient makes degrees diverge, which
+    # the claim must list exactly as the termwise loop does
+    def tampered(f):
+        series = hilbert_series(f)
+        return series._replace(numerator=series.numerator[:-1] +
+                               (series.numerator[-1] + shift,))
+
+    monkeypatch.setattr(reports, "hilbert_series", tampered)
+    graphs = [build_jahangir(m) for m in (3, 4, 5)] + [
+        Graph(3, ((0, 1), (1, 2), (0, 2))),
+        Graph(60, tuple((i, (i + 1) % 60) for i in range(60)))]
+    for g in graphs:
+        f = f_vector_direct(g)
+        claim = reports._claim_hilbert(f, None, f[-1])
+        want = _termwise_diverging_degrees(tampered(f), f)
+        assert claim.detail["diverging_degrees"] == want
+        assert bool(want) == bool(shift)
+        assert claim.verdict == ("mismatch" if shift else "match")
 
 
 def test_one_determinant_per_request(run_cli, triangle_file):
@@ -496,6 +541,32 @@ def test_startup_imports_every_layer_and_no_dataclass_machinery():
     assert {f"jahangir_ssc.{layer}" for layer in layers} <= set(modules.split())
 
 
+# verify --m 9 keeps one list of each kind of tree alive: 55 MB of peak
+# RSS on CPython 3.11, against 81 MB when each caller enumerated afresh.
+# The bound leaves 15 MB of margin above the measurement and stays 11 MB
+# below the old figure. The child reads its own high-water mark; the
+# ru_maxrss of a spawned child reports at least its spawner's.
+VERIFY_RSS_MB = 70
+VERIFY_RSS_CHILD = """
+import contextlib, io
+from jahangir_ssc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["jahangir", "--m", "9", "verify"])
+with open("/proc/self/status") as fh:
+    hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(code, hwm_kb)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_verify_keeps_one_tree_list_of_each_kind():
+    proc = _run_child(VERIFY_RSS_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    code, hwm_kb = map(int, proc.stdout.split())
+    assert code == 3
+    assert hwm_kb < VERIFY_RSS_MB * 1024
+
+
 # A path of 200,000 vertices is a forest as deep as it is long: a mask
 # kept per vertex for its root path would need V^2/2 bits, 2.5 GB here.
 # Under the same 1 GB cap, a tree, three short cycles far apart in the
@@ -598,6 +669,15 @@ def test_tree_counts_at_the_guard_cap_answer_within_budget(run_cli, tmp_path):
     assert res.code == 0 and res.stderr == ""
     doc = res.json()
     assert doc["cohen_macaulay"] is True and len(doc["certificate"]) == n
+
+    # its Hilbert identities run to degree 828 over binomials of up to
+    # 800 bits: 0.7 s here, and 11 s when each term took its own
+    # math.comb
+    start = time.perf_counter()
+    res = run_cli("graph", "--input", str(path), "verify")
+    assert time.perf_counter() - start < 5.0
+    assert res.code == 0 and res.stderr == ""
+    assert {c["name"]: c["verdict"] for c in res.json()["claims"]}["hilbert_series"] == "match"
 
 
 def test_jahangir_207_is_answered(run_cli):

@@ -13,8 +13,10 @@ from jahangir_ssc import (
     enumerate_spanning_trees_generic,
     enumerate_spanning_trees_jahangir,
     matrix_tree_count,
+    build_jahangir_report,
     verify_partition,
 )
+from jahangir_ssc import spanning
 from jahangir_ssc.graphs import spoke_index
 
 from oracles import (
@@ -240,3 +242,60 @@ def test_verify_partition(m):
     assert report.total == report.generic_total == matrix_tree_count(build_jahangir(m))
     assert not report.missing and not report.extra
     assert tuple(count for _, count in report.class_counts) == CLASS_COUNTS[m]
+
+
+def test_verify_partition_reports_overlaps_and_gaps(monkeypatch):
+    records = enumerate_spanning_trees_jahangir(4)
+    foreign = records[0]._replace(kept=1)
+    tampered = records[1:] + [records[-1], foreign]
+    monkeypatch.setattr(spanning, "enumerate_spanning_trees_jahangir", lambda m: tampered)
+    report = verify_partition(4)
+    assert not report.disjoint and not report.union_matches and not report.ok
+    assert report.missing == (records[0].kept,)
+    assert report.extra == (1,)
+    assert report.total == report.generic_total + 1
+
+
+# ---------------------------------------------------------------------------
+# the one-slot memo behind each enumerator
+
+@pytest.mark.parametrize("enumerate_", [
+    lambda: enumerate_spanning_trees_jahangir(4),
+    lambda: enumerate_spanning_trees_generic(build_jahangir(4)),
+])
+def test_memoized_enumerators_return_fresh_lists(enumerate_):
+    first, second = enumerate_(), enumerate_()
+    assert first == second and first is not second
+    before = list(first)
+    first.pop()
+    first.reverse()
+    first.append(first[0])
+    assert enumerate_() == before
+
+
+def test_memoized_enumerators_agree_with_the_oracle_after_eviction(j3, j4):
+    for g in (j3, j4, j3):
+        m = g.edge_count // 3
+        for memo in (spanning._structured_trees, spanning._generic_trees):
+            memo.cache_clear()
+        oracle = brute_spanning_trees(g.vertex_count, list(g.edges))
+        for _ in range(2):  # a miss, then a hit
+            structured = enumerate_spanning_trees_jahangir(m)
+            assert {as_set(rec.kept) for rec in structured} == oracle
+            assert len(structured) == len(oracle)
+            generic = enumerate_spanning_trees_generic(g)
+            assert set(map(as_set, generic)) == oracle and len(generic) == len(oracle)
+
+
+def test_a_report_enumerates_each_kind_of_tree_once():
+    # J(2,5)'s 722 facets are under the certificate check limit, so the
+    # cm verdict runs too: the records, the partition and the block
+    # ordering ask for the structured trees, the partition and two
+    # spanning complexes for the generic ones
+    memos = (spanning._structured_trees, spanning._generic_trees)
+    for memo in memos:
+        memo.cache_clear()
+    build_jahangir_report(5)
+    for memo in memos:
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
