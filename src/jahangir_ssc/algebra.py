@@ -48,10 +48,11 @@ from .spanning import enumerate_spanning_trees_jahangir
 
 # Past this many facets the generic certificate is not checked. One
 # certificate pass answers both checks, a few lookups per facet; on one
-# core of a shared 2-core AMD EPYC machine (least of 3) it takes 0.005 s
-# at the cap (the Petersen graph's 2000 facets), 0.010 s on J(2,6)'s
-# 2700, 0.052 s on J(2,7)'s 10,082 and 0.31 s on J(2,8)'s 37,632, so the
-# cap could rise well past its value.
+# core of a shared 2-core Intel Xeon machine (in-process, least of 5,
+# block and canonical order) it takes 0.018 s at the cap (the Petersen
+# graph's 2000 facets), 0.023 s on J(2,6)'s 2700, 0.14-0.17 s on
+# J(2,7)'s 10,082 and 0.73-0.75 s on J(2,8)'s 37,632 (5.2-6.2 s on
+# J(2,9)'s 140,450, single runs), so the cap could rise past its value.
 CERTIFICATE_CHECK_LIMIT = 2000
 
 

@@ -39,7 +39,15 @@ ACTIONS = ("facets", "classes", "cycles", "f-vector", "hilbert", "cm", "verify")
 MISMATCH_EXIT = 3
 
 # Enumerating every spanning tree of an arbitrary document is refused
-# past this count; the determinant tells us the size in advance.
+# past this count; the determinant tells us the size in advance. One
+# guard serves facets, classes, cm and verify, so it is sized by the
+# costliest of them. Raised past J(2,10)'s 524,172 trees (single runs in
+# a child under a 1 GB address-space cap, one core of a shared 2-core
+# Intel Xeon machine, wall time and peak RSS): build_jahangir_report(10)
+# would take 0.93-1.2 s and 128 MB, and verify 1.1 s and 127 MB, but
+# facets 5.7 s and 311 MB for 137 MB of JSON, and cm --ordering block
+# 62 s and 198 MB. So the value stays until cm and facets have budgets
+# of their own.
 TREE_ENUMERATION_LIMIT = 500_000
 
 # The largest m served: the forest sweep, the engine that reaches

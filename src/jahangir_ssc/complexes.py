@@ -15,6 +15,8 @@ small pathwidth such as J(2,m), and is capped by the work it does.
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import eq
 from typing import NamedTuple
 
 from .errors import CapacityError, InvalidParameterError
@@ -68,7 +70,9 @@ class SimplicialComplex(_Checked, _SimplicialComplexFields):
                 if f < 0 or f >> self.ground_size:  # a negative mask has no index list
                     shown = list(edge_indices(f)) if f >= 0 else f
                     raise InvalidParameterError(f"facet {shown} leaves the ground set")
-        if len(set(facets)) != len(facets):
+        # duplicates are equal neighbours once sorted; no facet is hashed
+        ordered = sorted(facets)
+        if any(map(eq, ordered, islice(ordered, 1, None))):
             raise InvalidParameterError("duplicate facets")
         # equal-sized distinct facets are automatically incomparable;
         # only mixed sizes need the quadratic containment check

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
+from operator import sub
 from typing import NamedTuple
 
 from .cycles import direct_intersection, word_cycle_catalog
@@ -220,14 +221,17 @@ def hilbert_series(f: tuple[int, ...]) -> HilbertSeries:
     numerator sum_j f_{j-1} t^j (1-t)^(d+1-j) over (1-t)^(d+1), with
     f_{-1} = 1, in exact integer arithmetic. Its coefficients are
     h_k = sum_{j<=k} (-1)^(k-j) C(d+1-j, k-j) f_{j-1}. The complex
-    {empty set}, with f = (), has series 1."""
-    d = len(f) - 1
-    faces = (1, *f)  # faces[j] = f_{j-1}
-    num = [sum((-1) ** (k - j) * comb(d + 1 - j, k - j) * faces[j] for j in range(k + 1))
-           for k in range(d + 2)]
+    {empty set}, with f = (), has series 1.
+
+    The numerator is built by Horner's rule, Q <- Q (1-t) + f_{j-1} t^j
+    for j = 1..d+1 from Q = 1: O(d^2) additions and no binomials."""
+    num = [1]
+    for j, fj in enumerate(f, 1):
+        num = list(map(sub, num + [0], [0] + num))
+        num[j] += fj
     while len(num) > 1 and num[-1] == 0:
         num.pop()
-    return HilbertSeries(numerator=tuple(num), denominator_power=d + 1)
+    return HilbertSeries(numerator=tuple(num), denominator_power=len(f))
 
 
 def hilbert_function(series: HilbertSeries, j: int) -> int:

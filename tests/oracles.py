@@ -192,3 +192,43 @@ def random_connected_graph(rng: random.Random,
     extra = rng.randint(0, budget) if budget > 0 else 0
     edges.extend(non_edges[:extra])
     return n, edges
+
+
+def partition_by_sets(records, generic: list[int],
+                      class_names: tuple[str, ...]) -> dict:
+    """Every field of the library's partition report but m, by hashing
+    the masks: records are (kept, removed, class) triples, generic the
+    oracle's tree masks, and tree lists ascend by their index lists."""
+    kept = [rec[0] for rec in records]
+    kept_set, generic_set = set(kept), set(generic)
+
+    def by_indices(masks: set[int]) -> tuple[int, ...]:
+        return tuple(sorted(masks, key=lambda mask: sorted(as_set(mask))))
+
+    return {
+        "class_counts": tuple((name, sum(1 for rec in records if str(rec[2]) == name))
+                              for name in class_names),
+        "total": len(records),
+        "generic_total": len(generic),
+        "disjoint": len(kept_set) == len(kept),
+        "union_matches": kept_set == generic_set and len(kept) == len(generic),
+        "missing": by_indices(generic_set - kept_set),
+        "extra": by_indices(kept_set - generic_set),
+    }
+
+
+def termwise_hilbert_numerator(f: tuple[int, ...]) -> tuple[int, ...]:
+    """h_k = sum_{j<=k} (-1)^(k-j) C(D-j, k-j) f_{j-1}, with D = len(f)
+    and f_{-1} = 1, one term at a time; each binomial is the one before
+    it in its row times (D-j-i)/(i+1). Trailing zeros are dropped."""
+    faces = (1, *f)
+    top = len(f)
+    h = [0] * (top + 1)
+    for j, fj in enumerate(faces):
+        c = 1
+        for i in range(top - j + 1):
+            h[j + i] += -c * fj if i % 2 else c * fj
+            c = c * (top - j - i) // (i + 1)
+    while len(h) > 1 and h[-1] == 0:
+        h.pop()
+    return tuple(h)

@@ -70,6 +70,23 @@ def test_complex_validation():
     assert dimension(c) == 1
 
 
+def test_duplicate_facets_are_found_anywhere_in_the_list(j4):
+    facets = list(spanning_complex(j4).facets)
+    rng = random.Random(17)
+    shuffled = facets[:]
+    rng.shuffle(shuffled)
+    assert SimplicialComplex(j4.edge_count, tuple(shuffled)).facets == tuple(shuffled)
+    # the copy lands far from its original, in canonical and in shuffled order
+    for listed in (facets, shuffled):
+        for doubled in (listed + [listed[0]], [listed[-1]] + listed,
+                        listed[:100] + [listed[-5]] + listed[100:]):
+            with pytest.raises(InvalidParameterError, match="^duplicate facets$"):
+                SimplicialComplex(j4.edge_count, tuple(doubled))
+    # mixed sizes: the duplicate is reported before any containment
+    with pytest.raises(InvalidParameterError, match="^duplicate facets$"):
+        SimplicialComplex(4, (as_mask({0, 1}), as_mask({2}), as_mask({3}), as_mask({0, 1})))
+
+
 def test_dimension_empty_errors():
     c = SimplicialComplex(3, ())
     with pytest.raises(InvalidParameterError):

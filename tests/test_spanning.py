@@ -25,6 +25,7 @@ from oracles import (
     brute_spanning_trees,
     is_spanning_tree,
     laplacian_tree_count,
+    partition_by_sets,
     random_connected_graph,
 )
 
@@ -254,6 +255,46 @@ def test_verify_partition_reports_overlaps_and_gaps(monkeypatch):
     assert report.missing == (records[0].kept,)
     assert report.extra == (1,)
     assert report.total == report.generic_total + 1
+
+
+def _tampered_record_lists(records, m, rng):
+    """Shuffled copies of records: intact, with a duplicate far from its
+    original, with a foreign tree, with a tree dropped, and all three."""
+    def shuffled(recs):
+        recs = list(recs)
+        rng.shuffle(recs)
+        return recs
+
+    n = len(records)
+    foreign = records[0]._replace(kept=(1 << 3 * m) - 1)  # every edge: not a tree
+    intact = shuffled(records)
+    yield intact
+    yield [intact[-1]] + intact
+    yield intact[: n // 2] + [intact[0]] + intact[n // 2:]
+    yield shuffled(records + [foreign])
+    yield shuffled(records[1:])
+    yield shuffled(records[2:] + [records[-1], foreign])
+    yield shuffled(records[1:] + [records[0]._replace(kept=1)])
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_verify_partition_equals_the_set_oracle(m, monkeypatch):
+    records = enumerate_spanning_trees_jahangir(m)
+    generic = enumerate_spanning_trees_generic(build_jahangir(m))
+    names = tuple(cls.value for cls in TreeClass)
+    rng = random.Random(m)
+    for k, tampered in enumerate(_tampered_record_lists(records, m, rng)):
+        listed = generic[:]
+        rng.shuffle(listed)
+        monkeypatch.setattr(spanning, "enumerate_spanning_trees_jahangir",
+                            lambda _: list(tampered))
+        monkeypatch.setattr(spanning, "enumerate_spanning_trees_generic",
+                            lambda _: list(listed))
+        report = verify_partition(m)
+        fields = report._asdict()
+        assert fields.pop("m") == m
+        assert fields == partition_by_sets(tampered, listed, names)
+        assert report.ok == (k == 0)
 
 
 # ---------------------------------------------------------------------------
