@@ -9,11 +9,8 @@ the structured claims and the oracles instead of hiding it.
 
 from .algebra import (
     CMVerdict,
-    MonomialIdeal,
+    certify,
     cohen_macaulay_verdict,
-    facet_ideal,
-    has_quasi_linear_quotients,
-    is_shelling,
     prefix_block_ordering,
 )
 from .complexes import (
@@ -103,7 +100,6 @@ __all__ = [
     "IntersectionSurvey",
     "InvalidParameterError",
     "JssError",
-    "MonomialIdeal",
     "PartitionReport",
     "PurityError",
     "RunReport",
@@ -113,6 +109,7 @@ __all__ = [
     "build_graph_report",
     "build_jahangir",
     "build_jahangir_report",
+    "certify",
     "claimed_order",
     "classify_tree",
     "cohen_macaulay_verdict",
@@ -126,14 +123,11 @@ __all__ = [
     "f_vector_direct",
     "f_vector_exact_ie",
     "f_vector_formula",
-    "facet_ideal",
-    "has_quasi_linear_quotients",
     "hilbert_function",
     "hilbert_series",
     "intersection_survey",
     "is_connected",
     "is_pure",
-    "is_shelling",
     "jahangir_order",
     "matrix_tree_count",
     "oracle_cycle_catalog",

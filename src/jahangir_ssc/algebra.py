@@ -1,19 +1,19 @@
-"""Facet ideals, quasi-linear quotients, shellings, and the
+"""The certificate pass, the block ordering of J(2,m), and the
 Cohen-Macaulay verdict.
 
-A facet-ideal generator is the squarefree monomial whose support is a
-facet, so it is carried as the facet's edge-set mask; the ideal checks
-only that its generators are distinct and of one degree. The colon
-ideal of a prefix is never materialized: for squarefree monomials its
-minimal generator degrees are the sizes of the support differences,
-min_j |supp(m_j) \\ supp(m_i)|. For generators of one degree that
-minimum is 1 exactly when some swap of one variable, supp(m_i) - x + y,
-is an earlier support. One pass over the facets in order answers both
-certificate checks: for each facet it finds the elements x for which
-such a swap exists (a set lookup per swap); the quotient test needs one
-such x at every position, and the shelling test fails at F_i exactly
-when an earlier facet contains all of them, which an AND of per-element
-bitsets of facet positions answers. A verdict makes that pass once.
+The facet ideal has one squarefree generator per facet, whose support
+is the facet; generators are never built, since the facet's edge-set
+mask is its support. The colon ideal of a prefix is never materialized
+either: for squarefree monomials its minimal generator degrees are the
+sizes of the support differences, min_j |supp(m_j) \\ supp(m_i)|. For
+generators of one degree that minimum is 1 exactly when some swap of
+one variable, supp(m_i) - x + y, is an earlier support. `certify` makes
+one pass over the facets in order and answers both certificate checks:
+for each facet it finds the elements x for which such a swap exists (a
+set lookup per swap); the quotient test needs one such x at every
+position, and the shelling test fails at F_i exactly when an earlier
+facet contains all of them, which an AND of per-element bitsets of
+facet positions answers. A verdict makes that pass once.
 
 The block ordering lists the facet-ideal generators of J(2,m) by the
 length of the leading run of deleted spokes (longest run first,
@@ -32,12 +32,11 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .complexes import SimplicialComplex, spanning_complex
+from .complexes import spanning_complex
 from .errors import InvalidParameterError, PurityError
 from .graphs import (
     EdgeSet,
     Graph,
-    _Checked,
     _normalize,
     build_jahangir,
     jahangir_order,
@@ -56,43 +55,19 @@ from .spanning import enumerate_spanning_trees_jahangir
 CERTIFICATE_CHECK_LIMIT = 2000
 
 
-class _MonomialIdealFields(NamedTuple):
-    generators: tuple[EdgeSet, ...]
+def certify(facets: Sequence[EdgeSet]) -> tuple[int | None, bool]:
+    """Both certificate checks of an ordered list of equal-sized facets,
+    from one pass: (first_failure, shelling).
 
-
-class MonomialIdeal(_Checked, _MonomialIdealFields):
-    """Squarefree monomial ideal given by ordered generators of one
-    degree, each carried as the edge-set mask of its support. Distinct
-    generators of one degree never divide each other, so the generating
-    system is minimal."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if len(set(self.generators)) != len(self.generators):
-            raise InvalidParameterError("generating system is not minimal: duplicate")
-        if len({g.bit_count() for g in self.generators}) > 1:
-            raise PurityError("generators of mixed degree: the quotient theory "
-                              "requires a pure complex")
-
-
-def facet_ideal(c: SimplicialComplex) -> MonomialIdeal:
-    """One generator per facet, support equal to the facet. Facets are
-    incomparable, so minimality is automatic; purity is required by the
-    downstream quotient theory."""
-    if not c.facets:
-        raise InvalidParameterError("facet ideal of an empty complex")
-    return MonomialIdeal(c.facets)
-
-
-def _certify(facets: Sequence[EdgeSet]) -> tuple[int | None, bool]:
-    """The one pass behind both certificate checks, over equal-sized
-    facets in order. An element x of F_i is usable when some swap
-    F_i - x + y is an earlier facet: one set lookup per swap. Returns
-    the first position after 0 with no usable element, where the
-    quotient test fails (None if there is none), and whether the order
-    is a shelling. A quotient failure fails the shelling test too, so
-    the pass stops there."""
+    An element x of F_i is usable when some swap F_i - x + y is an
+    earlier facet. The quotient test fails at first_failure, the first
+    position after 0 with no usable element (None if there is none).
+    The classical shelling test (for all i and j < i some k < i has
+    |F_i - F_k| = 1 and F_i cap F_j inside F_i cap F_k) fails at F_i
+    exactly when an earlier facet holds every usable element of F_i.
+    A quotient failure fails the shelling test too, so the pass stops
+    there; the converse does not hold, as an order can have
+    quasi-linear quotients and still not be a shelling."""
     if len({f.bit_count() for f in facets}) > 1:
         raise PurityError("shelling test requires equal-sized facets")
     universe = 0
@@ -126,21 +101,6 @@ def _certify(facets: Sequence[EdgeSet]) -> tuple[int | None, bool]:
     return None, shelling
 
 
-def has_quasi_linear_quotients(
-        ideal: MonomialIdeal,
-        ordering: Sequence[int]) -> tuple[bool, int | None]:
-    """True when every colon step along the ordering has minimal degree
-    exactly 1; on failure also returns the first failing position.
-
-    The generators have one degree, so a colon step is linear exactly
-    when some swap of one variable turns the current generator into an
-    earlier one, which the certificate pass looks up."""
-    if sorted(ordering) != list(range(len(ideal.generators))):
-        raise InvalidParameterError("ordering is not a permutation of the generators")
-    failure = _certify([ideal.generators[k] for k in ordering])[0]
-    return failure is None, failure
-
-
 # ---------------------------------------------------------------------------
 # The block ordering for J(2,m)
 
@@ -162,34 +122,21 @@ def _lexicographic(masks: list[EdgeSet]) -> list[EdgeSet]:
 def prefix_block_ordering(m: int) -> tuple[int, ...]:
     """Permutation of the canonical facet-ideal generators of J(2,m):
     blocks by the length of the leading run of deleted spokes, longest
-    first, lexicographic on the deleted edge tuple within a block."""
+    first, lexicographic on the deleted edge tuple within a block.
+
+    For sets of one size the lexicographic order of the complements is
+    the reverse of the order of the sets: the smallest element of the
+    symmetric difference decides both, and complementing swaps the side
+    that holds it. So the facet whose deleted set has rank q among the
+    deleted sets sits at canonical position r - 1 - q, and one stable
+    sort of those ranks by run length, longest first, is the ordering."""
     if m < 3:
         raise InvalidParameterError(f"m must be >= 3, got {m}")
-    records = enumerate_spanning_trees_jahangir(m)
-    canonical = _lexicographic([rec.kept for rec in records])
-    position = {kept: i for i, kept in enumerate(canonical)}
-    every_edge = (1 << 3 * m) - 1
-    buckets: dict[int, list[EdgeSet]] = {}
-    for rec in records:
-        buckets.setdefault(_leading_spoke_run(rec.removed, m), []).append(rec.removed)
-    perm: list[int] = []
-    for k in range(m - 1, -1, -1):
-        perm.extend(position[every_edge ^ removed]
-                    for removed in _lexicographic(buckets.get(k, [])))
-    return tuple(perm)
-
-
-# ---------------------------------------------------------------------------
-# Shellings
-
-
-def is_shelling(facets: Sequence[EdgeSet]) -> bool:
-    """Classical shelling test for an ordered pure facet list: for all
-    i and j < i some k < i has |F_i - F_k| = 1 and F_i cap F_j inside
-    F_i cap F_k. That fails at F_i exactly when some earlier facet
-    contains every usable element of F_i, which the certificate pass
-    checks."""
-    return _certify(facets)[1]
+    removed = _lexicographic([rec.removed for rec in enumerate_spanning_trees_jahangir(m)])
+    runs = [_leading_spoke_run(mask, m) for mask in removed]
+    last = len(removed) - 1
+    return tuple(last - q for q in sorted(range(len(runs)), key=runs.__getitem__,
+                                            reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +159,8 @@ class CMVerdict(NamedTuple):
 
 def cohen_macaulay_verdict(g: Graph, ordering: str = "auto",
                            trees: int | None = None) -> CMVerdict:
-    """Build the spanning complex and facet ideal of g, then certify
-    Cohen-Macaulayness by an ordering with quasi-linear quotients: the
+    """Build the spanning complex of g, then certify Cohen-Macaulayness
+    by an ordering of its facets with quasi-linear quotients: the
     block ordering ("block") or the canonical facet order ("search").
     "auto" picks the block ordering on J(2,m) in its canonical edge
     order and the canonical facet order otherwise. Every certificate is
@@ -240,11 +187,11 @@ def cohen_macaulay_verdict(g: Graph, ordering: str = "auto",
     facets = spanning_complex(g).facets
     if ordering == "block":
         perm = prefix_block_ordering(m)
-        failure, shelling = _certify([facets[k] for k in perm])
+        failure, shelling = certify([facets[k] for k in perm])
         if failure is not None:
             return CMVerdict(False, None, "block", failure, None)
         return CMVerdict(True, perm, "block", None, shelling)
-    failure, shelling = _certify(facets)
+    failure, shelling = certify(facets)
     if failure is not None:
         return CMVerdict(None, None, "search", None, None)
     return CMVerdict(True, tuple(range(len(facets))), "search", None, shelling)

@@ -32,7 +32,7 @@ from .graphs import (
     parse_graph,
 )
 from .reports import RunReport, build_graph_report, build_jahangir_report
-from .spanning import enumerate_spanning_trees_jahangir
+from .spanning import _class_counts, enumerate_spanning_trees_jahangir
 
 ACTIONS = ("facets", "classes", "cycles", "f-vector", "hilbert", "cm", "verify")
 
@@ -139,11 +139,7 @@ def _facet_payload(g: Graph, trees: int, meta: dict) -> dict:
 
 def _classes_payload(m: int, trees: int, meta: dict) -> dict:
     records = enumerate_spanning_trees_jahangir(m)
-    counts: dict[str, int] = {}
-    for rec in records:
-        counts[rec.tree_class.value] = counts.get(rec.tree_class.value, 0) + 1
-    ordered = {k: counts.get(k, 0) for k in ("CJ1", "CJ2", "CJ3a", "CJ3b", "CJ3c")}
-    return {**meta, "counts": ordered, "total": len(records),
+    return {**meta, "counts": dict(_class_counts(records)), "total": len(records),
             "matrix_tree_count": trees}
 
 

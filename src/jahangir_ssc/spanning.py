@@ -321,6 +321,13 @@ def classify_tree(removed: EdgeSet, m: int) -> TreeClass:
     return _classify_spoke_set(deleted_spokes, m)
 
 
+def _class_counts(records: list[SpanningTreeRecord]) -> tuple[tuple[str, int], ...]:
+    """(class name, tree count) for every class in TreeClass order,
+    empty classes included."""
+    counts = Counter(map(itemgetter(2), records))
+    return tuple((cls.value, counts[cls]) for cls in TreeClass)
+
+
 class PartitionReport(NamedTuple):
     m: int
     class_counts: tuple[tuple[str, int], ...]
@@ -346,7 +353,6 @@ def verify_partition(m: int) -> PartitionReport:
     neighbours among the kept masks."""
     records = enumerate_spanning_trees_jahangir(m)
     generic = enumerate_spanning_trees_generic(build_jahangir(m))
-    counts = Counter(map(itemgetter(2), records))
     kept = sorted(map(itemgetter(0), records))
     generic.sort()
     union_matches = kept == generic
@@ -358,7 +364,7 @@ def verify_partition(m: int) -> PartitionReport:
         extra = tuple(sorted(kept_set - generic_set, key=edge_indices))
     return PartitionReport(
         m=m,
-        class_counts=tuple((cls.value, counts[cls]) for cls in TreeClass),
+        class_counts=_class_counts(records),
         total=len(records),
         generic_total=len(generic),
         disjoint=not any(map(eq, kept, itertools.islice(kept, 1, None))),

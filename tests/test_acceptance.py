@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from jahangir_ssc import (
     Graph,
     build_jahangir,
+    certify,
     cohen_macaulay_verdict,
     dimension,
     direct_intersection,
@@ -21,13 +22,10 @@ from jahangir_ssc import (
     f_vector_direct,
     f_vector_exact_ie,
     f_vector_formula,
-    facet_ideal,
-    has_quasi_linear_quotients,
     hilbert_function,
     hilbert_series,
     intersection_survey,
     is_pure,
-    is_shelling,
     matrix_tree_count,
     predict_intersection,
     prefix_block_ordering,
@@ -239,11 +237,11 @@ def test_criterion_9_cohen_macaulay():
         for m in (3, 4, 5):
             g = build_jahangir(m)
             c = spanning_complex(g)
-            ideal = facet_ideal(c)
             ordering = prefix_block_ordering(m)
-            ok, first_failure = has_quasi_linear_quotients(ideal, ordering)
-            assert ok and first_failure is None
-            assert is_shelling([c.facets[i] for i in ordering])
+            assert sorted(ordering) == list(range(len(c.facets)))
+            first_failure, shelling = certify([c.facets[i] for i in ordering])
+            assert first_failure is None
+            assert shelling
             verdict = cohen_macaulay_verdict(g)
             assert verdict.cohen_macaulay is True
             assert verdict.certificate is not None

@@ -1,19 +1,18 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from jahangir_ssc import (
     Graph,
     InvalidParameterError,
-    MonomialIdeal,
     PurityError,
     SimplicialComplex,
     build_jahangir,
+    certify,
     cohen_macaulay_verdict,
-    facet_ideal,
-    has_quasi_linear_quotients,
-    is_shelling,
+    enumerate_spanning_trees_jahangir,
     prefix_block_ordering,
     spanning_complex,
 )
@@ -38,49 +37,53 @@ def naive_shelling(facets):
     return naive_is_shelling([as_set(f) for f in facets])
 
 
+def _naive_first_failure(facets):
+    sets = [as_set(f) for f in facets]
+    for i in range(1, len(sets)):
+        if naive_colon_mindeg(sets[:i], sets[i]) != 1:
+            return i
+    return None
+
+
 # ---------------------------------------------------------------------------
-# ideals
+# facets as the facet-ideal generators
 
 
 def test_facet_ideal_triangle():
-    ideal = facet_ideal(spanning_complex(TRIANGLE))
-    assert len(ideal.generators) == 3
-    assert all(g.bit_count() == 2 for g in ideal.generators)
+    facets = spanning_complex(TRIANGLE).facets
+    assert len(facets) == 3
+    assert all(f.bit_count() == 2 for f in facets)
+    assert certify(facets) == (None, True)
 
 
 @pytest.mark.parametrize("m, count", [(3, 50), (4, 192)])
 def test_facet_ideal_family(m, count):
-    ideal = facet_ideal(spanning_complex(build_jahangir(m)))
-    assert len(ideal.generators) == count
-    assert all(g.bit_count() == 2 * m for g in ideal.generators)
+    facets = spanning_complex(build_jahangir(m)).facets
+    assert len(facets) == count
+    assert all(f.bit_count() == 2 * m for f in facets)
+    assert certify(facets) == (None, True)
 
 
 def test_facet_ideal_generators_track_facets(j3):
-    c = spanning_complex(j3)
-    ideal = facet_ideal(c)
-    assert ideal.generators == c.facets
+    # a generator is its facet's mask: the pass over the facets answers
+    # the colon degrees and the shelling of the facet sets themselves
+    facets = spanning_complex(j3).facets
+    assert certify(facets) == (_naive_first_failure(facets), naive_shelling(facets))
 
 
 def test_facet_ideal_rejects_non_pure():
     c = SimplicialComplex(3, (mono(0, 1), mono(2)))
     with pytest.raises(PurityError):
-        facet_ideal(c)
-
-
-def test_facet_ideal_rejects_empty():
-    with pytest.raises(InvalidParameterError):
-        facet_ideal(SimplicialComplex(3, ()))
+        certify(c.facets)
 
 
 def test_monomial_ideal_minimality():
     # distinct generators of one degree never divide each other; a
     # generator dividing another has a smaller degree, which the
     # quotient theory refuses as impure
-    with pytest.raises(InvalidParameterError):
-        MonomialIdeal((mono(0, 1), mono(0, 1)))
     with pytest.raises(PurityError):
-        MonomialIdeal((mono(0), mono(0, 1)))  # one divides the other
-    MonomialIdeal((mono(0, 1), mono(1, 2)))  # incomparable is fine
+        certify((mono(0), mono(0, 1)))  # one divides the other
+    assert certify((mono(0, 1), mono(1, 2))) == (None, True)  # incomparable is fine
 
 
 # ---------------------------------------------------------------------------
@@ -89,69 +92,74 @@ def test_monomial_ideal_minimality():
 
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_block_ordering_gives_quasi_linear_quotients(m):
-    ideal = facet_ideal(spanning_complex(build_jahangir(m)))
+    facets = spanning_complex(build_jahangir(m)).facets
     ordering = prefix_block_ordering(m)
-    assert sorted(ordering) == list(range(len(ideal.generators)))
-    ok, first_failure = has_quasi_linear_quotients(ideal, ordering)
-    assert ok and first_failure is None
+    assert sorted(ordering) == list(range(len(facets)))
+    first_failure, _ = certify([facets[i] for i in ordering])
+    assert first_failure is None
 
 
 def test_qlq_failure_reports_position():
-    ideal = MonomialIdeal((mono(0, 1), mono(2, 3)))
-    ok, pos = has_quasi_linear_quotients(ideal, (0, 1))
-    assert not ok and pos == 1
+    assert certify((mono(0, 1), mono(2, 3))) == (1, False)
 
 
 def test_qlq_single_generator_is_vacuous():
-    ideal = MonomialIdeal((mono(0, 1),))
-    assert has_quasi_linear_quotients(ideal, (0,)) == (True, None)
+    assert certify((mono(0, 1),)) == (None, True)
 
 
 def test_qlq_triangle_every_ordering():
-    ideal = facet_ideal(spanning_complex(TRIANGLE))
+    facets = spanning_complex(TRIANGLE).facets
     for perm in itertools.permutations(range(3)):
-        assert has_quasi_linear_quotients(ideal, perm)[0]
+        assert certify([facets[i] for i in perm])[0] is None
 
 
 def test_qlq_rejects_mixed_degrees():
     # the swap pass needs generators of one degree, as the shelling test
-    # needs facets of one size: the ideal refuses mixed degrees at once
+    # needs facets of one size: mixed degrees are refused at once
     with pytest.raises(PurityError):
-        MonomialIdeal((mono(0, 1), mono(2), mono(1, 3)))
+        certify((mono(0, 1), mono(2), mono(1, 3)))
 
 
 def test_certificate_checks_reject_negative_masks():
     with pytest.raises(InvalidParameterError, match="nonnegative"):
-        has_quasi_linear_quotients(MonomialIdeal((mono(0, 1), -3)), (0, 1))
+        certify((mono(0, 1), -3))
     with pytest.raises(InvalidParameterError, match="nonnegative"):
-        is_shelling([-3, mono(0, 1)])
+        certify([-3, mono(0, 1)])
 
 
-def test_qlq_rejects_non_permutations(j3):
-    ideal = facet_ideal(spanning_complex(j3))
-    with pytest.raises(InvalidParameterError):
-        has_quasi_linear_quotients(ideal, (0, 1, 2))
-    with pytest.raises(InvalidParameterError):
-        has_quasi_linear_quotients(ideal, (0,) * len(ideal.generators))
-
-
-@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
 def test_block_ordering_structure(m):
     # generators are grouped by the length of the leading run of
-    # deleted spokes, longest run first, lex on the deletions within
+    # deleted spokes, longest run first, lex on the deletions within;
+    # with the permutation check that fixes the ordering uniquely
     from jahangir_ssc.algebra import _leading_spoke_run
 
     g = build_jahangir(m)
-    ideal = facet_ideal(spanning_complex(g))
+    facets = spanning_complex(g).facets
     every_edge = (1 << g.edge_count) - 1
     ordering = prefix_block_ordering(m)
-    runs = [_leading_spoke_run(every_edge ^ ideal.generators[i], m) for i in ordering]
+    assert sorted(ordering) == list(range(len(facets)))
+    runs = [_leading_spoke_run(every_edge ^ facets[i], m) for i in ordering]
     assert runs == sorted(runs, reverse=True)
     assert runs[0] == m - 1 and runs[-1] == 0
     for k in range(m):
-        block = [sorted(as_set(every_edge ^ ideal.generators[i]))
+        block = [sorted(as_set(every_edge ^ facets[i]))
                  for i, run in zip(ordering, runs) if run == k]
         assert block == sorted(block)
+
+
+def test_block_ordering_builds_no_table_of_facets():
+    # one sort of the deleted sets and one stable sort of their ranks
+    # peak at 15-16 MB at m = 9 with the trees listed; a mask -> position
+    # dict of every facet and per-run buckets would need about 21 MB
+    enumerate_spanning_trees_jahangir(9)
+    tracemalloc.start()
+    try:
+        prefix_block_ordering(9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18_000_000, f"tracemalloc peak {peak} bytes"
 
 
 # ---------------------------------------------------------------------------
@@ -159,33 +167,25 @@ def test_block_ordering_structure(m):
 
 
 def test_is_shelling_small():
-    assert is_shelling([])
-    assert is_shelling([mono(0, 1)])
+    assert certify([])[1]
+    assert certify([mono(0, 1)])[1]
     facets = list(spanning_complex(TRIANGLE).facets)
     for perm in itertools.permutations(facets):
-        assert is_shelling(list(perm)) == naive_shelling(perm)
-        assert is_shelling(list(perm))
+        assert certify(list(perm))[1] == naive_shelling(perm)
+        assert certify(list(perm))[1]
 
 
 def test_is_shelling_rejects_non_pure():
     with pytest.raises(PurityError):
-        is_shelling([mono(0, 1), mono(2)])
+        certify([mono(0, 1), mono(2)])
 
 
 def test_is_shelling_block_order(j3):
     c = spanning_complex(j3)
     ordering = prefix_block_ordering(3)
     facets = [c.facets[i] for i in ordering]
-    assert is_shelling(facets)
+    assert certify(facets)[1]
     assert naive_shelling(facets)
-
-
-def _naive_first_failure(facets):
-    sets = [as_set(f) for f in facets]
-    for i in range(1, len(sets)):
-        if naive_colon_mindeg(sets[:i], sets[i]) != 1:
-            return i
-    return None
 
 
 def test_is_shelling_matches_naive_on_random_families():
@@ -210,10 +210,9 @@ def test_is_shelling_matches_naive_on_random_families():
             swapped[a], swapped[b] = swapped[b], swapped[a]
             families.append(swapped)
     for facets in families:
-        ideal = MonomialIdeal(tuple(facets))
-        ok, failure = has_quasi_linear_quotients(ideal, range(len(facets)))
-        assert failure == _naive_first_failure(facets) and ok == (failure is None)
-        assert is_shelling(facets) == naive_shelling(facets)
+        failure, shelling = certify(facets)
+        assert failure == _naive_first_failure(facets)
+        assert shelling == naive_shelling(facets)
 
 
 # The quotient test and the shelling test are NOT equal ordering by
@@ -228,9 +227,8 @@ COUNTEREXAMPLE = [mono(0, 1, 2), mono(1, 2, 3), mono(2, 3, 4), mono(0, 1, 4)]
 
 
 def test_quotients_do_not_imply_shelling():
-    ideal = MonomialIdeal(tuple(COUNTEREXAMPLE))
-    assert has_quasi_linear_quotients(ideal, (0, 1, 2, 3)) == (True, None)
-    assert not is_shelling(COUNTEREXAMPLE)
+    assert certify(COUNTEREXAMPLE) == (None, False)
+    assert _naive_first_failure(COUNTEREXAMPLE) is None
     assert not naive_shelling(COUNTEREXAMPLE)
 
 
@@ -239,8 +237,7 @@ def test_shelling_implies_quasi_linear_quotients(j3):
     # sampled orderings also measure how often the gap actually opens
     rng = random.Random(53)
     c = spanning_complex(j3)
-    ideal = facet_ideal(c)
-    r = len(ideal.generators)
+    r = len(c.facets)
     orderings = [tuple(prefix_block_ordering(3))]
     for _ in range(25):
         perm = list(range(r))
@@ -255,13 +252,14 @@ def test_shelling_implies_quasi_linear_quotients(j3):
     gaps = 0
     for ordering in orderings:
         facets = [c.facets[i] for i in ordering]
-        qlq, _ = has_quasi_linear_quotients(ideal, ordering)
-        shelling = is_shelling(facets)
+        failure, shelling = certify(facets)
+        qlq = failure is None
         if shelling:
             assert qlq, f"shelling without quotients at {ordering}"
+            assert _naive_first_failure(facets) is None
         gaps += int(qlq and not shelling)
     block_facets = [c.facets[i] for i in prefix_block_ordering(3)]
-    assert is_shelling(block_facets)
+    assert certify(block_facets)[1]
     assert gaps == 5  # the one-way gap is real on this complex too
 
 
@@ -272,15 +270,15 @@ def test_shelling_implies_quotients_on_random_graphs():
                                           max_edges=9)
         g = Graph(n, tuple(edges))
         c = spanning_complex(g)
-        ideal = facet_ideal(c)
-        r = len(ideal.generators)
+        r = len(c.facets)
         for _ in range(6):
             perm = list(range(r))
             rng.shuffle(perm)
             facets = [c.facets[i] for i in perm]
-            qlq, _ = has_quasi_linear_quotients(ideal, perm)
-            if is_shelling(facets):
-                assert qlq
+            failure, shelling = certify(facets)
+            if shelling:
+                assert failure is None
+                assert _naive_first_failure(facets) is None
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +312,14 @@ def test_verdict_search_reports_shelling_honestly(j4):
     # the canonical certificate is a shelling by theorem; the verdict
     # still checks both properties and reports them, never assumes them
     c = spanning_complex(j4)
-    ideal = facet_ideal(c)
     verdict = cohen_macaulay_verdict(j4, ordering="search")
     assert verdict.cohen_macaulay is True
     assert verdict.certificate == tuple(range(len(c.facets)))
-    assert has_quasi_linear_quotients(ideal, verdict.certificate)[0]
     facets = [c.facets[i] for i in verdict.certificate]
+    failure, shelling = certify(facets)
+    assert failure is None
     assert verdict.shelling_agrees is True
-    assert verdict.shelling_agrees == is_shelling(facets)
+    assert verdict.shelling_agrees == shelling
 
 
 def test_verdict_search_certificate_is_lexicographic_shelling():
@@ -403,8 +401,9 @@ def test_verdict_on_a_reordered_family(m):
 
 def test_verdict_certificate_is_checkable(j4):
     verdict = cohen_macaulay_verdict(j4)
-    ideal = facet_ideal(spanning_complex(j4))
-    assert has_quasi_linear_quotients(ideal, verdict.certificate)[0]
+    facets = spanning_complex(j4).facets
+    assert sorted(verdict.certificate) == list(range(len(facets)))
+    assert certify([facets[i] for i in verdict.certificate])[0] is None
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +417,13 @@ def test_each_verdict_makes_one_certificate_pass(monkeypatch, j4):
 
     petersen = Graph(10, tuple(edge for i in range(5) for edge in
                                ((i, (i + 1) % 5), (i, i + 5), (i + 5, (i + 2) % 5 + 5))))
-    certify, passes = algebra._certify, []
+    passes = []
 
     def counted(facets):
         passes.append(len(facets))
         return certify(facets)
 
-    monkeypatch.setattr(algebra, "_certify", counted)
+    monkeypatch.setattr(algebra, "certify", counted)
     for g, ordering, facets in ((j4, "block", 192), (petersen, "search", 2000)):
         passes.clear()
         verdict = cohen_macaulay_verdict(g, ordering=ordering)
@@ -436,8 +435,6 @@ def test_certificate_pass_matches_both_checks_and_the_definitions():
     # canonical and shuffled facet orders of random connected graphs: the
     # pass gives the quotient test's first failure and the shelling test's
     # answer, and both follow the literal definitions
-    from jahangir_ssc.algebra import _certify
-
     rng = random.Random(67)
     for _ in range(40):
         n, edges = random_connected_graph(rng, max_vertices=7, max_extra=4,
@@ -447,10 +444,7 @@ def test_certificate_pass_matches_both_checks_and_the_definitions():
         rng.shuffle(shuffled)
         for ordering in (range(len(c.facets)), shuffled):
             facets = [c.facets[i] for i in ordering]
-            failure, shelling = _certify(facets)
-            assert (failure, shelling) == (
-                has_quasi_linear_quotients(facet_ideal(c), ordering)[1],
-                is_shelling(facets))
+            failure, shelling = certify(facets)
+            assert failure == _naive_first_failure(facets)
             if len(facets) <= 40:
-                assert failure == _naive_first_failure(facets)
                 assert shelling == naive_shelling(facets)
