@@ -71,7 +71,6 @@ from .graphs import (
 from .reports import ClaimResult, RunReport, build_graph_report, build_jahangir_report
 from .spanning import (
     PartitionReport,
-    SpanningTreeRecord,
     TreeClass,
     classify_tree,
     enumerate_spanning_trees_generic,
@@ -104,7 +103,6 @@ __all__ = [
     "PurityError",
     "RunReport",
     "SimplicialComplex",
-    "SpanningTreeRecord",
     "TreeClass",
     "build_graph_report",
     "build_jahangir",

@@ -124,19 +124,14 @@ def prefix_block_ordering(m: int) -> tuple[int, ...]:
     blocks by the length of the leading run of deleted spokes, longest
     first, lexicographic on the deleted edge tuple within a block.
 
-    For sets of one size the lexicographic order of the complements is
-    the reverse of the order of the sets: the smallest element of the
-    symmetric difference decides both, and complementing swaps the side
-    that holds it. So the facet whose deleted set has rank q among the
-    deleted sets sits at canonical position r - 1 - q, and one stable
-    sort of those ranks by run length, longest first, is the ordering."""
-    if m < 3:
-        raise InvalidParameterError(f"m must be >= 3, got {m}")
-    removed = _lexicographic([rec.removed for rec in enumerate_spanning_trees_jahangir(m)])
-    runs = [_leading_spoke_run(mask, m) for mask in removed]
-    last = len(removed) - 1
-    return tuple(last - q for q in sorted(range(len(runs)), key=runs.__getitem__,
-                                            reverse=True))
+    Sorted by _lexicographic, each tree's rank is its canonical facet
+    position. For sets of one size the lexicographic order of the
+    deleted sets is the reverse of that of the trees, so the ordering
+    is the stable sort of the positions by run length, reversed."""
+    every_edge = (1 << 3 * m) - 1
+    trees = _lexicographic(enumerate_spanning_trees_jahangir(m))
+    runs = [_leading_spoke_run(every_edge ^ tree, m) for tree in trees]
+    return tuple(reversed(sorted(range(len(runs)), key=runs.__getitem__)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .graphs import (
     parse_graph,
 )
 from .reports import RunReport, build_graph_report, build_jahangir_report
-from .spanning import _class_counts, enumerate_spanning_trees_jahangir
+from .spanning import _class_counts
 
 ACTIONS = ("facets", "classes", "cycles", "f-vector", "hilbert", "cm", "verify")
 
@@ -41,7 +41,8 @@ MISMATCH_EXIT = 3
 # Enumerating every spanning tree of an arbitrary document is refused
 # past this count; the determinant tells us the size in advance. One
 # guard serves facets, classes, cm and verify, so it is sized by the
-# costliest of them. Raised past J(2,10)'s 524,172 trees (single runs in
+# costliest of them; classes lists no tree, but reports the guard's
+# count. Raised past J(2,10)'s 524,172 trees (single runs in
 # a child under a 1 GB address-space cap, one core of a shared 2-core
 # Intel Xeon machine, wall time and peak RSS): build_jahangir_report(10)
 # would take 0.93-1.2 s and 128 MB, and verify 1.1 s and 127 MB, but
@@ -138,8 +139,8 @@ def _facet_payload(g: Graph, trees: int, meta: dict) -> dict:
 
 
 def _classes_payload(m: int, trees: int, meta: dict) -> dict:
-    records = enumerate_spanning_trees_jahangir(m)
-    return {**meta, "counts": dict(_class_counts(records)), "total": len(records),
+    counts = dict(_class_counts(m))
+    return {**meta, "counts": counts, "total": sum(counts.values()),
             "matrix_tree_count": trees}
 
 
@@ -256,8 +257,9 @@ def _execute(args: argparse.Namespace) -> tuple[dict, int]:
         catalog = "oracle"
         ordering = "search"
 
-    # every action that enumerates spanning trees passes the one guard,
-    # whose determinant is the request's only one
+    # every action that enumerates spanning trees, and classes, which
+    # reports their count, passes the one guard, whose determinant is
+    # the request's only one
     trees = None
     if action in ("facets", "classes", "cm", "verify"):
         trees = _guard_tree_enumeration(g)

@@ -96,8 +96,6 @@ def claimed_order(k: int) -> int:
 
 def word_cycle_catalog(m: int) -> CycleCatalog:
     """The full word catalog: m*m entries, one per (length, start)."""
-    if m < 3:
-        raise InvalidParameterError(f"m must be >= 3, got {m}")
     g = build_jahangir(m)
     entries = []
     for word in all_words(m):

@@ -186,7 +186,7 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False,
     echoed in the parameters; no claim depends on it. trees is the
     determinant's spanning-tree count where the caller has it."""
     g = build_jahangir(m)
-    # only the count is kept: the records live on in the enumerator's memo
+    # only the count is kept: the trees live on in the enumerator's memo
     structured_count = len(enumerate_spanning_trees_jahangir(m))
     partition = verify_partition(m)
     mt = matrix_tree_count(g) if trees is None else trees
@@ -286,7 +286,8 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False,
         if len(complex_.facets) > CERTIFICATE_CHECK_LIMIT:
             return _unchecked("cohen_macaulay", "quotient ordering construction",
                               "quasi-linear quotient check",
-                              "facet ideal over verify budget", claimed=True)
+                              f"{len(complex_.facets)} facets over the certificate "
+                              f"check limit of {CERTIFICATE_CHECK_LIMIT}", claimed=True)
         verdict = cohen_macaulay_verdict(g, ordering="auto")
         if verdict.cohen_macaulay is None:
             v = "unchecked"

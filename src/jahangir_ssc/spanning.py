@@ -11,21 +11,23 @@ lists each state's completions, include before exclude, so edge sets
 come out in canonical order. A level holds at most as many states as
 there are trees, and only a handful where the frontier stays small.
 
-The structured enumerator builds the same trees for J(2,m) by the
-cutting-down rules: choose which spokes to delete (never all m), then
-delete exactly one rim edge from every merged cycle and from every
-untouched cycle. Trees are classified by the shape of the deleted
-spoke set, and verify_partition checks that the classes are disjoint
+The structured enumerator builds the same trees for J(2,m), as the
+same edge-set masks, by the cutting-down rules: choose which spokes to
+delete (never all m), then delete exactly one rim edge from every
+merged cycle and from every untouched cycle. A tree's class is the
+shape of its deleted spoke set, so the classes are counted per spoke
+set, as the product of its rim-pool sizes, and no tree carries a
+label. verify_partition checks that the structured trees are distinct
 and jointly exhaust the generic enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import math
 from enum import Enum
 from functools import lru_cache
-from operator import eq, itemgetter
+from operator import eq
 from typing import NamedTuple
 
 from .cycles import cyclic_runs
@@ -52,15 +54,6 @@ class TreeClass(str, Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-class SpanningTreeRecord(NamedTuple):
-    """A spanning tree of J(2,m) as the pair (kept, removed) plus its
-    class. kept is the facet; removed is its m-edge complement."""
-
-    kept: EdgeSet
-    removed: EdgeSet
-    tree_class: TreeClass
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -238,13 +231,12 @@ def _generic_trees(g: Graph) -> tuple[EdgeSet, ...]:
 # Structured enumeration for J(2,m)
 
 
-def _classify_spoke_set(deleted_spokes: set[int], m: int) -> TreeClass:
-    rho = len(deleted_spokes)
+def _tree_class(rho: int, runs: list[list[int]]) -> TreeClass:
+    """Class of the trees that delete rho spokes in the given runs."""
     if rho == 0:
         return TreeClass.KEEP_ALL_SPOKES
     if rho == 1:
         return TreeClass.DROP_ONE_SPOKE
-    runs = cyclic_runs(deleted_spokes, m)
     if len(runs) == 1:
         return TreeClass.DROP_RUN
     if len(runs) == rho:
@@ -252,7 +244,7 @@ def _classify_spoke_set(deleted_spokes: set[int], m: int) -> TreeClass:
     return TreeClass.DROP_MIXED
 
 
-def _rim_pools(deleted_spokes: set[int], m: int) -> list[list[EdgeSet]]:
+def _rim_pools(runs: list[list[int]], m: int) -> list[list[EdgeSet]]:
     """One pool of candidate rim deletions, as one-edge sets, per
     constraint: each maximal run of deleted spokes merges the run's
     cycles with the one before it and demands exactly one rim deletion
@@ -260,7 +252,7 @@ def _rim_pools(deleted_spokes: set[int], m: int) -> list[list[EdgeSet]]:
     two rim edges."""
     pools: list[list[EdgeSet]] = []
     covered: set[int] = set()
-    for run in cyclic_runs(deleted_spokes, m):
+    for run in runs:
         first = run[0] - 1 if run[0] > 1 else m
         merged = [first] + run
         covered.update(merged)
@@ -270,33 +262,38 @@ def _rim_pools(deleted_spokes: set[int], m: int) -> list[list[EdgeSet]]:
     return pools
 
 
-def enumerate_spanning_trees_jahangir(m: int) -> list[SpanningTreeRecord]:
-    """All spanning trees of J(2,m) by the cutting-down rules, in a
-    deterministic order (deleted-spoke count, then lexicographic)."""
+def _spoke_sets(m: int):
+    """Each spoke set the cutting-down rule may delete (never all m),
+    by size and then lexicographic, with its tree class and rim pools.
+    The set's trees pick one rim edge from every pool."""
+    for rho in range(m):
+        for spokes in itertools.combinations(range(1, m + 1), rho):
+            runs = cyclic_runs(set(spokes), m)
+            yield spokes, _tree_class(rho, runs), _rim_pools(runs, m)
+
+
+def enumerate_spanning_trees_jahangir(m: int) -> list[EdgeSet]:
+    """All spanning-tree edge sets of J(2,m) by the cutting-down rules,
+    in a deterministic order: by the deleted spoke set (size, then
+    lexicographic), then by the rim picks."""
     if m < 3:
         raise InvalidParameterError(f"m must be >= 3, got {m}")
     return list(_structured_trees(m))
 
 
 @lru_cache(maxsize=1, typed=True)
-def _structured_trees(m: int) -> tuple[SpanningTreeRecord, ...]:
+def _structured_trees(m: int) -> tuple[EdgeSet, ...]:
     every_edge = (1 << 3 * m) - 1
-    # a record checks nothing, so it is built without the Python-level
-    # __new__ of its class
-    new = tuple.__new__
-    records: list[SpanningTreeRecord] = []
-    for rho in range(m):  # never all m spokes
-        for spokes in itertools.combinations(range(1, m + 1), rho):
-            deleted = set(spokes)
-            cls = _classify_spoke_set(deleted, m)
-            # one pick per pool, in the order of itertools.product; the
-            # picked rim edges are distinct, so their bits add
-            sums = [sum(1 << spoke_index(j, m) for j in deleted)]
-            for pool in _rim_pools(deleted, m):
-                sums = [s + p for s in sums for p in pool]
-            records += [new(SpanningTreeRecord, (every_edge ^ removed, removed, cls))
-                        for removed in sums]
-    return tuple(records)
+    trees: list[EdgeSet] = []
+    for spokes, _, pools in _spoke_sets(m):
+        # one pick per pool, in the order of itertools.product; the
+        # picked rim edges are distinct and kept so far, so their bits
+        # subtract
+        kept = [every_edge - sum(1 << spoke_index(j, m) for j in spokes)]
+        for pool in pools:
+            kept = [t - p for t in kept for p in pool]
+        trees += kept
+    return tuple(trees)
 
 
 def classify_tree(removed: EdgeSet, m: int) -> TreeClass:
@@ -305,8 +302,6 @@ def classify_tree(removed: EdgeSet, m: int) -> TreeClass:
     Raises ClassificationError unless removed really is the complement
     of a spanning tree of J(2,m).
     """
-    if m < 3:
-        raise InvalidParameterError(f"m must be >= 3, got {m}")
     g = build_jahangir(m)
     if removed < 0 or removed >> 3 * m or removed.bit_count() != m:
         shown = list(edge_indices(removed)) if removed >= 0 else removed
@@ -318,14 +313,17 @@ def classify_tree(removed: EdgeSet, m: int) -> TreeClass:
         raise ClassificationError(
             f"complement of {list(edge_indices(removed))} is not a spanning tree")
     deleted_spokes = {j for j in range(1, m + 1) if removed >> spoke_index(j, m) & 1}
-    return _classify_spoke_set(deleted_spokes, m)
+    return _tree_class(len(deleted_spokes), cyclic_runs(deleted_spokes, m))
 
 
-def _class_counts(records: list[SpanningTreeRecord]) -> tuple[tuple[str, int], ...]:
+def _class_counts(m: int) -> tuple[tuple[str, int], ...]:
     """(class name, tree count) for every class in TreeClass order,
-    empty classes included."""
-    counts = Counter(map(itemgetter(2), records))
-    return tuple((cls.value, counts[cls]) for cls in TreeClass)
+    empty classes included: each spoke set adds the product of its
+    rim-pool sizes to its class, and no tree is listed."""
+    counts = dict.fromkeys(TreeClass, 0)
+    for _, cls, pools in _spoke_sets(m):
+        counts[cls] += math.prod(map(len, pools))
+    return tuple((cls.value, n) for cls, n in counts.items())
 
 
 class PartitionReport(NamedTuple):
@@ -335,8 +333,8 @@ class PartitionReport(NamedTuple):
     generic_total: int
     disjoint: bool
     union_matches: bool
-    missing: tuple[EdgeSet, ...]   # generic trees no record produced
-    extra: tuple[EdgeSet, ...]     # records outside the generic set
+    missing: tuple[EdgeSet, ...]   # generic trees the structured list lacks
+    extra: tuple[EdgeSet, ...]     # structured trees outside the generic set
 
     @property
     def ok(self) -> bool:
@@ -346,28 +344,29 @@ class PartitionReport(NamedTuple):
 def verify_partition(m: int) -> PartitionReport:
     """Check the structured classes against the generic oracle: classes
     pairwise disjoint, union equal to the generic enumeration. Failures
-    land in the report, not in an exception.
+    land in the report, not in an exception. The class counts come from
+    the cutting-down rule, one product per spoke set.
 
     Both sides are compared as sorted mask lists, so no tree is hashed:
     equal lists are the match, and an overlap shows as two equal
-    neighbours among the kept masks."""
-    records = enumerate_spanning_trees_jahangir(m)
+    neighbours among the structured trees."""
+    trees = enumerate_spanning_trees_jahangir(m)
     generic = enumerate_spanning_trees_generic(build_jahangir(m))
-    kept = sorted(map(itemgetter(0), records))
+    trees.sort()
     generic.sort()
-    union_matches = kept == generic
+    union_matches = trees == generic
     missing = extra = ()
     if not union_matches:
         # only a failed comparison names the trees on either side
-        kept_set, generic_set = set(kept), set(generic)
-        missing = tuple(sorted(generic_set - kept_set, key=edge_indices))
-        extra = tuple(sorted(kept_set - generic_set, key=edge_indices))
+        tree_set, generic_set = set(trees), set(generic)
+        missing = tuple(sorted(generic_set - tree_set, key=edge_indices))
+        extra = tuple(sorted(tree_set - generic_set, key=edge_indices))
     return PartitionReport(
         m=m,
-        class_counts=_class_counts(records),
-        total=len(records),
+        class_counts=_class_counts(m),
+        total=len(trees),
         generic_total=len(generic),
-        disjoint=not any(map(eq, kept, itertools.islice(kept, 1, None))),
+        disjoint=not any(map(eq, trees, itertools.islice(trees, 1, None))),
         union_matches=union_matches,
         missing=missing,
         extra=extra)

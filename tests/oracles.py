@@ -194,26 +194,22 @@ def random_connected_graph(rng: random.Random,
     return n, edges
 
 
-def partition_by_sets(records, generic: list[int],
-                      class_names: tuple[str, ...]) -> dict:
-    """Every field of the library's partition report but m, by hashing
-    the masks: records are (kept, removed, class) triples, generic the
-    oracle's tree masks, and tree lists ascend by their index lists."""
-    kept = [rec[0] for rec in records]
-    kept_set, generic_set = set(kept), set(generic)
+def partition_by_sets(trees: list[int], generic: list[int]) -> dict:
+    """Every field of the library's partition report but m and the class
+    counts, by hashing the masks: trees are the structured list, generic
+    the oracle's, and tree lists ascend by their index lists."""
+    tree_set, generic_set = set(trees), set(generic)
 
     def by_indices(masks: set[int]) -> tuple[int, ...]:
         return tuple(sorted(masks, key=lambda mask: sorted(as_set(mask))))
 
     return {
-        "class_counts": tuple((name, sum(1 for rec in records if str(rec[2]) == name))
-                              for name in class_names),
-        "total": len(records),
+        "total": len(trees),
         "generic_total": len(generic),
-        "disjoint": len(kept_set) == len(kept),
-        "union_matches": kept_set == generic_set and len(kept) == len(generic),
-        "missing": by_indices(generic_set - kept_set),
-        "extra": by_indices(kept_set - generic_set),
+        "disjoint": len(tree_set) == len(trees),
+        "union_matches": tree_set == generic_set and len(trees) == len(generic),
+        "missing": by_indices(generic_set - tree_set),
+        "extra": by_indices(tree_set - generic_set),
     }
 
 

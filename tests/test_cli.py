@@ -17,7 +17,9 @@ from jahangir_ssc import (
     hilbert_function,
     hilbert_series,
     reports,
+    spanning,
 )
+from jahangir_ssc.algebra import CERTIFICATE_CHECK_LIMIT
 from jahangir_ssc.cli import TREE_GUARD_VERTEX_LIMIT
 from jahangir_ssc.graphs import MAX_CYCLE_SCAN_VERTICES, MAX_INDEPENDENT_CYCLES
 
@@ -81,6 +83,16 @@ def test_graph_report_leaves_large_certificates_unchecked():
     assert cm.name == "cohen_macaulay_consistency" and cm.verdict == "unchecked"
     assert cm.claimed_source == "lexicographic facet order"
     assert cm.detail == {"reason": "facet count over the certificate check limit"}
+
+
+def test_jahangir_verify_names_the_facet_count_and_the_certificate_cap(run_cli):
+    # J(2,6)'s 2700 facets are past CERTIFICATE_CHECK_LIMIT
+    res = run_cli("jahangir", "--m", "6", "verify")
+    assert res.code == 3
+    cm = next(c for c in res.json()["claims"] if c["name"] == "cohen_macaulay")
+    assert cm["verdict"] == "unchecked" and cm["claimed"] is True
+    assert cm["detail"] == {
+        "reason": f"2700 facets over the certificate check limit of {CERTIFICATE_CHECK_LIMIT}"}
 
 
 def _termwise_diverging_degrees(series, f):
@@ -167,6 +179,15 @@ def test_classes_json(run_cli):
     assert doc["counts"] == {"CJ1": 16, "CJ2": 64, "CJ3a": 80,
                              "CJ3b": 32, "CJ3c": 0}
     assert doc["total"] == doc["matrix_tree_count"] == 192
+
+
+def test_classes_lists_no_tree(run_cli):
+    # the counts come one product per spoke set, so the structured
+    # enumerator never runs
+    spanning._structured_trees.cache_clear()
+    doc = run_cli("jahangir", "--m", "9", "classes").json()
+    assert doc["total"] == doc["matrix_tree_count"] == 140450
+    assert spanning._structured_trees.cache_info().misses == 0
 
 
 def test_cycles_catalogs_differ(run_cli):
@@ -567,11 +588,12 @@ def test_verify_keeps_one_tree_list_of_each_kind():
     assert hwm_kb < VERIFY_RSS_MB * 1024
 
 
-# Comparing the trees as sorted lists instead of sets, and keeping only
-# the count of the structured records, takes verify --m 9 from 55 MB to
-# 45.5 MB of peak RSS on CPython 3.11. This bound leaves 5.5 MB of
-# margin and fails when a hash table of every tree comes back.
-VERIFY_SORTED_RSS_MB = 51
+# Comparing the trees as sorted lists instead of sets takes verify
+# --m 9 from 55 MB to 45.5 MB of peak RSS on CPython 3.11, and keeping
+# the structured trees as bare masks instead of a record per tree takes
+# it to 29-30 MB. This bound leaves 5.5 MB of margin and fails when a
+# hash table of every tree, or a record per tree, comes back.
+VERIFY_SORTED_RSS_MB = 35.5
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")

@@ -11,13 +11,13 @@ from jahangir_ssc.errors import InvalidParameterError
 from jahangir_ssc.formulas import HilbertSeries
 from jahangir_ssc.graphs import EdgeLabel, Graph, build_jahangir
 from jahangir_ssc.reports import ClaimResult
-from jahangir_ssc.spanning import TreeClass, enumerate_spanning_trees_jahangir
+from jahangir_ssc.spanning import verify_partition
 
 
 def test_fields_cannot_be_assigned():
     claim = ClaimResult("count", 1, "rule", 1, "oracle", "match")
     records = ((build_jahangir(3), "edges"),
-               (enumerate_spanning_trees_jahangir(3)[0], "kept"),
+               (verify_partition(3), "total"),
                (claim, "verdict"),
                (HilbertSeries((1, 2), 2), "numerator"))
     for record, name in records:
@@ -77,8 +77,3 @@ def test_records_compare_and_hash_by_value():
     assert EdgeLabel(2, 3) == EdgeLabel(j=2, i=3) == EdgeLabel.parse("e23")
     assert hash(EdgeLabel(2, 3)) == hash(EdgeLabel.parse("e23"))
     assert len({EdgeLabel(2, 3), EdgeLabel(j=2, i=3), EdgeLabel(3, 2)}) == 2
-    record = enumerate_spanning_trees_jahangir(3)[0]
-    kept, removed, tree_class = record
-    assert record == (kept, removed, TreeClass.KEEP_ALL_SPOKES)
-    assert record._asdict() == {"kept": kept, "removed": removed,
-                                "tree_class": tree_class}

@@ -1,5 +1,7 @@
+import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -155,28 +157,37 @@ def test_generic_adversarial_orders(n, edges):
 
 @pytest.mark.parametrize("m", list(CLASS_COUNTS))
 def test_structured_class_counts(m):
-    records = enumerate_spanning_trees_jahangir(m)
-    counts = {cls: 0 for cls in TreeClass}
-    for rec in records:
-        counts[rec.tree_class] += 1
-    assert tuple(counts[cls] for cls in TreeClass) == CLASS_COUNTS[m]
-    assert len(records) == matrix_tree_count(build_jahangir(m))
+    counts = spanning._class_counts(m)
+    assert tuple(name for name, _ in counts) == tuple(cls.value for cls in TreeClass)
+    assert tuple(count for _, count in counts) == CLASS_COUNTS[m]
+    assert len(enumerate_spanning_trees_jahangir(m)) == matrix_tree_count(build_jahangir(m))
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_class_counts_equal_the_classified_trees(m):
+    # the counts per spoke set against every listed tree classified on
+    # its own, each checked to be a spanning tree on the way
+    trees = enumerate_spanning_trees_jahangir(m)
+    every_edge = (1 << 3 * m) - 1
+    classified = Counter(classify_tree(every_edge ^ t, m) for t in trees)
+    counts = dict(spanning._class_counts(m))
+    assert counts == {cls.value: classified[cls] for cls in TreeClass}
+    assert sum(counts.values()) == len(trees) == matrix_tree_count(build_jahangir(m))
 
 
 @pytest.mark.parametrize("m", range(3, 10))
 def test_structured_equals_generic_as_sets(m):
     g = build_jahangir(m)
-    structured = {rec.kept for rec in enumerate_spanning_trees_jahangir(m)}
+    structured = set(enumerate_spanning_trees_jahangir(m))
     assert structured == set(enumerate_spanning_trees_generic(g))
 
 
-def test_structured_records_are_consistent(j4):
+def test_structured_trees_are_consistent(j4):
     all_edges = frozenset(range(j4.edge_count))
-    for rec in enumerate_spanning_trees_jahangir(4):
-        kept, removed = as_set(rec.kept), as_set(rec.removed)
-        assert kept | removed == all_edges
-        assert not kept & removed
-        assert len(removed) == 4  # cyclomatic number of J(2,m) is m
+    for tree in enumerate_spanning_trees_jahangir(4):
+        kept = as_set(tree)
+        assert kept <= all_edges
+        assert len(all_edges - kept) == 4  # cyclomatic number of J(2,m) is m
         chosen = [j4.edges[i] for i in kept]
         assert is_spanning_tree(j4.vertex_count, chosen)
 
@@ -185,8 +196,8 @@ def test_structured_keeps_at_least_one_spoke():
     # dropping every spoke isolates the hub, so no class allows it
     for m in (3, 4, 5):
         spokes = {spoke_index(j, m) for j in range(1, m + 1)}
-        for rec in enumerate_spanning_trees_jahangir(m):
-            assert not spokes <= as_set(rec.removed)
+        for tree in enumerate_spanning_trees_jahangir(m):
+            assert spokes & as_set(tree)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +206,13 @@ def test_structured_keeps_at_least_one_spoke():
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_classify_round_trip(m):
-    for rec in enumerate_spanning_trees_jahangir(m):
-        assert classify_tree(rec.removed, m) == rec.tree_class
+    # each spoke set's trees, in enumeration order, are of its class
+    every_edge = (1 << 3 * m) - 1
+    trees = iter(enumerate_spanning_trees_jahangir(m))
+    for _, cls, pools in spanning._spoke_sets(m):
+        for _ in itertools.product(*pools):
+            assert classify_tree(every_edge ^ next(trees), m) == cls
+    assert next(trees, None) is None
 
 
 def test_classify_named_examples(j3):
@@ -246,44 +262,44 @@ def test_verify_partition(m):
 
 
 def test_verify_partition_reports_overlaps_and_gaps(monkeypatch):
-    records = enumerate_spanning_trees_jahangir(4)
-    foreign = records[0]._replace(kept=1)
-    tampered = records[1:] + [records[-1], foreign]
+    trees = enumerate_spanning_trees_jahangir(4)
+    tampered = trees[1:] + [trees[-1], 1]
     monkeypatch.setattr(spanning, "enumerate_spanning_trees_jahangir", lambda m: tampered)
     report = verify_partition(4)
     assert not report.disjoint and not report.union_matches and not report.ok
-    assert report.missing == (records[0].kept,)
+    assert report.missing == (trees[0],)
     assert report.extra == (1,)
     assert report.total == report.generic_total + 1
 
 
-def _tampered_record_lists(records, m, rng):
-    """Shuffled copies of records: intact, with a duplicate far from its
+def _tampered_tree_lists(trees, m, rng):
+    """Shuffled copies of trees: intact, with a duplicate far from its
     original, with a foreign tree, with a tree dropped, and all three."""
-    def shuffled(recs):
-        recs = list(recs)
-        rng.shuffle(recs)
-        return recs
+    def shuffled(masks):
+        masks = list(masks)
+        rng.shuffle(masks)
+        return masks
 
-    n = len(records)
-    foreign = records[0]._replace(kept=(1 << 3 * m) - 1)  # every edge: not a tree
-    intact = shuffled(records)
+    n = len(trees)
+    foreign = (1 << 3 * m) - 1  # every edge: not a tree
+    intact = shuffled(trees)
     yield intact
     yield [intact[-1]] + intact
     yield intact[: n // 2] + [intact[0]] + intact[n // 2:]
-    yield shuffled(records + [foreign])
-    yield shuffled(records[1:])
-    yield shuffled(records[2:] + [records[-1], foreign])
-    yield shuffled(records[1:] + [records[0]._replace(kept=1)])
+    yield shuffled(trees + [foreign])
+    yield shuffled(trees[1:])
+    yield shuffled(trees[2:] + [trees[-1], foreign])
+    yield shuffled(trees[1:] + [1])
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_verify_partition_equals_the_set_oracle(m, monkeypatch):
-    records = enumerate_spanning_trees_jahangir(m)
+    trees = enumerate_spanning_trees_jahangir(m)
     generic = enumerate_spanning_trees_generic(build_jahangir(m))
-    names = tuple(cls.value for cls in TreeClass)
+    # the class counts come from the cutting-down rule, whatever the list
+    counts = tuple((cls.value, n) for cls, n in zip(TreeClass, CLASS_COUNTS[m]))
     rng = random.Random(m)
-    for k, tampered in enumerate(_tampered_record_lists(records, m, rng)):
+    for k, tampered in enumerate(_tampered_tree_lists(trees, m, rng)):
         listed = generic[:]
         rng.shuffle(listed)
         monkeypatch.setattr(spanning, "enumerate_spanning_trees_jahangir",
@@ -293,7 +309,8 @@ def test_verify_partition_equals_the_set_oracle(m, monkeypatch):
         report = verify_partition(m)
         fields = report._asdict()
         assert fields.pop("m") == m
-        assert fields == partition_by_sets(tampered, listed, names)
+        assert fields.pop("class_counts") == counts
+        assert fields == partition_by_sets(tampered, listed)
         assert report.ok == (k == 0)
 
 
@@ -322,7 +339,7 @@ def test_memoized_enumerators_agree_with_the_oracle_after_eviction(j3, j4):
         oracle = brute_spanning_trees(g.vertex_count, list(g.edges))
         for _ in range(2):  # a miss, then a hit
             structured = enumerate_spanning_trees_jahangir(m)
-            assert {as_set(rec.kept) for rec in structured} == oracle
+            assert set(map(as_set, structured)) == oracle
             assert len(structured) == len(oracle)
             generic = enumerate_spanning_trees_generic(g)
             assert set(map(as_set, generic)) == oracle and len(generic) == len(oracle)
@@ -330,7 +347,7 @@ def test_memoized_enumerators_agree_with_the_oracle_after_eviction(j3, j4):
 
 def test_a_report_enumerates_each_kind_of_tree_once():
     # J(2,5)'s 722 facets are under the certificate check limit, so the
-    # cm verdict runs too: the records, the partition and the block
+    # cm verdict runs too: the tree count, the partition and the block
     # ordering ask for the structured trees, the partition and two
     # spanning complexes for the generic ones
     memos = (spanning._structured_trees, spanning._generic_trees)
