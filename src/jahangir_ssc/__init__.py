@@ -14,7 +14,6 @@ from .algebra import (
     prefix_block_ordering,
 )
 from .complexes import (
-    FVector,
     SimplicialComplex,
     dimension,
     f_vector_direct,
@@ -27,20 +26,15 @@ from .cycles import (
     IntersectionMismatch,
     IntersectionSurvey,
     claimed_order,
-    direct_intersection,
     intersection_survey,
     oracle_cycle_catalog,
     predict_intersection,
-    predict_intersection_disjoint,
-    predict_intersection_nested,
-    predict_intersection_partial,
     word_cycle_catalog,
     word_edge_set,
     word_of,
 )
 from .errors import (
     CapacityError,
-    ClassificationError,
     GraphParseError,
     InvalidParameterError,
     JssError,
@@ -72,7 +66,6 @@ from .reports import ClaimResult, RunReport, build_graph_report, build_jahangir_
 from .spanning import (
     PartitionReport,
     TreeClass,
-    classify_tree,
     enumerate_spanning_trees_generic,
     enumerate_spanning_trees_jahangir,
     verify_partition,
@@ -84,12 +77,10 @@ __all__ = [
     "CMVerdict",
     "CapacityError",
     "ClaimResult",
-    "ClassificationError",
     "CycleCatalog",
     "CycleCatalogEntry",
     "EdgeLabel",
     "EdgeSet",
-    "FVector",
     "FormulaFVector",
     "FormulaTerm",
     "Graph",
@@ -109,10 +100,8 @@ __all__ = [
     "build_jahangir_report",
     "certify",
     "claimed_order",
-    "classify_tree",
     "cohen_macaulay_verdict",
     "dimension",
-    "direct_intersection",
     "edge_indices",
     "emit_graph",
     "enumerate_simple_cycles",
@@ -131,9 +120,6 @@ __all__ = [
     "oracle_cycle_catalog",
     "parse_graph",
     "predict_intersection",
-    "predict_intersection_disjoint",
-    "predict_intersection_nested",
-    "predict_intersection_partial",
     "prefix_block_ordering",
     "spanning_complex",
     "verify_partition",

@@ -15,17 +15,19 @@ position, and the shelling test fails at F_i exactly when an earlier
 facet contains all of them, which an AND of per-element bitsets of
 facet positions answers. A verdict makes that pass once.
 
-The block ordering lists the facet-ideal generators of J(2,m) by the
-length of the leading run of deleted spokes (longest run first,
-lexicographic inside each block). The test suite, not this module, is
-the arbiter that this ordering passes the quotient test.
+A verdict takes one of two orderings. The block ordering ("block")
+lists the facet-ideal generators of J(2,m) by the length of the
+leading run of deleted spokes (longest run first, lexicographic inside
+each block); it is defined on J(2,m) in its canonical edge order only,
+and the test suite, not this module, is the arbiter that it passes the
+quotient test.
 
-For any other graph, or on request, the certificate is the canonical
-facet order itself: spanning trees sorted as edge tuples. A spanning
-complex is the independence complex of a graphic matroid, and the
-lexicographic order of a matroid's bases is a shelling (Bjorner, "The
-homology and shellability of matroids and geometric lattices", 1992;
-Provan-Billera, 1980). The verdict still runs both checks on it.
+The search ordering ("search"), for any connected graph, is the
+canonical facet order itself: spanning trees sorted as edge tuples. A
+spanning complex is the independence complex of a graphic matroid, and
+the lexicographic order of a matroid's bases is a shelling (Bjorner,
+"The homology and shellability of matroids and geometric lattices",
+1992; Provan-Billera, 1980). The verdict still runs both checks on it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .graphs import (
     Graph,
     _normalize,
     build_jahangir,
-    jahangir_order,
     matrix_tree_count,
     spoke_index,
 )
@@ -152,32 +153,30 @@ class CMVerdict(NamedTuple):
     shelling_agrees: bool | None
 
 
-def cohen_macaulay_verdict(g: Graph, ordering: str = "auto",
+def cohen_macaulay_verdict(g: Graph, ordering: str,
                            trees: int | None = None) -> CMVerdict:
     """Build the spanning complex of g, then certify Cohen-Macaulayness
     by an ordering of its facets with quasi-linear quotients: the
-    block ordering ("block") or the canonical facet order ("search").
-    "auto" picks the block ordering on J(2,m) in its canonical edge
-    order and the canonical facet order otherwise. Every certificate is
-    checked, never assumed. trees is g's spanning-tree count where the
-    caller has it, and is computed when needed otherwise.
+    block ordering ("block"), defined on J(2,m) in its canonical edge
+    order only, or the canonical facet order ("search"). Every
+    certificate is checked, never assumed. trees is g's spanning-tree
+    count where the caller has it, and is computed when needed
+    otherwise.
     """
-    if ordering not in ("auto", "block", "search"):
+    if ordering not in ("block", "search"):
         raise InvalidParameterError(f"unknown ordering strategy {ordering!r}")
-    # the block ordering permutes the facets of J(2,m) in its canonical
-    # edge order, so it applies only where g lists the edges that way
-    m = jahangir_order(g)
-    if m is not None and any(_normalize(*e) != _normalize(*c)
-                             for e, c in zip(g.edges, build_jahangir(m).edges)):
-        m = None
-    if ordering == "auto":
-        ordering = "search" if m is None else "block"
-    if ordering == "block" and m is None:
-        raise InvalidParameterError(
-            "block ordering is only defined for J(2,m) in its canonical edge order")
-    # the tree count is the facet count: decide the size before enumerating
-    if ordering == "search" and CERTIFICATE_CHECK_LIMIT < (
-            matrix_tree_count(g) if trees is None else trees):
+    if ordering == "block":
+        # the block ordering permutes the facets of J(2,m) in its
+        # canonical edge order, so g must list exactly those edges
+        m = (g.vertex_count - 1) // 2
+        if (g.vertex_count < 7 or g.vertex_count % 2 == 0
+                or [_normalize(*e) for e in g.edges]
+                != [_normalize(*e) for e in build_jahangir(m).edges]):
+            raise InvalidParameterError(
+                "block ordering is only defined for J(2,m) in its canonical edge order")
+    elif CERTIFICATE_CHECK_LIMIT < (matrix_tree_count(g) if trees is None else trees):
+        # the tree count is the facet count: the size is decided before
+        # any tree is enumerated
         return CMVerdict(None, None, "search", None, None)
     facets = spanning_complex(g).facets
     if ordering == "block":

@@ -29,9 +29,6 @@ from .spanning import (
     enumerate_spanning_trees_generic,
 )
 
-# f-vectors are plain tuples of arbitrary-precision ints, f_0..f_d.
-FVector = tuple
-
 # Work bound of the forest sweep, in steps: one per count carried across
 # an edge, checked before each edge, so the table can at most double past
 # it. A step costs 20 ns on J(2,m) and 150-300 ns on complete graphs and
@@ -118,7 +115,7 @@ def _plus(a: list[int], b: list[int]) -> list[int]:
     return [x + y for x, y in zip(a, b)] + a[len(b):]
 
 
-def f_vector_direct(g: Graph) -> FVector:
+def f_vector_direct(g: Graph) -> tuple[int, ...]:
     """f_i = number of (i+1)-edge acyclic subsets, by a frontier sweep
     over the edges in g's own order.
 

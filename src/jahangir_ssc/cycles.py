@@ -19,6 +19,7 @@ intersection and collects disagreements.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import NamedTuple
 
 from .errors import InvalidParameterError
@@ -163,18 +164,10 @@ def cyclic_runs(indices: set[int], m: int) -> list[list[int]]:
     return runs
 
 
-def predict_intersection_nested(u: tuple[int, ...], v: tuple[int, ...], m: int) -> int:
-    """Predicted |edges(u) & edges(v)| when u's index set lies inside
-    v's: the order of u, minus one for each endpoint cycle of u that is
-    not also an endpoint of v (shared or crossed)."""
-    validate_word(u, m)
-    validate_word(v, m)
-    if not set(u) <= set(v):
-        raise InvalidParameterError(f"{u!r} is not nested in {v!r}")
-    return _nested(u, v)
-
-
 def _nested(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """The nested rule, u's index set inside v's: the order of u, minus
+    one for each endpoint cycle of u that is not also an endpoint of v
+    (shared or crossed)."""
     beta = claimed_order(len(u))
     u1, up = u[0], u[-1]
     v1, vq = v[0], v[-1]
@@ -183,21 +176,6 @@ def _nested(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     if u1 == v1 or up == vq:
         return beta - 1
     return beta - 2
-
-
-def predict_intersection_disjoint(u: tuple[int, ...], v: tuple[int, ...], m: int) -> int:
-    """Predicted intersection for words with disjoint index sets: one
-    shared spoke per cyclic adjacency between the end of one word and
-    the start of the other."""
-    validate_word(u, m)
-    validate_word(v, m)
-    if set(u) & set(v):
-        raise InvalidParameterError(f"{u!r} and {v!r} are not disjoint")
-    return _disjoint(u, v, m)
-
-
-def _disjoint(u: tuple[int, ...], v: tuple[int, ...], m: int) -> int:
-    return follows(u[-1], v[0], m) + follows(v[-1], u[0], m)
 
 
 def _partial_one_way(u: tuple[int, ...], v: tuple[int, ...], common: set[int],
@@ -219,49 +197,33 @@ def _partial_one_way(u: tuple[int, ...], v: tuple[int, ...], common: set[int],
     return total
 
 
-def predict_intersection_partial(u: tuple[int, ...], v: tuple[int, ...], m: int) -> int:
-    """Predicted intersection for overlapping, non-nested words."""
-    validate_word(u, m)
-    validate_word(v, m)
-    su, sv = set(u), set(v)
-    if not (su & sv) or su <= sv or sv <= su:
-        raise InvalidParameterError(f"{u!r} and {v!r} do not partially overlap")
-    return _partial(u, v, su & sv, m)
-
-
-def _partial(u: tuple[int, ...], v: tuple[int, ...], common: set[int], m: int) -> int:
-    result = _partial_one_way(u, v, common, m)
-    if result is None:
-        result = _partial_one_way(v, u, common, m)
-    if result is None:
-        raise InvalidParameterError(
-            f"overlap of {u!r} and {v!r} is not anchored at a word boundary")
-    return result
-
-
 def predict_intersection(u: tuple[int, ...], v: tuple[int, ...], m: int) -> int:
-    """Route a word pair to the applicable prediction. Total over valid
-    words: every pair is nested, disjoint, or partially overlapping."""
+    """Predicted |edges(u) & edges(v)| of two catalog words, by the rule
+    for their relation. Total over valid words: every pair is nested,
+    disjoint, or partially overlapping."""
     validate_word(u, m)
     validate_word(v, m)
-    return _predict(u, v, m)
+    return _predict(u, v, m)[1]
 
 
-def _predict(u: tuple[int, ...], v: tuple[int, ...], m: int) -> int:
-    """predict_intersection for words already validated."""
+def _predict(u: tuple[int, ...], v: tuple[int, ...], m: int) -> tuple[str, int]:
+    """(relation, predicted intersection) of two valid words."""
     su, sv = set(u), set(v)
     if su <= sv:
-        return _nested(u, v)
+        return "nested", _nested(u, v)
     if sv <= su:
-        return _nested(v, u)
+        return "nested", _nested(v, u)
     common = su & sv
     if not common:
-        return _disjoint(u, v, m)
-    return _partial(u, v, common, m)
-
-
-def direct_intersection(a: EdgeSet, b: EdgeSet) -> int:
-    return (a & b).bit_count()
+        # one shared spoke per cyclic adjacency between the end of one
+        # word and the start of the other
+        return "disjoint", follows(u[-1], v[0], m) + follows(v[-1], u[0], m)
+    for a, b in ((u, v), (v, u)):
+        result = _partial_one_way(a, b, common, m)
+        if result is not None:
+            return "partial", result
+    raise InvalidParameterError(
+        f"overlap of {u!r} and {v!r} is not anchored at a word boundary")
 
 
 class IntersectionMismatch(NamedTuple):
@@ -278,15 +240,6 @@ class IntersectionSurvey(NamedTuple):
     mismatches: tuple[IntersectionMismatch, ...]
 
 
-def _relation(u: tuple[int, ...], v: tuple[int, ...]) -> str:
-    su, sv = set(u), set(v)
-    if su <= sv or sv <= su:
-        return "nested"
-    if not (su & sv):
-        return "disjoint"
-    return "partial"
-
-
 def intersection_survey(m: int) -> IntersectionSurvey:
     """Predict every unordered pair of distinct catalog words and
     compare against the actual edge sets. Disagreements are collected,
@@ -294,15 +247,11 @@ def intersection_survey(m: int) -> IntersectionSurvey:
     if m < 3:
         raise InvalidParameterError(f"m must be >= 3, got {m}")
     words = all_words(m)
-    for w in words:
-        validate_word(w, m)
-    edge_sets = {w: word_edge_set(w, m) for w in words}
-    checked = 0
     bad = []
-    for u, v in combinations(words, 2):
-        predicted = _predict(u, v, m)
-        actual = direct_intersection(edge_sets[u], edge_sets[v])
-        checked += 1
+    for (u, a), (v, b) in combinations([(w, word_edge_set(w, m)) for w in words], 2):
+        relation, predicted = _predict(u, v, m)
+        actual = (a & b).bit_count()
         if predicted != actual:
-            bad.append(IntersectionMismatch(u, v, _relation(u, v), predicted, actual))
-    return IntersectionSurvey(m=m, pairs_checked=checked, mismatches=tuple(bad))
+            bad.append(IntersectionMismatch(u, v, relation, predicted, actual))
+    return IntersectionSurvey(m=m, pairs_checked=comb(len(words), 2),
+                              mismatches=tuple(bad))

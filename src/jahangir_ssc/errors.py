@@ -21,9 +21,5 @@ class CapacityError(JssError, RuntimeError):
     """The requested computation exceeds a documented exhaustion bound."""
 
 
-class ClassificationError(JssError, ValueError):
-    """An edge set handed to the tree classifier is not a valid cut set."""
-
-
 class PurityError(JssError, ValueError):
     """An operation that requires a pure complex received a non-pure one."""

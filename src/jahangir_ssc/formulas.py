@@ -26,7 +26,7 @@ from math import comb
 from operator import sub
 from typing import NamedTuple
 
-from .cycles import direct_intersection, word_cycle_catalog
+from .cycles import word_cycle_catalog
 from .errors import CapacityError, InvalidParameterError
 from .graphs import Graph, _Checked, enumerate_simple_cycles, is_connected
 
@@ -69,10 +69,6 @@ class FormulaFVector(NamedTuple):
     values: tuple[int, ...]
     terms: tuple[FormulaTerm, ...]
 
-    def term_contribution(self, term: FormulaTerm, i: int) -> int:
-        return term.sign * binomial(3 * self.m - term.union_estimate,
-                                    i + 1 - term.union_estimate)
-
 
 def f_vector_formula(m: int) -> FormulaFVector:
     """Closed-form f-vector of the spanning complex of J(2,m) over the
@@ -103,7 +99,7 @@ def f_vector_formula(m: int) -> FormulaFVector:
     for entry in catalog.entries:
         apply((entry.word,), -1, entry.beta)
     for a, b in itertools.combinations(catalog.entries, 2):
-        union = a.beta + b.beta - direct_intersection(a.edges, b.edges)
+        union = a.beta + b.beta - (a.edges & b.edges).bit_count()
         apply((a.word, b.word), +1, union)
     return FormulaFVector(m=m, values=tuple(values), terms=tuple(terms))
 

@@ -147,19 +147,6 @@ class Graph(_Checked, _GraphFields):
             adj[v].append((u, idx))
         return adj
 
-    def index_of_label(self, label: EdgeLabel) -> int:
-        if self.labels is None:
-            raise InvalidParameterError("graph has no edge labels")
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise InvalidParameterError(f"no edge labeled {label}") from None
-
-    def label_of(self, index: int) -> EdgeLabel:
-        if self.labels is None:
-            raise InvalidParameterError("graph has no edge labels")
-        return self.labels[index]
-
 
 # ---------------------------------------------------------------------------
 # Jahangir construction and its fixed edge indexing

@@ -14,11 +14,12 @@ there are trees, and only a handful where the frontier stays small.
 The structured enumerator builds the same trees for J(2,m), as the
 same edge-set masks, by the cutting-down rules: choose which spokes to
 delete (never all m), then delete exactly one rim edge from every
-merged cycle and from every untouched cycle. A tree's class is the
-shape of its deleted spoke set, so the classes are counted per spoke
-set, as the product of its rim-pool sizes, and no tree carries a
-label. verify_partition checks that the structured trees are distinct
-and jointly exhaust the generic enumeration.
+merged cycle and from every untouched cycle. A tree's class (CJ1-CJ3c)
+is the shape of its deleted spoke set, so the classes are counted per
+spoke set, as the product of its rim-pool sizes: no tree carries a
+label, and no single tree is classified. verify_partition checks that
+the structured trees are distinct and jointly exhaust the generic
+enumeration.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from operator import eq
 from typing import NamedTuple
 
 from .cycles import cyclic_runs
-from .errors import ClassificationError, InvalidParameterError
+from .errors import InvalidParameterError
 from .graphs import (
     EdgeSet,
     Graph,
@@ -294,26 +295,6 @@ def _structured_trees(m: int) -> tuple[EdgeSet, ...]:
             kept = [t - p for t in kept for p in pool]
         trees += kept
     return tuple(trees)
-
-
-def classify_tree(removed: EdgeSet, m: int) -> TreeClass:
-    """Class of the spanning tree whose removed edge set is given.
-
-    Raises ClassificationError unless removed really is the complement
-    of a spanning tree of J(2,m).
-    """
-    g = build_jahangir(m)
-    if removed < 0 or removed >> 3 * m or removed.bit_count() != m:
-        shown = list(edge_indices(removed)) if removed >= 0 else removed
-        raise ClassificationError(f"not an m-edge cut set: {shown}")
-    kept = [g.edges[i] for i in range(3 * m) if not removed >> i & 1]
-    sub = Graph(g.vertex_count, tuple(kept))
-    # 2m edges on 2m+1 vertices: connected implies spanning tree
-    if not is_connected(sub):
-        raise ClassificationError(
-            f"complement of {list(edge_indices(removed))} is not a spanning tree")
-    deleted_spokes = {j for j in range(1, m + 1) if removed >> spoke_index(j, m) & 1}
-    return _tree_class(len(deleted_spokes), cyclic_runs(deleted_spokes, m))
 
 
 def _class_counts(m: int) -> tuple[tuple[str, int], ...]:

@@ -213,6 +213,24 @@ def partition_by_sets(trees: list[int], generic: list[int]) -> dict:
     }
 
 
+def jahangir_tree_class(removed: int, m: int) -> str:
+    """Class name of the spanning tree of J(2,m) whose deleted edge set
+    is removed, by the definition: spoke j is edge 3(j-1); CJ1 deletes
+    no spoke, CJ2 one; past one, the deleted spokes form a single cyclic
+    run (CJ3a), runs of one spoke each (CJ3b), or both kinds (CJ3c).
+    Read straight off the mask bit by bit, with no run list."""
+    deleted = [removed >> 3 * j & 1 for j in range(m)]
+    rho = sum(deleted)
+    if rho < 2:
+        return ("CJ1", "CJ2")[rho]
+    # a run starts at every deleted spoke whose cyclic predecessor is
+    # kept (deleted[-1] is spoke m)
+    starts = sum(d and not deleted[j - 1] for j, d in enumerate(deleted))
+    if starts == 1:
+        return "CJ3a"
+    return "CJ3b" if starts == rho else "CJ3c"
+
+
 def termwise_hilbert_numerator(f: tuple[int, ...]) -> tuple[int, ...]:
     """h_k = sum_{j<=k} (-1)^(k-j) C(D-j, k-j) f_{j-1}, with D = len(f)
     and f_{-1} = 1, one term at a time; each binomial is the one before

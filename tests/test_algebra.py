@@ -287,7 +287,7 @@ def test_shelling_implies_quotients_on_random_graphs():
 
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_verdict_family(m):
-    verdict = cohen_macaulay_verdict(build_jahangir(m))
+    verdict = cohen_macaulay_verdict(build_jahangir(m), "block")
     assert verdict.cohen_macaulay is True
     assert verdict.ordering_source == "block"
     assert verdict.certificate is not None
@@ -296,7 +296,7 @@ def test_verdict_family(m):
 
 
 def test_verdict_triangle():
-    verdict = cohen_macaulay_verdict(TRIANGLE)
+    verdict = cohen_macaulay_verdict(TRIANGLE, "search")
     assert verdict.cohen_macaulay is True
     assert verdict.ordering_source == "search"
     assert verdict.shelling_agrees is True
@@ -358,25 +358,55 @@ def test_verdict_search_leaves_large_ideals_unchecked(monkeypatch):
     assert verdict.certificate is None and verdict.shelling_agrees is None
 
 
-def test_verdict_auto_reports_a_failing_block_ordering(monkeypatch, j3):
-    # "auto" means the block ordering on J(2,m), with no fallback to the
-    # canonical order: an ordering that fails the quotient test is False
+def test_verdict_reports_a_failing_block_ordering(monkeypatch, j3):
+    # the block ordering has no fallback to the canonical order: an
+    # ordering that fails the quotient test is False
     from jahangir_ssc import algebra
 
     facets = spanning_complex(j3).facets
     far = next(i for i, f in enumerate(facets) if (facets[0] & ~f).bit_count() >= 2)
     failing = (0, far) + tuple(i for i in range(1, len(facets)) if i != far)
     monkeypatch.setattr(algebra, "prefix_block_ordering", lambda m: failing)
-    verdict = cohen_macaulay_verdict(j3, ordering="auto")
+    verdict = cohen_macaulay_verdict(j3, ordering="block")
     assert verdict.cohen_macaulay is False
     assert verdict.ordering_source == "block"
     assert verdict.block_first_failure == 1
     assert verdict.certificate is None
 
 
+def _non_canonical_graphs():
+    j3 = build_jahangir(3)
+    yield TRIANGLE
+    yield Graph(1, ())
+    # five vertices would be J(2,2), which build_jahangir refuses itself
+    yield Graph(5, tuple((i, (i + 1) % 5) for i in range(5)))
+    yield Graph(8, j3.edges + ((0, 7),))
+    yield Graph(7, j3.edges + ((2, 4),))
+    yield Graph(7, j3.edges[:-1])
+    for m in (4, 5):
+        edges = list(build_jahangir(m).edges)
+        random.Random(m).shuffle(edges)
+        yield Graph(2 * m + 1, tuple(edges))
+
+
 def test_verdict_block_requires_the_family():
-    with pytest.raises(InvalidParameterError):
-        cohen_macaulay_verdict(TRIANGLE, ordering="block")
+    # the triangle, too few or an even count of vertices, J(2,3) with an
+    # edge more or less, shuffled J(2,4) and J(2,5): one message for
+    # every refusal, never build_jahangir's own
+    for g in _non_canonical_graphs():
+        with pytest.raises(InvalidParameterError) as info:
+            cohen_macaulay_verdict(g, ordering="block")
+        assert str(info.value) == (
+            "block ordering is only defined for J(2,m) in its canonical edge order")
+
+
+def test_verdict_takes_exactly_two_orderings(j3):
+    # "block" or "search", with no default
+    for ordering in ("auto", None, "paper"):
+        with pytest.raises(InvalidParameterError, match="unknown ordering strategy"):
+            cohen_macaulay_verdict(j3, ordering)
+    with pytest.raises(TypeError):
+        cohen_macaulay_verdict(j3)
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -388,19 +418,19 @@ def test_verdict_on_a_reordered_family(m):
     edges = list(g.edges)
     random.Random(m).shuffle(edges)
     shuffled = Graph(g.vertex_count, tuple(edges))
-    for ordering in ("auto", "search"):
-        verdict = cohen_macaulay_verdict(shuffled, ordering=ordering)
-        assert verdict.cohen_macaulay is True and verdict.shelling_agrees is True
-        assert verdict.ordering_source == "search"
+    verdict = cohen_macaulay_verdict(shuffled, ordering="search")
+    assert verdict.cohen_macaulay is True and verdict.shelling_agrees is True
+    assert verdict.ordering_source == "search"
     with pytest.raises(InvalidParameterError, match="canonical edge order"):
         cohen_macaulay_verdict(shuffled, ordering="block")
     # either orientation of each edge keeps the canonical order
     flipped = Graph(g.vertex_count, tuple((v, u) for u, v in g.edges))
-    assert cohen_macaulay_verdict(flipped).ordering_source == "block"
+    verdict = cohen_macaulay_verdict(flipped, ordering="block")
+    assert verdict.ordering_source == "block" and verdict.cohen_macaulay is True
 
 
 def test_verdict_certificate_is_checkable(j4):
-    verdict = cohen_macaulay_verdict(j4)
+    verdict = cohen_macaulay_verdict(j4, "block")
     facets = spanning_complex(j4).facets
     assert sorted(verdict.certificate) == list(range(len(facets)))
     assert certify([facets[i] for i in verdict.certificate])[0] is None

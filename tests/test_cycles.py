@@ -7,22 +7,17 @@ from jahangir_ssc import (
     InvalidParameterError,
     build_jahangir,
     claimed_order,
-    direct_intersection,
     enumerate_simple_cycles,
     intersection_survey,
     oracle_cycle_catalog,
     predict_intersection,
-    predict_intersection_disjoint,
-    predict_intersection_nested,
-    predict_intersection_partial,
     word_cycle_catalog,
     word_edge_set,
     word_of,
 )
+from jahangir_ssc import cycles
 from jahangir_ssc.cycles import all_words, cyclic_runs, follows, validate_word
 from jahangir_ssc.graphs import edge_indices
-
-from oracles import as_mask
 
 
 def _by_word(catalog):
@@ -52,7 +47,7 @@ def test_catalog_rejects_small_m():
 
 def test_catalog_entry_single_cycle(j3):
     entry = _by_word(word_cycle_catalog(3))[(1,)]
-    labels = {str(j3.label_of(i)) for i in edge_indices(entry.edges)}
+    labels = {str(j3.labels[i]) for i in edge_indices(entry.edges)}
     assert labels == {"e11", "e12", "e13", "e21"}
     assert entry.beta == 4
     assert entry.is_simple_cycle
@@ -61,7 +56,7 @@ def test_catalog_entry_single_cycle(j3):
 def test_catalog_entry_two_cycles(j3):
     # two joined base cycles: the shared spoke drops out
     entry = _by_word(word_cycle_catalog(3))[(1, 2)]
-    labels = {str(j3.label_of(i)) for i in edge_indices(entry.edges)}
+    labels = {str(j3.labels[i]) for i in edge_indices(entry.edges)}
     assert labels == {"e11", "e12", "e13", "e22", "e23", "e31"}
     assert entry.beta == 6
     assert entry.is_simple_cycle
@@ -93,7 +88,7 @@ def test_word_edge_set_wraparound():
     m = 4
     edges = word_edge_set((4, 1), m)
     g = build_jahangir(m)
-    labels = {str(g.label_of(i)) for i in edge_indices(edges)}
+    labels = {str(g.labels[i]) for i in edge_indices(edges)}
     assert labels == {"e41", "e42", "e43", "e12", "e13", "e21"}
 
 
@@ -164,39 +159,50 @@ def test_oracle_catalog_scrambled_edge_order(j3):
 # intersection predictions, worked examples first
 
 
+# (u, v, m, predicted |edges(u) & edges(v)|) for nested pairs
+NESTED_EXAMPLES = [
+    ((1,), (1, 2), 3, 3),
+    ((2,), (2,), 4, 4),
+    ((2,), (1, 2, 3), 4, 2),
+]
+
+# (relation, u, v, m, predicted) for the other two relations; the
+# relation is the rule each example exercises
+WORKED_EXAMPLES = [
+    ("partial", (1, 2), (2, 3), 3, 3),
+    ("partial", (1, 2), (2, 3), 4, 2),
+    ("partial", (1, 2, 3), (3, 4), 4, 3),
+    ("disjoint", (1,), (2,), 3, 1),
+    ("disjoint", (1, 2), (3,), 3, 2),
+    ("disjoint", (1,), (3,), 5, 0),
+]
+
+
 def test_predict_nested_examples():
-    assert predict_intersection_nested((1,), (1, 2), 3) == 3
-    assert predict_intersection_nested((2,), (2,), 4) == 4
-    assert predict_intersection_nested((2,), (1, 2, 3), 4) == 2
+    for u, v, m, predicted in NESTED_EXAMPLES:
+        assert predict_intersection(u, v, m) == predicted
 
 
-def test_predict_partial_examples():
-    assert predict_intersection_partial((1, 2), (2, 3), 3) == 3
-    assert predict_intersection_partial((1, 2), (2, 3), 4) == 2
-    assert predict_intersection_partial((1, 2, 3), (3, 4), 4) == 3
-
-
-def test_predict_disjoint_examples():
-    assert predict_intersection_disjoint((1,), (2,), 3) == 1
-    assert predict_intersection_disjoint((1, 2), (3,), 3) == 2
-    assert predict_intersection_disjoint((1,), (3,), 5) == 0
+@pytest.mark.parametrize("relation, u, v, m, predicted", WORKED_EXAMPLES,
+                         ids=["-".join((r, "".join(map(str, u)), "".join(map(str, v)), f"m{m}"))
+                              for r, u, v, m, _ in WORKED_EXAMPLES])
+def test_predict_worked_examples(relation, u, v, m, predicted):
+    assert predict_intersection(u, v, m) == predicted
 
 
 def test_predict_dispatch_matches_specialists():
-    assert predict_intersection((1,), (1, 2), 3) == 3
-    assert predict_intersection((1,), (2,), 3) == 1
-    assert predict_intersection((1, 2), (2, 3), 3) == 3
+    # each relation's rule is a branch of the router: every worked
+    # example must be routed to the rule it exercises
+    rows = [("nested", *row) for row in NESTED_EXAMPLES] + WORKED_EXAMPLES
+    for relation, u, v, m, predicted in rows:
+        assert cycles._predict(u, v, m) == (relation, predicted)
 
 
 def test_predict_preconditions():
-    with pytest.raises(InvalidParameterError):
-        predict_intersection_nested((1,), (2,), 3)
-    with pytest.raises(InvalidParameterError):
-        predict_intersection_disjoint((1, 2), (2, 3), 3)
-    with pytest.raises(InvalidParameterError):
-        predict_intersection_partial((1,), (1, 2), 3)
-    with pytest.raises(InvalidParameterError):
-        predict_intersection_partial((1,), (2,), 3)
+    # both words are validated before the pair is routed
+    for u, v, m in [((1,), (4,), 3), ((1, 3), (2,), 3), ((2,), (), 3), ((1,), (1, 2, 3, 1), 3)]:
+        with pytest.raises(InvalidParameterError):
+            predict_intersection(u, v, m)
 
 
 def test_predict_is_symmetric():
@@ -205,17 +211,11 @@ def test_predict_is_symmetric():
             assert predict_intersection(u, v, m) == predict_intersection(v, u, m)
 
 
-def test_direct_intersection():
-    assert direct_intersection(as_mask({1, 2}), as_mask({2, 3})) == 1
-    assert direct_intersection(word_edge_set((1,), 3),
-                               word_edge_set((2,), 3)) == 1
-
-
 # ---------------------------------------------------------------------------
 # the survey: predictions vs edge sets, divergences pinned exactly
 
 
-@pytest.mark.parametrize("m", [3, 4, 5, 6])
+@pytest.mark.parametrize("m", range(3, 11))
 def test_survey_divergences_are_exactly_the_full_length_overlaps(m):
     survey = intersection_survey(m)
     total_words = m * m
@@ -237,7 +237,7 @@ def test_survey_agreements_hold_pairwise(m):
     flagged = {(mm.word_a, mm.word_b) for mm in survey.mismatches}
     for u, v in itertools.combinations(all_words(m), 2):
         predicted = predict_intersection(u, v, m)
-        actual = direct_intersection(word_edge_set(u, m), word_edge_set(v, m))
+        actual = (word_edge_set(u, m) & word_edge_set(v, m)).bit_count()
         if (u, v) in flagged or (v, u) in flagged:
             assert predicted != actual
         else:
