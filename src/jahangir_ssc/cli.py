@@ -387,7 +387,3 @@ def main(argv: list[str] | None = None) -> int:
         for line in _text_lines(payload):
             sys.stdout.write(line + "\n")
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

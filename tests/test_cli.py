@@ -525,12 +525,17 @@ for argv in (["jahangir", "--m", "1000", "cycles", "--catalog", "oracle"],
 """
 
 
-def _run_child(script: str, *args: str) -> subprocess.CompletedProcess:
+def _child_env() -> dict[str, str]:
+    """The environment of a child that imports the package from this
+    checkout's src/."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def _run_child(script: str, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
-                          text=True, env=env, timeout=60)
+                          text=True, env=_child_env(), timeout=60)
 
 
 def test_large_m_is_refused_within_a_memory_cap():
@@ -718,22 +723,102 @@ def test_stdout_stays_clean_on_errors(run_cli):
 
 
 # ---------------------------------------------------------------------------
-# one end-to-end process check
+# the process entry: `python -m jahangir_ssc`, as `jssc` runs it
 
 
-def test_module_entry_point(triangle_file):
-    # the child imports the package from this checkout's src/
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "jahangir_ssc", "jahangir", "--m", "3", "hilbert"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["denominator_power"] == 6
+# golden requests for exit codes 0 to 3, every format, a usage error and
+# --help (argparse's SystemExit), then an answer larger than a pipe
+# buffer, which comes through whole only if the entry flushes it before
+# os._exit
+ENTRY_SAMPLE = (
+    ("jahangir", "--m", "3", "hilbert", "--format", "json"),
+    ("jahangir", "--m", "4", "classes", "--format", "csv"),
+    ("jahangir", "--m", "3", "f-vector", "--mode", "formula", "--format", "text"),
+    ("jahangir", "--m", "3", "verify", "--format", "text"),
+    ("graph", "--input", "petersen.json", "cm", "--format", "csv"),
+    ("graph", "--input", "bad.json", "facets"),
+    ("graph", "--input", "absent.json", "facets"),
+    ("jahangir", "--m", "10", "facets"),
+    ("jahangir", "--m", "3", "nonsense"),
+    ("jahangir", "facets"),
+    ("jahangir", "--m", "3", "cm", "--help"),
+    ("jahangir", "--m", "7", "facets"),
+)
 
-    bad = subprocess.run(
-        [sys.executable, "-m", "jahangir_ssc", "graph", "--input",
-         triangle_file, "classes"],
-        capture_output=True, text=True, env=env)
-    assert bad.returncode == 1
+
+def test_module_entry_point(run_cli, tmp_path, monkeypatch):
+    from test_golden_cli import _documents, requests
+
+    assert set(ENTRY_SAMPLE[:-2]) <= set(requests())
+    for name, text in _documents().items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the same width
+    # block-buffered, so the tail of each answer is still in the buffer
+    # when main returns
+    env = {key: value for key, value in _child_env().items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONIOENCODING"] = "utf-8"
+    codes = set()
+    for argv in ENTRY_SAMPLE:
+        proc = subprocess.run([sys.executable, "-m", "jahangir_ssc", *argv],
+                              capture_output=True, env=env, timeout=60)
+        want = run_cli(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            want.code, want.stdout.encode(), want.stderr.encode()), argv
+        codes.add(want.code)
+    assert codes == {0, 1, 2, 3}
+    # the last answer, 10,082 facets in 1.9 MB
+    assert len(proc.stdout) > 1 << 20 and len(json.loads(proc.stdout)["facets"]) == 10082
+
+
+# the entry before os._exit: the interpreter's ordinary exit
+EXIT_CHILD = """
+import sys
+from jahangir_ssc.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("m, action", [("3", "hilbert"), ("7", "facets")])
+def test_a_closed_stdout_ends_as_the_ordinary_exit(m, action, unbuffered):
+    # buffered, the small answer fails at the last flush: exit 120 and
+    # "Exception ignored in: <stdout>"; the others fail inside main
+    env = {key: value for key, value in _child_env().items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    ends = []
+    for entry in (["-m", "jahangir_ssc"], ["-c", EXIT_CHILD]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, *entry, "jahangir", "--m", m, action],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        lines = proc.stderr.splitlines()
+        ends.append((proc.returncode, lines[0], lines[-1]))
+    assert ends[0] == ends[1]
+    assert ends[0][0] != 0 and ends[0][2] == "BrokenPipeError: [Errno 32] Broken pipe"
+
+
+# run() ends the process by os._exit, which skips every atexit hook, so
+# the package must register none
+ATEXIT_CHILD = """
+import atexit, contextlib, io
+before = atexit._ncallbacks()
+import jahangir_ssc.__main__
+from jahangir_ssc.cli import ACTIONS, main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(["jahangir", "--m", "3", action]) for action in ACTIONS]
+print(before, atexit._ncallbacks(), *codes)
+"""
+
+
+def test_the_package_registers_no_exit_hook():
+    proc = _run_child(ATEXIT_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    before, after, *codes = map(int, proc.stdout.split())
+    assert after == before
+    assert codes == [0, 0, 0, 0, 0, 0, 3]
