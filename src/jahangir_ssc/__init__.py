@@ -13,13 +13,7 @@ from .algebra import (
     cohen_macaulay_verdict,
     prefix_block_ordering,
 )
-from .complexes import (
-    SimplicialComplex,
-    dimension,
-    f_vector_direct,
-    is_pure,
-    spanning_complex,
-)
+from .complexes import f_vector_direct
 from .cycles import (
     CycleCatalog,
     CycleCatalogEntry,
@@ -93,7 +87,6 @@ __all__ = [
     "PartitionReport",
     "PurityError",
     "RunReport",
-    "SimplicialComplex",
     "TreeClass",
     "build_graph_report",
     "build_jahangir",
@@ -101,7 +94,6 @@ __all__ = [
     "certify",
     "claimed_order",
     "cohen_macaulay_verdict",
-    "dimension",
     "edge_indices",
     "emit_graph",
     "enumerate_simple_cycles",
@@ -114,14 +106,12 @@ __all__ = [
     "hilbert_series",
     "intersection_survey",
     "is_connected",
-    "is_pure",
     "jahangir_order",
     "matrix_tree_count",
     "oracle_cycle_catalog",
     "parse_graph",
     "predict_intersection",
     "prefix_block_ordering",
-    "spanning_complex",
     "verify_partition",
     "word_cycle_catalog",
     "word_edge_set",

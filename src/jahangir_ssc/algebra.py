@@ -34,17 +34,17 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .complexes import spanning_complex
 from .errors import InvalidParameterError, PurityError
 from .graphs import (
     EdgeSet,
     Graph,
     _normalize,
     build_jahangir,
+    is_connected,
     matrix_tree_count,
     spoke_index,
 )
-from .spanning import enumerate_spanning_trees_jahangir
+from .spanning import enumerate_spanning_trees_generic, enumerate_spanning_trees_jahangir
 
 # Past this many facets the generic certificate is not checked. One
 # certificate pass answers both checks, a few lookups per facet; on one
@@ -178,7 +178,10 @@ def cohen_macaulay_verdict(g: Graph, ordering: str,
         # the tree count is the facet count: the size is decided before
         # any tree is enumerated
         return CMVerdict(None, None, "search", None, None)
-    facets = spanning_complex(g).facets
+    if not is_connected(g):
+        raise InvalidParameterError(
+            "spanning complex is undefined for disconnected graphs")
+    facets = enumerate_spanning_trees_generic(g)
     if ordering == "block":
         perm = prefix_block_ordering(m)
         failure, shelling = certify([facets[k] for k in perm])

@@ -19,7 +19,7 @@ import sys
 from collections.abc import Iterator
 
 from .algebra import cohen_macaulay_verdict
-from .complexes import f_vector_direct, spanning_complex
+from .complexes import f_vector_direct
 from .cycles import CycleCatalog, oracle_cycle_catalog, word_cycle_catalog
 from .errors import CapacityError, GraphParseError, InvalidParameterError, JssError
 from .formulas import f_vector_divergence, f_vector_exact_ie, f_vector_formula, hilbert_series
@@ -32,7 +32,7 @@ from .graphs import (
     parse_graph,
 )
 from .reports import RunReport, build_graph_report, build_jahangir_report
-from .spanning import _class_counts
+from .spanning import _class_counts, enumerate_spanning_trees_generic
 
 ACTIONS = ("facets", "classes", "cycles", "f-vector", "hilbert", "cm", "verify")
 
@@ -132,10 +132,10 @@ def _edge_lister(g: Graph):
 
 
 def _facet_payload(g: Graph, trees: int, meta: dict) -> dict:
-    complex_ = spanning_complex(g)
+    facets = enumerate_spanning_trees_generic(g)
     listed = _edge_lister(g)
-    return {**meta, "count": len(complex_.facets), "matrix_tree_count": trees,
-            "facets": [listed(f) for f in complex_.facets]}
+    return {**meta, "count": len(facets), "matrix_tree_count": trees,
+            "facets": [listed(f) for f in facets]}
 
 
 def _classes_payload(m: int, trees: int, meta: dict) -> dict:
@@ -371,9 +371,6 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2
-    except (GraphParseError, InvalidParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except JssError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,7 @@
-"""The spanning simplicial complex and its direct combinatorics.
+"""The direct combinatorics of the spanning simplicial complex.
 
+The complex is given by its facets, the spanning trees, which
+spanning.enumerate_spanning_trees_generic lists in canonical order.
 Faces are never materialized: a face of the spanning complex of a
 connected graph is exactly an acyclic edge subset (every forest extends
 to a spanning tree), so the f-vector is the forest count by edge number
@@ -15,19 +17,9 @@ small pathwidth such as J(2,m), and is capped by the work it does.
 
 from __future__ import annotations
 
-from itertools import islice
-from operator import eq
-from typing import NamedTuple
-
 from .errors import CapacityError, InvalidParameterError
-from .graphs import EdgeSet, Graph, _Checked, edge_indices, is_connected
-from .spanning import (
-    _entered,
-    _frontier_steps,
-    _kept,
-    _merged,
-    enumerate_spanning_trees_generic,
-)
+from .graphs import Graph, is_connected
+from .spanning import _entered, _frontier_steps, _kept, _merged
 
 # Work bound of the forest sweep, in steps: one per count carried across
 # an edge, checked before each edge, so the table can at most double past
@@ -39,73 +31,6 @@ from .spanning import (
 # 0.15-0.45 s, and a 24-edge matching swept before the edges joining it
 # after 0.63 s.
 F_VECTOR_STEP_LIMIT = 1_200_000
-
-
-class _SimplicialComplexFields(NamedTuple):
-    ground_size: int
-    facets: tuple[EdgeSet, ...]
-
-
-class SimplicialComplex(_Checked, _SimplicialComplexFields):
-    """A complex given by its facets, edge sets over a ground set
-    0..ground_size-1.
-
-    Facets must be pairwise incomparable; faces are implicitly the
-    downward closure and are never stored.
-    """
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if self.ground_size < 0:
-            raise InvalidParameterError("ground set size must be nonnegative")
-        facets = self.facets
-        # the extremes decide the range test; the loop names the first
-        # facet outside it
-        if facets and (min(facets) < 0 or max(facets) >> self.ground_size):
-            for f in facets:
-                if f < 0 or f >> self.ground_size:  # a negative mask has no index list
-                    shown = list(edge_indices(f)) if f >= 0 else f
-                    raise InvalidParameterError(f"facet {shown} leaves the ground set")
-        # duplicates are equal neighbours once sorted; no facet is hashed
-        ordered = sorted(facets)
-        if any(map(eq, ordered, islice(ordered, 1, None))):
-            raise InvalidParameterError("duplicate facets")
-        # equal-sized distinct facets are automatically incomparable;
-        # only mixed sizes need the quadratic containment check
-        if len(set(map(int.bit_count, facets))) > 1:
-            by_size: dict[int, list[EdgeSet]] = {}
-            for f in facets:
-                by_size.setdefault(f.bit_count(), []).append(f)
-            sizes = sorted(by_size)
-            for i, small in enumerate(sizes):
-                for big in sizes[i + 1:]:
-                    for a in by_size[small]:
-                        if any(a & b == a for b in by_size[big]):
-                            raise InvalidParameterError(
-                                f"facet {list(edge_indices(a))} is contained in "
-                                "another facet")
-
-
-def spanning_complex(g: Graph) -> SimplicialComplex:
-    """Complex whose facets are the spanning-tree edge sets of g."""
-    if not is_connected(g):
-        raise InvalidParameterError(
-            "spanning complex is undefined for disconnected graphs")
-    facets = tuple(enumerate_spanning_trees_generic(g))
-    return SimplicialComplex(ground_size=g.edge_count, facets=facets)
-
-
-def dimension(c: SimplicialComplex) -> int:
-    if not c.facets:
-        raise InvalidParameterError("empty complex has no dimension")
-    return max(map(int.bit_count, c.facets)) - 1
-
-
-def is_pure(c: SimplicialComplex) -> bool:
-    if not c.facets:
-        raise InvalidParameterError("empty complex has no purity")
-    return len(set(map(int.bit_count, c.facets))) == 1
 
 
 def _plus(a: list[int], b: list[int]) -> list[int]:

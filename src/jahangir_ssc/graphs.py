@@ -81,7 +81,10 @@ class EdgeLabel(_Checked, _EdgeLabelFields):
     def parse(cls, text: str) -> "EdgeLabel":
         # The position is always a single digit, so the final digit is i
         # and everything between "e" and it is j. Unambiguous for any m.
-        if len(text) < 3 or text[0] != "e" or not text[1:].isdigit():
+        # Only ASCII digits: str.isdigit also accepts superscripts and
+        # other scripts' digits.
+        digits = text[1:]
+        if len(text) < 3 or text[0] != "e" or not (digits.isascii() and digits.isdigit()):
             raise InvalidParameterError(f"bad edge label {text!r}")
         return cls(j=int(text[1:-1]), i=int(text[-1]))
 

@@ -14,20 +14,14 @@ from operator import mul
 from typing import NamedTuple
 
 from .algebra import CERTIFICATE_CHECK_LIMIT, cohen_macaulay_verdict
-from .complexes import (
-    SimplicialComplex,
-    dimension,
-    f_vector_direct,
-    is_pure,
-    spanning_complex,
-)
+from .complexes import f_vector_direct
 from .cycles import (
     claimed_order,
     intersection_survey,
     oracle_cycle_catalog,
     word_cycle_catalog,
 )
-from .errors import CapacityError
+from .errors import CapacityError, InvalidParameterError
 from .formulas import (
     FORMULA_M_RANGE,
     f_vector_divergence,
@@ -35,8 +29,12 @@ from .formulas import (
     f_vector_formula,
     hilbert_series,
 )
-from .graphs import Graph, build_jahangir, matrix_tree_count
-from .spanning import enumerate_spanning_trees_jahangir, verify_partition
+from .graphs import EdgeSet, Graph, build_jahangir, is_connected, matrix_tree_count
+from .spanning import (
+    enumerate_spanning_trees_generic,
+    enumerate_spanning_trees_jahangir,
+    verify_partition,
+)
 
 # Budget for the exact inclusion-exclusion cross-check inside a verify
 # run, whose cost grows with the cycle count: on one core of a shared
@@ -132,10 +130,11 @@ def _claim_exact_ie(g: Graph, f_direct: tuple[int, ...] | None,
         verdict="match" if ie == f_direct else "mismatch")
 
 
-def _claim_dimension(g: Graph, complex_: SimplicialComplex) -> ClaimResult:
+def _claim_dimension(g: Graph, facets: list[EdgeSet]) -> ClaimResult:
     # a spanning tree has V - 1 edges; for J(2,m) that is dimension 2m - 1
-    dim = dimension(complex_)
-    pure = is_pure(complex_)
+    sizes = set(map(int.bit_count, facets))
+    dim = max(sizes) - 1
+    pure = len(sizes) == 1
     ok = dim == g.vertex_count - 2 and pure
     return ClaimResult(
         name="dimension_and_purity",
@@ -286,13 +285,13 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False,
             verdict="match" if not diverging else "mismatch",
             detail={"diverging_indices": diverging})
 
-    complex_ = spanning_complex(g)
+    facets = enumerate_spanning_trees_generic(g)
 
     def claim_cm() -> ClaimResult:
-        if len(complex_.facets) > CERTIFICATE_CHECK_LIMIT:
+        if len(facets) > CERTIFICATE_CHECK_LIMIT:
             return _unchecked("cohen_macaulay", "quotient ordering construction",
                               "quasi-linear quotient check",
-                              _over_certificate_limit(len(complex_.facets)),
+                              _over_certificate_limit(len(facets)),
                               claimed=True)
         # the block ordering is always checked: its verdict is never None
         verdict = cohen_macaulay_verdict(g, ordering="block")
@@ -311,8 +310,8 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False,
         claim_tree_count, claim_partition, claim_catalog_size,
         claim_catalog_orders, claim_intersections, claim_formula,
         lambda: _claim_exact_ie(g, f_direct, sweep_refusal),
-        lambda: _claim_dimension(g, complex_),
-        lambda: _claim_hilbert(f_direct, sweep_refusal, len(complex_.facets)),
+        lambda: _claim_dimension(g, facets),
+        lambda: _claim_hilbert(f_direct, sweep_refusal, len(facets)),
         claim_cm), timed)
 
 
@@ -321,17 +320,20 @@ def build_graph_report(g: Graph, seed: int = 0, timed: bool = False,
     """Generic-engine cross-checks for an arbitrary connected graph. seed
     is only echoed in the parameters. trees is the determinant's
     spanning-tree count where the caller has it."""
-    complex_ = spanning_complex(g)
+    if not is_connected(g):
+        raise InvalidParameterError(
+            "spanning complex is undefined for disconnected graphs")
+    facets = enumerate_spanning_trees_generic(g)
     mt = matrix_tree_count(g) if trees is None else trees
 
     def claim_tree_count() -> ClaimResult:
         return ClaimResult(
             name="spanning_tree_count",
-            claimed=len(complex_.facets),
+            claimed=len(facets),
             claimed_source="generic frontier enumeration",
             oracle=mt,
             oracle_source="fraction-free determinant",
-            verdict="match" if len(complex_.facets) == mt else "mismatch")
+            verdict="match" if len(facets) == mt else "mismatch")
 
     f_direct, sweep_refusal = _direct_f_vector(g)
 
@@ -354,6 +356,6 @@ def build_graph_report(g: Graph, seed: int = 0, timed: bool = False,
         "graph", {"vertices": g.vertex_count, "edges": g.edge_count, "seed": seed}, (
             claim_tree_count,
             lambda: _claim_exact_ie(g, f_direct, sweep_refusal),
-            lambda: _claim_dimension(g, complex_),
-            lambda: _claim_hilbert(f_direct, sweep_refusal, len(complex_.facets)),
+            lambda: _claim_dimension(g, facets),
+            lambda: _claim_hilbert(f_direct, sweep_refusal, len(facets)),
             claim_cm), timed)

@@ -16,7 +16,6 @@ from jahangir_ssc import (
     build_jahangir,
     certify,
     cohen_macaulay_verdict,
-    dimension,
     enumerate_spanning_trees_generic,
     f_vector_direct,
     f_vector_exact_ie,
@@ -24,11 +23,9 @@ from jahangir_ssc import (
     hilbert_function,
     hilbert_series,
     intersection_survey,
-    is_pure,
     matrix_tree_count,
     predict_intersection,
     prefix_block_ordering,
-    spanning_complex,
     verify_partition,
     word_cycle_catalog,
     word_edge_set,
@@ -132,9 +129,9 @@ def test_criterion_1_facet_reproduction(run_cli):
 def test_criterion_2_dimension_and_purity():
     with criterion(2, "dimension and purity", 5.0):
         for m in range(3, 9):
-            c = spanning_complex(build_jahangir(m))
-            assert dimension(c) == 2 * m - 1
-            assert is_pure(c)
+            facets = enumerate_spanning_trees_generic(build_jahangir(m))
+            # pure of dimension 2m - 1: every facet has 2m edges
+            assert set(map(int.bit_count, facets)) == {2 * m}
 
 
 def test_criterion_3_direct_f_vector():
@@ -234,10 +231,10 @@ def test_criterion_9_cohen_macaulay():
     with criterion(9, "Cohen-Macaulay certificates", 60.0):
         for m in (3, 4, 5):
             g = build_jahangir(m)
-            c = spanning_complex(g)
+            canonical = enumerate_spanning_trees_generic(g)
             ordering = prefix_block_ordering(m)
-            assert sorted(ordering) == list(range(len(c.facets)))
-            first_failure, shelling = certify([c.facets[i] for i in ordering])
+            assert sorted(ordering) == list(range(len(canonical)))
+            first_failure, shelling = certify([canonical[i] for i in ordering])
             assert first_failure is None
             assert shelling
             verdict = cohen_macaulay_verdict(g, "block")

@@ -8,13 +8,12 @@ from jahangir_ssc import (
     Graph,
     InvalidParameterError,
     PurityError,
-    SimplicialComplex,
     build_jahangir,
     certify,
     cohen_macaulay_verdict,
+    enumerate_spanning_trees_generic,
     enumerate_spanning_trees_jahangir,
     prefix_block_ordering,
-    spanning_complex,
 )
 
 from oracles import (
@@ -50,7 +49,7 @@ def _naive_first_failure(facets):
 
 
 def test_facet_ideal_triangle():
-    facets = spanning_complex(TRIANGLE).facets
+    facets = enumerate_spanning_trees_generic(TRIANGLE)
     assert len(facets) == 3
     assert all(f.bit_count() == 2 for f in facets)
     assert certify(facets) == (None, True)
@@ -58,7 +57,7 @@ def test_facet_ideal_triangle():
 
 @pytest.mark.parametrize("m, count", [(3, 50), (4, 192)])
 def test_facet_ideal_family(m, count):
-    facets = spanning_complex(build_jahangir(m)).facets
+    facets = enumerate_spanning_trees_generic(build_jahangir(m))
     assert len(facets) == count
     assert all(f.bit_count() == 2 * m for f in facets)
     assert certify(facets) == (None, True)
@@ -67,14 +66,13 @@ def test_facet_ideal_family(m, count):
 def test_facet_ideal_generators_track_facets(j3):
     # a generator is its facet's mask: the pass over the facets answers
     # the colon degrees and the shelling of the facet sets themselves
-    facets = spanning_complex(j3).facets
+    facets = enumerate_spanning_trees_generic(j3)
     assert certify(facets) == (_naive_first_failure(facets), naive_shelling(facets))
 
 
 def test_facet_ideal_rejects_non_pure():
-    c = SimplicialComplex(3, (mono(0, 1), mono(2)))
     with pytest.raises(PurityError):
-        certify(c.facets)
+        certify((mono(0, 1), mono(2)))
 
 
 def test_monomial_ideal_minimality():
@@ -92,7 +90,7 @@ def test_monomial_ideal_minimality():
 
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_block_ordering_gives_quasi_linear_quotients(m):
-    facets = spanning_complex(build_jahangir(m)).facets
+    facets = enumerate_spanning_trees_generic(build_jahangir(m))
     ordering = prefix_block_ordering(m)
     assert sorted(ordering) == list(range(len(facets)))
     first_failure, _ = certify([facets[i] for i in ordering])
@@ -108,7 +106,7 @@ def test_qlq_single_generator_is_vacuous():
 
 
 def test_qlq_triangle_every_ordering():
-    facets = spanning_complex(TRIANGLE).facets
+    facets = enumerate_spanning_trees_generic(TRIANGLE)
     for perm in itertools.permutations(range(3)):
         assert certify([facets[i] for i in perm])[0] is None
 
@@ -135,7 +133,7 @@ def test_block_ordering_structure(m):
     from jahangir_ssc.algebra import _leading_spoke_run
 
     g = build_jahangir(m)
-    facets = spanning_complex(g).facets
+    facets = enumerate_spanning_trees_generic(g)
     every_edge = (1 << g.edge_count) - 1
     ordering = prefix_block_ordering(m)
     assert sorted(ordering) == list(range(len(facets)))
@@ -169,7 +167,7 @@ def test_block_ordering_builds_no_table_of_facets():
 def test_is_shelling_small():
     assert certify([])[1]
     assert certify([mono(0, 1)])[1]
-    facets = list(spanning_complex(TRIANGLE).facets)
+    facets = enumerate_spanning_trees_generic(TRIANGLE)
     for perm in itertools.permutations(facets):
         assert certify(list(perm))[1] == naive_shelling(perm)
         assert certify(list(perm))[1]
@@ -181,9 +179,9 @@ def test_is_shelling_rejects_non_pure():
 
 
 def test_is_shelling_block_order(j3):
-    c = spanning_complex(j3)
+    canonical = enumerate_spanning_trees_generic(j3)
     ordering = prefix_block_ordering(3)
-    facets = [c.facets[i] for i in ordering]
+    facets = [canonical[i] for i in ordering]
     assert certify(facets)[1]
     assert naive_shelling(facets)
 
@@ -201,7 +199,7 @@ def test_is_shelling_matches_naive_on_random_families():
         rng.shuffle(pool)
         families.append([as_mask(c) for c in pool[:count]])
     for m, orders in ((3, 12), (4, 4)):
-        facets = list(spanning_complex(build_jahangir(m)).facets)
+        facets = enumerate_spanning_trees_generic(build_jahangir(m))
         families.append(facets)
         for _ in range(orders):
             families.append(rng.sample(facets, len(facets)))
@@ -236,8 +234,8 @@ def test_shelling_implies_quasi_linear_quotients(j3):
     # the sound direction, plus agreement of both on the block ordering;
     # sampled orderings also measure how often the gap actually opens
     rng = random.Random(53)
-    c = spanning_complex(j3)
-    r = len(c.facets)
+    canonical = enumerate_spanning_trees_generic(j3)
+    r = len(canonical)
     orderings = [tuple(prefix_block_ordering(3))]
     for _ in range(25):
         perm = list(range(r))
@@ -251,14 +249,14 @@ def test_shelling_implies_quasi_linear_quotients(j3):
         orderings.append(tuple(perm))
     gaps = 0
     for ordering in orderings:
-        facets = [c.facets[i] for i in ordering]
+        facets = [canonical[i] for i in ordering]
         failure, shelling = certify(facets)
         qlq = failure is None
         if shelling:
             assert qlq, f"shelling without quotients at {ordering}"
             assert _naive_first_failure(facets) is None
         gaps += int(qlq and not shelling)
-    block_facets = [c.facets[i] for i in prefix_block_ordering(3)]
+    block_facets = [canonical[i] for i in prefix_block_ordering(3)]
     assert certify(block_facets)[1]
     assert gaps == 5  # the one-way gap is real on this complex too
 
@@ -269,12 +267,12 @@ def test_shelling_implies_quotients_on_random_graphs():
         n, edges = random_connected_graph(rng, max_vertices=6, max_extra=3,
                                           max_edges=9)
         g = Graph(n, tuple(edges))
-        c = spanning_complex(g)
-        r = len(c.facets)
+        canonical = enumerate_spanning_trees_generic(g)
+        r = len(canonical)
         for _ in range(6):
             perm = list(range(r))
             rng.shuffle(perm)
-            facets = [c.facets[i] for i in perm]
+            facets = [canonical[i] for i in perm]
             failure, shelling = certify(facets)
             if shelling:
                 assert failure is None
@@ -311,11 +309,11 @@ def test_verdict_search_mode(j3):
 def test_verdict_search_reports_shelling_honestly(j4):
     # the canonical certificate is a shelling by theorem; the verdict
     # still checks both properties and reports them, never assumes them
-    c = spanning_complex(j4)
+    canonical = enumerate_spanning_trees_generic(j4)
     verdict = cohen_macaulay_verdict(j4, ordering="search")
     assert verdict.cohen_macaulay is True
-    assert verdict.certificate == tuple(range(len(c.facets)))
-    facets = [c.facets[i] for i in verdict.certificate]
+    assert verdict.certificate == tuple(range(len(canonical)))
+    facets = [canonical[i] for i in verdict.certificate]
     failure, shelling = certify(facets)
     assert failure is None
     assert verdict.shelling_agrees is True
@@ -330,14 +328,14 @@ def test_verdict_search_certificate_is_lexicographic_shelling():
         n, edges = random_connected_graph(rng, max_vertices=7, max_extra=4,
                                           max_edges=10)
         g = Graph(n, tuple(edges))
-        c = spanning_complex(g)
+        canonical = enumerate_spanning_trees_generic(g)
         verdict = cohen_macaulay_verdict(g, ordering="search")
         assert verdict.cohen_macaulay is True
         assert verdict.ordering_source == "search"
-        assert verdict.certificate == tuple(range(len(c.facets)))
+        assert verdict.certificate == tuple(range(len(canonical)))
         assert verdict.shelling_agrees is True
-        if len(c.facets) <= 40:
-            assert naive_shelling(c.facets)
+        if len(canonical) <= 40:
+            assert naive_shelling(canonical)
 
 
 def test_verdict_search_leaves_large_ideals_unchecked(monkeypatch):
@@ -347,12 +345,12 @@ def test_verdict_search_leaves_large_ideals_unchecked(monkeypatch):
     from jahangir_ssc import algebra
 
     j6 = build_jahangir(6)
-    assert len(spanning_complex(j6).facets) > algebra.CERTIFICATE_CHECK_LIMIT
+    assert len(enumerate_spanning_trees_generic(j6)) > algebra.CERTIFICATE_CHECK_LIMIT
 
     def no_enumeration(g):
-        raise AssertionError("spanning complex built past the check limit")
+        raise AssertionError("facets enumerated past the check limit")
 
-    monkeypatch.setattr(algebra, "spanning_complex", no_enumeration)
+    monkeypatch.setattr(algebra, "enumerate_spanning_trees_generic", no_enumeration)
     verdict = cohen_macaulay_verdict(j6, ordering="search")
     assert verdict.cohen_macaulay is None
     assert verdict.certificate is None and verdict.shelling_agrees is None
@@ -363,7 +361,7 @@ def test_verdict_reports_a_failing_block_ordering(monkeypatch, j3):
     # ordering that fails the quotient test is False
     from jahangir_ssc import algebra
 
-    facets = spanning_complex(j3).facets
+    facets = enumerate_spanning_trees_generic(j3)
     far = next(i for i, f in enumerate(facets) if (facets[0] & ~f).bit_count() >= 2)
     failing = (0, far) + tuple(i for i in range(1, len(facets)) if i != far)
     monkeypatch.setattr(algebra, "prefix_block_ordering", lambda m: failing)
@@ -431,7 +429,7 @@ def test_verdict_on_a_reordered_family(m):
 
 def test_verdict_certificate_is_checkable(j4):
     verdict = cohen_macaulay_verdict(j4, "block")
-    facets = spanning_complex(j4).facets
+    facets = enumerate_spanning_trees_generic(j4)
     assert sorted(verdict.certificate) == list(range(len(facets)))
     assert certify([facets[i] for i in verdict.certificate])[0] is None
 
@@ -469,11 +467,11 @@ def test_certificate_pass_matches_both_checks_and_the_definitions():
     for _ in range(40):
         n, edges = random_connected_graph(rng, max_vertices=7, max_extra=4,
                                           max_edges=10)
-        c = spanning_complex(Graph(n, tuple(edges)))
-        shuffled = list(range(len(c.facets)))
+        canonical = enumerate_spanning_trees_generic(Graph(n, tuple(edges)))
+        shuffled = list(range(len(canonical)))
         rng.shuffle(shuffled)
-        for ordering in (range(len(c.facets)), shuffled):
-            facets = [c.facets[i] for i in ordering]
+        for ordering in (range(len(canonical)), shuffled):
+            facets = [canonical[i] for i in ordering]
             failure, shelling = certify(facets)
             assert failure == _naive_first_failure(facets)
             if len(facets) <= 40:

@@ -131,6 +131,23 @@ def test_hilbert_claim_matches_the_termwise_identities(monkeypatch, shift):
         assert claim.verdict == ("mismatch" if shift else "match")
 
 
+@pytest.mark.parametrize("tamper, oracle", [
+    # one facet of J(2,3) swapped for a 5-edge mask: mixed sizes
+    (lambda facets: [0b11111] + facets[1:], {"dimension": 5, "pure": False}),
+    # every facet one edge short
+    (lambda facets: [f & (f - 1) for f in facets], {"dimension": 4, "pure": True}),
+], ids=["non-pure", "short"])
+def test_dimension_claim_can_mismatch(monkeypatch, tamper, oracle):
+    listed = reports.enumerate_spanning_trees_generic
+    monkeypatch.setattr(reports, "enumerate_spanning_trees_generic",
+                        lambda g: tamper(listed(g)))
+    claim = next(c for c in build_jahangir_report(3).claims
+                 if c.name == "dimension_and_purity")
+    assert claim.claimed == {"dimension": 5, "pure": True}
+    assert claim.oracle == oracle
+    assert claim.verdict == "mismatch"
+
+
 def test_one_determinant_per_request(run_cli, triangle_file):
     # the tree-count guard's determinant serves the whole request: the
     # reports and the cm verdict take its count instead of their own
@@ -814,6 +831,15 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     codes = [main(["jahangir", "--m", "3", action]) for action in ACTIONS]
 print(before, atexit._ncallbacks(), *codes)
 """
+
+
+def test_every_exported_name_resolves():
+    # a star import fails on a name that __all__ lists and the package lacks
+    import jahangir_ssc
+
+    namespace: dict = {}
+    exec("from jahangir_ssc import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(jahangir_ssc.__all__)
 
 
 def test_the_package_registers_no_exit_hook():

@@ -7,14 +7,13 @@ from jahangir_ssc import (
     CapacityError,
     Graph,
     InvalidParameterError,
-    SimplicialComplex,
+    build_graph_report,
     build_jahangir,
-    dimension,
+    cohen_macaulay_verdict,
     enumerate_simple_cycles,
+    enumerate_spanning_trees_generic,
     f_vector_direct,
-    is_pure,
     matrix_tree_count,
-    spanning_complex,
 )
 
 from oracles import (
@@ -37,69 +36,44 @@ J4_F = (12, 66, 220, 491, 760, 808, 552, 192)
 
 
 def test_spanning_complex_triangle():
-    c = spanning_complex(TRIANGLE)
-    assert c.ground_size == 3
-    assert c.facets == (as_mask({0, 1}), as_mask({0, 2}), as_mask({1, 2}))
-    assert dimension(c) == 1
-    assert is_pure(c)
+    facets = enumerate_spanning_trees_generic(TRIANGLE)
+    assert facets == [as_mask({0, 1}), as_mask({0, 2}), as_mask({1, 2})]
+    assert set(map(int.bit_count, facets)) == {2}
 
 
 def test_spanning_complex_j3(j3):
-    c = spanning_complex(j3)
-    assert len(c.facets) == 50
-    assert all(f.bit_count() == 6 for f in c.facets)
+    facets = enumerate_spanning_trees_generic(j3)
+    assert len(facets) == 50
+    assert all(f.bit_count() == 6 for f in facets)
+
+
+DISCONNECTED = "spanning complex is undefined for disconnected graphs"
 
 
 def test_spanning_complex_rejects_disconnected():
-    with pytest.raises(InvalidParameterError):
-        spanning_complex(Graph(4, ((0, 1), (2, 3))))
-
-
-def test_complex_validation():
-    with pytest.raises(InvalidParameterError, match=r"facet \[0, 5\] leaves"):
-        SimplicialComplex(2, (as_mask({0, 1}), as_mask({0, 5})))
-    with pytest.raises(InvalidParameterError, match="facet -1 leaves"):
-        SimplicialComplex(2, (as_mask({0, 1}), -1))
-    with pytest.raises(InvalidParameterError):
-        SimplicialComplex(3, (as_mask({0}), as_mask({0})))
-    with pytest.raises(InvalidParameterError, match=r"facet \[0\] is contained"):
-        SimplicialComplex(3, (as_mask({0, 1}), as_mask({0})))
-    # incomparable mixed sizes are a legal (non-pure) complex
-    c = SimplicialComplex(3, (as_mask({0, 1}), as_mask({2})))
-    assert not is_pure(c)
-    assert dimension(c) == 1
-
-
-def test_duplicate_facets_are_found_anywhere_in_the_list(j4):
-    facets = list(spanning_complex(j4).facets)
-    rng = random.Random(17)
-    shuffled = facets[:]
-    rng.shuffle(shuffled)
-    assert SimplicialComplex(j4.edge_count, tuple(shuffled)).facets == tuple(shuffled)
-    # the copy lands far from its original, in canonical and in shuffled order
-    for listed in (facets, shuffled):
-        for doubled in (listed + [listed[0]], [listed[-1]] + listed,
-                        listed[:100] + [listed[-5]] + listed[100:]):
-            with pytest.raises(InvalidParameterError, match="^duplicate facets$"):
-                SimplicialComplex(j4.edge_count, tuple(doubled))
-    # mixed sizes: the duplicate is reported before any containment
-    with pytest.raises(InvalidParameterError, match="^duplicate facets$"):
-        SimplicialComplex(4, (as_mask({0, 1}), as_mask({2}), as_mask({3}), as_mask({0, 1})))
+    # a disconnected graph has no facet; the verdict refuses it rather
+    # than certify the empty list as Cohen-Macaulay
+    split = Graph(4, ((0, 1), (2, 3)))
+    assert enumerate_spanning_trees_generic(split) == []
+    with pytest.raises(InvalidParameterError, match=f"^{DISCONNECTED}$"):
+        cohen_macaulay_verdict(split, "search")
+    # the tree count comes first: no vertex fails there
+    with pytest.raises(InvalidParameterError, match="^graph must have at least one vertex$"):
+        cohen_macaulay_verdict(Graph(0, ()), "search")
 
 
 def test_dimension_empty_errors():
-    c = SimplicialComplex(3, ())
-    with pytest.raises(InvalidParameterError):
-        dimension(c)
-    with pytest.raises(InvalidParameterError):
-        is_pure(c)
+    # an empty facet list has no dimension: the graph report refuses the
+    # disconnected graph before any claim is made
+    with pytest.raises(InvalidParameterError, match=f"^{DISCONNECTED}$"):
+        build_graph_report(Graph(4, ((0, 1), (2, 3))))
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
 def test_family_dimension_and_purity(m):
-    c = spanning_complex(build_jahangir(m))
-    assert dimension(c) == 2 * m - 1
-    assert is_pure(c)
+    # every facet has 2m edges: pure of dimension 2m - 1
+    facets = enumerate_spanning_trees_generic(build_jahangir(m))
+    assert set(map(int.bit_count, facets)) == {2 * m}
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +145,7 @@ def test_f_vector_complete_graph_top_entry():
 
 def test_f_vector_length_matches_dimension(j3):
     f = f_vector_direct(j3)
-    assert len(f) == dimension(spanning_complex(j3)) + 1
+    assert len(f) == max(map(int.bit_count, enumerate_spanning_trees_generic(j3)))
 
 
 def test_f_vector_capacity():

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -112,13 +113,25 @@ def test_label_parse_round_trip():
         assert str(EdgeLabel.parse(text)) == text
     # multi-digit j: the final digit is always the position
     assert EdgeLabel.parse("e123") == EdgeLabel(12, 3)
-    for bad in ("e1", "x11", "e1x", ""):
+    for bad in ("e1", "x11", "e1x", "", "e1\u00b2", "e\u0661\u0662"):
         with pytest.raises(InvalidParameterError):
             EdgeLabel.parse(bad)
     with pytest.raises(InvalidParameterError):
         EdgeLabel.parse("e10")  # position must be 1..3
     with pytest.raises(InvalidParameterError):
         EdgeLabel(0, 1)
+
+
+@pytest.mark.parametrize("label", ["e1\u00b2", "e\u0661\u0662"])
+def test_labels_take_ascii_digits_only(tmp_path, run_cli, label):
+    # str.isdigit accepts a superscript two and Arabic-Indic digits: int()
+    # fails on the first, and the second would be read back as e12
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]], "labels": [label]}))
+    result = run_cli("graph", "--input", str(doc), "facets")
+    assert result.code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: labels[0]: bad edge label {label!r}\n"
 
 
 def test_graph_validation():

@@ -1,12 +1,11 @@
 """The result records are NamedTuples: immutable, equal and hashed by
-value, and the four that check their fields check them however they are
+value, and the three that check their fields check them however they are
 built."""
 
 import re
 
 import pytest
 
-from jahangir_ssc.complexes import SimplicialComplex
 from jahangir_ssc.errors import InvalidParameterError
 from jahangir_ssc.formulas import HilbertSeries
 from jahangir_ssc.graphs import EdgeLabel, Graph, build_jahangir
@@ -41,13 +40,6 @@ BAD_INPUT = [
      "label count 1 != edge count 2"),
     (Graph, (3, ((0, 1), (1, 2)), (EdgeLabel(1, 1), EdgeLabel(1, 1))),
      InvalidParameterError, "duplicate edge labels"),
-    (SimplicialComplex, (-1, ()), InvalidParameterError,
-     "ground set size must be nonnegative"),
-    (SimplicialComplex, (2, (0b100,)), InvalidParameterError,
-     "facet [2] leaves the ground set"),
-    (SimplicialComplex, (2, (0b1, 0b1)), InvalidParameterError, "duplicate facets"),
-    (SimplicialComplex, (3, (0b1, 0b11)), InvalidParameterError,
-     "facet [0] is contained in another facet"),
     (HilbertSeries, ((), 1), InvalidParameterError, "numerator must be nonempty"),
     (HilbertSeries, ((2,), 1), InvalidParameterError, "series must evaluate to 1 at t=0"),
     (HilbertSeries, ((1,), -1), InvalidParameterError,
