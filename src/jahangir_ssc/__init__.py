@@ -5,115 +5,106 @@ Library plus CLI that builds the complex, computes its combinatorics
 rules and independent brute-force oracles, checks Cohen-Macaulayness
 through quasi-linear quotients, and reports every divergence between
 the structured claims and the oracles instead of hiding it.
+
+Importing the package runs only `errors`. Every other layer is found
+and registered at once, in `sys.modules` and as an attribute of the
+package, but its body runs on the first attribute read, through
+`importlib.util.LazyLoader`: a CLI request runs only the layers its
+action reaches. `type(module) is types.ModuleType` once it has run.
+The public names below resolve through `__getattr__`, which reads them
+from their home layer.
 """
 
-from .algebra import (
-    CMVerdict,
-    certify,
-    cohen_macaulay_verdict,
-    prefix_block_ordering,
-)
-from .complexes import f_vector_direct
-from .cycles import (
-    CycleCatalog,
-    CycleCatalogEntry,
-    IntersectionMismatch,
-    IntersectionSurvey,
-    claimed_order,
-    intersection_survey,
-    oracle_cycle_catalog,
-    predict_intersection,
-    word_cycle_catalog,
-    word_edge_set,
-    word_of,
-)
-from .errors import (
-    CapacityError,
-    GraphParseError,
-    InvalidParameterError,
-    JssError,
-    PurityError,
-)
-from .formulas import (
-    FormulaFVector,
-    FormulaTerm,
-    HilbertSeries,
-    f_vector_exact_ie,
-    f_vector_formula,
-    hilbert_function,
-    hilbert_series,
-)
-from .graphs import (
-    EdgeLabel,
-    EdgeSet,
-    Graph,
-    build_jahangir,
-    edge_indices,
-    emit_graph,
-    enumerate_simple_cycles,
-    is_connected,
-    jahangir_order,
-    matrix_tree_count,
-    parse_graph,
-)
-from .reports import ClaimResult, RunReport, build_graph_report, build_jahangir_report
-from .spanning import (
-    PartitionReport,
-    TreeClass,
-    enumerate_spanning_trees_generic,
-    enumerate_spanning_trees_jahangir,
-    verify_partition,
-)
+import importlib.util
+import sys
+
+from . import errors
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CMVerdict",
-    "CapacityError",
-    "ClaimResult",
-    "CycleCatalog",
-    "CycleCatalogEntry",
-    "EdgeLabel",
-    "EdgeSet",
-    "FormulaFVector",
-    "FormulaTerm",
-    "Graph",
-    "GraphParseError",
-    "HilbertSeries",
-    "IntersectionMismatch",
-    "IntersectionSurvey",
-    "InvalidParameterError",
-    "JssError",
-    "PartitionReport",
-    "PurityError",
-    "RunReport",
-    "TreeClass",
-    "build_graph_report",
-    "build_jahangir",
-    "build_jahangir_report",
-    "certify",
-    "claimed_order",
-    "cohen_macaulay_verdict",
-    "edge_indices",
-    "emit_graph",
-    "enumerate_simple_cycles",
-    "enumerate_spanning_trees_generic",
-    "enumerate_spanning_trees_jahangir",
-    "f_vector_direct",
-    "f_vector_exact_ie",
-    "f_vector_formula",
-    "hilbert_function",
-    "hilbert_series",
-    "intersection_survey",
-    "is_connected",
-    "jahangir_order",
-    "matrix_tree_count",
-    "oracle_cycle_catalog",
-    "parse_graph",
-    "predict_intersection",
-    "prefix_block_ordering",
-    "verify_partition",
-    "word_cycle_catalog",
-    "word_edge_set",
-    "word_of",
-]
+# Each public name and the layer that defines it. The re-exports and
+# __all__ both read this table.
+_HOMES = {
+    "CMVerdict": "algebra",
+    "certify": "algebra",
+    "cohen_macaulay_verdict": "algebra",
+    "prefix_block_ordering": "algebra",
+    "f_vector_direct": "complexes",
+    "CycleCatalog": "cycles",
+    "CycleCatalogEntry": "cycles",
+    "IntersectionMismatch": "cycles",
+    "IntersectionSurvey": "cycles",
+    "claimed_order": "cycles",
+    "intersection_survey": "cycles",
+    "oracle_cycle_catalog": "cycles",
+    "predict_intersection": "cycles",
+    "word_cycle_catalog": "cycles",
+    "word_edge_set": "cycles",
+    "word_of": "cycles",
+    "CapacityError": "errors",
+    "GraphParseError": "errors",
+    "InvalidParameterError": "errors",
+    "JssError": "errors",
+    "PurityError": "errors",
+    "FormulaFVector": "formulas",
+    "FormulaTerm": "formulas",
+    "HilbertSeries": "formulas",
+    "f_vector_exact_ie": "formulas",
+    "f_vector_formula": "formulas",
+    "hilbert_function": "formulas",
+    "hilbert_series": "formulas",
+    "EdgeLabel": "graphs",
+    "EdgeSet": "graphs",
+    "Graph": "graphs",
+    "build_jahangir": "graphs",
+    "edge_indices": "graphs",
+    "emit_graph": "graphs",
+    "enumerate_simple_cycles": "graphs",
+    "is_connected": "graphs",
+    "jahangir_order": "graphs",
+    "matrix_tree_count": "graphs",
+    "parse_graph": "graphs",
+    "ClaimResult": "reports",
+    "RunReport": "reports",
+    "build_graph_report": "reports",
+    "build_jahangir_report": "reports",
+    "PartitionReport": "spanning",
+    "TreeClass": "spanning",
+    "enumerate_spanning_trees_generic": "spanning",
+    "enumerate_spanning_trees_jahangir": "spanning",
+    "verify_partition": "spanning",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def _lazy(layer: str):
+    """Register the layer module in sys.modules, to run on first use."""
+    name = f"{__name__}.{layer}"
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+graphs = _lazy("graphs")
+cycles = _lazy("cycles")
+spanning = _lazy("spanning")
+complexes = _lazy("complexes")
+formulas = _lazy("formulas")
+algebra = _lazy("algebra")
+reports = _lazy("reports")
+
+
+def __getattr__(name: str):
+    try:
+        layer = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(globals()[layer], name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,26 +13,12 @@ extra and is off by default.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from collections.abc import Iterator
 
-from .algebra import cohen_macaulay_verdict
-from .complexes import f_vector_direct
-from .cycles import CycleCatalog, oracle_cycle_catalog, word_cycle_catalog
+from . import algebra, complexes, cycles, formulas, graphs, reports, spanning
 from .errors import CapacityError, GraphParseError, InvalidParameterError, JssError
-from .formulas import f_vector_divergence, f_vector_exact_ie, f_vector_formula, hilbert_series
-from .graphs import (
-    Graph,
-    build_jahangir,
-    edge_indices,
-    is_connected,
-    matrix_tree_count,
-    parse_graph,
-)
-from .reports import RunReport, build_graph_report, build_jahangir_report
-from .spanning import _class_counts, enumerate_spanning_trees_generic
 
 ACTIONS = ("facets", "classes", "cycles", "f-vector", "hilbert", "cm", "verify")
 
@@ -122,29 +108,29 @@ def _build_parser() -> _Parser:
 # Payload builders (plain dicts, deterministic key order)
 
 
-def _edge_lister(g: Graph):
+def _edge_lister(g: graphs.Graph):
     """Edge sets as output lists: of labels where g has them, else of
     indices."""
     if g.labels is None:
-        return lambda mask: list(edge_indices(mask))
+        return lambda mask: list(graphs.edge_indices(mask))
     names = [str(label) for label in g.labels]
-    return lambda mask: [names[i] for i in edge_indices(mask)]
+    return lambda mask: [names[i] for i in graphs.edge_indices(mask)]
 
 
-def _facet_payload(g: Graph, trees: int, meta: dict) -> dict:
-    facets = enumerate_spanning_trees_generic(g)
+def _facet_payload(g: graphs.Graph, trees: int, meta: dict) -> dict:
+    facets = spanning.enumerate_spanning_trees_generic(g)
     listed = _edge_lister(g)
     return {**meta, "count": len(facets), "matrix_tree_count": trees,
             "facets": [listed(f) for f in facets]}
 
 
 def _classes_payload(m: int, trees: int, meta: dict) -> dict:
-    counts = dict(_class_counts(m))
+    counts = dict(spanning._class_counts(m))
     return {**meta, "counts": counts, "total": sum(counts.values()),
             "matrix_tree_count": trees}
 
 
-def _catalog_payload(catalog: CycleCatalog, g: Graph, meta: dict) -> dict:
+def _catalog_payload(catalog: cycles.CycleCatalog, g: graphs.Graph, meta: dict) -> dict:
     listed = _edge_lister(g)
     entries = [{"word": list(e.word) if e.word is not None else None,
                 "edges": listed(e.edges), "beta": e.beta,
@@ -152,38 +138,40 @@ def _catalog_payload(catalog: CycleCatalog, g: Graph, meta: dict) -> dict:
     return {**meta, "count": len(entries), "entries": entries}
 
 
-def _f_vector(g: Graph, mode: str, m: int | None) -> tuple[int, ...]:
+def _f_vector(g: graphs.Graph, mode: str, m: int | None) -> tuple[int, ...]:
     """The f-vector from the engine that --mode names; the closed form
     is reachable only from the jahangir command, which supplies m."""
     if mode == "formula":
-        return f_vector_formula(m).values
-    return f_vector_exact_ie(g) if mode == "exact-ie" else f_vector_direct(g)
+        return formulas.f_vector_formula(m).values
+    if mode == "exact-ie":
+        return formulas.f_vector_exact_ie(g)
+    return complexes.f_vector_direct(g)
 
 
-def _fvector_payload(g: Graph, mode: str, m: int | None, meta: dict) -> dict:
+def _fvector_payload(g: graphs.Graph, mode: str, m: int | None, meta: dict) -> dict:
     if mode != "formula":
         return {**meta, "f_vector": [str(x) for x in _f_vector(g, mode, m)]}
-    formula = f_vector_formula(m)
-    oracle = f_vector_direct(g)
+    formula = formulas.f_vector_formula(m)
+    oracle = complexes.f_vector_direct(g)
     audit = [{"words": [list(w) for w in t.words], "sign": t.sign,
               "union_estimate": t.union_estimate} for t in formula.terms]
     return {**meta,
             "f_vector": [str(x) for x in formula.values],
             "oracle_f_vector": [str(x) for x in oracle],
-            "mismatch_indices": f_vector_divergence(formula.values, oracle),
+            "mismatch_indices": formulas.f_vector_divergence(formula.values, oracle),
             "audit": audit}
 
 
-def _hilbert_payload(g: Graph, mode: str, m: int | None, meta: dict) -> dict:
+def _hilbert_payload(g: graphs.Graph, mode: str, m: int | None, meta: dict) -> dict:
     values = _f_vector(g, mode, m)
-    series = hilbert_series(values)
+    series = formulas.hilbert_series(values)
     return {**meta, "f_vector": [str(x) for x in values],
             "numerator": [str(c) for c in series.numerator],
             "denominator_power": series.denominator_power}
 
 
-def _cm_payload(g: Graph, ordering: str, trees: int, meta: dict) -> dict:
-    verdict = cohen_macaulay_verdict(g, ordering=ordering, trees=trees)
+def _cm_payload(g: graphs.Graph, ordering: str, trees: int, meta: dict) -> dict:
+    verdict = algebra.cohen_macaulay_verdict(g, ordering=ordering, trees=trees)
     return {**meta,
             "cohen_macaulay": verdict.cohen_macaulay,
             "ordering_source": verdict.ordering_source,
@@ -193,20 +181,20 @@ def _cm_payload(g: Graph, ordering: str, trees: int, meta: dict) -> dict:
             "shelling_agrees": verdict.shelling_agrees}
 
 
-def _report_payload(report: RunReport, meta: dict) -> dict:
+def _report_payload(report: reports.RunReport, meta: dict) -> dict:
     return {**meta, "parameters": report.parameters,
             "claims": [c._asdict() for c in report.claims],
             "mismatches": report.mismatch_count, "timings": report.timings}
 
 
-def _guard_tree_enumeration(g: Graph) -> int:
+def _guard_tree_enumeration(g: graphs.Graph) -> int:
     """The spanning-tree count of g, refused past the enumeration limit
     and, before the determinant runs, past its vertex bound."""
     if g.vertex_count > TREE_GUARD_VERTEX_LIMIT:
         raise CapacityError(
             f"{g.vertex_count} vertices exceed {TREE_GUARD_VERTEX_LIMIT}, the largest "
             "graph whose spanning trees are counted")
-    count = matrix_tree_count(g)
+    count = graphs.matrix_tree_count(g)
     if count > TREE_ENUMERATION_LIMIT:
         raise CapacityError(
             f"{count} spanning trees exceed the enumeration limit "
@@ -227,7 +215,7 @@ def _execute(args: argparse.Namespace) -> tuple[dict, int]:
         if m > JAHANGIR_M_LIMIT:
             raise CapacityError(
                 f"m = {m} exceeds {JAHANGIR_M_LIMIT}, the largest m any engine answers")
-        g = build_jahangir(m)
+        g = graphs.build_jahangir(m)
         meta = {"command": "jahangir", "action": action, "m": m}
         catalog = catalog or "word"
         ordering = ordering or "block"
@@ -239,7 +227,7 @@ def _execute(args: argparse.Namespace) -> tuple[dict, int]:
         except OSError as exc:
             raise GraphParseError(f"cannot read {args.input}: {exc.strerror}") from None
         m = None
-        g = parse_graph(text)
+        g = graphs.parse_graph(text)
         meta = {"command": "graph", "action": action, "input": args.input}
         for flag, value, structured in (("--mode", mode, "formula"),
                                         ("--catalog", catalog, "word"),
@@ -250,7 +238,7 @@ def _execute(args: argparse.Namespace) -> tuple[dict, int]:
         if action == "classes":
             raise InvalidParameterError(
                 "tree classes are defined only for the jahangir command")
-        if action != "cycles" and not is_connected(g):
+        if action != "cycles" and not graphs.is_connected(g):
             raise InvalidParameterError(
                 "a graph with no vertex or more than one component has no "
                 "spanning complex")
@@ -268,7 +256,8 @@ def _execute(args: argparse.Namespace) -> tuple[dict, int]:
     if action == "classes":
         return _classes_payload(m, trees, meta), 0
     if action == "cycles":
-        cat = word_cycle_catalog(m) if catalog == "word" else oracle_cycle_catalog(g)
+        cat = (cycles.word_cycle_catalog(m) if catalog == "word"
+               else cycles.oracle_cycle_catalog(g))
         return _catalog_payload(cat, g, {**meta, "catalog": catalog}), 0
     if action == "f-vector":
         return _fvector_payload(g, mode, m, {**meta, "mode": mode}), 0
@@ -277,9 +266,11 @@ def _execute(args: argparse.Namespace) -> tuple[dict, int]:
     if action == "cm":
         return _cm_payload(g, ordering, trees, {**meta, "ordering": ordering}), 0
     if m is None:
-        report = build_graph_report(g, seed=args.seed, timed=args.timings, trees=trees)
+        report = reports.build_graph_report(g, seed=args.seed, timed=args.timings,
+                                            trees=trees)
     else:
-        report = build_jahangir_report(m, seed=args.seed, timed=args.timings, trees=trees)
+        report = reports.build_jahangir_report(m, seed=args.seed, timed=args.timings,
+                                               trees=trees)
     return _report_payload(report, meta), MISMATCH_EXIT if report.mismatch_count else 0
 
 
@@ -379,6 +370,7 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
     elif args.format == "csv":
+        import csv  # only this branch writes CSV
         csv.writer(sys.stdout, lineterminator="\n").writerows(_csv_rows(payload))
     else:
         for line in _text_lines(payload):

@@ -26,7 +26,7 @@ from math import comb
 from operator import sub
 from typing import NamedTuple
 
-from .cycles import word_cycle_catalog
+from . import cycles
 from .errors import CapacityError, InvalidParameterError
 from .graphs import Graph, _Checked, enumerate_simple_cycles, is_connected
 
@@ -80,7 +80,7 @@ def f_vector_formula(m: int) -> FormulaFVector:
     lo, hi = FORMULA_M_RANGE
     if not lo <= m <= hi:
         raise CapacityError(f"closed-form engine supports m in {lo}..{hi}, got {m}")
-    catalog = word_cycle_catalog(m)
+    catalog = cycles.word_cycle_catalog(m)
     dim = 2 * m - 1
     edge_count = 3 * m
     values = [binomial(edge_count, i + 1) for i in range(dim + 1)]

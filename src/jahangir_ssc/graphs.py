@@ -208,15 +208,28 @@ def jahangir_order(g: Graph) -> int | None:
 # Document format: {"vertices": N, "edges": [[u, v], ...], "labels": [...]}
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object of a document as a dict, refused if it repeats a
+    key, whose earlier values json.loads would drop without a word."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise GraphParseError(f"duplicate key {json.dumps(key)}")
+            seen.add(key)
+    return obj
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the JSON graph document format.
 
     Malformed documents raise GraphParseError naming the offending
-    entry; structural violations (loops, duplicates) are reported the
-    same way.
+    entry; structural violations (loops, duplicates) and a key repeated
+    in any object are reported the same way.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"line {exc.lineno}: {exc.msg}") from None
     if not isinstance(doc, dict):

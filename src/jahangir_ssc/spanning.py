@@ -31,7 +31,7 @@ from functools import lru_cache
 from operator import eq
 from typing import NamedTuple
 
-from .cycles import cyclic_runs
+from . import cycles
 from .errors import InvalidParameterError
 from .graphs import (
     EdgeSet,
@@ -269,7 +269,7 @@ def _spoke_sets(m: int):
     The set's trees pick one rim edge from every pool."""
     for rho in range(m):
         for spokes in itertools.combinations(range(1, m + 1), rho):
-            runs = cyclic_runs(set(spokes), m)
+            runs = cycles.cyclic_runs(set(spokes), m)
             yield spokes, _tree_class(rho, runs), _rim_pools(runs, m)
 
 

@@ -566,23 +566,54 @@ def test_large_m_is_refused_within_a_memory_cap():
 # The tracer of perfbench indexes the eight layer modules right after
 # `import jahangir_ssc.cli`, and a request must not pay for dataclasses
 # and the inspect, ast and dis modules it pulls in. A child, because the
-# test session has imported them already.
+# test session has imported them already. The package registers its
+# layers lazily: a layer has run once its type is the plain module type,
+# and type() reads no attribute, so the check runs none.
 STARTUP_CHILD = """
-import sys
+import sys, types
 import jahangir_ssc.cli
 print(*sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
 print(*sorted(m for m in sys.modules if m.startswith("jahangir_ssc.")))
+print(*sorted(m for m in sys.modules if m.startswith("jahangir_ssc.")
+              and type(sys.modules[m]) is types.ModuleType))
 """
+
+# The layers one request runs, after the answer.
+EXECUTED_CHILD = """
+import contextlib, io, sys, types
+from jahangir_ssc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(m[len("jahangir_ssc."):] for m in sys.modules
+                    if m.startswith("jahangir_ssc.")
+                    and type(sys.modules[m]) is types.ModuleType))
+"""
+
+# Beside errors and cli, which every request runs.
+EXECUTED_LAYERS = {
+    ("f-vector",): "complexes graphs spanning",
+    ("hilbert", "--mode", "exact-ie"): "formulas graphs",
+    ("facets",): "graphs spanning",
+    ("cm",): "algebra cycles graphs spanning",
+    ("verify",): "algebra complexes cycles formulas graphs reports spanning",
+}
 
 
 def test_startup_imports_every_layer_and_no_dataclass_machinery():
     proc = _run_child(STARTUP_CHILD)
     assert proc.returncode == 0, proc.stderr
-    unwanted, modules = proc.stdout.split("\n")[:2]
+    unwanted, modules, executed = proc.stdout.split("\n")[:3]
     assert unwanted == ""
     layers = ("graphs", "cycles", "spanning", "complexes", "formulas", "algebra",
               "reports", "cli")
     assert {f"jahangir_ssc.{layer}" for layer in layers} <= set(modules.split())
+    assert executed.split() == ["jahangir_ssc.cli", "jahangir_ssc.errors"]
+    for action, ran in EXECUTED_LAYERS.items():
+        proc = _run_child(EXECUTED_CHILD, "jahangir", "--m", "3", *action)
+        assert proc.returncode == 0, proc.stderr
+        code, *names = proc.stdout.split()
+        assert int(code) == (3 if action == ("verify",) else 0)
+        assert names == sorted(["cli", "errors", *ran.split()]), action
 
 
 # verify --m 9 in a child that reads its own high-water mark; the
@@ -840,6 +871,16 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from jahangir_ssc import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(jahangir_ssc.__all__)
+    # each name is the object its home layer defines, read from there
+    for name in jahangir_ssc.__all__:
+        home = f"jahangir_ssc.{jahangir_ssc._HOMES[name]}"
+        obj = getattr(jahangir_ssc, name)
+        assert obj is getattr(sys.modules[home], name)
+        assert getattr(obj, "__module__", home) in (home, "builtins"), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        jahangir_ssc.no_such_name
+    assert not hasattr(jahangir_ssc, "no_such_name")
+    assert set(jahangir_ssc.__all__) <= set(dir(jahangir_ssc))
 
 
 def test_the_package_registers_no_exit_hook():

@@ -193,6 +193,20 @@ def test_parse_errors_name_the_entry(text, needle):
     assert needle in str(exc.value)
 
 
+def test_parse_refuses_a_duplicated_key():
+    # json.loads keeps the last value of a repeated key: this document
+    # would be read as 4 vertices and refused as disconnected
+    text = '{"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]], "vertices": 4}'
+    with pytest.raises(GraphParseError, match='^duplicate key "vertices"$'):
+        parse_graph(text)
+    assert parse_graph(text.replace(', "vertices": 4', "")).vertex_count == 3
+    with pytest.raises(GraphParseError, match='^duplicate key "u"$'):
+        parse_graph('{"vertices": 2, "edges": [{"u": 0, "u": 1}]}')
+    # a nested object without a repeat still reaches the entry check
+    with pytest.raises(GraphParseError, match=r"edges\[0\]"):
+        parse_graph('{"vertices": 2, "edges": [{"u": 0, "v": 1}]}')
+
+
 # ---------------------------------------------------------------------------
 # spanning-tree count
 
