@@ -8,15 +8,19 @@ the structured claims and the oracles instead of hiding it.
 
 Importing the package runs only `errors`. Every other layer is found
 and registered at once, in `sys.modules` and as an attribute of the
-package, but its body runs on the first attribute read, through
-`importlib.util.LazyLoader`: a CLI request runs only the layers its
-action reaches. `type(module) is types.ModuleType` once it has run.
-The public names below resolve through `__getattr__`, which reads them
-from their home layer.
+package, but its body runs on the first attribute read: a CLI request
+runs only the layers its action reaches. The first read runs the body
+under one lock, so a second thread waits for the whole module, and a
+body that raises is run again, and raises again, at the next read.
+`type(module) is types.ModuleType` once it has run. The public names
+below resolve through `__getattr__`, which reads them from their home
+layer.
 """
 
 import importlib.util
 import sys
+import threading
+import types
 
 from . import errors
 
@@ -78,14 +82,39 @@ _HOMES = {
 __all__ = sorted(_HOMES)
 
 
-def _lazy(layer: str):
+# Held while a layer's body runs; reentrant, since a body's imports run
+# the layers it imports from.
+_RUN_LOCK = threading.RLock()
+_RUNNING: set[str] = set()
+
+
+class _Layer(types.ModuleType):
+    """A layer module whose body has not run. Every attribute read runs
+    it first, under _RUN_LOCK, and only then makes it a plain module:
+    a thread that reads it meanwhile waits for the whole module instead
+    of seeing a half-run one. If the body raises, the module stays
+    unrun, so the next read runs it again and raises the real error."""
+
+    def __getattribute__(self, attr: str):
+        with _RUN_LOCK:
+            spec = types.ModuleType.__getattribute__(self, "__spec__")
+            # not for the loader's own reads while the body runs
+            if type(self) is _Layer and spec.name not in _RUNNING:
+                _RUNNING.add(spec.name)
+                try:
+                    spec.loader.exec_module(self)
+                finally:
+                    _RUNNING.discard(spec.name)
+                self.__class__ = types.ModuleType
+        return types.ModuleType.__getattribute__(self, attr)
+
+
+def _lazy(layer: str) -> types.ModuleType:
     """Register the layer module in sys.modules, to run on first use."""
-    name = f"{__name__}.{layer}"
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
+    spec = importlib.util.find_spec(f"{__name__}.{layer}")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
+    module.__class__ = _Layer
+    sys.modules[spec.name] = module
     return module
 
 

@@ -616,6 +616,65 @@ def test_startup_imports_every_layer_and_no_dataclass_machinery():
         assert names == sorted(["cli", "errors", *ran.split()]), action
 
 
+# Four threads make the first reads of two layers at once, switching
+# every microsecond: none may see a layer whose body has not finished.
+THREADS_CHILD = """
+import sys, threading
+sys.setswitchinterval(1e-6)
+import jahangir_ssc
+barrier = threading.Barrier(4)
+failures = []
+def first_use():
+    barrier.wait()
+    try:
+        jahangir_ssc.reports.build_jahangir_report
+        jahangir_ssc.graphs.parse_graph('{"vertices": 1, "edges": []}')
+    except Exception as exc:
+        failures.append(repr(exc))
+threads = [threading.Thread(target=first_use) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(30)
+print(failures, sum(t.is_alive() for t in threads))
+"""
+
+
+def test_first_use_of_a_layer_is_safe_across_threads():
+    for _ in range(3):
+        proc = _run_child(THREADS_CHILD)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[] 0\n"
+
+
+# graphs' body fails on its import from errors: every read raises that
+# error, not an AttributeError of the half-run module, until the import
+# can succeed; the module then runs whole, still the one in sys.modules.
+RAISING_CHILD = """
+import sys, types
+import jahangir_ssc
+from jahangir_ssc import errors
+saved = errors.CapacityError
+del errors.CapacityError
+for _ in range(2):
+    try:
+        jahangir_ssc.graphs.Graph
+    except ImportError as exc:
+        print(type(exc).__name__, "CapacityError" in str(exc))
+errors.CapacityError = saved
+print(jahangir_ssc.graphs.build_jahangir(3).vertex_count,
+      type(jahangir_ssc.graphs) is types.ModuleType,
+      sys.modules["jahangir_ssc.graphs"] is jahangir_ssc.graphs)
+"""
+
+
+def test_a_layer_whose_body_raises_raises_again_at_next_use():
+    proc = _run_child(RAISING_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["ImportError True", "ImportError True",
+                                        "7 True True"]
+
+
 # verify --m 9 in a child that reads its own high-water mark; the
 # ru_maxrss of a spawned child reports at least its spawner's.
 VERIFY_RSS_CHILD = """
