@@ -13,8 +13,10 @@ runs only the layers its action reaches. The first read runs the body
 under one lock, so a second thread waits for the whole module, and a
 body that raises is run again, and raises again, at the next read.
 `type(module) is types.ModuleType` once it has run. The public names
-below resolve through `__getattr__`, which reads them from their home
-layer.
+in `__all__` resolve through `__getattr__`, which reads each from the
+first module that has it: `errors`, then the layers in import order.
+That module is the name's home, so reading a re-export runs its home
+layer and the layers before it.
 """
 
 import importlib.util
@@ -26,60 +28,27 @@ from . import errors
 
 __version__ = "0.1.0"
 
-# Each public name and the layer that defines it. The re-exports and
-# __all__ both read this table.
-_HOMES = {
-    "CMVerdict": "algebra",
-    "certify": "algebra",
-    "cohen_macaulay_verdict": "algebra",
-    "prefix_block_ordering": "algebra",
-    "f_vector_direct": "complexes",
-    "CycleCatalog": "cycles",
-    "CycleCatalogEntry": "cycles",
-    "IntersectionMismatch": "cycles",
-    "IntersectionSurvey": "cycles",
-    "claimed_order": "cycles",
-    "intersection_survey": "cycles",
-    "oracle_cycle_catalog": "cycles",
-    "predict_intersection": "cycles",
-    "word_cycle_catalog": "cycles",
-    "word_edge_set": "cycles",
-    "word_of": "cycles",
-    "CapacityError": "errors",
-    "GraphParseError": "errors",
-    "InvalidParameterError": "errors",
-    "JssError": "errors",
-    "PurityError": "errors",
-    "FormulaFVector": "formulas",
-    "FormulaTerm": "formulas",
-    "HilbertSeries": "formulas",
-    "f_vector_exact_ie": "formulas",
-    "f_vector_formula": "formulas",
-    "hilbert_function": "formulas",
-    "hilbert_series": "formulas",
-    "EdgeLabel": "graphs",
-    "EdgeSet": "graphs",
-    "Graph": "graphs",
-    "build_jahangir": "graphs",
-    "edge_indices": "graphs",
-    "emit_graph": "graphs",
-    "enumerate_simple_cycles": "graphs",
-    "is_connected": "graphs",
-    "jahangir_order": "graphs",
-    "matrix_tree_count": "graphs",
-    "parse_graph": "graphs",
-    "ClaimResult": "reports",
-    "RunReport": "reports",
-    "build_graph_report": "reports",
-    "build_jahangir_report": "reports",
-    "PartitionReport": "spanning",
-    "TreeClass": "spanning",
-    "enumerate_spanning_trees_generic": "spanning",
-    "enumerate_spanning_trees_jahangir": "spanning",
-    "verify_partition": "spanning",
-}
+__all__ = [
+    "CMVerdict", "CapacityError", "ClaimResult", "CycleCatalog",
+    "CycleCatalogEntry", "EdgeLabel", "EdgeSet", "FormulaFVector",
+    "FormulaTerm", "Graph", "GraphParseError", "HilbertSeries",
+    "IntersectionMismatch", "IntersectionSurvey", "InvalidParameterError",
+    "JssError", "PartitionReport", "PurityError", "RunReport", "TreeClass",
+    "build_graph_report", "build_jahangir", "build_jahangir_report", "certify",
+    "claimed_order", "cohen_macaulay_verdict", "edge_indices", "emit_graph",
+    "enumerate_simple_cycles", "enumerate_spanning_trees_generic",
+    "enumerate_spanning_trees_jahangir", "f_vector_direct", "f_vector_exact_ie",
+    "f_vector_formula", "hilbert_function", "hilbert_series",
+    "intersection_survey", "is_connected", "jahangir_order",
+    "matrix_tree_count", "oracle_cycle_catalog", "parse_graph",
+    "predict_intersection", "prefix_block_ordering", "verify_partition",
+    "word_cycle_catalog", "word_edge_set", "word_of",
+]
 
-__all__ = sorted(_HOMES)
+# The layers in import order: each imports only from errors and the
+# layers before it.
+_LAYERS = ("graphs", "cycles", "spanning", "complexes", "formulas", "algebra",
+           "reports")
 
 
 # Held while a layer's body runs; reentrant, since a body's imports run
@@ -118,21 +87,17 @@ def _lazy(layer: str) -> types.ModuleType:
     return module
 
 
-graphs = _lazy("graphs")
-cycles = _lazy("cycles")
-spanning = _lazy("spanning")
-complexes = _lazy("complexes")
-formulas = _lazy("formulas")
-algebra = _lazy("algebra")
-reports = _lazy("reports")
+globals().update({layer: _lazy(layer) for layer in _LAYERS})
 
 
 def __getattr__(name: str):
-    try:
-        layer = _HOMES[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    return getattr(globals()[layer], name)
+    # The first module that has a public name defines it, since a layer
+    # imports only from the modules before it.
+    if name in __all__:
+        for module in (errors, *map(globals().get, _LAYERS)):
+            if hasattr(module, name):
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:

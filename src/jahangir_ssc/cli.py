@@ -181,8 +181,9 @@ def _cm_payload(g: graphs.Graph, ordering: str, trees: int, meta: dict) -> dict:
             "shelling_agrees": verdict.shelling_agrees}
 
 
-def _report_payload(report: reports.RunReport, meta: dict) -> dict:
-    return {**meta, "parameters": report.parameters,
+def _report_payload(report: reports.RunReport, seed: int, meta: dict) -> dict:
+    # --seed changes no claim; it is only echoed, as the last parameter
+    return {**meta, "parameters": {**report.parameters, "seed": seed},
             "claims": [c._asdict() for c in report.claims],
             "mismatches": report.mismatch_count, "timings": report.timings}
 
@@ -226,6 +227,10 @@ def _execute(args: argparse.Namespace) -> tuple[dict, int]:
                 text = fh.read()
         except OSError as exc:
             raise GraphParseError(f"cannot read {args.input}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise GraphParseError(
+                f"cannot read {args.input}: not UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
         m = None
         g = graphs.parse_graph(text)
         meta = {"command": "graph", "action": action, "input": args.input}
@@ -266,12 +271,11 @@ def _execute(args: argparse.Namespace) -> tuple[dict, int]:
     if action == "cm":
         return _cm_payload(g, ordering, trees, {**meta, "ordering": ordering}), 0
     if m is None:
-        report = reports.build_graph_report(g, seed=args.seed, timed=args.timings,
-                                            trees=trees)
+        report = reports.build_graph_report(g, timed=args.timings, trees=trees)
     else:
-        report = reports.build_jahangir_report(m, seed=args.seed, timed=args.timings,
-                                               trees=trees)
-    return _report_payload(report, meta), MISMATCH_EXIT if report.mismatch_count else 0
+        report = reports.build_jahangir_report(m, timed=args.timings, trees=trees)
+    code = MISMATCH_EXIT if report.mismatch_count else 0
+    return _report_payload(report, args.seed, meta), code
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .graphs import (
     _normalize,
     base_cycle_indices,
     build_jahangir,
+    cyclic_runs,
     edge_indices,
     enumerate_simple_cycles,
     jahangir_order,
@@ -143,25 +144,6 @@ def oracle_cycle_catalog(g: Graph) -> CycleCatalog:
 def follows(a: int, b: int, m: int) -> bool:
     """True when cycle b comes right after cycle a, cyclically."""
     return b == a % m + 1
-
-
-def cyclic_runs(indices: set[int], m: int) -> list[list[int]]:
-    """Decompose a set of cycle indices into maximal cyclic runs of
-    consecutive indices, each run listed in cyclic order."""
-    if len(indices) == m:
-        return [sorted(indices)]
-    runs = []
-    for j in sorted(indices):
-        prev = j - 1 if j > 1 else m
-        if prev in indices:
-            continue  # not the head of a run
-        run = [j]
-        nxt = j % m + 1
-        while nxt in indices:
-            run.append(nxt)
-            nxt = nxt % m + 1
-        runs.append(run)
-    return runs
 
 
 def _nested(u: tuple[int, ...], v: tuple[int, ...]) -> int:

@@ -173,6 +173,25 @@ def base_cycle_indices(j: int, m: int) -> EdgeSet:
     return 0b111 << spoke_index(j, m) | 1 << spoke_index(j + 1, m)
 
 
+def cyclic_runs(indices: set[int], m: int) -> list[list[int]]:
+    """Decompose a set of cycle indices into maximal cyclic runs of
+    consecutive indices, each run listed in cyclic order."""
+    if len(indices) == m:
+        return [sorted(indices)]
+    runs = []
+    for j in sorted(indices):
+        prev = j - 1 if j > 1 else m
+        if prev in indices:
+            continue  # not the head of a run
+        run = [j]
+        nxt = j % m + 1
+        while nxt in indices:
+            run.append(nxt)
+            nxt = nxt % m + 1
+        runs.append(run)
+    return runs
+
+
 def build_jahangir(m: int) -> Graph:
     """The graph J(2,m): a 2m-cycle plus a hub joined to every second
     rim vertex. 2m+1 vertices, 3m labeled edges."""
@@ -225,13 +244,20 @@ def parse_graph(text: str) -> Graph:
     """Parse the JSON graph document format.
 
     Malformed documents raise GraphParseError naming the offending
-    entry; structural violations (loops, duplicates) and a key repeated
-    in any object are reported the same way.
+    entry; structural violations (loops, duplicates), a key repeated
+    in any object, an integer past the interpreter's digit limit and
+    nesting past its recursion limit are reported the same way.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"line {exc.lineno}: {exc.msg}") from None
+    except GraphParseError:  # a repeated key; a ValueError too
+        raise
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise GraphParseError(f"unreadable number: {str(exc).partition(';')[0]}") from None
+    except RecursionError:
+        raise GraphParseError("arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise GraphParseError("document root must be an object")
     unknown = set(doc) - {"vertices", "edges", "labels"}

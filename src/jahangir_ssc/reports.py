@@ -185,10 +185,9 @@ def _claim_hilbert(f_direct: tuple[int, ...] | None, sweep_refusal: str | None,
                 "diverging_degrees": bad_degrees})
 
 
-def build_jahangir_report(m: int, seed: int = 0, timed: bool = False,
+def build_jahangir_report(m: int, timed: bool = False,
                           trees: int | None = None) -> RunReport:
-    """Structured claims about J(2,m) against the oracles. seed is only
-    echoed in the parameters; no claim depends on it. trees is the
+    """Structured claims about J(2,m) against the oracles. trees is the
     determinant's spanning-tree count where the caller has it."""
     g = build_jahangir(m)
     # only the count is kept: the trees live on in the enumerator's memo
@@ -306,7 +305,7 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False,
             detail={"ordering_source": verdict.ordering_source,
                     "shelling_agrees": verdict.shelling_agrees})
 
-    return _run_claims("jahangir", {"m": m, "seed": seed}, (
+    return _run_claims("jahangir", {"m": m}, (
         claim_tree_count, claim_partition, claim_catalog_size,
         claim_catalog_orders, claim_intersections, claim_formula,
         lambda: _claim_exact_ie(g, f_direct, sweep_refusal),
@@ -315,11 +314,11 @@ def build_jahangir_report(m: int, seed: int = 0, timed: bool = False,
         claim_cm), timed)
 
 
-def build_graph_report(g: Graph, seed: int = 0, timed: bool = False,
+def build_graph_report(g: Graph, timed: bool = False,
                        trees: int | None = None) -> RunReport:
-    """Generic-engine cross-checks for an arbitrary connected graph. seed
-    is only echoed in the parameters. trees is the determinant's
-    spanning-tree count where the caller has it."""
+    """Generic-engine cross-checks for an arbitrary connected graph.
+    trees is the determinant's spanning-tree count where the caller has
+    it."""
     if not is_connected(g):
         raise InvalidParameterError(
             "spanning complex is undefined for disconnected graphs")
@@ -353,7 +352,7 @@ def build_graph_report(g: Graph, seed: int = 0, timed: bool = False,
             verdict="match" if verdict.shelling_agrees else "mismatch")
 
     return _run_claims(
-        "graph", {"vertices": g.vertex_count, "edges": g.edge_count, "seed": seed}, (
+        "graph", {"vertices": g.vertex_count, "edges": g.edge_count}, (
             claim_tree_count,
             lambda: _claim_exact_ie(g, f_direct, sweep_refusal),
             lambda: _claim_dimension(g, facets),

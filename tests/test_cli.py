@@ -37,7 +37,7 @@ EXPECTED_MISMATCH_CLAIMS = {
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_jahangir_report_claims(m):
-    report = build_jahangir_report(m, seed=0, timed=False)
+    report = build_jahangir_report(m, timed=False)
     verdicts = {c.name: c.verdict for c in report.claims}
     assert len(report.claims) == 10
     assert {n for n, v in verdicts.items() if v == "mismatch"} == \
@@ -50,7 +50,7 @@ def test_jahangir_report_claims(m):
 
 
 def test_jahangir_report_timed():
-    report = build_jahangir_report(3, seed=0, timed=True)
+    report = build_jahangir_report(3, timed=True)
     assert report.timings is not None
     assert set(report.timings) == {c.name for c in report.claims}
 
@@ -59,7 +59,7 @@ def test_graph_report_triangle(triangle_file):
     from jahangir_ssc import parse_graph
 
     g = parse_graph(open(triangle_file).read())
-    report = build_graph_report(g, seed=0, timed=False)
+    report = build_graph_report(g, timed=False)
     assert report.mismatch_count == 0
     assert [c.verdict for c in report.claims] == ["match"] * 5
 
@@ -310,6 +310,14 @@ def test_verify_timings_flag(run_cli):
     assert timed["timings"] is not None and len(timed["timings"]) == 10
 
 
+def test_verify_echoes_the_seed_as_the_last_parameter(run_cli, triangle_file):
+    jahangir = run_cli("jahangir", "--m", "3", "verify", "--seed", "7").json()
+    assert list(jahangir["parameters"].items()) == [("m", 3), ("seed", 7)]
+    graph = run_cli("graph", "--input", triangle_file, "verify", "--seed", "7").json()
+    assert list(graph["parameters"].items()) == [
+        ("vertices", 3), ("edges", 3), ("seed", 7)]
+
+
 def test_output_is_byte_deterministic(run_cli):
     for argv in (
         ("jahangir", "--m", "4", "verify"),
@@ -460,6 +468,22 @@ def test_parse_errors_exit_1(tmp_path, run_cli):
     assert missing.code == 1 and "cannot read" in missing.stderr
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'\xff\xfe{"vertices": 1}', "not UTF-8 (invalid start byte at byte 0)"),
+    (b'{"vertices": ' + b"9" * 5000 + b', "edges": []}', "5000 digits"),
+    (b"[" * 100_000, "nested too deeply"),
+], ids=["not-utf-8", "long-integer", "deep-array"])
+def test_unreadable_documents_exit_1(tmp_path, run_cli, content, message):
+    # read errors, not tracebacks: a bad encoding, an integer past the
+    # interpreter's digit limit, nesting past its recursion limit
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    res = run_cli("graph", "--input", str(bad), "f-vector")
+    assert res.code == 1 and res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert message in res.stderr
+
+
 def test_capacity_errors_exit_2(tmp_path, run_cli):
     from jahangir_ssc import Graph, emit_graph
 
@@ -594,7 +618,8 @@ EXECUTED_LAYERS = {
     ("f-vector",): "complexes graphs spanning",
     ("hilbert", "--mode", "exact-ie"): "formulas graphs",
     ("facets",): "graphs spanning",
-    ("cm",): "algebra cycles graphs spanning",
+    ("classes",): "graphs spanning",
+    ("cm",): "algebra graphs spanning",
     ("verify",): "algebra complexes cycles formulas graphs reports spanning",
 }
 
@@ -614,6 +639,27 @@ def test_startup_imports_every_layer_and_no_dataclass_machinery():
         code, *names = proc.stdout.split()
         assert int(code) == (3 if action == ("verify",) else 0)
         assert names == sorted(["cli", "errors", *ran.split()]), action
+
+
+# The layers a re-export read runs: its home and the layers before it.
+REEXPORT_CHILD = """
+import importlib, sys, types
+getattr(importlib.import_module("jahangir_ssc"), sys.argv[1])
+print(*sorted(m[len("jahangir_ssc."):] for m in sys.modules
+              if m.startswith("jahangir_ssc.")
+              and type(sys.modules[m]) is types.ModuleType))
+"""
+
+
+@pytest.mark.parametrize("name, ran", [
+    ("CapacityError", "errors"),
+    ("Graph", "errors graphs"),
+    ("word_of", "cycles errors graphs"),
+])
+def test_a_re_export_runs_its_home_and_the_layers_before_it(name, ran):
+    proc = _run_child(REEXPORT_CHILD, name)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ran.split()
 
 
 # Four threads make the first reads of two layers at once, switching
@@ -930,12 +976,14 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from jahangir_ssc import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(jahangir_ssc.__all__)
-    # each name is the object its home layer defines, read from there
+    # each name is the object its defining module holds
     for name in jahangir_ssc.__all__:
-        home = f"jahangir_ssc.{jahangir_ssc._HOMES[name]}"
         obj = getattr(jahangir_ssc, name)
-        assert obj is getattr(sys.modules[home], name)
-        assert getattr(obj, "__module__", home) in (home, "builtins"), name
+        home = obj.__module__
+        if home == "builtins":  # EdgeSet, graphs' alias of int
+            assert obj is int, name
+            home = "jahangir_ssc.graphs"
+        assert obj is getattr(sys.modules[home], name), name
     with pytest.raises(AttributeError, match="no_such_name"):
         jahangir_ssc.no_such_name
     assert not hasattr(jahangir_ssc, "no_such_name")

@@ -185,6 +185,14 @@ def test_parse_minimal():
         ('{"vertices": 3, "edges": [[0, 1]], "extra": 1}', "extra"),
         ('[1, 2]', "object"),
         ('{"vertices": 3 "edges": []}', "line 1"),
+        # past the interpreter's limits on an integer's digits and on
+        # nesting; 3.13 reads the deep labels value, and the labels
+        # check refuses it
+        pytest.param('{"vertices": ' + "9" * 5000 + ', "edges": []}', "5000 digits",
+                     id="long-integer"),
+        pytest.param("[" * 100_000, "nested too deeply", id="deep-array"),
+        pytest.param('{"vertices": 1, "edges": [], "labels": '
+                     + "[" * 5000 + "]" * 5000 + "}", "", id="deep-labels"),
     ],
 )
 def test_parse_errors_name_the_entry(text, needle):
