@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii
 
 from . import algebra, complexes, cycles, formulas, graphs, reports, spanning
 from .errors import CapacityError, GraphParseError, InvalidParameterError, JssError
@@ -32,9 +33,9 @@ MISMATCH_EXIT = 3
 # a child under a 1 GB address-space cap, one core of a shared 2-core
 # Intel Xeon machine, wall time and peak RSS): build_jahangir_report(10)
 # would take 0.93-1.2 s and 128 MB, and verify 1.1 s and 127 MB, but
-# facets 5.7 s and 311 MB for 137 MB of JSON, and cm --ordering block
-# 62 s and 198 MB. So the value stays until cm and facets have budgets
-# of their own.
+# facets 3.5-3.9 s and 42 MB (stdout to /dev/null), and cm --ordering
+# block 62 s and 198 MB. So the value stays until cm and facets have
+# budgets of their own.
 TREE_ENUMERATION_LIMIT = 500_000
 
 # The largest m served: the forest sweep, the engine that reaches
@@ -44,9 +45,12 @@ TREE_ENUMERATION_LIMIT = 500_000
 # EPYC machine (wall time, peak RSS, least of 3): f-vector 0.15 s,
 # 16 MB; hilbert 0.55 s, 16 MB; the oracle catalog, exact-ie and formula
 # modes refused in 0.10-0.12 s, 16 MB; facets, classes, cm and verify
-# refused by the tree-count guard in 0.12-0.13 s, 16 MB; the word
-# catalog 26 s as JSON, 15 s as CSV and 12 s as text, 182 MB in each
-# format.
+# refused by the tree-count guard in 0.12-0.13 s, 16 MB. The word
+# catalog, on one core of a shared 2-core Intel Xeon machine with
+# PYTHONUNBUFFERED=1 and stdout to /dev/null (CPython 3.11, least of
+# 3): 15 s as JSON, 11.6 s as CSV and 9.3 s as text, 62 MB in each
+# format, most of it the catalog itself, since its entries are
+# formatted as they are written.
 JAHANGIR_M_LIMIT = 207
 
 # The tree-count guard refuses a graph with more vertices than
@@ -109,10 +113,10 @@ def _build_parser() -> _Parser:
 
 
 def _edge_lister(g: graphs.Graph):
-    """Edge sets as output lists: of labels where g has them, else of
-    indices."""
+    """Edge sets as output sequences: lists of labels where g has them,
+    else tuples of indices, which JSON writes as lists."""
     if g.labels is None:
-        return lambda mask: list(graphs.edge_indices(mask))
+        return graphs.edge_indices
     names = [str(label) for label in g.labels]
     return lambda mask: [names[i] for i in graphs.edge_indices(mask)]
 
@@ -121,7 +125,7 @@ def _facet_payload(g: graphs.Graph, trees: int, meta: dict) -> dict:
     facets = spanning.enumerate_spanning_trees_generic(g)
     listed = _edge_lister(g)
     return {**meta, "count": len(facets), "matrix_tree_count": trees,
-            "facets": [listed(f) for f in facets]}
+            "facets": map(listed, facets)}
 
 
 def _classes_payload(m: int, trees: int, meta: dict) -> dict:
@@ -132,10 +136,10 @@ def _classes_payload(m: int, trees: int, meta: dict) -> dict:
 
 def _catalog_payload(catalog: cycles.CycleCatalog, g: graphs.Graph, meta: dict) -> dict:
     listed = _edge_lister(g)
-    entries = [{"word": list(e.word) if e.word is not None else None,
+    entries = ({"word": list(e.word) if e.word is not None else None,
                 "edges": listed(e.edges), "beta": e.beta,
-                "is_simple_cycle": e.is_simple_cycle} for e in catalog.entries]
-    return {**meta, "count": len(entries), "entries": entries}
+                "is_simple_cycle": e.is_simple_cycle} for e in catalog.entries)
+    return {**meta, "count": len(catalog.entries), "entries": entries}
 
 
 def _f_vector(g: graphs.Graph, mode: str, m: int | None) -> tuple[int, ...]:
@@ -279,84 +283,88 @@ def _execute(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
-# Formatters
+# Output
+
+# Output leaves in pieces of at least this many characters: with
+# PYTHONUNBUFFERED=1 each write to stdout is a system call.
+_WRITE_SIZE = 1 << 16
+
+# The scalar types written without json.dumps, as json's own encoder
+# writes them.
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__}
+
+_NO_ITEM = object()
 
 
-def _csv_rows(payload: dict) -> Iterator[list[object]]:
-    """The CSV rows of a payload, yielded one at a time."""
-    action = payload["action"]
-    if action == "facets":
-        yield ["index", "edges"]
-        for i, f in enumerate(payload["facets"]):
-            yield [i, " ".join(str(x) for x in f)]
-    elif action == "classes":
-        yield ["class", "count"]
-        yield from ([k, v] for k, v in payload["counts"].items())
-        yield ["total", payload["total"]]
-    elif action == "cycles":
-        yield ["word", "beta", "is_simple_cycle", "edges"]
-        for e in payload["entries"]:
-            word = " ".join(str(x) for x in e["word"]) if e["word"] else ""
-            yield [word, e["beta"], e["is_simple_cycle"],
-                   " ".join(str(x) for x in e["edges"])]
-    elif action == "f-vector":
-        yield ["i", "f_i"]
-        yield from ([i, v] for i, v in enumerate(payload["f_vector"]))
-        for item in payload.get("mismatch_indices", []):
-            yield ["mismatch", f"i={item['index']} closed_form={item['closed_form']}"
-                   f" direct={item['direct']}"]
-    elif action == "hilbert":
-        yield ["k", "numerator_coefficient"]
-        yield from ([k, c] for k, c in enumerate(payload["numerator"]))
-        yield ["denominator_power", payload["denominator_power"]]
-    elif action == "cm":
-        yield ["key", "value"]
-        for k in ("cohen_macaulay", "ordering_source", "block_first_failure",
-                  "shelling_agrees"):
-            yield [k, payload[k]]
-    else:
-        yield ["claim", "verdict", "claimed", "oracle"]
-        for c in payload["claims"]:
-            yield [c["name"], c["verdict"], json.dumps(c["claimed"]), json.dumps(c["oracle"])]
+class _Batched:
+    """Gathers written text and passes it on in pieces of at least
+    _WRITE_SIZE characters; flush() passes on the rest."""
+
+    def __init__(self, write) -> None:
+        self._write = write
+        self._parts: list[str] = []
+        self._size = 0
+
+    def write(self, text: str) -> None:
+        self._parts.append(text)
+        self._size += len(text)
+        if self._size >= _WRITE_SIZE:
+            self.flush()
+
+    def flush(self) -> None:
+        if self._parts:
+            self._write("".join(self._parts))
+            self._parts.clear()
+            self._size = 0
 
 
-def _text_lines(payload: dict) -> Iterator[str]:
-    """The text rendering of a payload, yielded line by line."""
-    action = payload["action"]
-    if action == "facets":
-        yield (f"{payload['count']} facets "
-               f"(matrix-tree count {payload['matrix_tree_count']})")
-        for f in payload["facets"]:
-            yield " ".join(str(x) for x in f)
-    elif action == "classes":
-        yield from (f"{k}: {v}" for k, v in payload["counts"].items())
-        yield (f"total: {payload['total']} "
-               f"(matrix-tree count {payload['matrix_tree_count']})")
-    elif action == "cycles":
-        yield f"{payload['count']} catalog entries"
-        for e in payload["entries"]:
-            word = ",".join(str(x) for x in e["word"]) if e["word"] else "-"
-            flag = "" if e["is_simple_cycle"] else "  [not a simple cycle]"
-            yield (f"word {word}: beta {e['beta']}, edges "
-                   + " ".join(str(x) for x in e["edges"]) + flag)
-    elif action == "f-vector":
-        yield "f = (" + ", ".join(payload["f_vector"]) + ")"
-        for item in payload.get("mismatch_indices", []):
-            yield (f"  diverges from the direct oracle at i={item['index']}: "
-                   f"{item['closed_form']} vs {item['direct']}")
-    elif action == "hilbert":
-        terms = [f"{c}*t^{k}" if k else c
-                 for k, c in enumerate(payload["numerator"]) if c != "0"]
-        yield " + ".join(terms) + f" over (1-t)^{payload['denominator_power']}"
-    elif action == "cm":
-        for key in ("cohen_macaulay", "ordering_source", "shelling_agrees"):
-            yield f"{key}: {payload[key]}"
-    else:
-        for c in payload["claims"]:
-            yield (f"[{c['verdict']:>9}] {c['name']}: "
-                   f"claimed {json.dumps(c['claimed'])} "
-                   f"vs oracle {json.dumps(c['oracle'])}")
-        yield f"mismatches: {payload['mismatches']}"
+def _write_json(obj: object, write) -> None:
+    """Write obj by write() as json.dump writes it with indent=2, with
+    iterators written as lists.
+
+    A list or tuple of plain str or plain int items is encoded as one
+    string, with json's own scalar encoders; every other scalar goes
+    through json.dumps, which writes bool, None, floats and str or int
+    subclasses as json.dump does.
+    """
+
+    def encode(obj: object, prefix: str, pad: str) -> None:
+        # prefix: what precedes obj in the output, written with it
+        inner = pad + "  "
+        if isinstance(obj, (list, tuple)):
+            kinds = set(map(type, obj))
+            scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+            if scalar is not None:
+                write(prefix + "[\n" + inner + (",\n" + inner).join(map(scalar, obj))
+                      + "\n" + pad + "]")
+                return
+        elif isinstance(obj, dict):
+            if not obj:
+                write(prefix + "{}")
+                return
+            sep = prefix + "{\n" + inner
+            for key, value in obj.items():
+                key = key if isinstance(key, str) else json.dumps(key)
+                encode(value, sep + encode_basestring_ascii(key) + ": ", inner)
+                sep = ",\n" + inner
+            write("\n" + pad + "}")
+            return
+        elif not isinstance(obj, Iterator):
+            write(prefix + _SCALARS.get(type(obj), json.dumps)(obj))
+            return
+        # a list or tuple of mixed or container items, or an iterator
+        items = iter(obj)
+        first = next(items, _NO_ITEM)
+        if first is _NO_ITEM:
+            write(prefix + "[]")
+            return
+        encode(first, prefix + "[\n" + inner, inner)
+        comma = ",\n" + inner
+        for item in items:
+            encode(item, comma, inner)
+        write("\n" + pad + "]")
+
+    encode(obj, "", "")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -369,14 +377,19 @@ def main(argv: list[str] | None = None) -> int:
     except JssError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # every format is streamed: the document is never held as one string
+    # the payload's facets and catalog entries are made as they are
+    # written, and the document leaves in batches, never as one string
+    out = _Batched(sys.stdout.write)
     if args.format == "json":
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    elif args.format == "csv":
-        import csv  # only this branch writes CSV
-        csv.writer(sys.stdout, lineterminator="\n").writerows(_csv_rows(payload))
+        _write_json(payload, out.write)
+        out.write("\n")
     else:
-        for line in _text_lines(payload):
-            sys.stdout.write(line + "\n")
+        from . import formats  # only these branches write CSV or text
+        if args.format == "csv":
+            import csv
+            csv.writer(out, lineterminator="\n").writerows(formats.csv_rows(payload))
+        else:
+            for line in formats.text_lines(payload):
+                out.write(line + "\n")
+    out.flush()
     return code

@@ -57,6 +57,20 @@ class _Checked:
         return cls(*iterable)
 
 
+# An error echoes at most this many characters of a document's value,
+# so that a huge entry still makes one short line.
+_ECHO_LIMIT = 64
+
+
+def _echo(value: object) -> str:
+    """repr(value), cut past _ECHO_LIMIT characters, naming where it was
+    cut and its whole length."""
+    text = repr(value)
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    return f"{text[:_ECHO_LIMIT]}... (first {_ECHO_LIMIT} of {len(text)} characters)"
+
+
 class _EdgeLabelFields(NamedTuple):
     j: int
     i: int
@@ -85,7 +99,7 @@ class EdgeLabel(_Checked, _EdgeLabelFields):
         # other scripts' digits.
         digits = text[1:]
         if len(text) < 3 or text[0] != "e" or not (digits.isascii() and digits.isdigit()):
-            raise InvalidParameterError(f"bad edge label {text!r}")
+            raise InvalidParameterError(f"bad edge label {_echo(text)}")
         return cls(j=int(text[1:-1]), i=int(text[-1]))
 
 
@@ -262,7 +276,7 @@ def parse_graph(text: str) -> Graph:
         raise GraphParseError("document root must be an object")
     unknown = set(doc) - {"vertices", "edges", "labels"}
     if unknown:
-        raise GraphParseError(f"unknown keys: {sorted(unknown)}")
+        raise GraphParseError(f"unknown keys: {_echo(sorted(unknown))}")
     if not isinstance(doc.get("vertices"), int) or isinstance(doc.get("vertices"), bool):
         raise GraphParseError('"vertices" must be an integer')
     raw_edges = doc.get("edges")
@@ -273,7 +287,8 @@ def parse_graph(text: str) -> Graph:
         ok = (isinstance(item, list) and len(item) == 2
               and all(isinstance(x, int) and not isinstance(x, bool) for x in item))
         if not ok:
-            raise GraphParseError(f"edges[{pos}]: expected a pair of integers, got {item!r}")
+            raise GraphParseError(
+                f"edges[{pos}]: expected a pair of integers, got {_echo(item)}")
         edges.append((item[0], item[1]))
     labels: tuple[EdgeLabel, ...] | None = None
     if "labels" in doc:

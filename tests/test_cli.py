@@ -751,6 +751,32 @@ def test_verify_hashes_no_tree():
     assert hwm_kb < VERIFY_SORTED_RSS_MB * 1024
 
 
+FACETS_RSS_CHILD = """
+import contextlib
+from jahangir_ssc.cli import main
+with open("/dev/null", "w") as sink, contextlib.redirect_stdout(sink):
+    code = main(["jahangir", "--m", "9", "facets"])
+with open("/proc/self/status") as fh:
+    hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(code, hwm_kb)
+"""
+
+# facets --m 9 writes 140,450 facets as they are listed, from the one
+# list of tree masks: 22-23 MB of peak RSS on CPython 3.11, against
+# 57-58 MB when the payload held every facet's list of labels. The bound
+# fails if that list, or the whole document as one string, comes back.
+FACETS_STREAMED_RSS_MB = 32
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_facets_are_written_as_they_are_listed():
+    proc = _run_child(FACETS_RSS_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    code, hwm_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert hwm_kb < FACETS_STREAMED_RSS_MB * 1024
+
+
 # A path of 200,000 vertices is a forest as deep as it is long: a mask
 # kept per vertex for its root path would need V^2/2 bits, 2.5 GB here.
 # Under the same 1 GB cap, a tree, three short cycles far apart in the

@@ -134,6 +134,25 @@ def test_labels_take_ascii_digits_only(tmp_path, run_cli, label):
     assert result.stderr == f"error: labels[0]: bad edge label {label!r}\n"
 
 
+# Each document holds one value of about a megabyte that its error
+# names; the echo is cut, and says where and how long the value was.
+@pytest.mark.parametrize("doc, echoed", [
+    ({"vertices": 2, "edges": [list(range(200_000))]}, "edges[0]: expected a pair"),
+    ({"vertices": 2, "edges": [[0, 1]], "labels": ["e" * 1_000_000]}, "labels[0]: bad edge"),
+    ({"vertices": 2, "edges": [], **{f"k{i}": 0 for i in range(100_000)}}, "unknown keys"),
+])
+def test_parse_errors_echo_a_bounded_value(tmp_path, run_cli, doc, echoed):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("graph", "--input", str(path), "f-vector")
+    assert result.code == 1
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"error: {echoed}")
+    assert " (first 64 of " in line
+    assert len(result.stderr.encode()) < 200
+
+
 def test_graph_validation():
     with pytest.raises(InvalidParameterError):
         Graph(2, ((0, 2),))
