@@ -46,8 +46,10 @@ __all__ = [
 ]
 
 # The layers in import order: each imports only from errors and the
-# layers before it.
-_LAYERS = ("graphs", "cycles", "spanning", "complexes", "formulas", "algebra",
+# layers before it. complexes precedes spanning, whose enumerator
+# imports the frontier helpers of complexes' forest sweep, so a sweep
+# runs complexes and graphs alone.
+_LAYERS = ("graphs", "cycles", "complexes", "spanning", "formulas", "algebra",
            "reports")
 
 

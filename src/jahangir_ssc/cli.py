@@ -12,11 +12,11 @@ extra and is off by default.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import algebra, complexes, cycles, formulas, graphs, reports, spanning
 from .errors import CapacityError, GraphParseError, InvalidParameterError, JssError
@@ -69,43 +69,115 @@ _CATALOG_ALIASES = {"paper": "word"}
 _ORDERING_ALIASES = {"paper": "block"}
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage errors must exit 1, not argparse's default 2
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+# The options of each command, in the order of their usage text: flag ->
+# (the choices, int or str for a free value, or bool for a flag that
+# takes none; the default, or _REQUIRED; the help text). The one table
+# builds the argparse parser and drives _read_argv.
+_REQUIRED = object()
+_COMMON_OPTIONS = {
+    "--format": (("json", "csv", "text"), "json", None),
+    "--mode": (("direct", "formula", "paper", "exact-ie"), "direct",
+               "f-vector engine (paper is an alias of formula)"),
+    "--catalog": (("word", "paper", "oracle"), None,
+                  "cycle catalog (paper is an alias of word)"),
+    "--ordering": (("block", "paper", "search"), None,
+                   "generator ordering for cm (paper is an alias of block)"),
+    "--seed": (int, 0, "accepted for compatibility and echoed by verify; has no effect"),
+    "--timings": (bool, False, "include wall-clock timings in verify output"),
+}
+# command -> (its help text, its own options, which come before the
+# action and _COMMON_OPTIONS)
+_COMMANDS = {
+    "jahangir": ("work on J(2,m)",
+                 {"--m": (int, _REQUIRED, None),
+                  "--n": (int, 2, "ring width; must be 2 (reserved)")}),
+    "graph": ("work on a graph document",
+              {"--input": (str, _REQUIRED, "path to a JSON graph document")}),
+}
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The argparse parser of both commands, which writes every usage,
+    error and help text. Built only for an argv that _read_argv
+    declines, so that a well-formed request imports no argparse."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # usage errors must exit 1, not argparse's default 2
+        def error(self, message: str) -> None:  # type: ignore[override]
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def add(p: _Parser, options: dict) -> None:
+        for flag, (kind, default, text) in options.items():
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=text)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, default=default, help=text)
+            elif default is _REQUIRED:
+                p.add_argument(flag, type=kind, required=True, help=text)
+            else:
+                p.add_argument(flag, type=kind, default=default, help=text)
+
     parser = _Parser(prog="jssc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def common(p: _Parser) -> None:
+    for command, (text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        add(p, options)
         p.add_argument("action", choices=ACTIONS)
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--mode", choices=("direct", "formula", "paper", "exact-ie"),
-                       default="direct",
-                       help="f-vector engine (paper is an alias of formula)")
-        p.add_argument("--catalog", choices=("word", "paper", "oracle"), default=None,
-                       help="cycle catalog (paper is an alias of word)")
-        p.add_argument("--ordering", choices=("block", "paper", "search"), default=None,
-                       help="generator ordering for cm (paper is an alias of block)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="accepted for compatibility and echoed by verify; "
-                       "has no effect")
-        p.add_argument("--timings", action="store_true",
-                       help="include wall-clock timings in verify output")
-
-    pj = sub.add_parser("jahangir", help="work on J(2,m)")
-    pj.add_argument("--m", type=int, required=True)
-    pj.add_argument("--n", type=int, default=2,
-                    help="ring width; must be 2 (reserved)")
-    common(pj)
-
-    pg = sub.add_parser("graph", help="work on a graph document")
-    pg.add_argument("--input", required=True, help="path to a JSON graph document")
-    common(pg)
+        add(p, _COMMON_OPTIONS)
     return parser
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse returns for argv, when argv is well-formed;
+    None leaves argv to argparse, which writes any usage, error or help
+    text.
+
+    Accepted: a command, then in any order its action, once, and its
+    options, each followed by one value: one of its choices, ASCII
+    digits that int() reads for an int, a path that does not start with
+    "-"; --timings takes none. A repeated option keeps its last value,
+    as in argparse. Anything else is declined: help, "--", an
+    abbreviation, "--flag=value", an unknown token, a second action, a
+    missing value, a missing required option or action.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = {**_COMMANDS[argv[0]][1], **_COMMON_OPTIONS}
+    values = {flag[2:]: default for flag, (_, default, _) in options.items()}
+    values["command"], values["action"] = argv[0], None
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ACTIONS and values["action"] is None:
+            values["action"] = token
+            continue
+        if token not in options:
+            return None
+        kind = options[token][0]
+        if kind is bool:
+            values[token[2:]] = True
+            continue
+        value = next(tokens, None)
+        if value is None:
+            return None
+        if kind is int:
+            # argparse's int() also reads signs, spaces, "_" and non-ASCII digits
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # past the interpreter's digit limit
+                return None
+        elif kind is str:
+            if value.startswith("-"):
+                return None
+        elif value not in kind:
+            return None
+        values[token[2:]] = value
+    if values["action"] is None or _REQUIRED in values.values():
+        return None
+    return SimpleNamespace(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +279,7 @@ def _guard_tree_enumeration(g: graphs.Graph) -> int:
     return count
 
 
-def _execute(args: argparse.Namespace) -> tuple[dict, int]:
+def _execute(args: SimpleNamespace) -> tuple[dict, int]:
     mode = _MODE_ALIASES.get(args.mode, args.mode)
     catalog = _CATALOG_ALIASES.get(args.catalog, args.catalog)
     ordering = _ORDERING_ALIASES.get(args.ordering, args.ordering)
@@ -368,7 +440,10 @@ def _write_json(obj: object, write) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv)
+    if args is None:
+        args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
     try:
         payload, code = _execute(args)
     except CapacityError as exc:

@@ -13,13 +13,15 @@ connectivity-state method of Sekine, Imai and Tani, "Computing the Tutte
 polynomial of a graph of moderate size", ISAAC 1995; Knuth, TAOCP 4A
 section 7.1.4), whose cost is polynomial in the edge count for graphs of
 small pathwidth such as J(2,m), and is capped by the work it does.
+Its frontier helpers, the steps of a sweep and the moves on a partition
+of the frontier, also serve spanning's enumerator, which walks the same
+states; they live here so that a sweep does not run that module.
 """
 
 from __future__ import annotations
 
 from .errors import CapacityError, InvalidParameterError
 from .graphs import Graph, is_connected
-from .spanning import _entered, _frontier_steps, _kept, _merged
 
 # Work bound of the forest sweep, in steps: one per count carried across
 # an edge, checked before each edge, so the table can at most double past
@@ -31,6 +33,57 @@ from .spanning import _entered, _frontier_steps, _kept, _merged
 # 0.15-0.45 s, and a 24-edge matching swept before the edges joining it
 # after 0.63 s.
 F_VECTOR_STEP_LIMIT = 1_200_000
+
+
+def _canonical(labels: list[int]) -> tuple[int, ...]:
+    """Block labels renumbered in order of first appearance, so equal
+    partitions get equal keys."""
+    seen: dict[int, int] = {}
+    return tuple(seen.setdefault(x, len(seen)) for x in labels)
+
+
+def _entered(state: tuple[int, ...], fresh: int) -> tuple[int, ...]:
+    """state with fresh new frontier vertices as blocks of their own."""
+    top = max(state, default=-1) + 1
+    return state + tuple(range(top, top + fresh))
+
+
+def _merged(state: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """state with blocks a != b merged; the labels stay in order of
+    first appearance."""
+    lo, hi = min(a, b), max(a, b)
+    return tuple(lo if x == hi else x - (x > hi) for x in state)
+
+
+def _kept(state: tuple[int, ...], keep: list[int] | None) -> tuple[int, ...]:
+    """state without the vertices that leave, keep naming the positions
+    that stay (None: all of them), renumbered canonically."""
+    return state if keep is None else _canonical([state[p] for p in keep])
+
+
+def _frontier_steps(edges: tuple[tuple[int, int], ...]):
+    """The frontier at each edge, for a sweep over the edges in order.
+
+    Yields, per edge i = (u, v): the number of its ends new to the
+    frontier, which enter at the end of it; the positions of u and v in
+    it; the positions that stay after edge i, or None when none leaves;
+    and the frontier itself, new ends included. A vertex leaves after
+    its last edge.
+    """
+    last = {}
+    for i, (u, v) in enumerate(edges):
+        last[u] = last[v] = i
+    frontier: list[int] = []
+    for i, (u, v) in enumerate(edges):
+        fresh = 0
+        for w in (u, v):
+            if w not in frontier:
+                frontier.append(w)
+                fresh += 1
+        keep = [p for p, w in enumerate(frontier) if last[w] != i]
+        yield (fresh, frontier.index(u), frontier.index(v),
+               keep if len(keep) < len(frontier) else None, frontier)
+        frontier = [frontier[p] for p in keep]
 
 
 def _plus(a: list[int], b: list[int]) -> list[int]:

@@ -44,9 +44,12 @@ def csv_rows(payload: dict) -> Iterator[list[object]]:
                   "shelling_agrees"):
             yield [k, payload[k]]
     else:
-        yield ["claim", "verdict", "claimed", "oracle"]
+        # --timings adds a column of each claim's seconds
+        timings = payload["timings"]
+        yield ["claim", "verdict", "claimed", "oracle"] + (["seconds"] if timings else [])
         for c in payload["claims"]:
-            yield [c["name"], c["verdict"], json.dumps(c["claimed"]), json.dumps(c["oracle"])]
+            row = [c["name"], c["verdict"], json.dumps(c["claimed"]), json.dumps(c["oracle"])]
+            yield row + [timings[c["name"]]] if timings else row
 
 
 def text_lines(payload: dict) -> Iterator[str]:
@@ -81,8 +84,11 @@ def text_lines(payload: dict) -> Iterator[str]:
         for key in ("cohen_macaulay", "ordering_source", "shelling_agrees"):
             yield f"{key}: {payload[key]}"
     else:
+        timings = payload["timings"]
         for c in payload["claims"]:
-            yield (f"[{c['verdict']:>9}] {c['name']}: "
-                   f"claimed {json.dumps(c['claimed'])} "
-                   f"vs oracle {json.dumps(c['oracle'])}")
+            line = (f"[{c['verdict']:>9}] {c['name']}: "
+                    f"claimed {json.dumps(c['claimed'])} "
+                    f"vs oracle {json.dumps(c['oracle'])}")
+            # --timings appends each claim's seconds
+            yield f"{line} ({timings[c['name']]} s)" if timings else line
         yield f"mismatches: {payload['mismatches']}"

@@ -3,13 +3,14 @@
 The generic enumerator is the oracle: a frontier-based search over the
 edge list (Sekine, Imai and Tani, ISAAC 1995; Kawahara, Inoue, Iwashita
 and Minato, IEICE Trans. Fundamentals E100-A(9), 2017), the connectivity
-states of the forest sweep in complexes.f_vector_direct. A forward pass
-builds the graph of frontier states, each distinct state with one
-include and one exclude move, and drops every move after which the
-edges still to come cannot complete a spanning tree; a backward pass
-lists each state's completions, include before exclude, so edge sets
-come out in canonical order. A level holds at most as many states as
-there are trees, and only a handful where the frontier stays small.
+states of the forest sweep in complexes.f_vector_direct, whose frontier
+helpers it uses. A forward pass builds the graph of frontier states,
+each distinct state with one include and one exclude move, and drops
+every move after which the edges still to come cannot complete a
+spanning tree; a backward pass lists each state's completions, include
+before exclude, so edge sets come out in canonical order. A level
+holds at most as many states as there are trees, and only a handful
+where the frontier stays small.
 
 The structured enumerator builds the same trees for J(2,m), as the
 same edge-set masks, by the cutting-down rules: choose which spokes to
@@ -31,6 +32,7 @@ from functools import lru_cache
 from operator import eq
 from typing import NamedTuple
 
+from .complexes import _entered, _frontier_steps, _kept, _merged
 from .errors import InvalidParameterError
 from .graphs import (
     EdgeSet,
@@ -63,57 +65,6 @@ def _find(parent: list[int], x: int) -> int:
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
-
-
-def _canonical(labels: list[int]) -> tuple[int, ...]:
-    """Block labels renumbered in order of first appearance, so equal
-    partitions get equal keys."""
-    seen: dict[int, int] = {}
-    return tuple(seen.setdefault(x, len(seen)) for x in labels)
-
-
-def _entered(state: tuple[int, ...], fresh: int) -> tuple[int, ...]:
-    """state with fresh new frontier vertices as blocks of their own."""
-    top = max(state, default=-1) + 1
-    return state + tuple(range(top, top + fresh))
-
-
-def _merged(state: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    """state with blocks a != b merged; the labels stay in order of
-    first appearance."""
-    lo, hi = min(a, b), max(a, b)
-    return tuple(lo if x == hi else x - (x > hi) for x in state)
-
-
-def _kept(state: tuple[int, ...], keep: list[int] | None) -> tuple[int, ...]:
-    """state without the vertices that leave, keep naming the positions
-    that stay (None: all of them), renumbered canonically."""
-    return state if keep is None else _canonical([state[p] for p in keep])
-
-
-def _frontier_steps(edges: tuple[tuple[int, int], ...]):
-    """The frontier at each edge, for a sweep over the edges in order.
-
-    Yields, per edge i = (u, v): the number of its ends new to the
-    frontier, which enter at the end of it; the positions of u and v in
-    it; the positions that stay after edge i, or None when none leaves;
-    and the frontier itself, new ends included. A vertex leaves after
-    its last edge.
-    """
-    last = {}
-    for i, (u, v) in enumerate(edges):
-        last[u] = last[v] = i
-    frontier: list[int] = []
-    for i, (u, v) in enumerate(edges):
-        fresh = 0
-        for w in (u, v):
-            if w not in frontier:
-                frontier.append(w)
-                fresh += 1
-        keep = [p for p, w in enumerate(frontier) if last[w] != i]
-        yield (fresh, frontier.index(u), frontier.index(v),
-               keep if len(keep) < len(frontier) else None, frontier)
-        frontier = [frontier[p] for p in keep]
 
 
 def _meet(state: tuple[int, ...], reach: tuple[int, ...], a: int, b: int) -> bool:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -310,6 +312,26 @@ def test_verify_timings_flag(run_cli):
     assert timed["timings"] is not None and len(timed["timings"]) == 10
 
 
+def test_verify_timings_in_csv_and_text(run_cli, triangle_file):
+    for argv in (("jahangir", "--m", "3", "verify"),
+                 ("graph", "--input", triangle_file, "verify")):
+        names = [c["name"] for c in run_cli(*argv).json()["claims"]]
+        rows = list(csv.reader(io.StringIO(
+            run_cli(*argv, "--format", "csv", "--timings").stdout)))
+        assert rows[0] == ["claim", "verdict", "claimed", "oracle", "seconds"]
+        assert [row[0] for row in rows[1:]] == names
+        assert all(float(row[4]) >= 0 for row in rows[1:])
+        lines = run_cli(*argv, "--format", "text", "--timings").stdout.splitlines()
+        assert len(lines) == len(names) + 1
+        for name, line in zip(names, lines):
+            head, _, seconds = line.rpartition(" (")
+            assert f"] {name}: claimed " in head and seconds.endswith(" s)")
+            assert float(seconds[:-len(" s)")]) >= 0
+        # without the flag no claim carries a time
+        plain = run_cli(*argv, "--format", "text").stdout.splitlines()
+        assert [line.rpartition(" (")[0] for line in lines[:-1]] == plain[:-1]
+
+
 def test_verify_echoes_the_seed_as_the_last_parameter(run_cli, triangle_file):
     jahangir = run_cli("jahangir", "--m", "3", "verify", "--seed", "7").json()
     assert list(jahangir["parameters"].items()) == [("m", 3), ("seed", 7)]
@@ -589,25 +611,33 @@ def test_large_m_is_refused_within_a_memory_cap():
 
 # The tracer of perfbench indexes the eight layer modules right after
 # `import jahangir_ssc.cli`, and a request must not pay for dataclasses
-# and the inspect, ast and dis modules it pulls in. A child, because the
-# test session has imported them already. The package registers its
-# layers lazily: a layer has run once its type is the plain module type,
-# and type() reads no attribute, so the check runs none.
+# and the inspect, ast and dis modules it pulls in, nor for argparse and
+# the gettext and locale modules its messages import: cli reads a
+# well-formed argv itself. A child, because the test session has
+# imported them already. The package registers its layers lazily: a
+# layer has run once its type is the plain module type, and type() reads
+# no attribute, so the check runs none.
 STARTUP_CHILD = """
 import sys, types
 import jahangir_ssc.cli
-print(*sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
+print(*sorted(m for m in ("argparse", "dataclasses", "gettext", "inspect", "locale")
+              if m in sys.modules))
 print(*sorted(m for m in sys.modules if m.startswith("jahangir_ssc.")))
 print(*sorted(m for m in sys.modules if m.startswith("jahangir_ssc.")
               and type(sys.modules[m]) is types.ModuleType))
 """
 
-# The layers one request runs, after the answer.
+# The argument modules one request imported, then its exit code and the
+# layers it ran.
 EXECUTED_CHILD = """
 import contextlib, io, sys, types
 from jahangir_ssc.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+print(*sorted(m for m in ("argparse", "gettext", "locale") if m in sys.modules))
 print(code, *sorted(m[len("jahangir_ssc."):] for m in sys.modules
                     if m.startswith("jahangir_ssc.")
                     and type(sys.modules[m]) is types.ModuleType))
@@ -615,11 +645,11 @@ print(code, *sorted(m[len("jahangir_ssc."):] for m in sys.modules
 
 # Beside errors and cli, which every request runs.
 EXECUTED_LAYERS = {
-    ("f-vector",): "complexes graphs spanning",
+    ("f-vector",): "complexes graphs",
     ("hilbert", "--mode", "exact-ie"): "formulas graphs",
-    ("facets",): "graphs spanning",
-    ("classes",): "graphs spanning",
-    ("cm",): "algebra graphs spanning",
+    ("facets",): "complexes graphs spanning",
+    ("classes",): "complexes graphs spanning",
+    ("cm",): "algebra complexes graphs spanning",
     ("verify",): "algebra complexes cycles formulas graphs reports spanning",
 }
 
@@ -629,16 +659,24 @@ def test_startup_imports_every_layer_and_no_dataclass_machinery():
     assert proc.returncode == 0, proc.stderr
     unwanted, modules, executed = proc.stdout.split("\n")[:3]
     assert unwanted == ""
-    layers = ("graphs", "cycles", "spanning", "complexes", "formulas", "algebra",
+    layers = ("graphs", "cycles", "complexes", "spanning", "formulas", "algebra",
               "reports", "cli")
     assert {f"jahangir_ssc.{layer}" for layer in layers} <= set(modules.split())
     assert executed.split() == ["jahangir_ssc.cli", "jahangir_ssc.errors"]
     for action, ran in EXECUTED_LAYERS.items():
         proc = _run_child(EXECUTED_CHILD, "jahangir", "--m", "3", *action)
         assert proc.returncode == 0, proc.stderr
-        code, *names = proc.stdout.split()
+        imported, executed = proc.stdout.split("\n")[:2]
+        assert imported == "", action
+        code, *names = executed.split()
         assert int(code) == (3 if action == ("verify",) else 0)
         assert names == sorted(["cli", "errors", *ran.split()]), action
+    # a usage error leaves argv to argparse, which writes the message
+    proc = _run_child(EXECUTED_CHILD, "jahangir", "--m", "3", "nonsense")
+    assert proc.returncode == 0, proc.stderr
+    imported, executed = proc.stdout.split("\n")[:2]
+    assert imported.split() == ["argparse", "gettext", "locale"]
+    assert executed.split() == ["1", "cli", "errors"]
 
 
 # The layers a re-export read runs: its home and the layers before it.
@@ -655,6 +693,8 @@ print(*sorted(m[len("jahangir_ssc."):] for m in sys.modules
     ("CapacityError", "errors"),
     ("Graph", "errors graphs"),
     ("word_of", "cycles errors graphs"),
+    # the search reads cycles and complexes before spanning
+    ("enumerate_spanning_trees_generic", "complexes cycles errors graphs spanning"),
 ])
 def test_a_re_export_runs_its_home_and_the_layers_before_it(name, ran):
     proc = _run_child(REEXPORT_CHILD, name)
