@@ -40,8 +40,8 @@ from .graphs import (
     Graph,
     _normalize,
     build_jahangir,
-    is_connected,
     matrix_tree_count,
+    require_spanning_complex,
     spoke_index,
 )
 from .spanning import enumerate_spanning_trees_generic, enumerate_spanning_trees_jahangir
@@ -165,6 +165,7 @@ def cohen_macaulay_verdict(g: Graph, ordering: str,
     """
     if ordering not in ("block", "search"):
         raise InvalidParameterError(f"unknown ordering strategy {ordering!r}")
+    require_spanning_complex(g)
     if ordering == "block":
         # the block ordering permutes the facets of J(2,m) in its
         # canonical edge order, so g must list exactly those edges
@@ -178,9 +179,6 @@ def cohen_macaulay_verdict(g: Graph, ordering: str,
         # the tree count is the facet count: the size is decided before
         # any tree is enumerated
         return CMVerdict(None, None, "search", None, None)
-    if not is_connected(g):
-        raise InvalidParameterError(
-            "spanning complex is undefined for disconnected graphs")
     facets = enumerate_spanning_trees_generic(g)
     if ordering == "block":
         perm = prefix_block_ordering(m)

@@ -257,11 +257,13 @@ def _cm_payload(g: graphs.Graph, ordering: str, trees: int, meta: dict) -> dict:
             "shelling_agrees": verdict.shelling_agrees}
 
 
-def _report_payload(report: reports.RunReport, seed: int, meta: dict) -> dict:
+def _report_payload(report: reports.RunReport, args: SimpleNamespace,
+                    meta: dict) -> dict:
     # --seed changes no claim; it is only echoed, as the last parameter
-    return {**meta, "parameters": {**report.parameters, "seed": seed},
+    return {**meta, "parameters": {**report.parameters, "seed": args.seed},
             "claims": [c._asdict() for c in report.claims],
-            "mismatches": report.mismatch_count, "timings": report.timings}
+            "mismatches": report.mismatch_count,
+            "timings": report.timings if args.timings else None}
 
 
 def _guard_tree_enumeration(g: graphs.Graph) -> int:
@@ -319,10 +321,8 @@ def _execute(args: SimpleNamespace) -> tuple[dict, int]:
         if action == "classes":
             raise InvalidParameterError(
                 "tree classes are defined only for the jahangir command")
-        if action != "cycles" and not graphs.is_connected(g):
-            raise InvalidParameterError(
-                "a graph with no vertex or more than one component has no "
-                "spanning complex")
+        if action != "cycles":
+            graphs.require_spanning_complex(g)
         catalog = "oracle"
         ordering = "search"
 
@@ -347,11 +347,11 @@ def _execute(args: SimpleNamespace) -> tuple[dict, int]:
     if action == "cm":
         return _cm_payload(g, ordering, trees, {**meta, "ordering": ordering}), 0
     if m is None:
-        report = reports.build_graph_report(g, timed=args.timings, trees=trees)
+        report = reports.build_graph_report(g, trees=trees)
     else:
-        report = reports.build_jahangir_report(m, timed=args.timings, trees=trees)
+        report = reports.build_jahangir_report(m, trees=trees)
     code = MISMATCH_EXIT if report.mismatch_count else 0
-    return _report_payload(report, args.seed, meta), code
+    return _report_payload(report, args, meta), code
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ states; they live here so that a sweep does not run that module.
 
 from __future__ import annotations
 
-from .errors import CapacityError, InvalidParameterError
-from .graphs import Graph, is_connected
+from .errors import CapacityError
+from .graphs import Graph, require_spanning_complex
 
 # Work bound of the forest sweep, in steps: one per count carried across
 # an edge, checked before each edge, so the table can at most double past
@@ -105,8 +105,7 @@ def f_vector_direct(g: Graph) -> tuple[int, ...]:
     vertex leaves after its last edge, and states that become equal are
     summed. Past F_VECTOR_STEP_LIMIT counts carried the sweep refuses.
     """
-    if not is_connected(g):
-        raise InvalidParameterError("f-vector of the spanning complex needs a connected graph")
+    require_spanning_complex(g)
     table: dict[tuple[int, ...], list[int]] = {(): [1]}
     steps = 0
     for fresh, pu, pv, keep, _ in _frontier_steps(g.edges):

@@ -28,21 +28,21 @@ from typing import NamedTuple
 
 from . import cycles
 from .errors import CapacityError, InvalidParameterError
-from .graphs import Graph, _Checked, enumerate_simple_cycles, is_connected
+from .graphs import Graph, _Checked, enumerate_simple_cycles, require_spanning_complex
 
 FORMULA_M_RANGE = (3, 5)
 # Work bound of exact inclusion-exclusion, in steps: one per candidate
 # cycle tried, pruned or not; one per 64-bit machine word of the sum each
-# binomial term leaves, the first row C(E, j) included, so a term of a
-# small graph costs 1; and the square of the words of each first-row
-# entry, the cost of writing the answer in decimal. On one core of a
-# shared 2-core AMD EPYC machine (least of 3 runs, in-process), J(2,8)
-# (57 cycles) answers in 0.76 s and K7 (1172 cycles) in 0.57 s, while
-# J(2,9) is refused after 1.09 s and K7 with 15 pendant leaves, whose
-# steps are mostly short rows, after 3.1 s. A path with two chords
-# answers at 2,000 vertices in 0.013 s and is refused at 4,000 in
-# 0.019 s and at 20,000 in 0.16 s, before its first row is complete.
-# The simple-cycle enumeration that precedes it is not counted here.
+# binomial term leaves, in the first row C(E, j) and in one row per union
+# size, so a term of a small graph costs 1; and the square of the words
+# of each first-row entry, the cost of writing the answer in decimal. On
+# one core of a shared 2-core Intel Xeon machine (least of 3 runs,
+# in-process, the simple-cycle enumeration included), J(2,8) (57 cycles)
+# answers in 0.17 s and K7 (1172 cycles) in 0.27 s, while J(2,9) is
+# refused after 0.41 s and K7 with 15 pendant leaves after 1.3 s. A path
+# with two chords answers at 2,000 vertices in 0.006 s and is refused at
+# 4,000 in 0.008 s and at 20,000 in 0.10 s, before its first row is
+# complete. The simple-cycle enumeration is not counted in the steps.
 EXACT_IE_STEP_LIMIT = 3_000_000
 
 
@@ -125,8 +125,7 @@ def f_vector_exact_ie(g: Graph) -> tuple[int, ...]:
     already exceeds the largest face. The work, not the cycle count, is
     capped: past EXACT_IE_STEP_LIMIT steps the engine refuses.
     """
-    if not is_connected(g):
-        raise InvalidParameterError("f-vector of the spanning complex needs a connected graph")
+    require_spanning_complex(g)
     masks = enumerate_simple_cycles(g)
     edge_count = g.edge_count
     fmax = g.vertex_count - 1  # largest forest of a connected graph
@@ -135,15 +134,15 @@ def f_vector_exact_ie(g: Graph) -> tuple[int, ...]:
     counts = [0] * (fmax + 1)  # counts[j]: j-edge subsets, signed over T
     steps = 0
 
-    def add_row(size: int, sign: int) -> None:
-        """Add sign * C(edge_count - size, j - size) to counts[j] for
+    def add_row(size: int, weight: int) -> None:
+        """Add weight * C(edge_count - size, j - size) to counts[j] for
         j = size..fmax, each binomial by the multiplicative recurrence
         from the one before. A term costs one step per machine word of
         the sum it leaves, since its add, multiply and divide are linear
         in the words."""
         nonlocal steps
         top = edge_count - size
-        c = sign
+        c = weight
         for k, j in enumerate(range(size, fmax + 1)):
             total = counts[j] + c
             counts[j] = total
@@ -161,8 +160,11 @@ def f_vector_exact_ie(g: Graph) -> tuple[int, ...]:
         raise CapacityError(refusal)
     # Depth-first over subsets with an explicit stack, so the depth (up to
     # the cycle count) is bounded by the step cap, not by the interpreter's
-    # recursion limit. A frame is (remaining candidates, union, sign).
+    # recursion limit. A frame is (remaining candidates, union, sign). A
+    # subset's term depends only on its union's size, so the walk sums the
+    # signs by size, and each size adds its binomial row once.
     n = len(masks)
+    signs = [0] * (fmax + 1)
     stack = [(iter(range(n)), 0, 1)]
     while stack:
         candidates, union_mask, sign = stack[-1]
@@ -174,11 +176,14 @@ def f_vector_exact_ie(g: Graph) -> tuple[int, ...]:
                 raise CapacityError(refusal)
             if size > fmax:
                 continue
-            add_row(size, -sign)
+            signs[size] -= sign
             stack.append((iter(range(t + 1, n)), merged, -sign))
             break
         else:
             stack.pop()
+    for size, total in enumerate(signs):
+        if total:
+            add_row(size, total)
     values = counts[1:]
     while values and values[-1] == 0:
         values.pop()

@@ -337,6 +337,15 @@ def is_connected(g: Graph) -> bool:
     return all(seen)
 
 
+def require_spanning_complex(g: Graph) -> None:
+    """Refuse g unless it has a spanning complex: it needs a vertex and
+    a single component."""
+    if not is_connected(g):
+        raise InvalidParameterError(
+            "a graph with no vertex or more than one component has no "
+            "spanning complex")
+
+
 def matrix_tree_count(g: Graph) -> int:
     """Number of spanning trees, as a cofactor of the Laplacian computed
     by sparse fraction-free (Bareiss) elimination.

@@ -4,6 +4,9 @@ Each claim pairs a stated value with an independently computed oracle
 value and a verdict: match, mismatch, or unchecked (when a capacity
 bound keeps the oracle from running). Known divergences are reported
 as mismatches with both values side by side, never patched over.
+
+A report is a table of rows, one per claim (name, claimed source,
+oracle source, check), which _run_claims runs and times in order.
 """
 
 from __future__ import annotations
@@ -21,15 +24,20 @@ from .cycles import (
     oracle_cycle_catalog,
     word_cycle_catalog,
 )
-from .errors import CapacityError, InvalidParameterError
+from .errors import CapacityError
 from .formulas import (
-    FORMULA_M_RANGE,
     f_vector_divergence,
     f_vector_exact_ie,
     f_vector_formula,
     hilbert_series,
 )
-from .graphs import EdgeSet, Graph, build_jahangir, is_connected, matrix_tree_count
+from .graphs import (
+    EdgeSet,
+    Graph,
+    build_jahangir,
+    matrix_tree_count,
+    require_spanning_complex,
+)
 from .spanning import (
     enumerate_spanning_trees_generic,
     enumerate_spanning_trees_jahangir,
@@ -38,9 +46,9 @@ from .spanning import (
 
 # Budget for the exact inclusion-exclusion cross-check inside a verify
 # run, whose cost grows with the cycle count: on one core of a shared
-# 2-core AMD EPYC machine it takes 1.5 ms at J(2,6) (18 edges), 10 ms at
-# J(2,7) and 0.24 s at J(2,8). Past it the claim is unchecked and carries
-# the forest count as its oracle.
+# 2-core Intel Xeon machine (least of 3, in-process) it takes 1.2 ms at
+# J(2,6) (18 edges), 7 ms at J(2,7) and 0.17 s at J(2,8). Past it the
+# claim is unchecked and carries the forest count as its oracle.
 VERIFY_EXACT_IE_EDGE_LIMIT = 18
 
 
@@ -58,7 +66,7 @@ class RunReport(NamedTuple):
     command: str
     parameters: dict
     claims: tuple[ClaimResult, ...]
-    timings: dict | None
+    timings: dict               # claim name -> seconds, rounded to ms
 
     @property
     def mismatch_count(self) -> int:
@@ -69,11 +77,29 @@ def _fvec_strings(f) -> list[str]:
     return [str(x) for x in f]
 
 
-def _unchecked(name: str, claimed_source: str, oracle_source: str, reason: str,
-               claimed: object = None, oracle: object = None) -> ClaimResult:
-    return ClaimResult(name=name, claimed=claimed, claimed_source=claimed_source,
-                       oracle=oracle, oracle_source=oracle_source,
-                       verdict="unchecked", detail={"reason": reason})
+def _once(compute):
+    """A reader of compute()'s value, computed at the first read. A
+    CapacityError is kept and raised again at each later read, so a
+    refused input is never computed twice."""
+    kept: list = []
+
+    def read():
+        if not kept:
+            try:
+                kept.append((compute(), None))
+            except CapacityError as exc:
+                kept.append((None, exc))
+        value, refusal = kept[0]
+        if refusal is not None:
+            raise refusal
+        return value
+
+    return read
+
+
+def _unchecked(reason: str, claimed: object = None, oracle: object = None):
+    """A check's result when its oracle cannot run: the known values and why."""
+    return claimed, oracle, None, {"reason": reason}
 
 
 def _over_certificate_limit(facets: int) -> str:
@@ -82,74 +108,49 @@ def _over_certificate_limit(facets: int) -> str:
     return f"{facets} facets over the certificate check limit of {CERTIFICATE_CHECK_LIMIT}"
 
 
-def _run_claims(command: str, parameters: dict, builders, timed: bool) -> RunReport:
-    """Run each claim builder in order, timing each one when asked."""
+def _run_claims(command: str, parameters: dict, rows) -> RunReport:
+    """Run each row's check in order and time it. A check returns
+    (claimed, oracle, ok, detail), ok None for unchecked; a CapacityError
+    leaves the claim unchecked with the refusal as its reason. A claim's
+    seconds include the shared inputs it is the first to read."""
     claims: list[ClaimResult] = []
-    timings: dict | None = {} if timed else None
-    for builder in builders:
+    timings: dict = {}
+    for name, claimed_source, oracle_source, check in rows:
         start = time.perf_counter()
-        claim = builder()
-        if timings is not None:
-            timings[claim.name] = round(time.perf_counter() - start, 3)
-        claims.append(claim)
+        try:
+            claimed, oracle, ok, detail = check()
+        except CapacityError as exc:
+            claimed, oracle, ok, detail = _unchecked(str(exc))
+        timings[name] = round(time.perf_counter() - start, 3)
+        verdict = "unchecked" if ok is None else "match" if ok else "mismatch"
+        claims.append(ClaimResult(name, claimed, claimed_source, oracle,
+                                  oracle_source, verdict, detail))
     return RunReport(command=command, parameters=parameters, claims=tuple(claims),
                      timings=timings)
 
 
-def _direct_f_vector(g: Graph) -> tuple[tuple[int, ...] | None, str | None]:
-    """The forest-count oracle shared by a report's claims, and None with
-    the reason when the forest sweep refuses at its step bound."""
-    try:
-        return f_vector_direct(g), None
-    except CapacityError as exc:
-        return None, str(exc)
-
-
-def _claim_exact_ie(g: Graph, f_direct: tuple[int, ...] | None,
-                    sweep_refusal: str | None) -> ClaimResult:
-    claimed_source = "inclusion-exclusion over the true cycle catalog"
-    oracle_source = "frontier forest sweep"
-    if f_direct is None:
-        return _unchecked("f_vector_exact_ie", claimed_source, oracle_source,
-                          sweep_refusal)
+def _check_exact_ie(g: Graph, f_direct: tuple[int, ...]):
+    oracle = _fvec_strings(f_direct)
     if g.edge_count > VERIFY_EXACT_IE_EDGE_LIMIT:
-        return _unchecked("f_vector_exact_ie", claimed_source, oracle_source,
-                          "inclusion-exclusion over verify budget",
-                          oracle=_fvec_strings(f_direct))
+        return _unchecked("inclusion-exclusion over verify budget", oracle=oracle)
     try:
         ie = f_vector_exact_ie(g)
     except CapacityError as exc:
-        return _unchecked("f_vector_exact_ie", claimed_source, oracle_source,
-                          str(exc), oracle=_fvec_strings(f_direct))
-    return ClaimResult(
-        name="f_vector_exact_ie",
-        claimed=_fvec_strings(ie),
-        claimed_source=claimed_source,
-        oracle=_fvec_strings(f_direct),
-        oracle_source=oracle_source,
-        verdict="match" if ie == f_direct else "mismatch")
+        return _unchecked(str(exc), oracle=oracle)
+    return _fvec_strings(ie), oracle, ie == f_direct, None
 
 
-def _claim_dimension(g: Graph, facets: list[EdgeSet]) -> ClaimResult:
+def _check_dimension(g: Graph, facets: list[EdgeSet]):
     # a spanning tree has V - 1 edges; for J(2,m) that is dimension 2m - 1
     sizes = set(map(int.bit_count, facets))
     dim = max(sizes) - 1
     pure = len(sizes) == 1
-    ok = dim == g.vertex_count - 2 and pure
-    return ClaimResult(
-        name="dimension_and_purity",
-        claimed={"dimension": g.vertex_count - 2, "pure": True},
-        claimed_source="spanning-tree size rule",
-        oracle={"dimension": dim, "pure": pure},
-        oracle_source="facet inspection",
-        verdict="match" if ok else "mismatch")
+    return ({"dimension": g.vertex_count - 2, "pure": True},
+            {"dimension": dim, "pure": pure},
+            dim == g.vertex_count - 2 and pure, None)
 
 
-def _claim_hilbert(f_direct: tuple[int, ...] | None, sweep_refusal: str | None,
-                   facet_count: int) -> ClaimResult:
-    if f_direct is None:
-        return _unchecked("hilbert_series", "series identities",
-                          "exact polynomial expansion", sweep_refusal)
+def _check_hilbert(f_direct: tuple[int, ...], facet_count: int):
     series = hilbert_series(f_direct)
     top_ok = series.numerator_at(1) == facet_count
     d = len(f_direct) - 1
@@ -170,191 +171,144 @@ def _claim_hilbert(f_direct: tuple[int, ...] | None, sweep_refusal: str | None,
             bad_degrees.append({"degree": j, "expansion": str(expanded),
                                 "combinatorial": str(combinatorial)})
         row = [1] + [a + b for a, b in zip(row[1:], row)]
-    ok = top_ok and not bad_degrees
-    return ClaimResult(
-        name="hilbert_series",
-        claimed={"numerator_at_1_equals_facet_count": True,
-                 "expansion_matches_face_counts": True},
-        claimed_source="series identities",
-        oracle={"numerator_at_1_equals_facet_count": top_ok,
-                "expansion_matches_face_counts": not bad_degrees},
-        oracle_source="exact polynomial expansion vs binomial face counting",
-        verdict="match" if ok else "mismatch",
-        detail={"numerator": _fvec_strings(series.numerator),
-                "denominator_power": series.denominator_power,
-                "diverging_degrees": bad_degrees})
+    return ({"numerator_at_1_equals_facet_count": True,
+             "expansion_matches_face_counts": True},
+            {"numerator_at_1_equals_facet_count": top_ok,
+             "expansion_matches_face_counts": not bad_degrees},
+            top_ok and not bad_degrees,
+            {"numerator": _fvec_strings(series.numerator),
+             "denominator_power": series.denominator_power,
+             "diverging_degrees": bad_degrees})
 
 
-def build_jahangir_report(m: int, timed: bool = False,
-                          trees: int | None = None) -> RunReport:
+def _complex_rows(g: Graph, sweep, facets) -> tuple:
+    """The rows both reports end with, before their Cohen-Macaulay
+    claim: the f-vector by exact inclusion-exclusion, dimension and
+    purity, and the Hilbert series."""
+    return (
+        ("f_vector_exact_ie", "inclusion-exclusion over the true cycle catalog",
+         "frontier forest sweep", lambda: _check_exact_ie(g, sweep())),
+        ("dimension_and_purity", "spanning-tree size rule", "facet inspection",
+         lambda: _check_dimension(g, facets())),
+        ("hilbert_series", "series identities",
+         "exact polynomial expansion vs binomial face counting",
+         lambda: _check_hilbert(sweep(), len(facets()))),
+    )
+
+
+def build_jahangir_report(m: int, trees: int | None = None) -> RunReport:
     """Structured claims about J(2,m) against the oracles. trees is the
     determinant's spanning-tree count where the caller has it."""
     g = build_jahangir(m)
-    # only the count is kept: the trees live on in the enumerator's memo
-    structured_count = len(enumerate_spanning_trees_jahangir(m))
-    partition = verify_partition(m)
-    mt = matrix_tree_count(g) if trees is None else trees
+    partition = _once(lambda: verify_partition(m))
+    words = _once(lambda: word_cycle_catalog(m))
+    sweep = _once(lambda: f_vector_direct(g))
+    facets = _once(lambda: enumerate_spanning_trees_generic(g))
 
-    def claim_tree_count() -> ClaimResult:
-        ok = structured_count == mt == partition.generic_total
-        return ClaimResult(
-            name="spanning_tree_count",
-            claimed=structured_count,
-            claimed_source="structured cutting-down enumeration",
-            oracle={"matrix_tree": mt, "generic_enumeration": partition.generic_total},
-            oracle_source="fraction-free determinant and generic frontier enumeration",
-            verdict="match" if ok else "mismatch")
+    def tree_count():
+        # only the count is kept: the trees live on in the enumerator's memo
+        structured = len(enumerate_spanning_trees_jahangir(m))
+        generic = partition().generic_total
+        mt = matrix_tree_count(g) if trees is None else trees
+        return (structured, {"matrix_tree": mt, "generic_enumeration": generic},
+                structured == mt == generic, None)
 
-    def claim_partition() -> ClaimResult:
-        return ClaimResult(
-            name="class_partition",
-            claimed={"disjoint": True, "covers_all_trees": True},
-            claimed_source="tree classification rules",
-            oracle={"disjoint": partition.disjoint,
-                    "covers_all_trees": partition.union_matches},
-            oracle_source="set comparison against generic enumeration",
-            verdict="match" if partition.ok else "mismatch",
-            detail={"class_counts": dict(partition.class_counts)})
+    def class_partition():
+        p = partition()
+        return ({"disjoint": True, "covers_all_trees": True},
+                {"disjoint": p.disjoint, "covers_all_trees": p.union_matches},
+                p.ok, {"class_counts": dict(p.class_counts)})
 
-    word_catalog = word_cycle_catalog(m)
-    oracle_catalog = oracle_cycle_catalog(g)
+    def catalog_size():
+        actual = oracle_cycle_catalog(g).entries
+        non_simple = [list(e.word) for e in words().entries if not e.is_simple_cycle]
+        wordless = sum(1 for e in actual if e.word is None)
+        return (m * m, len(actual), m * m == len(actual),
+                {"non_simple_catalog_entries": non_simple,
+                 "simple_cycles_without_word": wordless})
 
-    def claim_catalog_size() -> ClaimResult:
-        claimed = m * m
-        actual = len(oracle_catalog.entries)
-        non_simple = [list(e.word) for e in word_catalog.entries
-                      if not e.is_simple_cycle]
-        wordless = sum(1 for e in oracle_catalog.entries if e.word is None)
-        return ClaimResult(
-            name="cycle_catalog_size",
-            claimed=claimed,
-            claimed_source="word catalog counting rule",
-            oracle=actual,
-            oracle_source="exhaustive simple-cycle enumeration",
-            verdict="match" if claimed == actual else "mismatch",
-            detail={"non_simple_catalog_entries": non_simple,
-                    "simple_cycles_without_word": wordless})
-
-    def claim_catalog_orders() -> ClaimResult:
+    def catalog_orders():
         diverging = []
-        for e in word_catalog.entries:
+        for e in words().entries:
             stated = claimed_order(len(e.word))
             if stated != e.beta:
                 diverging.append({"word": list(e.word), "claimed": stated,
                                   "actual": e.beta})
-        return ClaimResult(
-            name="cycle_catalog_orders",
-            claimed={"rule": "2*(k+1) edges for a length-k entry"},
-            claimed_source="catalog order rule",
-            oracle={"diverging_entries": diverging},
-            oracle_source="edge-set cardinality",
-            verdict="match" if not diverging else "mismatch")
+        return ({"rule": "2*(k+1) edges for a length-k entry"},
+                {"diverging_entries": diverging}, not diverging, None)
 
-    def claim_intersections() -> ClaimResult:
+    def intersections():
         survey = intersection_survey(m)
         mism = [{"word_a": list(x.word_a), "word_b": list(x.word_b),
                  "relation": x.relation, "predicted": x.predicted,
                  "actual": x.actual} for x in survey.mismatches]
-        return ClaimResult(
-            name="cycle_intersections",
-            claimed={"all_pairs_predicted_exactly": True},
-            claimed_source="intersection prediction rules",
-            oracle={"pairs_checked": survey.pairs_checked,
-                    "mismatch_count": len(mism)},
-            oracle_source="direct edge-set intersection",
-            verdict="match" if not mism else "mismatch",
-            detail={"mismatches": mism})
+        return ({"all_pairs_predicted_exactly": True},
+                {"pairs_checked": survey.pairs_checked, "mismatch_count": len(mism)},
+                not mism, {"mismatches": mism})
 
-    f_direct, sweep_refusal = _direct_f_vector(g)
+    def closed_form():
+        formula = f_vector_formula(m).values
+        diverging = f_vector_divergence(formula, sweep())
+        return (_fvec_strings(formula), _fvec_strings(sweep()), not diverging,
+                {"diverging_indices": diverging})
 
-    def claim_formula() -> ClaimResult:
-        lo, hi = FORMULA_M_RANGE
-        if not (lo <= m <= hi and f_direct is not None):
-            return _unchecked("f_vector_closed_form", "closed-form engine",
-                              "frontier forest sweep",
-                              f"closed form supports m in {lo}..{hi} only")
-        formula = f_vector_formula(m)
-        diverging = f_vector_divergence(formula.values, f_direct)
-        return ClaimResult(
-            name="f_vector_closed_form",
-            claimed=_fvec_strings(formula.values),
-            claimed_source="closed-form engine over the word catalog",
-            oracle=_fvec_strings(f_direct),
-            oracle_source="frontier forest sweep",
-            verdict="match" if not diverging else "mismatch",
-            detail={"diverging_indices": diverging})
-
-    facets = enumerate_spanning_trees_generic(g)
-
-    def claim_cm() -> ClaimResult:
-        if len(facets) > CERTIFICATE_CHECK_LIMIT:
-            return _unchecked("cohen_macaulay", "quotient ordering construction",
-                              "quasi-linear quotient check",
-                              _over_certificate_limit(len(facets)),
-                              claimed=True)
+    def cm():
+        count = len(facets())
+        if count > CERTIFICATE_CHECK_LIMIT:
+            return _unchecked(_over_certificate_limit(count), claimed=True)
         # the block ordering is always checked: its verdict is never None
         verdict = cohen_macaulay_verdict(g, ordering="block")
-        ok = verdict.cohen_macaulay and verdict.shelling_agrees
-        return ClaimResult(
-            name="cohen_macaulay",
-            claimed=True,
-            claimed_source="quotient ordering construction",
-            oracle=verdict.cohen_macaulay,
-            oracle_source="quasi-linear quotient check with shelling cross-check",
-            verdict="match" if ok else "mismatch",
-            detail={"ordering_source": verdict.ordering_source,
-                    "shelling_agrees": verdict.shelling_agrees})
+        return (True, verdict.cohen_macaulay,
+                bool(verdict.cohen_macaulay and verdict.shelling_agrees),
+                {"ordering_source": verdict.ordering_source,
+                 "shelling_agrees": verdict.shelling_agrees})
 
     return _run_claims("jahangir", {"m": m}, (
-        claim_tree_count, claim_partition, claim_catalog_size,
-        claim_catalog_orders, claim_intersections, claim_formula,
-        lambda: _claim_exact_ie(g, f_direct, sweep_refusal),
-        lambda: _claim_dimension(g, facets),
-        lambda: _claim_hilbert(f_direct, sweep_refusal, len(facets)),
-        claim_cm), timed)
+        ("spanning_tree_count", "structured cutting-down enumeration",
+         "fraction-free determinant and generic frontier enumeration", tree_count),
+        ("class_partition", "tree classification rules",
+         "set comparison against generic enumeration", class_partition),
+        ("cycle_catalog_size", "word catalog counting rule",
+         "exhaustive simple-cycle enumeration", catalog_size),
+        ("cycle_catalog_orders", "catalog order rule", "edge-set cardinality",
+         catalog_orders),
+        ("cycle_intersections", "intersection prediction rules",
+         "direct edge-set intersection", intersections),
+        ("f_vector_closed_form", "closed-form engine over the word catalog",
+         "frontier forest sweep", closed_form),
+        *_complex_rows(g, sweep, facets),
+        ("cohen_macaulay", "quotient ordering construction",
+         "quasi-linear quotient check with shelling cross-check", cm),
+    ))
 
 
-def build_graph_report(g: Graph, timed: bool = False,
-                       trees: int | None = None) -> RunReport:
+def build_graph_report(g: Graph, trees: int | None = None) -> RunReport:
     """Generic-engine cross-checks for an arbitrary connected graph.
     trees is the determinant's spanning-tree count where the caller has
     it."""
-    if not is_connected(g):
-        raise InvalidParameterError(
-            "spanning complex is undefined for disconnected graphs")
-    facets = enumerate_spanning_trees_generic(g)
+    require_spanning_complex(g)
+    sweep = _once(lambda: f_vector_direct(g))
+    facets = _once(lambda: enumerate_spanning_trees_generic(g))
     mt = matrix_tree_count(g) if trees is None else trees
 
-    def claim_tree_count() -> ClaimResult:
-        return ClaimResult(
-            name="spanning_tree_count",
-            claimed=len(facets),
-            claimed_source="generic frontier enumeration",
-            oracle=mt,
-            oracle_source="fraction-free determinant",
-            verdict="match" if len(facets) == mt else "mismatch")
+    def tree_count():
+        count = len(facets())
+        return count, mt, count == mt, None
 
-    f_direct, sweep_refusal = _direct_f_vector(g)
-
-    def claim_cm() -> ClaimResult:
+    def cm():
         verdict = cohen_macaulay_verdict(g, ordering="search", trees=mt)
         if verdict.cohen_macaulay is None:
-            return _unchecked("cohen_macaulay_consistency", "lexicographic facet order",
-                              "shelling cross-check",
-                              _over_certificate_limit(mt))
-        return ClaimResult(
-            name="cohen_macaulay_consistency",
-            claimed={"quotient_ordering_shells": True},
-            claimed_source="lexicographic facet order",
-            oracle={"cohen_macaulay": verdict.cohen_macaulay,
-                    "shelling_agrees": verdict.shelling_agrees},
-            oracle_source="shelling cross-check",
-            verdict="match" if verdict.shelling_agrees else "mismatch")
+            return _unchecked(_over_certificate_limit(mt))
+        return ({"quotient_ordering_shells": True},
+                {"cohen_macaulay": verdict.cohen_macaulay,
+                 "shelling_agrees": verdict.shelling_agrees},
+                bool(verdict.shelling_agrees), None)
 
     return _run_claims(
         "graph", {"vertices": g.vertex_count, "edges": g.edge_count}, (
-            claim_tree_count,
-            lambda: _claim_exact_ie(g, f_direct, sweep_refusal),
-            lambda: _claim_dimension(g, facets),
-            lambda: _claim_hilbert(f_direct, sweep_refusal, len(facets)),
-            claim_cm), timed)
+            ("spanning_tree_count", "generic frontier enumeration",
+             "fraction-free determinant", tree_count),
+            *_complex_rows(g, sweep, facets),
+            ("cohen_macaulay_consistency", "lexicographic facet order",
+             "shelling cross-check", cm),
+        ))

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from jahangir_ssc import (
+    CapacityError,
     Graph,
     build_graph_report,
     build_jahangir,
@@ -39,29 +40,81 @@ EXPECTED_MISMATCH_CLAIMS = {
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_jahangir_report_claims(m):
-    report = build_jahangir_report(m, timed=False)
+    report = build_jahangir_report(m)
     verdicts = {c.name: c.verdict for c in report.claims}
     assert len(report.claims) == 10
     assert {n for n, v in verdicts.items() if v == "mismatch"} == \
         EXPECTED_MISMATCH_CLAIMS
     assert report.mismatch_count == 4
-    assert report.timings is None
     for claim in report.claims:
         if claim.verdict == "mismatch":
             assert claim.claimed is not None and claim.oracle is not None
 
 
 def test_jahangir_report_timed():
-    report = build_jahangir_report(3, timed=True)
-    assert report.timings is not None
-    assert set(report.timings) == {c.name for c in report.claims}
+    report = build_jahangir_report(3)
+    assert list(report.timings) == [c.name for c in report.claims]
+
+
+def test_a_claim_is_timed_with_the_shared_inputs_it_reads_first(monkeypatch):
+    # the partition is first read by spanning_tree_count, whose seconds
+    # then include it
+    partition = reports.verify_partition
+
+    def slow(m):
+        time.sleep(0.2)
+        return partition(m)
+
+    monkeypatch.setattr(reports, "verify_partition", slow)
+    assert build_jahangir_report(3).timings["spanning_tree_count"] >= 0.2
+
+
+def test_a_refused_shared_input_leaves_its_claims_unchecked(monkeypatch):
+    def refused(g):
+        raise CapacityError("x")
+
+    kept = {c.name: c for c in build_jahangir_report(3).claims}
+    monkeypatch.setattr(reports, "f_vector_direct", refused)
+    for claim in build_jahangir_report(3).claims:
+        if claim.name in ("f_vector_exact_ie", "f_vector_closed_form", "hilbert_series"):
+            assert claim.verdict == "unchecked"
+            assert claim.detail == {"reason": "x"}
+            assert (claim.claimed_source, claim.oracle_source) == \
+                (kept[claim.name].claimed_source, kept[claim.name].oracle_source)
+        else:
+            assert claim == kept[claim.name]
+
+
+def _sources(report):
+    return [(c.name, c.claimed_source, c.oracle_source) for c in report.claims]
+
+
+def test_a_claim_has_its_sources_whether_checked_or_not(triangle_file):
+    from jahangir_ssc import parse_graph
+
+    # J(2,6) leaves the closed form and cohen_macaulay unchecked; the long
+    # document, whose sweep is refused, the exact-ie and Hilbert claims
+    small, large = build_jahangir_report(3), build_jahangir_report(6)
+    assert {c.name for c in large.claims if c.verdict == "unchecked"} == {
+        "f_vector_closed_form", "cohen_macaulay"}
+    assert _sources(small) == _sources(large)
+    closed_form = next(c for c in large.claims if c.name == "f_vector_closed_form")
+    assert closed_form.detail == {"reason": "closed-form engine supports m in 3..5, got 6"}
+
+    long = Graph(150, tuple((i, i + 1) for i in range(149))
+                 + tuple((a, a + 3) for a in (16, 48, 80, 112)))
+    refused = build_graph_report(long)
+    assert {c.name for c in refused.claims if c.verdict == "unchecked"} == {
+        "f_vector_exact_ie", "hilbert_series"}
+    assert _sources(build_graph_report(parse_graph(open(triangle_file).read()))) == \
+        _sources(refused)
 
 
 def test_graph_report_triangle(triangle_file):
     from jahangir_ssc import parse_graph
 
     g = parse_graph(open(triangle_file).read())
-    report = build_graph_report(g, timed=False)
+    report = build_graph_report(g)
     assert report.mismatch_count == 0
     assert [c.verdict for c in report.claims] == ["match"] * 5
 
@@ -126,11 +179,11 @@ def test_hilbert_claim_matches_the_termwise_identities(monkeypatch, shift):
         Graph(60, tuple((i, (i + 1) % 60) for i in range(60)))]
     for g in graphs:
         f = f_vector_direct(g)
-        claim = reports._claim_hilbert(f, None, f[-1])
+        _, _, ok, detail = reports._check_hilbert(f, f[-1])
         want = _termwise_diverging_degrees(tampered(f), f)
-        assert claim.detail["diverging_degrees"] == want
+        assert detail["diverging_degrees"] == want
         assert bool(want) == bool(shift)
-        assert claim.verdict == ("mismatch" if shift else "match")
+        assert ok == (not shift)
 
 
 @pytest.mark.parametrize("tamper, oracle", [

@@ -13,6 +13,7 @@ from jahangir_ssc import (
     enumerate_simple_cycles,
     enumerate_spanning_trees_generic,
     f_vector_direct,
+    f_vector_exact_ie,
     matrix_tree_count,
 )
 
@@ -47,7 +48,7 @@ def test_spanning_complex_j3(j3):
     assert all(f.bit_count() == 6 for f in facets)
 
 
-DISCONNECTED = "spanning complex is undefined for disconnected graphs"
+DISCONNECTED = "a graph with no vertex or more than one component has no spanning complex"
 
 
 def test_spanning_complex_rejects_disconnected():
@@ -57,9 +58,25 @@ def test_spanning_complex_rejects_disconnected():
     assert enumerate_spanning_trees_generic(split) == []
     with pytest.raises(InvalidParameterError, match=f"^{DISCONNECTED}$"):
         cohen_macaulay_verdict(split, "search")
-    # the tree count comes first: no vertex fails there
-    with pytest.raises(InvalidParameterError, match="^graph must have at least one vertex$"):
+    # the precondition comes before the tree count, so no vertex fails
+    # there too, not at the determinant
+    with pytest.raises(InvalidParameterError, match=f"^{DISCONNECTED}$"):
         cohen_macaulay_verdict(Graph(0, ()), "search")
+
+
+@pytest.mark.parametrize("entry", [
+    f_vector_direct,
+    f_vector_exact_ie,
+    build_graph_report,
+    lambda g: cohen_macaulay_verdict(g, "search"),
+    lambda g: cohen_macaulay_verdict(g, "block"),
+], ids=["f_vector_direct", "f_vector_exact_ie", "build_graph_report",
+        "cm_search", "cm_block"])
+@pytest.mark.parametrize("g", [Graph(0, ()), Graph(4, ((0, 1), (2, 3)))],
+                         ids=["no-vertex", "two-components"])
+def test_every_entry_point_words_the_missing_complex_alike(entry, g):
+    with pytest.raises(InvalidParameterError, match=f"^{DISCONNECTED}$"):
+        entry(g)
 
 
 def test_dimension_empty_errors():
