@@ -46,11 +46,11 @@ __all__ = [
 ]
 
 # The layers in import order: each imports only from errors and the
-# layers before it. complexes precedes spanning, whose enumerator
-# imports the frontier helpers of complexes' forest sweep, so a sweep
-# runs complexes and graphs alone.
-_LAYERS = ("graphs", "cycles", "complexes", "spanning", "formulas", "algebra",
-           "reports")
+# layers before it. complexes imports from records alone, and precedes
+# spanning, whose enumerator imports the frontier helpers of complexes'
+# forest sweep, so a sweep runs complexes and records alone.
+_LAYERS = ("records", "graphs", "cycles", "complexes", "spanning", "formulas",
+           "algebra", "reports")
 
 
 # Held while a layer's body runs; reentrant, since a body's imports run

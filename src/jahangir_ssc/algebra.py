@@ -35,12 +35,12 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidParameterError, PurityError
-from .graphs import (
+from .graphs import matrix_tree_count
+from .records import (
     EdgeSet,
     Graph,
     _normalize,
     build_jahangir,
-    matrix_tree_count,
     require_spanning_complex,
     spoke_index,
 )
@@ -190,3 +190,15 @@ def cohen_macaulay_verdict(g: Graph, ordering: str,
     if failure is not None:
         return CMVerdict(None, None, "search", None, None)
     return CMVerdict(True, tuple(range(len(facets))), "search", None, shelling)
+
+
+def _cm_payload(g: Graph, ordering: str, trees: int, meta: dict) -> dict:
+    """The CLI's cm answer."""
+    verdict = cohen_macaulay_verdict(g, ordering=ordering, trees=trees)
+    return {**meta,
+            "cohen_macaulay": verdict.cohen_macaulay,
+            "ordering_source": verdict.ordering_source,
+            "certificate": list(verdict.certificate)
+            if verdict.certificate is not None else None,
+            "block_first_failure": verdict.block_first_failure,
+            "shelling_agrees": verdict.shelling_agrees}

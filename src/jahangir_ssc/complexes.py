@@ -16,12 +16,20 @@ small pathwidth such as J(2,m), and is capped by the work it does.
 Its frontier helpers, the steps of a sweep and the moves on a partition
 of the frontier, also serve spanning's enumerator, which walks the same
 states; they live here so that a sweep does not run that module.
+
+The Hilbert series of the face ring is read off the f-vector, so it
+lives beside the sweep: a direct-mode hilbert request runs this module
+and records alone.
 """
 
 from __future__ import annotations
 
-from .errors import CapacityError
-from .graphs import Graph, require_spanning_complex
+from math import comb
+from operator import sub
+from typing import NamedTuple
+
+from .errors import CapacityError, InvalidParameterError
+from .records import Graph, _Checked, require_spanning_complex
 
 # Work bound of the forest sweep, in steps: one per count carried across
 # an edge, checked before each edge, so the table can at most double past
@@ -131,3 +139,64 @@ def f_vector_direct(g: Graph) -> tuple[int, ...]:
     # forest to the spanning trees
     (forests,) = table.values()
     return tuple(forests[1:])
+
+
+# ---------------------------------------------------------------------------
+# Hilbert series of the face ring
+
+
+class _HilbertSeriesFields(NamedTuple):
+    numerator: tuple[int, ...]
+    denominator_power: int
+
+
+class HilbertSeries(_Checked, _HilbertSeriesFields):
+    """Exact rational function: integer numerator coefficients in
+    ascending powers of t over (1 - t)**denominator_power."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
+        if not self.numerator:
+            raise InvalidParameterError("numerator must be nonempty")
+        if self.numerator[0] != 1:
+            raise InvalidParameterError("series must evaluate to 1 at t=0")
+        if self.denominator_power < 0:
+            raise InvalidParameterError("denominator power must be nonnegative")
+
+    def numerator_at(self, t: int) -> int:
+        return sum(c * t ** k for k, c in enumerate(self.numerator))
+
+
+def hilbert_series(f: tuple[int, ...]) -> HilbertSeries:
+    """Hilbert series of the face ring of a complex with f-vector f:
+    numerator sum_j f_{j-1} t^j (1-t)^(d+1-j) over (1-t)^(d+1), with
+    f_{-1} = 1, in exact integer arithmetic. Its coefficients are
+    h_k = sum_{j<=k} (-1)^(k-j) C(d+1-j, k-j) f_{j-1}. The complex
+    {empty set}, with f = (), has series 1.
+
+    The numerator is built by Horner's rule, Q <- Q (1-t) + f_{j-1} t^j
+    for j = 1..d+1 from Q = 1: O(d^2) additions and no binomials."""
+    num = [1]
+    for j, fj in enumerate(f, 1):
+        num = list(map(sub, num + [0], [0] + num))
+        num[j] += fj
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    return HilbertSeries(numerator=tuple(num), denominator_power=len(f))
+
+
+def hilbert_function(series: HilbertSeries, j: int) -> int:
+    """Coefficient of t^j in the power-series expansion of series."""
+    if j < 0:
+        raise InvalidParameterError(f"degree must be nonnegative, got {j}")
+    dpow = series.denominator_power
+    if dpow == 0:
+        return series.numerator[j] if j < len(series.numerator) else 0
+    # 1/(1-t)^D expands to sum_k C(k+D-1, D-1) t^k
+    total = 0
+    for k, c in enumerate(series.numerator):
+        if k > j:
+            break
+        total += c * comb(j - k + dpow - 1, dpow - 1)
+    return total

@@ -23,17 +23,14 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import InvalidParameterError
-from .graphs import (
+from .graphs import _edge_lister, _is_simple_cycle_mask, cyclic_runs, enumerate_simple_cycles
+from .records import (
     EdgeSet,
     Graph,
-    _is_simple_cycle_mask,
     _normalize,
     base_cycle_indices,
     build_jahangir,
-    cyclic_runs,
     edge_indices,
-    enumerate_simple_cycles,
-    jahangir_order,
     spoke_index,
 )
 
@@ -96,6 +93,19 @@ def claimed_order(k: int) -> int:
     return 2 * (k + 1)
 
 
+def jahangir_order(g: Graph) -> int | None:
+    """Return m when g is structurally J(2,m) under the canonical vertex
+    numbering (edge order may differ), else None."""
+    if g.vertex_count < 7 or g.vertex_count % 2 == 0:
+        return None
+    m = (g.vertex_count - 1) // 2
+    if g.edge_count != 3 * m:
+        return None
+    want = {_normalize(u, v) for u, v in build_jahangir(m).edges}
+    have = {_normalize(u, v) for u, v in g.edges}
+    return m if want == have else None
+
+
 def word_cycle_catalog(m: int) -> CycleCatalog:
     """The full word catalog: m*m entries, one per (length, start)."""
     g = build_jahangir(m)
@@ -135,6 +145,15 @@ def oracle_cycle_catalog(g: Graph) -> CycleCatalog:
                                       beta=cyc.bit_count(), is_simple_cycle=True)
                     for cyc in cycles)
     return CycleCatalog(m=m, entries=entries)
+
+
+def _catalog_payload(catalog: CycleCatalog, g: Graph, meta: dict) -> dict:
+    """The CLI's cycles answer, its entries made as they are written."""
+    listed = _edge_lister(g)
+    entries = ({"word": list(e.word) if e.word is not None else None,
+                "edges": listed(e.edges), "beta": e.beta,
+                "is_simple_cycle": e.is_simple_cycle} for e in catalog.entries)
+    return {**meta, "count": len(catalog.entries), "entries": entries}
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,17 @@ import json
 from collections.abc import Iterator
 
 
+def write(payload: dict, fmt: str, out) -> None:
+    """Write payload by out.write() as CSV (fmt "csv") or text."""
+    if fmt == "csv":
+        import csv
+
+        csv.writer(out, lineterminator="\n").writerows(csv_rows(payload))
+    else:
+        for line in text_lines(payload):
+            out.write(line + "\n")
+
+
 def csv_rows(payload: dict) -> Iterator[list[object]]:
     """The CSV rows of a payload, yielded one at a time."""
     action = payload["action"]

@@ -1,4 +1,4 @@
-"""Closed-form f-vector engines and the Hilbert series of the face ring.
+"""Closed-form f-vector engines.
 
 Two inclusion-exclusion engines live here, deliberately kept apart:
 
@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from operator import sub
 from typing import NamedTuple
 
-from . import cycles
-from .errors import CapacityError, InvalidParameterError
-from .graphs import Graph, _Checked, enumerate_simple_cycles, require_spanning_complex
+# module bindings, read at call time: the layers run at first use, so a
+# closed form refused by its m range runs none of them
+from . import complexes, cycles, graphs
+from .errors import CapacityError
+from .records import Graph, require_spanning_complex
 
 FORMULA_M_RANGE = (3, 5)
 # Work bound of exact inclusion-exclusion, in steps: one per candidate
@@ -116,6 +117,21 @@ def f_vector_divergence(closed_form: tuple[int, ...],
     return diverging
 
 
+def _formula_payload(g: Graph, m: int, meta: dict) -> dict:
+    """The CLI's f-vector answer in formula mode: the closed form, the
+    forest sweep's f-vector beside it, where they differ, and the audit.
+    The sweep runs only once the closed form has answered."""
+    formula = f_vector_formula(m)
+    oracle = complexes.f_vector_direct(g)
+    audit = [{"words": [list(w) for w in t.words], "sign": t.sign,
+              "union_estimate": t.union_estimate} for t in formula.terms]
+    return {**meta,
+            "f_vector": [str(x) for x in formula.values],
+            "oracle_f_vector": [str(x) for x in oracle],
+            "mismatch_indices": f_vector_divergence(formula.values, oracle),
+            "audit": audit}
+
+
 def f_vector_exact_ie(g: Graph) -> tuple[int, ...]:
     """f-vector by inclusion-exclusion over the true cycle catalog with
     exact unions at every order.
@@ -126,7 +142,7 @@ def f_vector_exact_ie(g: Graph) -> tuple[int, ...]:
     capped: past EXACT_IE_STEP_LIMIT steps the engine refuses.
     """
     require_spanning_complex(g)
-    masks = enumerate_simple_cycles(g)
+    masks = graphs.enumerate_simple_cycles(g)
     edge_count = g.edge_count
     fmax = g.vertex_count - 1  # largest forest of a connected graph
     refusal = (f"inclusion-exclusion over {len(masks)} simple cycles "
@@ -188,64 +204,3 @@ def f_vector_exact_ie(g: Graph) -> tuple[int, ...]:
     while values and values[-1] == 0:
         values.pop()
     return tuple(values)
-
-
-# ---------------------------------------------------------------------------
-# Hilbert series of the face ring
-
-
-class _HilbertSeriesFields(NamedTuple):
-    numerator: tuple[int, ...]
-    denominator_power: int
-
-
-class HilbertSeries(_Checked, _HilbertSeriesFields):
-    """Exact rational function: integer numerator coefficients in
-    ascending powers of t over (1 - t)**denominator_power."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if not self.numerator:
-            raise InvalidParameterError("numerator must be nonempty")
-        if self.numerator[0] != 1:
-            raise InvalidParameterError("series must evaluate to 1 at t=0")
-        if self.denominator_power < 0:
-            raise InvalidParameterError("denominator power must be nonnegative")
-
-    def numerator_at(self, t: int) -> int:
-        return sum(c * t ** k for k, c in enumerate(self.numerator))
-
-
-def hilbert_series(f: tuple[int, ...]) -> HilbertSeries:
-    """Hilbert series of the face ring of a complex with f-vector f:
-    numerator sum_j f_{j-1} t^j (1-t)^(d+1-j) over (1-t)^(d+1), with
-    f_{-1} = 1, in exact integer arithmetic. Its coefficients are
-    h_k = sum_{j<=k} (-1)^(k-j) C(d+1-j, k-j) f_{j-1}. The complex
-    {empty set}, with f = (), has series 1.
-
-    The numerator is built by Horner's rule, Q <- Q (1-t) + f_{j-1} t^j
-    for j = 1..d+1 from Q = 1: O(d^2) additions and no binomials."""
-    num = [1]
-    for j, fj in enumerate(f, 1):
-        num = list(map(sub, num + [0], [0] + num))
-        num[j] += fj
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return HilbertSeries(numerator=tuple(num), denominator_power=len(f))
-
-
-def hilbert_function(series: HilbertSeries, j: int) -> int:
-    """Coefficient of t^j in the power-series expansion of series."""
-    if j < 0:
-        raise InvalidParameterError(f"degree must be nonnegative, got {j}")
-    dpow = series.denominator_power
-    if dpow == 0:
-        return series.numerator[j] if j < len(series.numerator) else 0
-    # 1/(1-t)^D expands to sum_k C(k+D-1, D-1) t^k
-    total = 0
-    for k, c in enumerate(series.numerator):
-        if k > j:
-            break
-        total += c * binomial(j - k + dpow - 1, dpow - 1)
-    return total

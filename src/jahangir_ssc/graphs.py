@@ -1,29 +1,13 @@
-"""Labeled simple graphs, the Jahangir family J(2,m), and the two
+"""Labeled simple graphs: the document reader and writer, and the two
 ground-truth oracles everything else is checked against: an exact
 fraction-free spanning-tree count and exhaustive simple-cycle
-enumeration.
-
-The edge order of J(2,m) is fixed once and for all, cycle by cycle with
-the spoke first: index 3*(k-1) is the k-th spoke (hub to rim), followed
-by the two rim edges of cycle k. Vertices are numbered hub = 0, rim
-1..2m clockwise starting at the far end of the first spoke. Bitmask
-encodings, emitted documents, and every golden value in the test suite
-depend on this order staying put.
+enumeration. The Graph record and J(2,m) itself are in records.
 """
 
 from __future__ import annotations
 
-import json
-from typing import NamedTuple
-
 from .errors import CapacityError, GraphParseError, InvalidParameterError
-
-# An edge set is an int bit mask, bit i standing for edge i: the one
-# form of every cycle, spanning tree, facet, face and facet-ideal
-# generator. edge_indices turns it into index tuples for output.
-EdgeSet = int
-
-HUB = 0
+from .records import EdgeLabel, EdgeSet, Graph, _echo, edge_indices
 
 # Cycle-space enumeration walks 2^mu masks; mu above this is refused, so
 # a scan stays under 1 s. A mask costs 1.2-4.0 us on one core of a
@@ -39,152 +23,8 @@ MAX_INDEPENDENT_CYCLES = 17
 MAX_CYCLE_SCAN_VERTICES = 250_000
 
 
-class _Checked:
-    """Base of the records that check their fields. typing.NamedTuple
-    forbids __new__ in its own class body, so such a record is a
-    subclass of this and of a NamedTuple holding its fields; building it
-    by position, by keyword, by _make or by _replace runs its _check."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self._check()
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
-# An error echoes at most this many characters of a document's value,
-# so that a huge entry still makes one short line.
-_ECHO_LIMIT = 64
-
-
-def _echo(value: object) -> str:
-    """repr(value), cut past _ECHO_LIMIT characters, naming where it was
-    cut and its whole length."""
-    text = repr(value)
-    if len(text) <= _ECHO_LIMIT:
-        return text
-    return f"{text[:_ECHO_LIMIT]}... (first {_ECHO_LIMIT} of {len(text)} characters)"
-
-
-class _EdgeLabelFields(NamedTuple):
-    j: int
-    i: int
-
-
-class EdgeLabel(_Checked, _EdgeLabelFields):
-    """Label e{j}{i}: j is the cycle index, i the position within the
-    cycle (1 = spoke shared with the hub, 2 and 3 = rim edges)."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if self.j < 1:
-            raise InvalidParameterError(f"cycle index must be >= 1, got {self.j}")
-        if not 1 <= self.i <= 3:
-            raise InvalidParameterError(f"position index must be in 1..3, got {self.i}")
-
-    def __str__(self) -> str:
-        return f"e{self.j}{self.i}"
-
-    @classmethod
-    def parse(cls, text: str) -> "EdgeLabel":
-        # The position is always a single digit, so the final digit is i
-        # and everything between "e" and it is j. Unambiguous for any m.
-        # Only ASCII digits: str.isdigit also accepts superscripts and
-        # other scripts' digits.
-        digits = text[1:]
-        if len(text) < 3 or text[0] != "e" or not (digits.isascii() and digits.isdigit()):
-            raise InvalidParameterError(f"bad edge label {_echo(text)}")
-        return cls(j=int(text[1:-1]), i=int(text[-1]))
-
-
-def edge_indices(mask: EdgeSet) -> tuple[int, ...]:
-    """The edge indices in an edge-set mask, ascending: the form for
-    output, error messages and canonical sort keys."""
-    if mask < 0:
-        raise InvalidParameterError(f"edge-set mask must be nonnegative, got {mask}")
-    return tuple([i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"])
-
-
-def _normalize(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u <= v else (v, u)
-
-
-class _GraphFields(NamedTuple):
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-    labels: tuple[EdgeLabel, ...] | None = None
-
-
-class Graph(_Checked, _GraphFields):
-    """Simple undirected graph with an ordered edge list.
-
-    Immutable after construction; all operations in this package are
-    pure functions over it. Labels, when present, parallel the edge
-    list one to one.
-    """
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if self.vertex_count < 0:
-            raise InvalidParameterError("vertex count must be nonnegative")
-        seen: set[tuple[int, int]] = set()
-        for pos, (u, v) in enumerate(self.edges):
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise InvalidParameterError(
-                    f"edges[{pos}]: endpoint out of range in ({u}, {v})")
-            if u == v:
-                raise InvalidParameterError(f"edges[{pos}]: loop at vertex {u}")
-            key = _normalize(u, v)
-            if key in seen:
-                raise InvalidParameterError(f"edges[{pos}]: duplicate edge ({u}, {v})")
-            seen.add(key)
-        if self.labels is not None:
-            if len(self.labels) != len(self.edges):
-                raise InvalidParameterError(
-                    f"label count {len(self.labels)} != edge count {len(self.edges)}")
-            if len(set(self.labels)) != len(self.labels):
-                raise InvalidParameterError("duplicate edge labels")
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Adjacency lists of (neighbor, edge index) pairs."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
-        for idx, (u, v) in enumerate(self.edges):
-            adj[u].append((v, idx))
-            adj[v].append((u, idx))
-        return adj
-
-
 # ---------------------------------------------------------------------------
-# Jahangir construction and its fixed edge indexing
-
-
-def spoke_index(j: int, m: int) -> int:
-    """Edge index of the j-th spoke (j taken cyclically in 1..m)."""
-    return 3 * ((j - 1) % m)
-
-
-def rim_indices(j: int, m: int) -> tuple[int, int]:
-    """Edge indices of the two rim edges belonging to cycle j."""
-    base = 3 * ((j - 1) % m)
-    return (base + 1, base + 2)
-
-
-def base_cycle_indices(j: int, m: int) -> EdgeSet:
-    """Edge set of the j-th base cycle: its spoke, its two rim edges,
-    and the next spoke (wrapping after m). The first three are
-    consecutive indices."""
-    return 0b111 << spoke_index(j, m) | 1 << spoke_index(j + 1, m)
+# The cyclic runs of J(2,m)
 
 
 def cyclic_runs(indices: set[int], m: int) -> list[list[int]]:
@@ -206,39 +46,24 @@ def cyclic_runs(indices: set[int], m: int) -> list[list[int]]:
     return runs
 
 
-def build_jahangir(m: int) -> Graph:
-    """The graph J(2,m): a 2m-cycle plus a hub joined to every second
-    rim vertex. 2m+1 vertices, 3m labeled edges."""
-    if m < 3:
-        raise InvalidParameterError(f"m must be >= 3, got {m}")
-    edges: list[tuple[int, int]] = []
-    labels: list[EdgeLabel] = []
-    for k in range(1, m + 1):
-        a = 2 * k - 1          # rim vertex hit by the k-th spoke
-        b = 2 * k              # midpoint of the k-th rim arc
-        c = 2 * k + 1 if k < m else 1
-        edges.append((HUB, a))
-        edges.append((a, b))
-        edges.append((b, c))
-        labels.extend(EdgeLabel(k, i) for i in (1, 2, 3))
-    return Graph(2 * m + 1, tuple(edges), tuple(labels))
-
-
-def jahangir_order(g: Graph) -> int | None:
-    """Return m when g is structurally J(2,m) under the canonical vertex
-    numbering (edge order may differ), else None."""
-    if g.vertex_count < 7 or g.vertex_count % 2 == 0:
-        return None
-    m = (g.vertex_count - 1) // 2
-    if g.edge_count != 3 * m:
-        return None
-    want = {_normalize(u, v) for u, v in build_jahangir(m).edges}
-    have = {_normalize(u, v) for u, v in g.edges}
-    return m if want == have else None
-
-
 # ---------------------------------------------------------------------------
 # Document format: {"vertices": N, "edges": [[u, v], ...], "labels": [...]}
+# json is imported by the functions that read or write a document, so
+# that a request on J(2,m) imports none.
+
+
+def _read_document(path: str) -> Graph:
+    """The graph of the document file at path, which must be UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise GraphParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(
+            f"cannot read {path}: not UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from None
+    return parse_graph(text)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -249,6 +74,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
         seen: set[str] = set()
         for key, _ in pairs:
             if key in seen:
+                import json
                 raise GraphParseError(f"duplicate key {json.dumps(key)}")
             seen.add(key)
     return obj
@@ -262,6 +88,8 @@ def parse_graph(text: str) -> Graph:
     in any object, an integer past the interpreter's digit limit and
     nesting past its recursion limit are reported the same way.
     """
+    import json
+
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -310,40 +138,25 @@ def parse_graph(text: str) -> Graph:
 
 def emit_graph(g: Graph) -> str:
     """Serialize g in the document format; parse_graph round-trips it."""
+    import json
+
     doc: dict = {"vertices": g.vertex_count, "edges": [list(e) for e in g.edges]}
     if g.labels is not None:
         doc["labels"] = [str(lab) for lab in g.labels]
     return json.dumps(doc) + "\n"
 
 
+def _edge_lister(g: Graph):
+    """Edge sets as output sequences: lists of labels where g has them,
+    else tuples of indices, which JSON writes as lists."""
+    if g.labels is None:
+        return edge_indices
+    names = [str(label) for label in g.labels]
+    return lambda mask: [names[i] for i in edge_indices(mask)]
+
+
 # ---------------------------------------------------------------------------
 # Oracle 1: exact spanning-tree count
-
-
-def is_connected(g: Graph) -> bool:
-    # fewer than V - 1 edges cannot connect V vertices: no adjacency needed
-    if g.vertex_count == 0 or g.edge_count < g.vertex_count - 1:
-        return False
-    adj = g.adjacency()
-    seen = [False] * g.vertex_count
-    stack = [0]
-    seen[0] = True
-    while stack:
-        x = stack.pop()
-        for y, _ in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                stack.append(y)
-    return all(seen)
-
-
-def require_spanning_complex(g: Graph) -> None:
-    """Refuse g unless it has a spanning complex: it needs a vertex and
-    a single component."""
-    if not is_connected(g):
-        raise InvalidParameterError(
-            "a graph with no vertex or more than one component has no "
-            "spanning complex")
 
 
 def matrix_tree_count(g: Graph) -> int:
@@ -404,6 +217,47 @@ def matrix_tree_count(g: Graph) -> int:
             by_size.setdefault(len(rows[r]), set()).add(r)
         minors.append(pivot)
     return minors[-1]
+
+
+# The CLI refuses to enumerate every spanning tree of a graph past this
+# count, which the determinant tells in advance. One guard serves
+# facets, classes, cm and verify, before spanning runs, so it is sized
+# by the costliest of them; classes lists no tree, but reports the
+# guard's count. Raised past J(2,10)'s 524,172 trees (single runs in
+# a child under a 1 GB address-space cap, one core of a shared 2-core
+# Intel Xeon machine, wall time and peak RSS): build_jahangir_report(10)
+# would take 0.93-1.2 s and 128 MB, and verify 1.1 s and 127 MB, but
+# facets 3.5-3.9 s and 42 MB (stdout to /dev/null), and cm --ordering
+# block 62 s and 198 MB. So the value stays until cm and facets have
+# budgets of their own.
+TREE_ENUMERATION_LIMIT = 500_000
+
+# The tree-count guard refuses a graph with more vertices than
+# J(2,207)'s 415, the largest the CLI builds, before it counts. The
+# count is a sparse elimination that is fast on sparse graphs:
+# in-process on one core of a shared 2-core AMD EPYC machine (least of
+# 3), J(2,207) takes 3-6 ms, and 415- and 800-vertex cycles 1-2 ms.
+# Dense graphs still cost O(V^3) steps on entries thousands of bits
+# wide: single runs took 29 s and 99 s on random 415-vertex graphs with
+# 4,296 and 42,932 edges. The cap bounds those, and an answer's output:
+# up to 500,000 trees of at most 414 edges. Lifting it needs a budget
+# on the output.
+TREE_GUARD_VERTEX_LIMIT = 415
+
+
+def _guard_tree_enumeration(g: Graph) -> int:
+    """The spanning-tree count of g, refused past the enumeration limit
+    and, before the determinant runs, past its vertex bound."""
+    if g.vertex_count > TREE_GUARD_VERTEX_LIMIT:
+        raise CapacityError(
+            f"{g.vertex_count} vertices exceed {TREE_GUARD_VERTEX_LIMIT}, the largest "
+            "graph whose spanning trees are counted")
+    count = matrix_tree_count(g)
+    if count > TREE_ENUMERATION_LIMIT:
+        raise CapacityError(
+            f"{count} spanning trees exceed the enumeration limit "
+            f"{TREE_ENUMERATION_LIMIT}")
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .algebra import CERTIFICATE_CHECK_LIMIT, cohen_macaulay_verdict
-from .complexes import f_vector_direct
+from .complexes import f_vector_direct, hilbert_series
 from .cycles import (
     claimed_order,
     intersection_survey,
@@ -25,19 +25,9 @@ from .cycles import (
     word_cycle_catalog,
 )
 from .errors import CapacityError
-from .formulas import (
-    f_vector_divergence,
-    f_vector_exact_ie,
-    f_vector_formula,
-    hilbert_series,
-)
-from .graphs import (
-    EdgeSet,
-    Graph,
-    build_jahangir,
-    matrix_tree_count,
-    require_spanning_complex,
-)
+from .formulas import f_vector_divergence, f_vector_exact_ie, f_vector_formula
+from .graphs import matrix_tree_count
+from .records import EdgeSet, Graph, build_jahangir, require_spanning_complex
 from .spanning import (
     enumerate_spanning_trees_generic,
     enumerate_spanning_trees_jahangir,
@@ -132,7 +122,8 @@ def _run_claims(command: str, parameters: dict, rows) -> RunReport:
 def _check_exact_ie(g: Graph, f_direct: tuple[int, ...]):
     oracle = _fvec_strings(f_direct)
     if g.edge_count > VERIFY_EXACT_IE_EDGE_LIMIT:
-        return _unchecked("inclusion-exclusion over verify budget", oracle=oracle)
+        return _unchecked(f"{g.edge_count} edges over the verify inclusion-exclusion "
+                          f"limit of {VERIFY_EXACT_IE_EDGE_LIMIT}", oracle=oracle)
     try:
         ie = f_vector_exact_ie(g)
     except CapacityError as exc:
@@ -312,3 +303,12 @@ def build_graph_report(g: Graph, trees: int | None = None) -> RunReport:
             ("cohen_macaulay_consistency", "lexicographic facet order",
              "shelling cross-check", cm),
         ))
+
+
+def _report_payload(report: RunReport, seed: int, timings: bool, meta: dict) -> dict:
+    """The CLI's verify answer. --seed changes no claim; it is only
+    echoed, as the last parameter."""
+    return {**meta, "parameters": {**report.parameters, "seed": seed},
+            "claims": [c._asdict() for c in report.claims],
+            "mismatches": report.mismatch_count,
+            "timings": report.timings if timings else None}

@@ -34,11 +34,11 @@ from typing import NamedTuple
 
 from .complexes import _entered, _frontier_steps, _kept, _merged
 from .errors import InvalidParameterError
-from .graphs import (
+from .graphs import _edge_lister, cyclic_runs
+from .records import (
     EdgeSet,
     Graph,
     build_jahangir,
-    cyclic_runs,
     edge_indices,
     is_connected,
     rim_indices,
@@ -302,3 +302,20 @@ def verify_partition(m: int) -> PartitionReport:
         union_matches=union_matches,
         missing=missing,
         extra=extra)
+
+
+# ---------------------------------------------------------------------------
+# The CLI's facets and classes answers, here so that no other request
+# compiles them
+
+
+def _facet_payload(g: Graph, trees: int, meta: dict) -> dict:
+    facets = enumerate_spanning_trees_generic(g)
+    return {**meta, "count": len(facets), "matrix_tree_count": trees,
+            "facets": map(_edge_lister(g), facets)}
+
+
+def _classes_payload(m: int, trees: int, meta: dict) -> dict:
+    counts = dict(_class_counts(m))
+    return {**meta, "counts": counts, "total": sum(counts.values()),
+            "matrix_tree_count": trees}

@@ -1,4 +1,4 @@
-"""cli._read_argv against argparse, its reference: on every argv the
+"""cli._read_argv against usage's argparse parser, its reference: on every argv the
 reader either declines (None), leaving argparse to read it, or returns
 exactly argparse's namespace. The corpus is seeded and built from the
 option table itself: every action with every subset of its command's
@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from jahangir_ssc import cli
+from jahangir_ssc import cli, usage
 
 SEED = 20260
 BENT_PER_ARGV = 2
@@ -29,7 +29,7 @@ ODD_PATHS = ("-", "-x", "--", "-3", "--input", "", "a b", "a=b", "facets")
 
 @pytest.fixture(scope="module")
 def parser():
-    return cli._build_parser()
+    return usage.build_parser()
 
 
 def _argparse(parser, argv: list[str]) -> dict | None:

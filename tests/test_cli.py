@@ -23,8 +23,12 @@ from jahangir_ssc import (
     spanning,
 )
 from jahangir_ssc.algebra import CERTIFICATE_CHECK_LIMIT
-from jahangir_ssc.cli import TREE_GUARD_VERTEX_LIMIT
-from jahangir_ssc.graphs import MAX_CYCLE_SCAN_VERTICES, MAX_INDEPENDENT_CYCLES
+from jahangir_ssc.cli import JAHANGIR_M_LIMIT
+from jahangir_ssc.graphs import (
+    MAX_CYCLE_SCAN_VERTICES,
+    MAX_INDEPENDENT_CYCLES,
+    TREE_GUARD_VERTEX_LIMIT,
+)
 
 EXPECTED_MISMATCH_CLAIMS = {
     "cycle_catalog_size",
@@ -128,7 +132,8 @@ def test_graph_report_checks_hilbert_past_the_exact_ie_budget():
     assert claims["hilbert_series"].verdict == "match"
     ie = claims["f_vector_exact_ie"]
     assert ie.verdict == "unchecked"
-    assert ie.detail == {"reason": "inclusion-exclusion over verify budget"}
+    assert ie.detail == {"reason": "20 edges over the verify inclusion-exclusion "
+                                   "limit of 18"}
     assert ie.oracle[-1] == "20"
 
 
@@ -662,26 +667,27 @@ def test_large_m_is_refused_within_a_memory_cap():
         for m in (1000, 1000000, 1000000, 208)]
 
 
-# The tracer of perfbench indexes the eight layer modules right after
+# The tracer of perfbench indexes its eight layer modules right after
 # `import jahangir_ssc.cli`, and a request must not pay for dataclasses
 # and the inspect, ast and dis modules it pulls in, nor for argparse and
 # the gettext and locale modules its messages import: cli reads a
-# well-formed argv itself. A child, because the test session has
-# imported them already. The package registers its layers lazily: a
+# well-formed argv itself. Nor for json: cli writes JSON itself, and only
+# reading or writing a graph document imports it. A child, because the
+# test session has imported them already. The package registers its layers lazily: a
 # layer has run once its type is the plain module type, and type() reads
 # no attribute, so the check runs none.
 STARTUP_CHILD = """
 import sys, types
 import jahangir_ssc.cli
-print(*sorted(m for m in ("argparse", "dataclasses", "gettext", "inspect", "locale")
-              if m in sys.modules))
+print(*sorted(m for m in ("argparse", "dataclasses", "gettext", "inspect", "json",
+                          "locale") if m in sys.modules))
 print(*sorted(m for m in sys.modules if m.startswith("jahangir_ssc.")))
 print(*sorted(m for m in sys.modules if m.startswith("jahangir_ssc.")
               and type(sys.modules[m]) is types.ModuleType))
 """
 
-# The argument modules one request imported, then its exit code and the
-# layers it ran.
+# The argument and json modules one request imported, then its exit code
+# and the package modules it ran.
 EXECUTED_CHILD = """
 import contextlib, io, sys, types
 from jahangir_ssc.cli import main
@@ -690,20 +696,22 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         code = main(sys.argv[1:])
     except SystemExit as exc:  # argparse's usage errors
         code = exc.code
-print(*sorted(m for m in ("argparse", "gettext", "locale") if m in sys.modules))
+print(*sorted(m for m in ("argparse", "gettext", "json", "locale") if m in sys.modules))
 print(code, *sorted(m[len("jahangir_ssc."):] for m in sys.modules
                     if m.startswith("jahangir_ssc.")
                     and type(sys.modules[m]) is types.ModuleType))
 """
 
-# Beside errors and cli, which every request runs.
+# Beside errors and cli, which every request runs. A direct-mode sweep
+# runs complexes and records alone: no graphs and no formulas.
 EXECUTED_LAYERS = {
-    ("f-vector",): "complexes graphs",
-    ("hilbert", "--mode", "exact-ie"): "formulas graphs",
-    ("facets",): "complexes graphs spanning",
-    ("classes",): "complexes graphs spanning",
-    ("cm",): "algebra complexes graphs spanning",
-    ("verify",): "algebra complexes cycles formulas graphs reports spanning",
+    ("f-vector",): "complexes records",
+    ("hilbert",): "complexes records",
+    ("hilbert", "--mode", "exact-ie"): "complexes formulas graphs records",
+    ("facets",): "complexes graphs records spanning",
+    ("classes",): "complexes graphs records spanning",
+    ("cm",): "algebra complexes graphs records spanning",
+    ("verify",): "algebra complexes cycles formulas graphs records reports spanning",
 }
 
 
@@ -712,8 +720,8 @@ def test_startup_imports_every_layer_and_no_dataclass_machinery():
     assert proc.returncode == 0, proc.stderr
     unwanted, modules, executed = proc.stdout.split("\n")[:3]
     assert unwanted == ""
-    layers = ("graphs", "cycles", "complexes", "spanning", "formulas", "algebra",
-              "reports", "cli")
+    layers = ("records", "graphs", "cycles", "complexes", "spanning", "formulas",
+              "algebra", "reports", "cli")
     assert {f"jahangir_ssc.{layer}" for layer in layers} <= set(modules.split())
     assert executed.split() == ["jahangir_ssc.cli", "jahangir_ssc.errors"]
     for action, ran in EXECUTED_LAYERS.items():
@@ -724,12 +732,13 @@ def test_startup_imports_every_layer_and_no_dataclass_machinery():
         code, *names = executed.split()
         assert int(code) == (3 if action == ("verify",) else 0)
         assert names == sorted(["cli", "errors", *ran.split()]), action
-    # a usage error leaves argv to argparse, which writes the message
+    # a usage error leaves argv to usage's argparse parser, which writes
+    # the message
     proc = _run_child(EXECUTED_CHILD, "jahangir", "--m", "3", "nonsense")
     assert proc.returncode == 0, proc.stderr
     imported, executed = proc.stdout.split("\n")[:2]
     assert imported.split() == ["argparse", "gettext", "locale"]
-    assert executed.split() == ["1", "cli", "errors"]
+    assert executed.split() == ["1", "cli", "errors", "usage"]
 
 
 # The layers a re-export read runs: its home and the layers before it.
@@ -744,10 +753,11 @@ print(*sorted(m[len("jahangir_ssc."):] for m in sys.modules
 
 @pytest.mark.parametrize("name, ran", [
     ("CapacityError", "errors"),
-    ("Graph", "errors graphs"),
-    ("word_of", "cycles errors graphs"),
+    ("Graph", "errors records"),
+    ("parse_graph", "errors graphs records"),
+    ("word_of", "cycles errors graphs records"),
     # the search reads cycles and complexes before spanning
-    ("enumerate_spanning_trees_generic", "complexes cycles errors graphs spanning"),
+    ("enumerate_spanning_trees_generic", "complexes cycles errors graphs records spanning"),
 ])
 def test_a_re_export_runs_its_home_and_the_layers_before_it(name, ran):
     proc = _run_child(REEXPORT_CHILD, name)
@@ -801,7 +811,7 @@ for _ in range(2):
     except ImportError as exc:
         print(type(exc).__name__, "CapacityError" in str(exc))
 errors.CapacityError = saved
-print(jahangir_ssc.graphs.build_jahangir(3).vertex_count,
+print(len(jahangir_ssc.graphs.enumerate_simple_cycles(jahangir_ssc.records.build_jahangir(3))),
       type(jahangir_ssc.graphs) is types.ModuleType,
       sys.modules["jahangir_ssc.graphs"] is jahangir_ssc.graphs)
 """
@@ -946,7 +956,8 @@ def test_tree_count_guard_refuses_before_the_determinant(run_cli, tmp_path):
     assert res.code == 2 and res.stdout == ""
     assert res.stderr == (f"capacity error: {n} vertices exceed {TREE_GUARD_VERTEX_LIMIT}, "
                           "the largest graph whose spanning trees are counted\n")
-    assert TREE_GUARD_VERTEX_LIMIT >= build_jahangir(207).vertex_count
+    # the largest graph the jahangir command builds is counted
+    assert TREE_GUARD_VERTEX_LIMIT == build_jahangir(JAHANGIR_M_LIMIT).vertex_count
 
 
 def test_tree_counts_at_the_guard_cap_answer_within_budget(run_cli, tmp_path):
@@ -1099,9 +1110,9 @@ def test_every_exported_name_resolves():
     for name in jahangir_ssc.__all__:
         obj = getattr(jahangir_ssc, name)
         home = obj.__module__
-        if home == "builtins":  # EdgeSet, graphs' alias of int
+        if home == "builtins":  # EdgeSet, records' alias of int
             assert obj is int, name
-            home = "jahangir_ssc.graphs"
+            home = "jahangir_ssc.records"
         assert obj is getattr(sys.modules[home], name), name
     with pytest.raises(AttributeError, match="no_such_name"):
         jahangir_ssc.no_such_name

@@ -17,7 +17,7 @@ from jahangir_ssc import (
 )
 from jahangir_ssc import cycles
 from jahangir_ssc.cycles import all_words, cyclic_runs, follows, validate_word
-from jahangir_ssc.graphs import edge_indices
+from jahangir_ssc.records import edge_indices
 
 
 def _by_word(catalog):

@@ -19,13 +19,8 @@ from jahangir_ssc import (
     matrix_tree_count,
     parse_graph,
 )
-from jahangir_ssc.graphs import (
-    MAX_INDEPENDENT_CYCLES,
-    _is_simple_cycle_mask,
-    base_cycle_indices,
-    rim_indices,
-    spoke_index,
-)
+from jahangir_ssc.graphs import MAX_INDEPENDENT_CYCLES, _is_simple_cycle_mask
+from jahangir_ssc.records import base_cycle_indices, rim_indices, spoke_index
 
 from oracles import (
     as_mask,

@@ -7,8 +7,8 @@ import re
 import pytest
 
 from jahangir_ssc.errors import InvalidParameterError
-from jahangir_ssc.formulas import HilbertSeries
-from jahangir_ssc.graphs import EdgeLabel, Graph, build_jahangir
+from jahangir_ssc.complexes import HilbertSeries
+from jahangir_ssc.records import EdgeLabel, Graph, build_jahangir
 from jahangir_ssc.reports import ClaimResult
 from jahangir_ssc.spanning import verify_partition
 

@@ -16,7 +16,7 @@ from jahangir_ssc import (
     verify_partition,
 )
 from jahangir_ssc import spanning
-from jahangir_ssc.graphs import spoke_index
+from jahangir_ssc.records import spoke_index
 
 from oracles import (
     as_mask,

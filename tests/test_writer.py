@@ -126,6 +126,25 @@ def test_writer_edge_cases(payload, eager):
     assert _written(payload) == _dumped(eager)
 
 
+# bool and None are written from _SCALARS, not by json.dumps, and only a
+# float or a str or int subclass imports json: each scalar kind alone, in
+# one-kind lists, beside the kinds it may be confused with, and as keys
+@pytest.mark.parametrize("payload", [
+    True, False, None,
+    [True, False, True], [False], [None, None], [None],
+    (True, None), [True, 1, None, 0, False], [1, True], [0, False], ["true", True],
+    {"flag": True, "none": None, "bools": [False, True], "nones": [None]},
+    {True: None, False: [None, True], None: False},
+    [[True], [None], [False, None]],
+    1.5, [0.1, -2.5e-300, math.inf, math.nan], [1, 1.0], {"t": 0.001, 2.5: [1.0]},
+    Shade.DARK, [Shade.DARK, Shade.QUOTED], [Shade.DARK, "dark"], ["x", Shade.QUOTED],
+    Level.HIGH, [Level.LOW, Level.HIGH], [Level.LOW, 1], [True, Level.LOW],
+    {Level.HIGH: Shade.QUOTED, Shade.DARK: Level.LOW},
+])
+def test_writer_scalars_match_json_dump(payload):
+    assert _written(payload) == _dumped(payload)
+
+
 def test_writer_rejects_what_json_rejects():
     with pytest.raises(TypeError):
         _written({"a": {1, 2}})
