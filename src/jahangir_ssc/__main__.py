@@ -13,17 +13,22 @@ def run() -> int:
     Once the answer is flushed, the process ends by `os._exit`, without
     interpreter finalization: module teardown, the final collection and
     the freeing of every object, none of which a finished request needs.
-    The package registers no `atexit` hook. An exception out of `main`,
-    argparse's `SystemExit` and a flush that fails (stdout on a closed
-    pipe, say) take the ordinary exit instead, so they end, and are
-    reported, as under `sys.exit(main())`; only then does this return.
+    The package registers no `atexit` hook.
+
+    When the reader of stdout has gone (`jssc ... | head`), the request
+    ends quietly with exit status 1, by the recipe of the note on SIGPIPE
+    in Python's `signal` documentation: stdout is pointed at devnull, so
+    that finalization flushes nowhere. Any other exception, out of
+    `main` or a flush, and argparse's `SystemExit` take the ordinary
+    exit, and are reported as under `sys.exit(main())`.
     """
-    code = main()
     try:
+        code = main()
         sys.stdout.flush()
         sys.stderr.flush()
-    except Exception:  # finalization flushes again and reports the failure
-        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     os._exit(code)
 
 

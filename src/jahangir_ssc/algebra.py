@@ -2,18 +2,20 @@
 Cohen-Macaulay verdict.
 
 The facet ideal has one squarefree generator per facet, whose support
-is the facet; generators are never built, since the facet's edge-set
-mask is its support. The colon ideal of a prefix is never materialized
-either: for squarefree monomials its minimal generator degrees are the
-sizes of the support differences, min_j |supp(m_j) \\ supp(m_i)|. For
-generators of one degree that minimum is 1 exactly when some swap of
-one variable, supp(m_i) - x + y, is an earlier support. `certify` makes
-one pass over the facets in order and answers both certificate checks:
-for each facet it finds the elements x for which such a swap exists (a
-set lookup per swap); the quotient test needs one such x at every
-position, and the shelling test fails at F_i exactly when an earlier
-facet contains all of them, which an AND of per-element bitsets of
-facet positions answers. A verdict makes that pass once.
+is the facet, so a facet's edge-set mask stands for its generator. The
+colon ideal of a prefix is never built either: its minimal generator
+degrees are the sizes min_j |supp(m_j) \\ supp(m_i)|, which for one
+degree is 1 exactly when some swap of one variable, supp(m_i) - x + y,
+is an earlier support. `certify` makes one pass over the facets in
+order and finds, for each facet F_i, its usable elements U_i: the x for
+which such a swap exists (a set lookup per swap). The quotient test
+needs U_i nonempty at every position after 0. The order is a shelling
+exactly when #{i : |U_i| = k} is h_k, the h-vector of the complex
+(Bjorner 1992, sections 7.2-7.3): a face first met at F_i contains U_i,
+so the sum of 2^(|F_i| - |U_i|) bounds the face count, degree by
+degree, with equality exactly when no earlier facet contains any U_i,
+the classical shelling condition. The verdict reads h off the forest
+sweep's f-vector.
 
 A verdict takes one of two orderings. The block ordering ("block")
 lists the facet-ideal generators of J(2,m) by the length of the
@@ -32,9 +34,11 @@ the lexicographic order of a matroid's bases is a shelling (Bjorner,
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple, Sequence
 
-from .errors import InvalidParameterError, PurityError
+from .complexes import f_vector_direct, hilbert_series
+from .errors import CapacityError, InvalidParameterError, PurityError
 from .graphs import matrix_tree_count
 from .records import (
     EdgeSet,
@@ -46,29 +50,25 @@ from .records import (
 )
 from .spanning import enumerate_spanning_trees_generic, enumerate_spanning_trees_jahangir
 
-# Past this many facets the generic certificate is not checked. One
-# certificate pass answers both checks, a few lookups per facet; on one
-# core of a shared 2-core Intel Xeon machine (in-process, least of 5,
-# block and canonical order) it takes 0.018 s at the cap (the Petersen
-# graph's 2000 facets), 0.023 s on J(2,6)'s 2700, 0.14-0.17 s on
-# J(2,7)'s 10,082 and 0.73-0.75 s on J(2,8)'s 37,632 (5.2-6.2 s on
-# J(2,9)'s 140,450, single runs), so the cap could rise past its value.
+# Past this many facets the generic certificate is not checked. On one
+# core of a shared 2-core Intel Xeon machine (in-process, least of 3,
+# block and canonical order) the certificate pass takes 8 ms at the cap
+# (the Petersen graph's 2000 facets), 14-16 ms on J(2,6)'s 2700,
+# 0.08-0.09 s on J(2,7)'s 10,082, 0.38 s on J(2,8)'s 37,632 and 2.1-2.3 s
+# on J(2,9)'s 140,450 (single runs), so the cap could rise past its value.
 CERTIFICATE_CHECK_LIMIT = 2000
 
 
-def certify(facets: Sequence[EdgeSet]) -> tuple[int | None, bool]:
+def certify(facets: Sequence[EdgeSet]) -> tuple[int | None, tuple[int, ...] | None]:
     """Both certificate checks of an ordered list of equal-sized facets,
-    from one pass: (first_failure, shelling).
+    from one pass: (first_failure, histogram).
 
-    An element x of F_i is usable when some swap F_i - x + y is an
-    earlier facet. The quotient test fails at first_failure, the first
-    position after 0 with no usable element (None if there is none).
-    The classical shelling test (for all i and j < i some k < i has
-    |F_i - F_k| = 1 and F_i cap F_j inside F_i cap F_k) fails at F_i
-    exactly when an earlier facet holds every usable element of F_i.
-    A quotient failure fails the shelling test too, so the pass stops
-    there; the converse does not hold, as an order can have
-    quasi-linear quotients and still not be a shelling."""
+    first_failure is the first position after 0 whose facet has no
+    usable element, where the pass stops with histogram None. Otherwise
+    it is None, and histogram[k] counts the facets with k usable
+    elements, up to the largest k: the order is a shelling exactly
+    when that is the h-vector (Bjorner 1992, sections 7.2-7.3). An order
+    can have quasi-linear quotients and still not be a shelling."""
     if len({f.bit_count() for f in facets}) > 1:
         raise PurityError("shelling test requires equal-sized facets")
     universe = 0
@@ -77,29 +77,23 @@ def certify(facets: Sequence[EdgeSet]) -> tuple[int | None, bool]:
     if universe < 0:
         raise InvalidParameterError("edge-set masks must be nonnegative")
     elements = [1 << x for x in range(universe.bit_length()) if universe >> x & 1]
-    holders = dict.fromkeys(elements, 0)   # element -> positions of facets with it
+    histogram: Counter[int] = Counter()
     seen: set[EdgeSet] = set()
-    shelling = True
     for i, mask in enumerate(facets):
-        inside = [x for x in elements if mask & x]
         outside = [y for y in elements if not mask & y]
-        usable, earlier = 0, (1 << i) - 1
-        for x in inside:
-            base = mask ^ x
-            for y in outside:
-                if base | y in seen:
-                    usable |= x
-                    earlier &= holders[x]
-                    break
+        usable = 0
+        for x in elements:
+            if mask & x:
+                base = mask ^ x
+                for y in outside:
+                    if base | y in seen:
+                        usable += 1
+                        break
         if i and not usable:
-            return i, False
-        # the shelling fails at F_i when an earlier facet holds every usable x
-        shelling = shelling and not earlier
-        if shelling:
-            for x in inside:
-                holders[x] |= 1 << i
+            return i, None
+        histogram[usable] += 1
         seen.add(mask)
-    return None, shelling
+    return None, tuple(histogram[k] for k in range(max(histogram, default=-1) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +147,17 @@ class CMVerdict(NamedTuple):
     shelling_agrees: bool | None
 
 
-def cohen_macaulay_verdict(g: Graph, ordering: str,
-                           trees: int | None = None) -> CMVerdict:
+def cohen_macaulay_verdict(g: Graph, ordering: str, trees: int | None = None,
+                           f_vector: tuple[int, ...] | None = None) -> CMVerdict:
     """Build the spanning complex of g, then certify Cohen-Macaulayness
     by an ordering of its facets with quasi-linear quotients: the
     block ordering ("block"), defined on J(2,m) in its canonical edge
     order only, or the canonical facet order ("search"). Every
-    certificate is checked, never assumed. trees is g's spanning-tree
-    count where the caller has it, and is computed when needed
-    otherwise.
+    certificate is checked, never assumed: shelling_agrees is whether
+    the pass's histogram is the Hilbert numerator of f_vector, which
+    the forest sweep computes, once the quotient test passes, unless the
+    caller has it; a refused sweep leaves shelling_agrees None. trees,
+    g's spanning-tree count, is also computed only when needed.
     """
     if ordering not in ("block", "search"):
         raise InvalidParameterError(f"unknown ordering strategy {ordering!r}")
@@ -180,16 +176,20 @@ def cohen_macaulay_verdict(g: Graph, ordering: str,
         # any tree is enumerated
         return CMVerdict(None, None, "search", None, None)
     facets = enumerate_spanning_trees_generic(g)
-    if ordering == "block":
-        perm = prefix_block_ordering(m)
-        failure, shelling = certify([facets[k] for k in perm])
-        if failure is not None:
-            return CMVerdict(False, None, "block", failure, None)
-        return CMVerdict(True, perm, "block", None, shelling)
-    failure, shelling = certify(facets)
+    certificate = (prefix_block_ordering(m) if ordering == "block"
+                   else tuple(range(len(facets))))
+    failure, histogram = certify([facets[k] for k in certificate])
     if failure is not None:
-        return CMVerdict(None, None, "search", None, None)
-    return CMVerdict(True, tuple(range(len(facets))), "search", None, shelling)
+        if ordering == "search":  # ruled out by the matroid theorem
+            return CMVerdict(None, None, "search", None, None)
+        return CMVerdict(False, None, "block", failure, None)
+    if f_vector is None:
+        try:
+            f_vector = f_vector_direct(g)
+        except CapacityError:  # no h-vector to compare with
+            return CMVerdict(True, certificate, ordering, None, None)
+    return CMVerdict(True, certificate, ordering, None,
+                     histogram == hilbert_series(f_vector).numerator)
 
 
 def _cm_payload(g: Graph, ordering: str, trees: int, meta: dict) -> dict:
@@ -198,7 +198,6 @@ def _cm_payload(g: Graph, ordering: str, trees: int, meta: dict) -> dict:
     return {**meta,
             "cohen_macaulay": verdict.cohen_macaulay,
             "ordering_source": verdict.ordering_source,
-            "certificate": list(verdict.certificate)
-            if verdict.certificate is not None else None,
+            "certificate": verdict.certificate,  # the writer takes tuples
             "block_first_failure": verdict.block_first_failure,
             "shelling_agrees": verdict.shelling_agrees}

@@ -227,6 +227,11 @@ def _execute(args: SimpleNamespace) -> tuple[dict, int]:
 # PYTHONUNBUFFERED=1 each write to stdout is a system call.
 _WRITE_SIZE = 1 << 16
 
+# A list of one scalar type is encoded this many items at a time: joined
+# whole, the 140,450 positions of cm --m 9's certificate peaked at 10.3 MB
+# under tracemalloc, against 0.36 MB in slices.
+_SLICE = 4096
+
 # The scalar types written as json's own encoder writes them. Any other
 # scalar, a float or a str or int subclass, goes through json.dumps:
 # only such a scalar imports json, and no request on J(2,m) holds one
@@ -270,9 +275,9 @@ def _write_json(obj: object, write) -> None:
     """Write obj by write() as json.dump writes it with indent=2, with
     iterators written as lists.
 
-    A list or tuple of items of one _SCALARS type is encoded as one
-    string; every other scalar goes through json.dumps, which writes
-    floats and str or int subclasses as json.dump does.
+    A list or tuple of items of one _SCALARS type is encoded _SLICE
+    items to a string; every other scalar goes through json.dumps, which
+    writes floats and str or int subclasses as json.dump does.
     """
 
     def encode(obj: object, prefix: str, pad: str) -> None:
@@ -282,8 +287,13 @@ def _write_json(obj: object, write) -> None:
             kinds = set(map(type, obj))
             scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
             if scalar is not None:
-                write(prefix + "[\n" + inner + (",\n" + inner).join(map(scalar, obj))
-                      + "\n" + pad + "]")
+                sep = ",\n" + inner
+                head = prefix + "[\n" + inner
+                last = (len(obj) - 1) // _SLICE * _SLICE
+                for start in range(0, last, _SLICE):
+                    write(head + sep.join(map(scalar, obj[start:start + _SLICE])))
+                    head = sep
+                write(head + sep.join(map(scalar, obj[last:])) + "\n" + pad + "]")
                 return
         elif isinstance(obj, dict):
             if not obj:

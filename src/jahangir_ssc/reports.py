@@ -247,8 +247,9 @@ def build_jahangir_report(m: int, trees: int | None = None) -> RunReport:
         count = len(facets())
         if count > CERTIFICATE_CHECK_LIMIT:
             return _unchecked(_over_certificate_limit(count), claimed=True)
-        # the block ordering is always checked: its verdict is never None
-        verdict = cohen_macaulay_verdict(g, ordering="block")
+        # the block ordering is always checked: its verdict is never None;
+        # a refused sweep leaves the claim unchecked, with its reason
+        verdict = cohen_macaulay_verdict(g, ordering="block", f_vector=sweep())
         return (True, verdict.cohen_macaulay,
                 bool(verdict.cohen_macaulay and verdict.shelling_agrees),
                 {"ordering_source": verdict.ordering_source,
@@ -287,9 +288,10 @@ def build_graph_report(g: Graph, trees: int | None = None) -> RunReport:
         return count, mt, count == mt, None
 
     def cm():
-        verdict = cohen_macaulay_verdict(g, ordering="search", trees=mt)
-        if verdict.cohen_macaulay is None:
+        if mt > CERTIFICATE_CHECK_LIMIT:
             return _unchecked(_over_certificate_limit(mt))
+        # a refused sweep leaves the claim unchecked, with its reason
+        verdict = cohen_macaulay_verdict(g, ordering="search", trees=mt, f_vector=sweep())
         return ({"quotient_ordering_shells": True},
                 {"cohen_macaulay": verdict.cohen_macaulay,
                  "shelling_agrees": verdict.shelling_agrees},

@@ -164,6 +164,17 @@ def naive_is_shelling(facets: list[frozenset[int]]) -> bool:
     return True
 
 
+def brute_face_counts(facets: list[frozenset[int]]) -> tuple[int, ...]:
+    """f_i = number of (i+1)-element faces of the complex the facets
+    generate: every nonempty subset of every facet, gathered in one set."""
+    faces = {frozenset(c) for facet in facets for size in range(1, len(facet) + 1)
+             for c in itertools.combinations(sorted(facet), size)}
+    counts = [0] * max(map(len, facets), default=0)
+    for face in faces:
+        counts[len(face) - 1] += 1
+    return tuple(counts)
+
+
 def naive_colon_mindeg(previous: list[frozenset[int]],
                        current: frozenset[int]) -> int:
     return min(len(p - current) for p in previous)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import tracemalloc
@@ -5,6 +6,7 @@ import tracemalloc
 import pytest
 
 from jahangir_ssc import (
+    CapacityError,
     Graph,
     InvalidParameterError,
     PurityError,
@@ -13,18 +15,24 @@ from jahangir_ssc import (
     cohen_macaulay_verdict,
     enumerate_spanning_trees_generic,
     enumerate_spanning_trees_jahangir,
+    f_vector_direct,
+    hilbert_series,
     prefix_block_ordering,
 )
 
 from oracles import (
     as_mask,
     as_set,
+    brute_face_counts,
     naive_colon_mindeg,
     naive_is_shelling,
     random_connected_graph,
+    termwise_hilbert_numerator,
 )
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
+PETERSEN = Graph(10, tuple(edge for i in range(5) for edge in
+                           ((i, (i + 1) % 5), (i, i + 5), (i + 5, (i + 2) % 5 + 5))))
 
 
 def mono(*vars_):
@@ -34,6 +42,25 @@ def mono(*vars_):
 
 def naive_shelling(facets):
     return naive_is_shelling([as_set(f) for f in facets])
+
+
+@functools.cache
+def _h_vector_of(facets: frozenset) -> tuple[int, ...]:
+    return termwise_hilbert_numerator(brute_face_counts([as_set(f) for f in facets]))
+
+
+def h_vector(facets):
+    """The h-vector of the complex the facets generate, from its
+    brute-force face count; the same for every order of the facets."""
+    return _h_vector_of(frozenset(facets))
+
+
+def checks(facets):
+    """certify's two checks: the quotient test's first failure, and
+    whether the order is a shelling, read as whether the pass's
+    histogram is the h-vector."""
+    failure, histogram = certify(facets)
+    return failure, histogram == h_vector(facets)
 
 
 def _naive_first_failure(facets):
@@ -52,7 +79,7 @@ def test_facet_ideal_triangle():
     facets = enumerate_spanning_trees_generic(TRIANGLE)
     assert len(facets) == 3
     assert all(f.bit_count() == 2 for f in facets)
-    assert certify(facets) == (None, True)
+    assert certify(facets) == (None, (1, 1, 1))
 
 
 @pytest.mark.parametrize("m, count", [(3, 50), (4, 192)])
@@ -60,14 +87,14 @@ def test_facet_ideal_family(m, count):
     facets = enumerate_spanning_trees_generic(build_jahangir(m))
     assert len(facets) == count
     assert all(f.bit_count() == 2 * m for f in facets)
-    assert certify(facets) == (None, True)
+    assert certify(facets) == (None, h_vector(facets))
 
 
 def test_facet_ideal_generators_track_facets(j3):
     # a generator is its facet's mask: the pass over the facets answers
     # the colon degrees and the shelling of the facet sets themselves
     facets = enumerate_spanning_trees_generic(j3)
-    assert certify(facets) == (_naive_first_failure(facets), naive_shelling(facets))
+    assert checks(facets) == (_naive_first_failure(facets), naive_shelling(facets))
 
 
 def test_facet_ideal_rejects_non_pure():
@@ -81,7 +108,7 @@ def test_monomial_ideal_minimality():
     # quotient theory refuses as impure
     with pytest.raises(PurityError):
         certify((mono(0), mono(0, 1)))  # one divides the other
-    assert certify((mono(0, 1), mono(1, 2))) == (None, True)  # incomparable is fine
+    assert certify((mono(0, 1), mono(1, 2))) == (None, (1, 1))  # incomparable is fine
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +125,11 @@ def test_block_ordering_gives_quasi_linear_quotients(m):
 
 
 def test_qlq_failure_reports_position():
-    assert certify((mono(0, 1), mono(2, 3))) == (1, False)
+    assert certify((mono(0, 1), mono(2, 3))) == (1, None)
 
 
 def test_qlq_single_generator_is_vacuous():
-    assert certify((mono(0, 1),)) == (None, True)
+    assert certify((mono(0, 1),)) == (None, (1,))
 
 
 def test_qlq_triangle_every_ordering():
@@ -165,12 +192,12 @@ def test_block_ordering_builds_no_table_of_facets():
 
 
 def test_is_shelling_small():
-    assert certify([])[1]
-    assert certify([mono(0, 1)])[1]
+    assert certify([]) == (None, ())
+    assert checks([mono(0, 1)]) == (None, True)
     facets = enumerate_spanning_trees_generic(TRIANGLE)
     for perm in itertools.permutations(facets):
-        assert certify(list(perm))[1] == naive_shelling(perm)
-        assert certify(list(perm))[1]
+        assert checks(list(perm))[1] == naive_shelling(perm)
+        assert checks(list(perm))[1]
 
 
 def test_is_shelling_rejects_non_pure():
@@ -182,14 +209,14 @@ def test_is_shelling_block_order(j3):
     canonical = enumerate_spanning_trees_generic(j3)
     ordering = prefix_block_ordering(3)
     facets = [canonical[i] for i in ordering]
-    assert certify(facets)[1]
+    assert checks(facets)[1]
     assert naive_shelling(facets)
 
 
-def test_is_shelling_matches_naive_on_random_families():
-    # both checks against the literal definitions: random equal-size
-    # families, then random and one-swap orders of the J(2,3) and J(2,4)
-    # facets, whose canonical order passes both
+def _random_families() -> list[list[int]]:
+    """Random equal-size families, then random and one-swap orders of
+    the J(2,3) and J(2,4) facets, whose canonical order passes both
+    checks."""
     rng = random.Random(41)
     families = []
     for _ in range(60):
@@ -207,10 +234,42 @@ def test_is_shelling_matches_naive_on_random_families():
             a, b = rng.randrange(len(facets)), rng.randrange(len(facets))
             swapped[a], swapped[b] = swapped[b], swapped[a]
             families.append(swapped)
-    for facets in families:
-        failure, shelling = certify(facets)
+    return families
+
+
+def test_is_shelling_matches_naive_on_random_families():
+    # both checks against the literal definitions
+    for facets in _random_families():
+        failure, shelling = checks(facets)
         assert failure == _naive_first_failure(facets)
         assert shelling == naive_shelling(facets)
+
+
+def test_histogram_is_the_h_vector_exactly_for_shellings():
+    # Bjorner's identity h_k = #{i : |R(F_i)| = k} holds for a shelling,
+    # and for no other order: the histogram against the h-vector of a
+    # brute-force face count, the order against the literal definition
+    outcomes = set()
+    for facets in _random_families() + [COUNTEREXAMPLE]:
+        failure, histogram = certify(facets)
+        identity = histogram == h_vector(facets)
+        assert identity == naive_shelling(facets)
+        outcomes.add((failure is None, identity))
+    # shellings, orders with quasi-linear quotients that are none, and
+    # quotient failures all occur
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, None], ids=[*map(str, range(3, 8)), "petersen"])
+def test_histogram_is_the_sweeps_hilbert_numerator(m):
+    # the canonical order and, on J(2,m), the block ordering are
+    # shellings: each one's histogram is the Hilbert numerator of the sweep
+    g = PETERSEN if m is None else build_jahangir(m)
+    numerator = hilbert_series(f_vector_direct(g)).numerator
+    canonical = enumerate_spanning_trees_generic(g)
+    assert certify(canonical) == (None, numerator)
+    if m is not None:
+        assert certify([canonical[i] for i in prefix_block_ordering(m)]) == (None, numerator)
 
 
 # The quotient test and the shelling test are NOT equal ordering by
@@ -225,7 +284,7 @@ COUNTEREXAMPLE = [mono(0, 1, 2), mono(1, 2, 3), mono(2, 3, 4), mono(0, 1, 4)]
 
 
 def test_quotients_do_not_imply_shelling():
-    assert certify(COUNTEREXAMPLE) == (None, False)
+    assert checks(COUNTEREXAMPLE) == (None, False)
     assert _naive_first_failure(COUNTEREXAMPLE) is None
     assert not naive_shelling(COUNTEREXAMPLE)
 
@@ -250,14 +309,14 @@ def test_shelling_implies_quasi_linear_quotients(j3):
     gaps = 0
     for ordering in orderings:
         facets = [canonical[i] for i in ordering]
-        failure, shelling = certify(facets)
+        failure, shelling = checks(facets)
         qlq = failure is None
         if shelling:
             assert qlq, f"shelling without quotients at {ordering}"
             assert _naive_first_failure(facets) is None
         gaps += int(qlq and not shelling)
     block_facets = [canonical[i] for i in prefix_block_ordering(3)]
-    assert certify(block_facets)[1]
+    assert checks(block_facets)[1]
     assert gaps == 5  # the one-way gap is real on this complex too
 
 
@@ -273,7 +332,7 @@ def test_shelling_implies_quotients_on_random_graphs():
             perm = list(range(r))
             rng.shuffle(perm)
             facets = [canonical[i] for i in perm]
-            failure, shelling = certify(facets)
+            failure, shelling = checks(facets)
             if shelling:
                 assert failure is None
                 assert _naive_first_failure(facets) is None
@@ -314,7 +373,7 @@ def test_verdict_search_reports_shelling_honestly(j4):
     assert verdict.cohen_macaulay is True
     assert verdict.certificate == tuple(range(len(canonical)))
     facets = [canonical[i] for i in verdict.certificate]
-    failure, shelling = certify(facets)
+    failure, shelling = checks(facets)
     assert failure is None
     assert verdict.shelling_agrees is True
     assert verdict.shelling_agrees == shelling
@@ -427,6 +486,27 @@ def test_verdict_on_a_reordered_family(m):
     assert verdict.ordering_source == "block" and verdict.cohen_macaulay is True
 
 
+def test_verdict_compares_the_histogram_with_the_sweep(monkeypatch, j3):
+    # shelling_agrees is the pass's histogram against the Hilbert
+    # numerator of the f-vector the caller passes or the sweep computes;
+    # a refused sweep leaves it None, and the certificate stands
+    from jahangir_ssc import algebra
+
+    f = f_vector_direct(j3)
+    assert cohen_macaulay_verdict(j3, "block", f_vector=f).shelling_agrees is True
+    tampered = cohen_macaulay_verdict(j3, "block", f_vector=f[:-1] + (f[-1] + 1,))
+    assert tampered.cohen_macaulay is True and tampered.shelling_agrees is False
+
+    def refused(g):
+        raise CapacityError("x")
+
+    monkeypatch.setattr(algebra, "f_vector_direct", refused)
+    for ordering in ("block", "search"):
+        verdict = cohen_macaulay_verdict(j3, ordering)
+        assert verdict.cohen_macaulay is True and verdict.shelling_agrees is None
+        assert sorted(verdict.certificate) == list(range(50))
+
+
 def test_verdict_certificate_is_checkable(j4):
     verdict = cohen_macaulay_verdict(j4, "block")
     facets = enumerate_spanning_trees_generic(j4)
@@ -443,8 +523,6 @@ def test_each_verdict_makes_one_certificate_pass(monkeypatch, j4):
     # over the facets in the certificate's order, never two
     from jahangir_ssc import algebra
 
-    petersen = Graph(10, tuple(edge for i in range(5) for edge in
-                               ((i, (i + 1) % 5), (i, i + 5), (i + 5, (i + 2) % 5 + 5))))
     passes = []
 
     def counted(facets):
@@ -452,7 +530,7 @@ def test_each_verdict_makes_one_certificate_pass(monkeypatch, j4):
         return certify(facets)
 
     monkeypatch.setattr(algebra, "certify", counted)
-    for g, ordering, facets in ((j4, "block", 192), (petersen, "search", 2000)):
+    for g, ordering, facets in ((j4, "block", 192), (PETERSEN, "search", 2000)):
         passes.clear()
         verdict = cohen_macaulay_verdict(g, ordering=ordering)
         assert verdict.cohen_macaulay is True and verdict.shelling_agrees is True
@@ -472,7 +550,7 @@ def test_certificate_pass_matches_both_checks_and_the_definitions():
         rng.shuffle(shuffled)
         for ordering in (range(len(canonical)), shuffled):
             facets = [canonical[i] for i in ordering]
-            failure, shelling = certify(facets)
+            failure, shelling = checks(facets)
             assert failure == _naive_first_failure(facets)
             if len(facets) <= 40:
                 assert shelling == naive_shelling(facets)

@@ -5,14 +5,16 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import hashlib
 import io
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
-from jahangir_ssc.cli import _Batched, _write_json, main
+from jahangir_ssc.cli import _SLICE, _Batched, _write_json, main
 
 
 class Shade(str, enum.Enum):
@@ -121,6 +123,10 @@ def test_writer_matches_json_dump(seed):
     (Record(a=Row([1, 2])), Record(a=Row([1, 2]))),
     ("top", "top"),
     (None, None),
+    # a list of one scalar type leaves _SLICE items at a time
+    *[({"ints": list(range(size)), "strs": tuple(map(str, range(size)))},
+       {"ints": list(range(size)), "strs": list(map(str, range(size)))})
+      for size in (_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE)],
 ])
 def test_writer_edge_cases(payload, eager):
     assert _written(payload) == _dumped(eager)
@@ -143,6 +149,23 @@ def test_writer_edge_cases(payload, eager):
 ])
 def test_writer_scalars_match_json_dump(payload):
     assert _written(payload) == _dumped(payload)
+
+
+def test_long_scalar_lists_are_written_in_slices():
+    # the 140,450 positions of cm --m 9's certificate: joined into one
+    # string they peaked at 10.3 MB under tracemalloc, in slices at 0.36 MB
+    payload = {"certificate": tuple(range(140_450))}
+    digest = hashlib.sha256()
+    out = _Batched(lambda text: digest.update(text.encode()))
+    tracemalloc.start()
+    try:
+        _write_json(payload, out.write)
+        out.flush()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"tracemalloc peak {peak} bytes"
+    assert digest.digest() == hashlib.sha256(json.dumps(payload, indent=2).encode()).digest()
 
 
 def test_writer_rejects_what_json_rejects():
