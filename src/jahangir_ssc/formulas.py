@@ -16,7 +16,9 @@ Two inclusion-exclusion engines live here, deliberately kept apart:
 * f_vector_exact_ie is the corrected engine: it runs full
   inclusion-exclusion over the true simple-cycle catalog using exact
   union cardinalities at every order, so it must agree with the
-  direct forest count wherever both run.
+  direct forest count wherever both run. It sums the subsets' signs
+  by their union in one table (Rota 1964), so its cost follows the
+  distinct unions of cycles rather than the subsets of cycles.
 """
 
 from __future__ import annotations
@@ -32,17 +34,21 @@ from .errors import CapacityError
 from .records import Graph, require_spanning_complex
 
 FORMULA_M_RANGE = (3, 5)
-# Work bound of exact inclusion-exclusion, in steps: one per candidate
-# cycle tried, pruned or not; one per 64-bit machine word of the sum each
-# binomial term leaves, in the first row C(E, j) and in one row per union
-# size, so a term of a small graph costs 1; and the square of the words
-# of each first-row entry, the cost of writing the answer in decimal. On
-# one core of a shared 2-core Intel Xeon machine (least of 3 runs,
-# in-process, the simple-cycle enumeration included), J(2,8) (57 cycles)
-# answers in 0.17 s and K7 (1172 cycles) in 0.27 s, while J(2,9) is
-# refused after 0.41 s and K7 with 15 pendant leaves after 1.3 s. A path
-# with two chords answers at 2,000 vertices in 0.006 s and is refused at
-# 4,000 in 0.008 s and at 20,000 in 0.10 s, before its first row is
+# Work bound of exact inclusion-exclusion, in steps: one per 64-bit
+# machine word of each entry of the union table carried across one
+# cycle, and of the sum each binomial term leaves, in the first row
+# C(E, j) and in one row per union size, so an entry or a term of a small
+# graph costs 1; and the square of the words of each first-row entry,
+# the cost of writing the answer in decimal. A pass is charged before it
+# runs and at most doubles the table, so the table never holds more than
+# 4/3 of the bound in words of keys. On one core of a shared 2-core
+# Intel Xeon machine (least of 3 runs, in-process, the simple-cycle
+# enumeration included), J(2,8) (57 cycles) answers in 2.6-4.7 ms,
+# J(2,13) (157) in 0.43-0.78 s with 113,037 unions in the table, and K7
+# (1172) in 0.14-0.24 s, while J(2,14) is refused after 0.42-0.76 s and
+# K7 with 15 pendant leaves after 0.65-1.1 s. A path with two chords
+# answers at 2,000 vertices in 7-10 ms and is refused at 4,000 in
+# 9-14 ms and at 20,000 in 0.11-0.14 s, before its first row is
 # complete. The simple-cycle enumeration is not counted in the steps.
 EXACT_IE_STEP_LIMIT = 3_000_000
 
@@ -137,8 +143,8 @@ def f_vector_exact_ie(g: Graph) -> tuple[int, ...]:
     exact unions at every order.
 
     For each subset T of simple cycles, subsets of edges containing all
-    of T are counted with sign (-1)^|T|; pruning drops T once its union
-    already exceeds the largest face. The work, not the cycle count, is
+    of T are counted with sign (-1)^|T|, summed by T's union; a union
+    past the largest face is dropped. The work, not the cycle count, is
     capped: past EXACT_IE_STEP_LIMIT steps the engine refuses.
     """
     require_spanning_complex(g)
@@ -174,29 +180,33 @@ def f_vector_exact_ie(g: Graph) -> tuple[int, ...]:
     steps += sum((x.bit_length() // 64 + 1) ** 2 for x in counts)
     if steps > EXACT_IE_STEP_LIMIT:
         raise CapacityError(refusal)
-    # Depth-first over subsets with an explicit stack, so the depth (up to
-    # the cycle count) is bounded by the step cap, not by the interpreter's
-    # recursion limit. A frame is (remaining candidates, union, sign). A
-    # subset's term depends only on its union's size, so the walk sums the
-    # signs by size, and each size adds its binomial row once.
-    n = len(masks)
+    # A subset T of cycles counts with sign (-1)^|T| and depends only on
+    # its union's size, so the table maps each union of the cycles taken
+    # so far to the sum of its subsets' signs (Moebius inversion on the
+    # lattice of unions, Rota 1964): a cycle c carries every entry (U, s)
+    # of the table as it stood before c to U | c with sign -s. A union
+    # past the largest face is dropped, since its supersets are too, and
+    # a zero sum is deleted, since every later entry is linear in it. A
+    # key's or, count and hash are linear in its machine words, so an
+    # entry carried costs one step per word of the widest cycle.
+    words = max(masks, default=0).bit_length() // 64 + 1
+    table = {0: 1}
+    for cycle in masks:
+        steps += len(table) * words
+        if steps > EXACT_IE_STEP_LIMIT:
+            raise CapacityError(refusal)
+        for union, sign in zip(list(table), list(table.values())):
+            merged = union | cycle
+            if merged.bit_count() <= fmax:
+                total = table.get(merged, 0) - sign
+                if total:
+                    table[merged] = total
+                else:
+                    del table[merged]
+    del table[0]  # the empty T, whose row is the first
     signs = [0] * (fmax + 1)
-    stack = [(iter(range(n)), 0, 1)]
-    while stack:
-        candidates, union_mask, sign = stack[-1]
-        for t in candidates:
-            merged = union_mask | masks[t]
-            size = merged.bit_count()
-            steps += 1
-            if steps > EXACT_IE_STEP_LIMIT:
-                raise CapacityError(refusal)
-            if size > fmax:
-                continue
-            signs[size] -= sign
-            stack.append((iter(range(t + 1, n)), merged, -sign))
-            break
-        else:
-            stack.pop()
+    for union, sign in table.items():
+        signs[union.bit_count()] += sign
     for size, total in enumerate(signs):
         if total:
             add_row(size, total)

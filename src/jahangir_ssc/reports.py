@@ -34,14 +34,6 @@ from .spanning import (
     verify_partition,
 )
 
-# Budget for the exact inclusion-exclusion cross-check inside a verify
-# run, whose cost grows with the cycle count: on one core of a shared
-# 2-core Intel Xeon machine (least of 3, in-process) it takes 1.2 ms at
-# J(2,6) (18 edges), 7 ms at J(2,7) and 0.17 s at J(2,8). Past it the
-# claim is unchecked and carries the forest count as its oracle.
-VERIFY_EXACT_IE_EDGE_LIMIT = 18
-
-
 class ClaimResult(NamedTuple):
     name: str
     claimed: object
@@ -121,9 +113,6 @@ def _run_claims(command: str, parameters: dict, rows) -> RunReport:
 
 def _check_exact_ie(g: Graph, f_direct: tuple[int, ...]):
     oracle = _fvec_strings(f_direct)
-    if g.edge_count > VERIFY_EXACT_IE_EDGE_LIMIT:
-        return _unchecked(f"{g.edge_count} edges over the verify inclusion-exclusion "
-                          f"limit of {VERIFY_EXACT_IE_EDGE_LIMIT}", oracle=oracle)
     try:
         ie = f_vector_exact_ie(g)
     except CapacityError as exc:

@@ -10,6 +10,7 @@ independence is the point.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -106,6 +107,32 @@ def brute_simple_cycles(n: int, edges: list[Edge]) -> set[frozenset[int]]:
             if sub == 1:
                 out.add(frozenset(combo))
     return out
+
+
+def cycle_subset_f_vector(n: int, edge_count: int,
+                          cycles: list[frozenset[int]]) -> tuple[int, ...]:
+    """f_i of a connected graph by inclusion-exclusion over every subset
+    T of its simple cycles, given as edge index sets, walked depth first:
+    the (i+1)-subsets of edges that hold every cycle of T number
+    C(E - |U|, i + 1 - |U|), U the union of T, with sign (-1)^|T|. A T
+    whose union has more than n - 1 edges, the largest forest, is
+    skipped with every superset, since each has no face to count."""
+    f = [math.comb(edge_count, k) for k in range(1, n)]
+
+    def walk(start: int, union: frozenset[int], sign: int) -> None:
+        for t in range(start, len(cycles)):
+            merged = union | cycles[t]
+            u = len(merged)
+            if u > n - 1:
+                continue
+            for k in range(u, n):
+                f[k - 1] -= sign * math.comb(edge_count - u, k - u)
+            walk(t + 1, merged, -sign)
+
+    walk(0, frozenset(), 1)
+    while f and f[-1] == 0:
+        f.pop()
+    return tuple(f)
 
 
 def det_fraction(matrix: list[list[int]]) -> Fraction:

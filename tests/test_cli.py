@@ -126,17 +126,19 @@ def test_graph_report_triangle(triangle_file):
 
 
 def test_graph_report_checks_hilbert_past_the_exact_ie_budget():
-    # a 20-cycle: past the 18-edge budget of inclusion-exclusion only
+    # K7 plus 15 pendant leaves: past the step bound of inclusion-exclusion
+    # only, which gives its own refusal as the reason
     from jahangir_ssc import Graph
 
-    g = Graph(20, tuple((i, (i + 1) % 20) for i in range(20)))
+    g = Graph(22, tuple((u, v) for u in range(7) for v in range(u + 1, 7))
+              + tuple((i % 7, 7 + i) for i in range(15)))
     claims = {c.name: c for c in build_graph_report(g).claims}
     assert claims["hilbert_series"].verdict == "match"
     ie = claims["f_vector_exact_ie"]
     assert ie.verdict == "unchecked"
-    assert ie.detail == {"reason": "20 edges over the verify inclusion-exclusion "
-                                   "limit of 18"}
-    assert ie.oracle[-1] == "20"
+    assert ie.detail == {"reason": "inclusion-exclusion over 1172 simple cycles "
+                                   "exceeds the step bound 3000000"}
+    assert ie.oracle[-1] == str(7 ** 5)
 
 
 def test_graph_report_leaves_large_certificates_unchecked():
@@ -667,6 +669,43 @@ def test_large_m_is_refused_within_a_memory_cap():
     assert proc.stderr.splitlines() == [
         f"capacity error: m = {m} exceeds 207, the largest m any engine answers"
         for m in (1000, 1000000, 1000000, 208)]
+
+
+# Exact inclusion-exclusion keeps a table of unions, which a cycle at
+# most doubles; each pass is charged the words of its keys before it
+# runs, so the table never holds more than 4/3 of the step bound in key
+# words: 4,000,000 one-word keys with their sums take under 0.4 GB, and
+# wider keys are fewer, inside the cap. In a child capped at 1 GB, K7
+# plus 15 pendant leaves is refused and J(2,12) answers, each within 2 s.
+EXACT_IE_CHILD = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from jahangir_ssc import (CapacityError, Graph, build_jahangir, f_vector_direct,
+                          f_vector_exact_ie)
+k7_leaves = Graph(22, tuple((u, v) for u in range(7) for v in range(u + 1, 7))
+                  + tuple((i % 7, 7 + i) for i in range(15)))
+start = time.perf_counter()
+try:
+    f_vector_exact_ie(k7_leaves)
+    sys.exit("K7 with leaves answered")
+except CapacityError as exc:
+    print(exc)
+print(time.perf_counter() - start)
+start = time.perf_counter()
+f = f_vector_exact_ie(build_jahangir(12))
+print(time.perf_counter() - start)
+if f != f_vector_direct(build_jahangir(12)):
+    sys.exit("J(2,12) differs from the sweep")
+"""
+
+
+def test_exact_ie_answers_and_refuses_within_a_memory_cap():
+    proc = _run_child(EXACT_IE_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    refusal, refused_s, answered_s = proc.stdout.splitlines()
+    assert refusal == ("inclusion-exclusion over 1172 simple cycles "
+                       "exceeds the step bound 3000000")
+    assert float(refused_s) < 2.0 and float(answered_s) < 2.0
 
 
 # The tracer of perfbench indexes its eight layer modules right after

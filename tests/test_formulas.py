@@ -10,6 +10,7 @@ from jahangir_ssc import (
     HilbertSeries,
     InvalidParameterError,
     build_jahangir,
+    enumerate_simple_cycles,
     f_vector_direct,
     f_vector_exact_ie,
     f_vector_formula,
@@ -19,7 +20,13 @@ from jahangir_ssc import (
 )
 from jahangir_ssc.formulas import binomial, f_vector_divergence
 
-from oracles import random_connected_graph, termwise_hilbert_numerator
+from oracles import (
+    as_set,
+    brute_simple_cycles,
+    cycle_subset_f_vector,
+    random_connected_graph,
+    termwise_hilbert_numerator,
+)
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
 
@@ -117,25 +124,45 @@ def test_exact_ie_matches_direct(j3, j4):
 
 
 def test_exact_ie_random_graphs():
+    # the subset walk's cycles come from the powerset scan, not the library
     rng = random.Random(31)
     for _ in range(20):
         n, edges = random_connected_graph(rng)
         g = Graph(n, tuple(edges))
-        assert f_vector_exact_ie(g) == f_vector_direct(g)
+        cycles = sorted(brute_simple_cycles(n, edges), key=sorted)
+        assert f_vector_exact_ie(g) == cycle_subset_f_vector(n, len(edges), cycles) \
+            == f_vector_direct(g)
 
 
 def test_exact_ie_capacity():
-    # the cap counts work, not cycles: K5's 37 simple cycles answer at
-    # once, while J(2,9)'s 73 run past the step bound. K7 plus 15 pendant
-    # leaves prunes none of its 1172 cycles, so its first descent goes
-    # deeper than the interpreter's recursion limit before the step bound.
+    # the cap counts work, not cycles: K5's 37 simple cycles and J(2,9)'s
+    # 73 answer, while J(2,14)'s 183 and the 1172 of K7 plus 15 pendant
+    # leaves, which prunes none of them, run past the step bound
     k5 = Graph(5, tuple((u, v) for u in range(5) for v in range(u + 1, 5)))
     assert f_vector_exact_ie(k5) == f_vector_direct(k5)
+    j9 = build_jahangir(9)
+    assert f_vector_exact_ie(j9) == f_vector_direct(j9)
     k7_leaves = Graph(22, tuple((u, v) for u in range(7) for v in range(u + 1, 7))
                       + tuple((i % 7, 7 + i) for i in range(15)))
-    for g in (build_jahangir(9), k7_leaves):
-        with pytest.raises(CapacityError, match="step bound"):
+    for g, cycles in ((build_jahangir(14), 183), (k7_leaves, 1172)):
+        with pytest.raises(CapacityError) as refused:
             f_vector_exact_ie(g)
+        assert str(refused.value) == (f"inclusion-exclusion over {cycles} simple cycles "
+                                      "exceeds the step bound 3000000")
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_exact_ie_equals_the_subset_walk(m):
+    g = build_jahangir(m)
+    cycles = [as_set(c) for c in enumerate_simple_cycles(g)]
+    assert f_vector_exact_ie(g) == cycle_subset_f_vector(g.vertex_count, g.edge_count,
+                                                         cycles) == f_vector_direct(g)
+
+
+@pytest.mark.parametrize("m", range(10, 13))
+def test_exact_ie_equals_the_sweep_past_the_subset_walk(m):
+    g = build_jahangir(m)
+    assert f_vector_exact_ie(g) == f_vector_direct(g)
 
 
 def test_exact_ie_wide_binomials():
