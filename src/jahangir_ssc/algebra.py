@@ -107,11 +107,13 @@ def _leading_spoke_run(removed: EdgeSet, m: int) -> int:
     return k
 
 
-def _lexicographic(masks: list[EdgeSet]) -> list[EdgeSet]:
-    """Edge sets of one size in ascending order of their index tuples.
-    For equal sizes that is the descending order of the binary strings
-    read from bit 0 up, a key several times cheaper than the tuple."""
-    return sorted(masks, key=lambda s: bin(s)[:1:-1], reverse=True)
+def _lexicographic(masks: list[EdgeSet], width: int) -> list[EdgeSet]:
+    """Edge sets of one size, below bit `width`, in ascending order of
+    their index tuples. For equal sizes that is the descending order of
+    the masks with their `width` bits reversed, bit 0 the highest: an
+    int key, half the memory of the binary string it is read from."""
+    top = 1 << width
+    return sorted(masks, key=lambda s: int(bin(s | top)[:2:-1], 2), reverse=True)
 
 
 def prefix_block_ordering(m: int) -> tuple[int, ...]:
@@ -124,7 +126,7 @@ def prefix_block_ordering(m: int) -> tuple[int, ...]:
     deleted sets is the reverse of that of the trees, so the ordering
     is the stable sort of the positions by run length, reversed."""
     every_edge = (1 << 3 * m) - 1
-    trees = _lexicographic(enumerate_spanning_trees_jahangir(m))
+    trees = _lexicographic(enumerate_spanning_trees_jahangir(m), 3 * m)
     runs = [_leading_spoke_run(every_edge ^ tree, m) for tree in trees]
     return tuple(reversed(sorted(range(len(runs)), key=runs.__getitem__)))
 

@@ -45,6 +45,9 @@ def csv_rows(payload: dict) -> Iterator[list[object]]:
         for item in payload.get("mismatch_indices", []):
             yield ["mismatch", f"i={item['index']} closed_form={item['closed_form']}"
                    f" direct={item['direct']}"]
+        for row in payload.get("audit", []):
+            yield ["audit", f"sign={row['sign']} union_estimate={row['union_estimate']}"
+                   f" multiplicity={row['multiplicity']}"]
     elif action == "hilbert":
         yield ["k", "numerator_coefficient"]
         yield from ([k, c] for k, c in enumerate(payload["numerator"]))
@@ -87,6 +90,9 @@ def text_lines(payload: dict) -> Iterator[str]:
         for item in payload.get("mismatch_indices", []):
             yield (f"  diverges from the direct oracle at i={item['index']}: "
                    f"{item['closed_form']} vs {item['direct']}")
+        for row in payload.get("audit", []):
+            yield (f"  audit: sign {row['sign']}, union estimate {row['union_estimate']}, "
+                   f"multiplicity {row['multiplicity']}")
     elif action == "hilbert":
         terms = [f"{c}*t^{k}" if k else c
                  for k, c in enumerate(payload["numerator"]) if c != "0"]

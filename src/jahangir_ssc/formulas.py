@@ -10,8 +10,12 @@ Two inclusion-exclusion engines live here, deliberately kept apart:
   sum beyond pairs with per-pair union estimates diverges (the
   estimates are not unions once three or more entries interact), which
   is recorded by the verification report rather than repaired here.
-  Every nonzero term is returned in an audit list so any value can be
-  recomputed from the catalog by hand.
+  Its terms depend only on the words' orders and the pairs' union
+  estimates, so it counts the words and the m^4/2 pairs by union
+  estimate, a class of pairs at a time, instead of listing them; the
+  counts are its audit, rows (sign, union estimate, multiplicity) from
+  which any value can be recomputed by hand. It answers at every m the
+  command line serves, up to 207.
 
 * f_vector_exact_ie is the corrected engine: it runs full
   inclusion-exclusion over the true simple-cycle catalog using exact
@@ -23,17 +27,15 @@ Two inclusion-exclusion engines live here, deliberately kept apart:
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 from typing import NamedTuple
 
 # module bindings, read at call time: the layers run at first use, so a
-# closed form refused by its m range runs none of them
+# request runs only those its engine reaches
 from . import complexes, cycles, graphs
-from .errors import CapacityError
-from .records import Graph, require_spanning_complex
+from .errors import CapacityError, InvalidParameterError
+from .records import Graph, require_spanning_complex, spoke_index
 
-FORMULA_M_RANGE = (3, 5)
 # Work bound of exact inclusion-exclusion, in steps: one per 64-bit
 # machine word of each entry of the union table carried across one
 # cycle, and of the sum each binomial term leaves, in the first row
@@ -62,13 +64,13 @@ def binomial(a: int, b: int) -> int:
 
 
 class FormulaTerm(NamedTuple):
-    """One correction term of the closed form: the catalog words it
-    involves, its sign, and its union estimate U. It contributes
-    sign * C(3m - U, i+1 - U) to f_i."""
+    """One row of the closed form: `multiplicity` terms of one sign and
+    one union estimate U. Together they add
+    sign * multiplicity * C(3m - U, i+1 - U) to f_i."""
 
-    words: tuple[tuple[int, ...], ...]
     sign: int
     union_estimate: int
+    multiplicity: int
 
 
 class FormulaFVector(NamedTuple):
@@ -77,38 +79,130 @@ class FormulaFVector(NamedTuple):
     terms: tuple[FormulaTerm, ...]
 
 
+class _Word(NamedTuple):
+    """The catalog word of one length that starts at cycle 1: its length
+    k, its order beta and its end spokes, as offsets from its first
+    cycle. Every other word of that length is a rotation of it."""
+
+    length: int
+    beta: int
+    ends: frozenset[int]
+
+
+def _representatives(m: int) -> list[_Word]:
+    """The words of lengths 1..m from cycle 1, read from their edge sets."""
+    out = []
+    for k in range(1, m + 1):
+        edges = cycles.word_edge_set(cycles.word_of(1, k, m), m)
+        ends = frozenset(j for j in range(m) if edges >> spoke_index(j + 1, m) & 1)
+        out.append(_Word(k, edges.bit_count(), ends))
+    return out
+
+
+def _arc_overlap(p: int, q: int, d: int, m: int) -> int:
+    """Cycles shared by the arcs [0, p) and [d, d+q) of the m-cycle,
+    0 <= d < m: the second arc's part before m, then its wrapped part."""
+    return max(0, min(p, d + q) - d) + max(0, min(p, d + q - m))
+
+
+def _shared_ends(a: _Word, b: _Word, m: int) -> dict[int, int]:
+    """The offsets d at which b, turned d cycles on from a, shares an end
+    spoke with a, each with the number it shares. The words' overlap
+    |a & b| is twice their rim-arc overlap plus these shared spokes."""
+    shared: dict[int, int] = {}
+    for x in a.ends:
+        for y in b.ends:
+            d = (x - y) % m
+            shared[d] = shared.get(d, 0) + 1
+    return shared
+
+
+def _arc_counts(p: int, q: int, m: int) -> tuple[list[tuple[int, int]], range]:
+    """The rim-arc overlap g of arcs of lengths p <= q over the m offsets,
+    as (g, offsets) points and a range of values each taken at two
+    offsets. Until the arcs can overlap at both ends (p + q <= m + 1)
+    the overlap is a trapezoid: it climbs from 0 to p, stays there for
+    q - p + 1 offsets and falls back. Past that, p minus the overlap of
+    the first arc with the complement of the second, m - q cycles long,
+    is such a trapezoid."""
+    if p + q <= m + 1:
+        return [(p, q - p + 1), (0, m - p - q + 1)], range(1, p)
+    rest = m - q
+    if not rest:
+        return [(p, m)], range(0)
+    return [(p - rest, p - rest + 1), (p, m - p - rest + 1)], range(p - rest + 1, p)
+
+
+def _union_histograms(m: int) -> tuple[list[int], list[int]]:
+    """How many single words, and how many pairs of distinct words, have
+    each union estimate U = beta_a + beta_b - |a & b| (index U).
+
+    Rotating both words of a pair keeps U, so a pair is known by its
+    lengths k1 <= k2 and the offset d of the second word's start from
+    the first's, and each such class holds m ordered pairs. Each
+    unordered pair is counted twice, then halved: one of different
+    lengths as its class's twice, one of equal lengths as d and m - d.
+    Without the end spokes U is beta_1 + beta_2 - 2g, g the rim-arc
+    overlap, whose offsets _arc_counts sums in ranges; the few offsets
+    where end spokes meet are then moved to their true U one by one,
+    and a word's pair with itself is taken out."""
+    words = _representatives(m)
+    size = 4 * m + 8  # past every beta_1 + beta_2 + 2
+    singles = [0] * size
+    points = [0] * size
+    runs = [0] * size  # steps of 2: runs[U] opens a run, runs[U+2k] closes it
+    for a in words:
+        singles[a.beta] += m
+    for i, a in enumerate(words):
+        for b in words[i:]:
+            weight = m if a is b else 2 * m
+            top = a.beta + b.beta
+            counts, run = _arc_counts(a.length, b.length, m)
+            for g, offsets in counts:
+                points[top - 2 * g] += weight * offsets
+            if run:
+                runs[top - 2 * run[-1]] += 2 * weight
+                runs[top - 2 * run[0] + 2] -= 2 * weight
+            for d, spokes in _shared_ends(a, b, m).items():
+                u = top - 2 * _arc_overlap(a.length, b.length, d, m)
+                points[u] -= weight
+                if a is not b or d:
+                    points[u - spokes] += weight
+    for u in range(2, size):
+        runs[u] += runs[u - 2]
+    return singles, [(x + y) // 2 for x, y in zip(points, runs)]
+
+
 def f_vector_formula(m: int) -> FormulaFVector:
     """Closed-form f-vector of the spanning complex of J(2,m) over the
-    word catalog, dimension 2m-1, with a per-term audit.
+    word catalog, dimension 2m-1, with its audit rows.
 
-    The audit lists every term whose contribution is nonzero for some
-    index; recomputing any listed term from the catalog reproduces it.
+    f_i = C(3m, i+1) - sum over words of C(3m - beta, i+1 - beta)
+    + sum over pairs of distinct words of C(3m - U, i+1 - U). The words
+    and pairs are counted by union estimate, not listed, so the cost is
+    O(m^2) length pairs and O(m^2) binomials. The audit holds one row
+    per sign and union estimate that reaches some index; the rows and
+    C(3m, i+1) rebuild every f_i by hand.
     """
-    lo, hi = FORMULA_M_RANGE
-    if not lo <= m <= hi:
-        raise CapacityError(f"closed-form engine supports m in {lo}..{hi}, got {m}")
-    catalog = cycles.word_cycle_catalog(m)
+    if m < 3:
+        raise InvalidParameterError(f"m must be >= 3, got {m}")
     dim = 2 * m - 1
     edge_count = 3 * m
-    values = [binomial(edge_count, i + 1) for i in range(dim + 1)]
-    terms: list[FormulaTerm] = []
-
-    def apply(words: tuple[tuple[int, ...], ...], sign: int, union: int) -> None:
-        hit = False
-        for i in range(dim + 1):
-            c = binomial(edge_count - union, i + 1 - union)
-            if c:
-                values[i] += sign * c
-                hit = True
-        if hit:
-            terms.append(FormulaTerm(words=words, sign=sign, union_estimate=union))
-
-    for entry in catalog.entries:
-        apply((entry.word,), -1, entry.beta)
-    for a, b in itertools.combinations(catalog.entries, 2):
-        union = a.beta + b.beta - (a.edges & b.edges).bit_count()
-        apply((a.word, b.word), +1, union)
-    return FormulaFVector(m=m, values=tuple(values), terms=tuple(terms))
+    singles, pairs = _union_histograms(m)
+    # a union past dim + 1 edges reaches no index
+    terms = tuple([FormulaTerm(-1, u, n) for u, n in enumerate(singles[:dim + 2]) if n]
+                  + [FormulaTerm(1, u, n) for u, n in enumerate(pairs[:dim + 2]) if n])
+    values = [0] * (dim + 1)
+    for union, weight in [(0, 1)] + [(t.union_estimate, t.sign * t.multiplicity)
+                                     for t in terms]:
+        # weight * C(edge_count - union, k) into f_i with i + 1 = union + k
+        top = edge_count - union
+        c = weight
+        for k, i in enumerate(range(union - 1, dim + 1)):
+            if i >= 0:
+                values[i] += c
+            c = c * (top - k) // (k + 1)
+    return FormulaFVector(m=m, values=tuple(values), terms=terms)
 
 
 def f_vector_divergence(closed_form: tuple[int, ...],
@@ -129,8 +223,8 @@ def _formula_payload(g: Graph, m: int, meta: dict) -> dict:
     The sweep runs only once the closed form has answered."""
     formula = f_vector_formula(m)
     oracle = complexes.f_vector_direct(g)
-    audit = [{"words": [list(w) for w in t.words], "sign": t.sign,
-              "union_estimate": t.union_estimate} for t in formula.terms]
+    audit = [{"sign": t.sign, "union_estimate": t.union_estimate,
+              "multiplicity": t.multiplicity} for t in formula.terms]
     return {**meta,
             "f_vector": [str(x) for x in formula.values],
             "oracle_f_vector": [str(x) for x in oracle],

@@ -135,6 +135,33 @@ def cycle_subset_f_vector(n: int, edge_count: int,
     return tuple(f)
 
 
+def listed_closed_form(entries) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
+    """The published closed form of J(2,m) over a listed word catalog
+    (the m*m entries of `word_cycle_catalog(m)`), pair by pair: f_i =
+    C(3m, i+1) - sum_w C(3m - |w|, i+1 - |w|) + sum_(v<w) C(3m - U,
+    i+1 - U) with U = |v| + |w| - |v & w| from the entries' edge index
+    sets. Also the audit rows (sign, U, count of words or pairs), for
+    each U that reaches some index, singles first."""
+    sets = [as_set(e.edges) for e in entries]
+    m = math.isqrt(len(sets))
+    tally = {-1: {}, 1: {}}
+    for w in sets:
+        tally[-1][len(w)] = tally[-1].get(len(w), 0) + 1
+    for v, w in itertools.combinations(sets, 2):
+        u = len(v) + len(w) - len(v & w)
+        tally[1][u] = tally[1].get(u, 0) + 1
+    rows = [(sign, u, n) for sign in (-1, 1) for u, n in sorted(tally[sign].items())
+            if u <= 2 * m]
+    f = []
+    for i in range(2 * m):
+        value = math.comb(3 * m, i + 1)
+        for sign, u, n in rows:
+            if i + 1 >= u:
+                value += sign * n * math.comb(3 * m - u, i + 1 - u)
+        f.append(value)
+    return tuple(f), rows
+
+
 def det_fraction(matrix: list[list[int]]) -> Fraction:
     """Plain Gaussian elimination over exact rationals."""
     size = len(matrix)

@@ -172,16 +172,16 @@ def test_criterion_5_closed_form_audit(run_cli, triangle_file):
         assert run_cli("jahangir", "--m", "3", "verify").code == 3
         assert run_cli("graph", "--input", triangle_file, "verify").code == 0
         # hand recomputation of the audit trail at i = 0 and i = 3:
-        # every term is a single word here, knocking out
-        # binomial(9 - beta, i + 1 - beta) subsets
-        catalog = {e.word: e for e in word_cycle_catalog(3).entries}
+        # every row here counts single words of one order beta, each
+        # knocking out binomial(9 - beta, i + 1 - beta) subsets
+        betas = [e.beta for e in word_cycle_catalog(3).entries]
         for i in (0, 3):
             by_hand = binomial(9, i + 1)
             for term in ff.terms:
-                assert term.sign == -1 and len(term.words) == 1
-                beta = catalog[term.words[0]].beta
-                assert beta == term.union_estimate
-                by_hand -= binomial(9 - beta, i + 1 - beta)
+                assert term.sign == -1
+                assert term.multiplicity == betas.count(term.union_estimate)
+                beta = term.union_estimate
+                by_hand -= term.multiplicity * binomial(9 - beta, i + 1 - beta)
             assert by_hand == ff.values[i]
         assert ff.values[0] == 9 and ff.values[3] == 123
 

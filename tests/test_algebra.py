@@ -173,10 +173,26 @@ def test_block_ordering_structure(m):
         assert block == sorted(block)
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+def test_lexicographic_is_the_order_of_index_tuples(m):
+    # the int key reverses each mask's 3m bits; its descending order is
+    # the ascending order of the trees' edge index tuples, which is the
+    # generic enumerator's canonical facet order
+    from jahangir_ssc.algebra import _lexicographic
+
+    trees = list(enumerate_spanning_trees_jahangir(m))
+    random.Random(m).shuffle(trees)
+    by_tuples = sorted(trees, key=lambda s: sorted(as_set(s)))
+    assert _lexicographic(trees, 3 * m) == by_tuples
+    if m <= 7:
+        assert by_tuples == list(enumerate_spanning_trees_generic(build_jahangir(m)))
+
+
 def test_block_ordering_builds_no_table_of_facets():
-    # one sort of the deleted sets and one stable sort of their ranks
-    # peak at 15-16 MB at m = 9 with the trees listed; a mask -> position
-    # dict of every facet and per-run buckets would need about 21 MB
+    # one sort of the trees by an int key and one stable sort of their
+    # ranks peak at about 9.2 MB at m = 9 with the trees listed (15-16 MB
+    # with a 27-character string key per tree); a mask -> position dict
+    # of every facet and per-run buckets would need about 21 MB
     enumerate_spanning_trees_jahangir(9)
     tracemalloc.start()
     try:
@@ -184,7 +200,7 @@ def test_block_ordering_builds_no_table_of_facets():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 18_000_000, f"tracemalloc peak {peak} bytes"
+    assert peak < 12_000_000, f"tracemalloc peak {peak} bytes"
 
 
 # ---------------------------------------------------------------------------

@@ -97,15 +97,17 @@ def _sources(report):
 def test_a_claim_has_its_sources_whether_checked_or_not(triangle_file):
     from jahangir_ssc import parse_graph
 
-    # J(2,6) leaves the closed form and cohen_macaulay unchecked; the long
-    # document, whose sweep is refused, the exact-ie, Hilbert and
-    # Cohen-Macaulay claims
+    # J(2,6) leaves cohen_macaulay unchecked; the long document, whose
+    # sweep is refused, the exact-ie, Hilbert and Cohen-Macaulay claims
     small, large = build_jahangir_report(3), build_jahangir_report(6)
-    assert {c.name for c in large.claims if c.verdict == "unchecked"} == {
-        "f_vector_closed_form", "cohen_macaulay"}
+    assert {c.name for c in large.claims if c.verdict == "unchecked"} == {"cohen_macaulay"}
     assert _sources(small) == _sources(large)
+    # the closed form answers at every m: at m = 6 it first departs at
+    # i = 6, by the 6 theta subgraphs its pair truncation misses
     closed_form = next(c for c in large.claims if c.name == "f_vector_closed_form")
-    assert closed_form.detail == {"reason": "closed-form engine supports m in 3..5, got 6"}
+    assert closed_form.verdict == "mismatch"
+    first = closed_form.detail["diverging_indices"][0]
+    assert first["index"] == 6 and int(first["closed_form"]) - int(first["direct"]) == 6
 
     long = Graph(150, tuple((i, i + 1) for i in range(149))
                  + tuple((a, a + 3) for a in (16, 48, 80, 112)))
@@ -292,7 +294,9 @@ def test_fvector_modes(run_cli):
     assert formula["oracle_f_vector"] == direct["f_vector"]
     assert formula["mismatch_indices"] == [
         {"index": 5, "closed_form": "51", "direct": "50"}]
-    assert formula["audit"]  # the term trail is part of the contract
+    # the term trail is part of the contract: one row per sign and union
+    assert formula["audit"] == [{"sign": -1, "union_estimate": 4, "multiplicity": 3},
+                                {"sign": -1, "union_estimate": 6, "multiplicity": 3}]
 
 
 def test_mode_paper_is_an_alias(run_cli):
@@ -571,7 +575,8 @@ def test_unreadable_documents_exit_1(tmp_path, run_cli, content, message):
 def test_capacity_errors_exit_2(tmp_path, run_cli):
     from jahangir_ssc import Graph, emit_graph
 
-    res = run_cli("jahangir", "--m", "6", "f-vector", "--mode", "formula")
+    # past the largest m any engine answers
+    res = run_cli("jahangir", "--m", "208", "f-vector", "--mode", "formula")
     assert res.code == 2
     assert "capacity" in res.stderr
     # 524172 spanning trees: the determinant precheck refuses to enumerate
@@ -1040,8 +1045,21 @@ def test_jahangir_207_is_answered(run_cli):
     assert res.code == 0 and len(res.json()["f_vector"]) == 414
 
 
+def test_jahangir_207_closed_form_is_answered(run_cli):
+    # the closed form counts its pairs by class, so its audit has O(m)
+    # rows, not the m^4/2 pairs
+    res = run_cli("jahangir", "--m", "207", "f-vector", "--mode", "formula")
+    assert res.code == 0
+    doc = res.json()
+    assert len(doc["f_vector"]) == len(doc["oracle_f_vector"]) == 414
+    assert doc["mismatch_indices"][0]["index"] == 6
+    assert len(doc["audit"]) <= 4 * 207
+    res = run_cli("jahangir", "--m", "207", "hilbert", "--mode", "formula")
+    assert res.code == 0 and res.json()["f_vector"] == doc["f_vector"]
+
+
 def test_stdout_stays_clean_on_errors(run_cli):
-    res = run_cli("jahangir", "--m", "6", "f-vector", "--mode", "formula")
+    res = run_cli("jahangir", "--m", "208", "f-vector", "--mode", "formula")
     assert res.stdout == ""
     assert res.stderr != ""
 

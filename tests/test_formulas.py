@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -17,13 +18,17 @@ from jahangir_ssc import (
     hilbert_function,
     hilbert_series,
     word_cycle_catalog,
+    word_edge_set,
+    word_of,
 )
+from jahangir_ssc import formulas
 from jahangir_ssc.formulas import binomial, f_vector_divergence
 
 from oracles import (
     as_set,
     brute_simple_cycles,
     cycle_subset_f_vector,
+    listed_closed_form,
     random_connected_graph,
     termwise_hilbert_numerator,
 )
@@ -60,14 +65,15 @@ def test_formula_matches_direct_except_last(j3):
 
 
 def _contribution(term, m, i):
-    """What one audit term adds to f_i: sign * C(3m - U, i+1 - U)."""
-    return term.sign * binomial(3 * m - term.union_estimate, i + 1 - term.union_estimate)
+    """What one audit row adds to f_i: sign * multiplicity * C(3m - U, i+1 - U)."""
+    u = term.union_estimate
+    return term.sign * term.multiplicity * binomial(3 * m - u, i + 1 - u)
 
 
 def test_formula_audit_reproduces_the_values():
-    # the recorded terms plus the unrestricted count must rebuild every
+    # the recorded rows plus the unrestricted count must rebuild every
     # entry exactly; nothing hidden, nothing double-counted
-    for m in (3, 4, 5):
+    for m in (3, 4, 5, 9, 30):
         ff = f_vector_formula(m)
         for i, value in enumerate(ff.values):
             total = binomial(3 * m, i + 1)
@@ -77,40 +83,72 @@ def test_formula_audit_reproduces_the_values():
 
 def test_formula_audit_terms_recompute_from_catalog():
     # hand recomputation of the audit trail, m=3: singles knock out
-    # binomial(9 - beta, i+1 - beta) apiece
+    # binomial(9 - beta, i+1 - beta) apiece; the 7-edge words and every
+    # pair (unions of 7 edges or more) reach no index
     ff = f_vector_formula(3)
-    catalog = {e.word: e for e in word_cycle_catalog(3).entries}
-    assert all(t.sign == -1 and len(t.words) == 1 for t in ff.terms)
-    betas = sorted(catalog[t.words[0]].beta for t in ff.terms)
-    assert betas == [4, 4, 4, 6, 6, 6]
-    for t in ff.terms:
-        assert t.union_estimate == catalog[t.words[0]].beta
+    betas = [e.beta for e in word_cycle_catalog(3).entries]
+    assert sorted(betas) == [4, 4, 4, 6, 6, 6, 7, 7, 7]
+    assert ff.terms == ((-1, 4, 3), (-1, 6, 3))
     # i = 0: no term reaches down that far
     assert ff.values[0] == binomial(9, 1) == 9
     assert all(_contribution(t, 3, 0) == 0 for t in ff.terms)
     # i = 3: the three 4-cycles contribute -1 each
-    contribs = sorted(_contribution(t, 3, 3) for t in ff.terms)
-    assert contribs == [-1, -1, -1, 0, 0, 0]
+    assert [_contribution(t, 3, 3) for t in ff.terms] == [-3, 0]
     assert ff.values[3] == binomial(9, 4) - 3 == 123
 
 
 def test_formula_pair_estimates_recompute():
-    # wherever a pair term appears its union estimate must equal
-    # beta_a + beta_b minus the edge-set intersection
-    for m in (4, 5):
-        catalog = {e.word: e for e in word_cycle_catalog(m).entries}
-        for t in f_vector_formula(m).terms:
-            if len(t.words) != 2:
-                continue
-            a, b = (catalog[w] for w in t.words)
-            assert t.sign == 1
-            assert t.union_estimate == a.beta + b.beta - (a.edges & b.edges).bit_count()
+    # the pair rows count the listed pairs of distinct words by
+    # beta_a + beta_b minus their edge-set intersection
+    for m in (4, 5, 8):
+        entries = word_cycle_catalog(m).entries
+        unions = [a.beta + b.beta - (a.edges & b.edges).bit_count()
+                  for a, b in itertools.combinations(entries, 2)]
+        pairs = [t for t in f_vector_formula(m).terms if t.sign == 1]
+        assert pairs == [(1, u, unions.count(u)) for u in sorted(set(unions)) if u <= 2 * m]
+        assert sum(t.multiplicity for t in pairs) < math.comb(m * m, 2)
 
 
-@pytest.mark.parametrize("m", [2, 6, 10])
-def test_formula_capacity(m):
-    with pytest.raises(CapacityError):
-        f_vector_formula(m)
+@pytest.mark.parametrize("m", range(3, 21))
+def test_formula_equals_the_listed_pairs(m):
+    values, rows = listed_closed_form(word_cycle_catalog(m).entries)
+    ff = f_vector_formula(m)
+    assert ff.values == values
+    assert [tuple(t) for t in ff.terms] == rows
+
+
+def test_overlap_rule_is_the_edge_set_intersection():
+    # |a & b| of the word of length k1 from cycle 1 and the word of
+    # length k2 d cycles on: twice the shared rim arc plus the shared
+    # end spokes, at every length pair and offset
+    for m in range(3, 16):
+        words = formulas._representatives(m)
+        for a in words:
+            for b in words:
+                edges_a = word_edge_set(word_of(1, a.length, m), m)
+                for d in range(m):
+                    edges_b = word_edge_set(word_of(1 + d, b.length, m), m)
+                    overlap = (2 * formulas._arc_overlap(a.length, b.length, d, m)
+                               + formulas._shared_ends(a, b, m).get(d, 0))
+                    assert overlap == (edges_a & edges_b).bit_count()
+
+
+@pytest.mark.parametrize("m", [*range(4, 41), 207])
+def test_formula_first_departs_by_the_thetas(m):
+    # Two adjacent base cycles make a 7-edge theta graph holding three
+    # cycles (both base cycles and their length-2 word). Every pair's
+    # union is the theta's 7 edges, so the pair truncation drops only
+    # the triple term -1 at 7 edges, i = 6, once per theta: m of them
+    formula = f_vector_formula(m).values
+    direct = f_vector_direct(build_jahangir(m))
+    assert len(formula) == len(direct) == 2 * m
+    assert formula[:6] == direct[:6]
+    assert formula[6] - direct[6] == m
+
+
+def test_formula_rejects_m_below_3():
+    with pytest.raises(InvalidParameterError):
+        f_vector_formula(2)
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ def requests() -> list[tuple[str, ...]]:
         ("graph", "--input", "absent.json", "facets"),
         ("graph", "--input", "empty.json", "cycles"),
         ("graph", "--input", "empty.json", "facets"),
-        ("jahangir", "--m", "6", "f-vector", "--mode", "formula"),
+        ("jahangir", "--m", "208", "f-vector", "--mode", "formula"),
         ("jahangir", "--m", "10", "facets"),
         ("jahangir", "--m", "10", "verify"),
         ("graph", "--input", "k12.json", "f-vector"),
