@@ -8,8 +8,9 @@ the structured claims and the oracles instead of hiding it.
 
 Importing the package runs only `errors`. Every other layer is found
 and registered at once, in `sys.modules` and as an attribute of the
-package, but its body runs on the first attribute read: a CLI request
-runs only the layers its action reaches. The first read runs the body
+package, but its body runs on the first attribute read other than the
+import metadata the import system sets, such as `__spec__`: a CLI
+request runs only the layers its action reaches. The first read runs the body
 under one lock, so a second thread waits for the whole module, and a
 body that raises is run again, and raises again, at the next read.
 `type(module) is types.ModuleType` once it has run. The public names
@@ -59,14 +60,24 @@ _RUN_LOCK = threading.RLock()
 _RUNNING: set[str] = set()
 
 
+# What module_from_spec sets on a module before its body runs: an unrun
+# layer answers these, so importlib.util.find_spec reads its __spec__
+# without running it.
+_IMPORT_METADATA = frozenset({"__name__", "__loader__", "__package__", "__spec__",
+                              "__path__", "__file__", "__cached__"})
+
+
 class _Layer(types.ModuleType):
-    """A layer module whose body has not run. Every attribute read runs
-    it first, under _RUN_LOCK, and only then makes it a plain module:
-    a thread that reads it meanwhile waits for the whole module instead
-    of seeing a half-run one. If the body raises, the module stays
-    unrun, so the next read runs it again and raises the real error."""
+    """A layer module whose body has not run. Every attribute read but
+    _IMPORT_METADATA, vars() included, runs it first, under _RUN_LOCK,
+    and only then makes it a plain module: a thread that reads it
+    meanwhile waits for the whole module instead of seeing a half-run
+    one. If the body raises, the module stays unrun, so the next read
+    runs it again and raises the real error."""
 
     def __getattribute__(self, attr: str):
+        if attr in _IMPORT_METADATA:
+            return types.ModuleType.__getattribute__(self, attr)
         with _RUN_LOCK:
             spec = types.ModuleType.__getattribute__(self, "__spec__")
             # not for the loader's own reads while the body runs

@@ -50,13 +50,25 @@ from .records import (
 )
 from .spanning import enumerate_spanning_trees_generic, enumerate_spanning_trees_jahangir
 
-# Past this many facets the generic certificate is not checked. On one
-# core of a shared 2-core Intel Xeon machine (in-process, least of 3,
-# block and canonical order) the certificate pass takes 8 ms at the cap
-# (the Petersen graph's 2000 facets), 14-16 ms on J(2,6)'s 2700,
-# 0.08-0.09 s on J(2,7)'s 10,082, 0.38 s on J(2,8)'s 37,632 and 2.1-2.3 s
-# on J(2,9)'s 140,450 (single runs), so the cap could rise past its value.
-CERTIFICATE_CHECK_LIMIT = 2000
+# Past this many facets a certificate is not checked: the search
+# ordering's verdict refuses, and verify leaves its Cohen-Macaulay claim
+# unchecked. The cap serves a budget of about 20 ms per check. On one
+# core of a shared 2-core Intel Xeon machine (CPython 3.11.7,
+# in-process, least of 5, block and canonical order) the one-pass
+# certificate takes 3 ms on J(2,5)'s 722 facets, 14-15 ms on J(2,6)'s
+# 2700, the largest certificate under the cap, and 65-71 ms on J(2,7)'s
+# 10,082; J(2,8)'s 37,632 take about 0.38 s and J(2,9)'s 140,450 about
+# 2.2 s. cm --ordering block is not capped here: the tree guard bounds
+# it.
+CERTIFICATE_CHECK_LIMIT = 3000
+
+
+def _require_certifiable(facets: int) -> None:
+    """Refuse a certificate of more than CERTIFICATE_CHECK_LIMIT facets,
+    naming the facet count and the cap."""
+    if facets > CERTIFICATE_CHECK_LIMIT:
+        raise CapacityError(
+            f"{facets} facets over the certificate check limit of {CERTIFICATE_CHECK_LIMIT}")
 
 
 def certify(facets: Sequence[EdgeSet]) -> tuple[int | None, tuple[int, ...] | None]:
@@ -107,13 +119,21 @@ def _leading_spoke_run(removed: EdgeSet, m: int) -> int:
     return k
 
 
+# Each byte with its 8 bits in reverse order.
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _lexicographic(masks: list[EdgeSet], width: int) -> list[EdgeSet]:
     """Edge sets of one size, below bit `width`, in ascending order of
     their index tuples. For equal sizes that is the descending order of
-    the masks with their `width` bits reversed, bit 0 the highest: an
-    int key, half the memory of the binary string it is read from."""
-    top = 1 << width
-    return sorted(masks, key=lambda s: int(bin(s | top)[:2:-1], 2), reverse=True)
+    the masks with their `width` bits reversed, bit 0 the highest: each
+    byte reversed by a table, the bytes read back in reverse order, and
+    the padding bits of the top byte shifted out, an int key no wider
+    than the mask."""
+    size = (width + 7) // 8
+    pad = 8 * size - width
+    return sorted(masks, key=lambda s, table=_REVERSED, read=int.from_bytes: read(
+        s.to_bytes(size, "little").translate(table), "big") >> pad, reverse=True)
 
 
 def prefix_block_ordering(m: int) -> tuple[int, ...]:
@@ -139,8 +159,8 @@ class CMVerdict(NamedTuple):
     """Cohen-Macaulay verdict for a spanning complex. The certificate is
     the block ordering of J(2,m) or, with ordering_source "search", the
     canonical facet order. cohen_macaulay is None when the canonical
-    order went unchecked or failed the quotient test, which the matroid
-    theorem rules out; it is False only when the block ordering fails."""
+    order failed the quotient test, which the matroid theorem rules out;
+    it is False only when the block ordering fails."""
 
     cohen_macaulay: bool | None
     certificate: tuple[int, ...] | None
@@ -158,8 +178,13 @@ def cohen_macaulay_verdict(g: Graph, ordering: str, trees: int | None = None,
     certificate is checked, never assumed: shelling_agrees is whether
     the pass's histogram is the Hilbert numerator of f_vector, which
     the forest sweep computes, once the quotient test passes, unless the
-    caller has it; a refused sweep leaves shelling_agrees None. trees,
-    g's spanning-tree count, is also computed only when needed.
+    caller has it; a refused sweep leaves shelling_agrees None.
+
+    The search ordering is refused, by a CapacityError that names the
+    facet count and the cap, past CERTIFICATE_CHECK_LIMIT facets. trees,
+    g's spanning-tree count and so its facet count, decides that before
+    any tree is enumerated, and is computed only when the caller has not
+    got it.
     """
     if ordering not in ("block", "search"):
         raise InvalidParameterError(f"unknown ordering strategy {ordering!r}")
@@ -173,10 +198,8 @@ def cohen_macaulay_verdict(g: Graph, ordering: str, trees: int | None = None,
                 != [_normalize(*e) for e in build_jahangir(m).edges]):
             raise InvalidParameterError(
                 "block ordering is only defined for J(2,m) in its canonical edge order")
-    elif CERTIFICATE_CHECK_LIMIT < (matrix_tree_count(g) if trees is None else trees):
-        # the tree count is the facet count: the size is decided before
-        # any tree is enumerated
-        return CMVerdict(None, None, "search", None, None)
+    else:
+        _require_certifiable(matrix_tree_count(g) if trees is None else trees)
     facets = enumerate_spanning_trees_generic(g)
     certificate = (prefix_block_ordering(m) if ordering == "block"
                    else tuple(range(len(facets))))

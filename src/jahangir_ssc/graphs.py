@@ -220,9 +220,9 @@ def matrix_tree_count(g: Graph) -> int:
 
 
 # The CLI refuses to enumerate every spanning tree of a graph past this
-# count, which the determinant tells in advance. One guard serves
-# facets, classes, cm and verify, before spanning runs, so it is sized
-# by the costliest of them; classes lists no tree, but reports the
+# count, which a cactus subgraph's count or the determinant tells in
+# advance. One guard serves facets, classes, cm and verify, before
+# spanning runs, so it is sized by the costliest of them; classes lists no tree, but reports the
 # guard's count. Raised past J(2,10)'s 524,172 trees (single runs in
 # a child under a 1 GB address-space cap, one core of a shared 2-core
 # Intel Xeon machine, wall time and peak RSS): build_jahangir_report(10)
@@ -237,21 +237,98 @@ TREE_ENUMERATION_LIMIT = 500_000
 # count is a sparse elimination that is fast on sparse graphs:
 # in-process on one core of a shared 2-core AMD EPYC machine (least of
 # 3), J(2,207) takes 3-6 ms, and 415- and 800-vertex cycles 1-2 ms.
-# Dense graphs still cost O(V^3) steps on entries thousands of bits
-# wide: single runs took 29 s and 99 s on random 415-vertex graphs with
-# 4,296 and 42,932 edges. The cap bounds those, and an answer's output:
-# up to 500,000 trees of at most 414 edges. Lifting it needs a budget
-# on the output.
+# Dense graphs cost O(V^3) steps on entries thousands of bits wide:
+# single runs took 29 s and 99 s on random 415-vertex graphs with 4,296
+# and 42,932 edges. The cactus bound refuses those before the
+# determinant runs, in 1.4 ms and 16 ms in-process on one core of a
+# shared 2-core Intel Xeon machine. The cap bounds the determinant on
+# graphs the bound leaves undecided, and an answer's output: up to
+# 500,000 trees of at most 414 edges. Lifting it needs a budget on the
+# output.
 TREE_GUARD_VERTEX_LIMIT = 415
 
 
+def _spanning_forest(g: Graph) -> tuple[list[int], list[int]]:
+    """A breadth-first spanning forest of g, one tree from each vertex
+    not yet reached, in vertex order: per vertex, the index of its edge
+    to its parent (-1 at a root) and its depth (0 at a root)."""
+    n = g.vertex_count
+    adj = g.adjacency()
+    up, depth = [-1] * n, [-1] * n  # depth -1: not reached
+    for root in range(n):
+        if depth[root] >= 0:
+            continue
+        depth[root], level = 0, [root]
+        while level:
+            below = []
+            for x in level:
+                for y, idx in adj[x]:
+                    if depth[y] < 0:
+                        depth[y], up[y] = depth[x] + 1, idx
+                        below.append(y)
+            level = below
+    return up, depth
+
+
+def _forest_path(edges, up: list[int], depth: list[int], u: int, v: int):
+    """The edge indices of the forest path between u and v, climbing
+    from the deeper end until the ends meet."""
+    while u != v:
+        if depth[u] < depth[v]:
+            u, v = v, u
+        idx = up[u]
+        yield idx
+        a, b = edges[idx]
+        u = b if a == u else a
+
+
+def _cactus_tree_bound(g: Graph, stop: int) -> int:
+    """A lower bound on the spanning-tree count of g, multiplied out only
+    until it passes stop; 0 when g is disconnected.
+
+    A breadth-first tree from vertex 0 plus non-tree edges, taken in
+    document order when their tree paths share no edge with the paths
+    already taken, is a cactus: each taken edge closes a cycle of its
+    own, and the cactus's spanning-tree count is the product of those
+    cycles' lengths. Deleting edges never adds a spanning tree, so the
+    product is at most g's count."""
+    edges = g.edges
+    up, depth = _spanning_forest(g)
+    if depth.count(0) != 1:
+        return 0
+    taken = bytearray(len(edges))  # 1: a tree edge on a path already taken
+    tree = set(up)
+    bound = 1
+    for chord in range(len(edges)):
+        if chord in tree:
+            continue
+        path = []
+        for idx in _forest_path(edges, up, depth, *edges[chord]):
+            if taken[idx]:
+                break
+            path.append(idx)
+        else:
+            for idx in path:
+                taken[idx] = 1
+            bound *= len(path) + 1
+            if bound > stop:
+                break
+    return bound
+
+
 def _guard_tree_enumeration(g: Graph) -> int:
-    """The spanning-tree count of g, refused past the enumeration limit
-    and, before the determinant runs, past its vertex bound."""
+    """The spanning-tree count of g, refused past the enumeration limit:
+    before the determinant runs, past its vertex bound and when a cactus
+    subgraph already has more trees than the limit."""
     if g.vertex_count > TREE_GUARD_VERTEX_LIMIT:
         raise CapacityError(
             f"{g.vertex_count} vertices exceed {TREE_GUARD_VERTEX_LIMIT}, the largest "
             "graph whose spanning trees are counted")
+    bound = _cactus_tree_bound(g, TREE_ENUMERATION_LIMIT)
+    if bound > TREE_ENUMERATION_LIMIT:
+        raise CapacityError(
+            f"at least {bound} spanning trees, the count of a cactus subgraph, exceed "
+            f"the enumeration limit {TREE_ENUMERATION_LIMIT}")
     count = matrix_tree_count(g)
     if count > TREE_ENUMERATION_LIMIT:
         raise CapacityError(
@@ -298,47 +375,52 @@ def enumerate_simple_cycles(g: Graph) -> list[EdgeSet]:
     """Every simple cycle of g as an edge set, each exactly once, sorted
     canonically (by ascending index tuple).
 
-    Strategy: a DFS forest records each vertex's edge to its parent and
-    its depth; the rank E - V + roots meets the cap before any mask is
+    Strategy: a breadth-first forest records each vertex's edge to its
+    parent and its depth; the rank E - V + roots meets the cap before any mask is
     built. A non-tree edge's fundamental cycle is its bit plus the forest
     path between its ends. The fundamental cycles are independent: a
     Gray-code walk visits each nonzero combination once, one xor per
-    step, and keeps the connected 2-regular ones.
+    step, and keeps the connected 2-regular ones. Its masks are as wide
+    as the union of the fundamental cycles, not the edge list, and each
+    kept one is mapped back to the document's edge indices.
     """
     n, edges = g.vertex_count, g.edges
     if n > MAX_CYCLE_SCAN_VERTICES:
         raise CapacityError(f"{n} vertices exceed {MAX_CYCLE_SCAN_VERTICES}; "
                             "exhaustive cycle enumeration refused")
-    adj = g.adjacency()
-    up, depth = [-1] * n, [-1] * n  # edge to the parent; depth -1: not reached
-    for root in (r for r in range(n) if depth[r] < 0):
-        depth[root], stack = 0, [root]
-        while stack:
-            x = stack.pop()
-            for y, idx in adj[x]:
-                if depth[y] < 0:
-                    depth[y], up[y] = depth[x] + 1, idx
-                    stack.append(y)
+    up, depth = _spanning_forest(g)
     rank = len(edges) - n + depth.count(0)  # one root per component
     if rank > MAX_INDEPENDENT_CYCLES:
         raise CapacityError(f"cycle space rank {rank} exceeds {MAX_INDEPENDENT_CYCLES}; "
                             "exhaustive cycle enumeration refused")
-    tree, fundamental = set(up), []
-    for chord in (idx for idx in range(len(edges)) if idx not in tree):
-        (u, v), walk = edges[chord], [chord]
-        while u != v:  # climb from the deeper end until the ends meet
-            if depth[u] < depth[v]:
-                u, v = v, u
-            walk.append(up[u])
-            a, b = edges[up[u]]
-            u = b if a == u else a
-        bits = bytearray(len(edges) // 8 + 1)  # linear, unlike big-int xors
+    tree = set(up)
+    walks = [[chord, *_forest_path(edges, up, depth, *edges[chord])]
+             for chord in range(len(edges)) if chord not in tree]
+    # The masks run over the support of the cycle space alone, the
+    # edges of some fundamental cycle, in document order: an edge off
+    # every cycle, on a pendant path say, widens no mask.
+    support = sorted({idx for walk in walks for idx in walk})
+    position = {idx: k for k, idx in enumerate(support)}
+    cyclic = tuple(edges[idx] for idx in support)
+    fundamental = []
+    for walk in walks:
+        bits = bytearray(len(support) // 8 + 1)  # linear, unlike big-int xors
         for idx in walk:
-            bits[idx >> 3] |= 1 << (idx & 7)
+            k = position[idx]
+            bits[k >> 3] |= 1 << (k & 7)
         fundamental.append(int.from_bytes(bits, "little"))
     cycles, mask = [], 0
     for k in range(1, 1 << len(fundamental)):
         mask ^= fundamental[(k & -k).bit_length() - 1]
-        if _is_simple_cycle_mask(mask, edges):
+        if _is_simple_cycle_mask(mask, cyclic):
             cycles.append(mask)
-    return sorted(cycles, key=edge_indices)
+    # the support is in document order, so the canonical order of the
+    # masks is that of the document's edge sets they stand for
+    out = []
+    for indices in sorted(map(edge_indices, cycles)):
+        bits = bytearray(len(edges) // 8 + 1)
+        for k in indices:
+            idx = support[k]
+            bits[idx >> 3] |= 1 << (idx & 7)
+        out.append(int.from_bytes(bits, "little"))
+    return out

@@ -16,7 +16,7 @@ from itertools import accumulate
 from operator import mul
 from typing import NamedTuple
 
-from .algebra import CERTIFICATE_CHECK_LIMIT, cohen_macaulay_verdict
+from .algebra import _require_certifiable, cohen_macaulay_verdict
 from .complexes import f_vector_direct, hilbert_series
 from .cycles import (
     claimed_order,
@@ -82,12 +82,6 @@ def _once(compute):
 def _unchecked(reason: str, claimed: object = None, oracle: object = None):
     """A check's result when its oracle cannot run: the known values and why."""
     return claimed, oracle, None, {"reason": reason}
-
-
-def _over_certificate_limit(facets: int) -> str:
-    """The reason a cohen_macaulay claim past CERTIFICATE_CHECK_LIMIT is
-    unchecked: the facet count and the cap."""
-    return f"{facets} facets over the certificate check limit of {CERTIFICATE_CHECK_LIMIT}"
 
 
 def _run_claims(command: str, parameters: dict, rows) -> RunReport:
@@ -233,9 +227,12 @@ def build_jahangir_report(m: int, trees: int | None = None) -> RunReport:
                 {"diverging_indices": diverging})
 
     def cm():
-        count = len(facets())
-        if count > CERTIFICATE_CHECK_LIMIT:
-            return _unchecked(_over_certificate_limit(count), claimed=True)
+        # the block ordering has no cap of its own, so the claim checks
+        # the certificate cap here, keeping its claimed value
+        try:
+            _require_certifiable(len(facets()))
+        except CapacityError as exc:
+            return _unchecked(str(exc), claimed=True)
         # the block ordering is always checked: its verdict is never None;
         # a refused sweep leaves the claim unchecked, with its reason
         verdict = cohen_macaulay_verdict(g, ordering="block", f_vector=sweep())
@@ -277,9 +274,8 @@ def build_graph_report(g: Graph, trees: int | None = None) -> RunReport:
         return count, mt, count == mt, None
 
     def cm():
-        if mt > CERTIFICATE_CHECK_LIMIT:
-            return _unchecked(_over_certificate_limit(mt))
-        # a refused sweep leaves the claim unchecked, with its reason
+        # a refused sweep, and past the certificate cap the verdict's
+        # refusal, leave the claim unchecked with the refusal as reason
         verdict = cohen_macaulay_verdict(g, ordering="search", trees=mt, f_vector=sweep())
         return ({"quotient_ordering_shells": True},
                 {"cohen_macaulay": verdict.cohen_macaulay,

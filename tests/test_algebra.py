@@ -414,21 +414,24 @@ def test_verdict_search_certificate_is_lexicographic_shelling():
 
 
 def test_verdict_search_leaves_large_ideals_unchecked(monkeypatch):
-    # the certificate checks stop at CERTIFICATE_CHECK_LIMIT facets; the
-    # verdict is then unknown, never False, and the tree count decides
-    # that before any tree is enumerated
+    # the certificate checks stop at CERTIFICATE_CHECK_LIMIT facets; past
+    # it the search ordering is refused, naming the facet count and the
+    # cap, and the tree count decides that before any tree is enumerated
     from jahangir_ssc import algebra
 
-    j6 = build_jahangir(6)
-    assert len(enumerate_spanning_trees_generic(j6)) > algebra.CERTIFICATE_CHECK_LIMIT
+    j6, j7 = build_jahangir(6), build_jahangir(7)
+    assert (len(enumerate_spanning_trees_generic(j6)) <= algebra.CERTIFICATE_CHECK_LIMIT
+            < len(enumerate_spanning_trees_generic(j7)))
 
     def no_enumeration(g):
         raise AssertionError("facets enumerated past the check limit")
 
     monkeypatch.setattr(algebra, "enumerate_spanning_trees_generic", no_enumeration)
-    verdict = cohen_macaulay_verdict(j6, ordering="search")
-    assert verdict.cohen_macaulay is None
-    assert verdict.certificate is None and verdict.shelling_agrees is None
+    reason = "10082 facets over the certificate check limit of 3000"
+    with pytest.raises(CapacityError, match=f"^{reason}$"):
+        cohen_macaulay_verdict(j7, ordering="search")
+    with pytest.raises(CapacityError, match=f"^{reason}$"):
+        cohen_macaulay_verdict(j6, ordering="search", trees=10082)
 
 
 def test_verdict_reports_a_failing_block_ordering(monkeypatch, j3):

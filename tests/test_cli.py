@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -97,17 +98,17 @@ def _sources(report):
 def test_a_claim_has_its_sources_whether_checked_or_not(triangle_file):
     from jahangir_ssc import parse_graph
 
-    # J(2,6) leaves cohen_macaulay unchecked; the long document, whose
+    # J(2,7) leaves cohen_macaulay unchecked; the long document, whose
     # sweep is refused, the exact-ie, Hilbert and Cohen-Macaulay claims
-    small, large = build_jahangir_report(3), build_jahangir_report(6)
+    small, large = build_jahangir_report(3), build_jahangir_report(7)
     assert {c.name for c in large.claims if c.verdict == "unchecked"} == {"cohen_macaulay"}
     assert _sources(small) == _sources(large)
-    # the closed form answers at every m: at m = 6 it first departs at
-    # i = 6, by the 6 theta subgraphs its pair truncation misses
+    # the closed form answers at every m: at m = 7 it first departs at
+    # i = 6, by the 7 theta subgraphs its pair truncation misses
     closed_form = next(c for c in large.claims if c.name == "f_vector_closed_form")
     assert closed_form.verdict == "mismatch"
     first = closed_form.detail["diverging_indices"][0]
-    assert first["index"] == 6 and int(first["closed_form"]) - int(first["direct"]) == 6
+    assert first["index"] == 6 and int(first["closed_form"]) - int(first["direct"]) == 7
 
     long = Graph(150, tuple((i, i + 1) for i in range(149))
                  + tuple((a, a + 3) for a in (16, 48, 80, 112)))
@@ -144,22 +145,42 @@ def test_graph_report_checks_hilbert_past_the_exact_ie_budget():
 
 
 def test_graph_report_leaves_large_certificates_unchecked():
-    # J(2,6) has 2700 facets, past the certificate check limit
-    cm = build_graph_report(build_jahangir(6)).claims[-1]
+    # J(2,7) has 10,082 facets, past the certificate check limit; the
+    # verdict's refusal is the claim's reason
+    cm = build_graph_report(build_jahangir(7)).claims[-1]
     assert cm.name == "cohen_macaulay_consistency" and cm.verdict == "unchecked"
     assert cm.claimed_source == "lexicographic facet order"
     assert cm.detail == {
-        "reason": f"2700 facets over the certificate check limit of {CERTIFICATE_CHECK_LIMIT}"}
+        "reason": f"10082 facets over the certificate check limit of {CERTIFICATE_CHECK_LIMIT}"}
 
 
 def test_jahangir_verify_names_the_facet_count_and_the_certificate_cap(run_cli):
-    # J(2,6)'s 2700 facets are past CERTIFICATE_CHECK_LIMIT
+    # J(2,7)'s 10,082 and J(2,8)'s 37,632 facets are past
+    # CERTIFICATE_CHECK_LIMIT; J(2,6)'s 2700 are the largest under it
+    for m, facets in ((7, 10082), (8, 37632)):
+        res = run_cli("jahangir", "--m", str(m), "verify")
+        assert res.code == 3
+        cm = next(c for c in res.json()["claims"] if c["name"] == "cohen_macaulay")
+        assert cm["verdict"] == "unchecked" and cm["claimed"] is True
+        assert cm["detail"] == {"reason": f"{facets} facets over the certificate "
+                                          f"check limit of {CERTIFICATE_CHECK_LIMIT}"}
     res = run_cli("jahangir", "--m", "6", "verify")
     assert res.code == 3
     cm = next(c for c in res.json()["claims"] if c["name"] == "cohen_macaulay")
-    assert cm["verdict"] == "unchecked" and cm["claimed"] is True
-    assert cm["detail"] == {
-        "reason": f"2700 facets over the certificate check limit of {CERTIFICATE_CHECK_LIMIT}"}
+    assert cm["verdict"] == "match" and cm["oracle"] is True
+    assert cm["detail"] == {"ordering_source": "block", "shelling_agrees": True}
+
+
+def test_cm_search_past_the_certificate_cap_exits_2(run_cli):
+    # the search ordering is refused like every other capped request,
+    # before any tree is enumerated; the block ordering has no such cap
+    res = run_cli("jahangir", "--m", "7", "cm", "--ordering", "search")
+    assert (res.code, res.stdout) == (2, "")
+    assert res.stderr == ("capacity error: 10082 facets over the certificate check "
+                          f"limit of {CERTIFICATE_CHECK_LIMIT}\n")
+    res = run_cli("jahangir", "--m", "6", "cm", "--ordering", "search")
+    assert res.code == 0 and res.json()["cohen_macaulay"] is True
+    assert run_cli("jahangir", "--m", "7", "cm", "--ordering", "block").code == 0
 
 
 def _termwise_diverging_degrees(series, f):
@@ -811,6 +832,36 @@ def test_a_re_export_runs_its_home_and_the_layers_before_it(name, ran):
     assert proc.stdout.split() == ran.split()
 
 
+# find_spec and the other import metadata of an unrun layer leave it
+# unrun; vars() and any other attribute still run its body.
+METADATA_CHILD = """
+import importlib.util, sys, types
+import jahangir_ssc
+def ran():
+    return sorted(m[len("jahangir_ssc."):] for m in sys.modules
+                  if m.startswith("jahangir_ssc.")
+                  and type(sys.modules[m]) is types.ModuleType)
+for layer in reversed(jahangir_ssc._LAYERS):
+    name = "jahangir_ssc." + layer
+    module = sys.modules[name]
+    assert importlib.util.find_spec(name) is module.__spec__
+    assert module.__name__ == name and module.__package__ == "jahangir_ssc"
+    assert module.__file__ and module.__cached__ and module.__loader__
+print(*ran())
+vars(jahangir_ssc.graphs)
+print(*ran())
+jahangir_ssc.cycles.__doc__
+print(*ran())
+"""
+
+
+def test_import_metadata_of_an_unrun_layer_leaves_it_unrun():
+    proc = _run_child(METADATA_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == ["errors", "errors graphs records",
+                                           "cycles errors graphs records"]
+
+
 # Four threads make the first reads of two layers at once, switching
 # every microsecond: none may see a layer whose body has not finished.
 THREADS_CHILD = """
@@ -1006,17 +1057,56 @@ def test_tree_count_guard_refuses_before_the_determinant(run_cli, tmp_path):
     assert TREE_GUARD_VERTEX_LIMIT == build_jahangir(JAHANGIR_M_LIMIT).vertex_count
 
 
+def _random_document(path, n: int, edges: int, seed: int):
+    """A connected random simple graph on n vertices with the given number
+    of edges, written as a document."""
+    import itertools
+
+    from jahangir_ssc import Graph, emit_graph, is_connected
+
+    pairs = random.Random(seed).sample(list(itertools.combinations(range(n), 2)), edges)
+    g = Graph(n, tuple(pairs))
+    assert is_connected(g)
+    path.write_text(emit_graph(g))
+    return str(path)
+
+
+def test_dense_documents_are_refused_before_the_determinant(run_cli, tmp_path):
+    # a cactus subgraph already has more trees than the limit, so facets,
+    # cm and verify exit 2 without the determinant, which took 29 s and
+    # 99 s on such graphs
+    for edges, seed, bound in ((4296, 1, 2025000), (42932, 2, 1259712)):
+        doc = _random_document(tmp_path / f"dense{edges}.json", 415, edges, seed)
+        for action in ("facets", "cm", "verify"):
+            start = time.perf_counter()
+            res = run_cli("graph", "--input", doc, action)
+            assert time.perf_counter() - start < 1.0, (edges, action)
+            assert (res.code, res.stdout) == (2, "")
+            assert res.stderr == (f"capacity error: at least {bound} spanning trees, the "
+                                  "count of a cactus subgraph, exceed the enumeration "
+                                  "limit 500000\n")
+    # K9's cactus has 3^4 = 81 trees, which decides nothing: the
+    # determinant's exact count is the reason, as before
+    from jahangir_ssc import Graph, emit_graph
+
+    k9 = tmp_path / "k9.json"
+    k9.write_text(emit_graph(Graph(9, tuple((u, v) for u in range(9)
+                                             for v in range(u + 1, 9)))))
+    res = run_cli("graph", "--input", str(k9), "facets")
+    assert res.stderr == ("capacity error: 4782969 spanning trees exceed the "
+                          "enumeration limit 500000\n")
+
+
 def test_tree_counts_at_the_guard_cap_answer_within_budget(run_cli, tmp_path):
-    # the guard counts the trees of its largest graphs in milliseconds,
-    # so J(2,207)'s refusal and a 415-cycle's answer come quickly
-    trees = ("24725343818967091450444086481126047509107706246989474567211283"
-             "198039568775920544226439307706965763312507243644734938050")
+    # the guard decides its largest graphs in milliseconds, so J(2,207)'s
+    # refusal, by a cactus subgraph's 4^10 trees, and a 415-cycle's
+    # answer come quickly
     start = time.perf_counter()
     res = run_cli("jahangir", "--m", "207", "verify")
     assert time.perf_counter() - start < 1.0
     assert res.code == 2 and res.stdout == ""
-    assert res.stderr == (f"capacity error: {trees} spanning trees exceed the "
-                          "enumeration limit 500000\n")
+    assert res.stderr == ("capacity error: at least 1048576 spanning trees, the count "
+                          "of a cactus subgraph, exceed the enumeration limit 500000\n")
 
     from jahangir_ssc import Graph, emit_graph
 

@@ -19,7 +19,11 @@ from jahangir_ssc import (
     matrix_tree_count,
     parse_graph,
 )
-from jahangir_ssc.graphs import MAX_INDEPENDENT_CYCLES, _is_simple_cycle_mask
+from jahangir_ssc.graphs import (
+    MAX_INDEPENDENT_CYCLES,
+    _cactus_tree_bound,
+    _is_simple_cycle_mask,
+)
 from jahangir_ssc.records import base_cycle_indices, rim_indices, spoke_index
 
 from oracles import (
@@ -344,6 +348,30 @@ def test_matrix_tree_count_at_the_guard_cap_within_budget(g):
     assert count > 0
 
 
+def test_cactus_bound_never_exceeds_the_tree_count():
+    # the bound is the tree count of a subgraph, so at most the graph's
+    rng = random.Random(15)
+    for _ in range(150):
+        n, edges = random_connected_graph(rng, max_vertices=14, max_extra=25, max_edges=40)
+        g = relabelled(n, edges, rng)
+        bound = _cactus_tree_bound(g, 10 ** 100)
+        assert 1 <= bound <= laplacian_tree_count(n, list(g.edges))
+    for n in range(3, 40):  # a cycle is its own cactus
+        assert _cactus_tree_bound(relabelled(n, [(i, (i + 1) % n) for i in range(n)],
+                                             rng), 10 ** 100) == n
+    assert _cactus_tree_bound(Graph(5, ((0, 1), (1, 2), (3, 4))), 10 ** 100) == 0
+
+
+def test_cactus_bound_stops_once_it_passes_the_limit():
+    # K9's greedy cactus is four triangles at vertex 0: 81 trees; J(2,207)'s
+    # 4-cycles pass 500,000 at the tenth, long before all are multiplied
+    k9 = Graph(9, tuple((u, v) for u in range(9) for v in range(u + 1, 9)))
+    assert _cactus_tree_bound(k9, 10 ** 100) == 81
+    j207 = build_jahangir(207)
+    assert _cactus_tree_bound(j207, 500_000) == 4 ** 10
+    assert 4 ** 10 < _cactus_tree_bound(j207, 10 ** 100) <= matrix_tree_count(j207)
+
+
 # ---------------------------------------------------------------------------
 # simple cycles
 
@@ -392,6 +420,47 @@ def test_simple_cycles_random():
         g = Graph(n, tuple(edges))
         assert set(map(as_set, enumerate_simple_cycles(g))) == \
             brute_simple_cycles(n, edges)
+
+
+def _with_pendant_paths(rng, n, core):
+    """core's edges shuffled among those of 1-3 pendant paths of 20-200
+    edges each, and the document indices of the core's edges."""
+    edges, v = list(core), n
+    for _ in range(rng.randint(1, 3)):
+        end = rng.randrange(v)
+        for _ in range(rng.randint(20, 200)):
+            edges.append((end, v))
+            end, v = v, v + 1
+    rng.shuffle(edges)
+    return Graph(v, tuple(edges)), [i for i, e in enumerate(edges) if max(e) < n]
+
+
+def test_simple_cycles_ignore_long_pendant_paths():
+    # the cycles are the core's, at the document's indices, in canonical
+    # order, however the pendant edges interleave with the core's
+    rng = random.Random(16)
+    for _ in range(30):
+        n, core = random_connected_graph(rng, max_vertices=7, max_extra=4, max_edges=10)
+        g, at = _with_pendant_paths(rng, n, core)
+        want = {frozenset(at[i] for i in c)
+                for c in brute_simple_cycles(n, [g.edges[i] for i in at])}
+        cycles = enumerate_simple_cycles(g)
+        assert len(cycles) == len(want) and set(map(as_set, cycles)) == want
+        tuples = [sorted(as_set(c)) for c in cycles]
+        assert tuples == sorted(tuples)
+
+
+def test_simple_cycles_after_a_long_path_cost_the_cycles_alone():
+    # the scan's masks span the cyclic part only: K7 listed after a
+    # 2000-vertex path takes what K7 alone takes (0.05-0.06 s here), where
+    # masks as wide as the edge list took 2.1-3.9 s
+    k7 = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+    path = [(6 + i, 7 + i) for i in range(2000)]
+    start = time.perf_counter()
+    cycles = enumerate_simple_cycles(Graph(2007, tuple(path + k7)))
+    assert time.perf_counter() - start < 0.5
+    assert len(cycles) == 1172
+    assert cycles == [c << 2000 for c in enumerate_simple_cycles(Graph(7, tuple(k7)))]
 
 
 def test_simple_cycles_canonical_order(j3):
