@@ -15,9 +15,8 @@ under one lock, so a second thread waits for the whole module, and a
 body that raises is run again, and raises again, at the next read.
 `type(module) is types.ModuleType` once it has run. The public names
 in `__all__` resolve through `__getattr__`, which reads each from the
-first module that has it: `errors`, then the layers in import order.
-That module is the name's home, so reading a re-export runs its home
-layer and the layers before it.
+module that defines it, its home in `_EXPORTS`, so reading a re-export
+runs its home layer and the layers that layer imports, and no other.
 """
 
 import importlib.util
@@ -29,22 +28,31 @@ from . import errors
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CMVerdict", "CapacityError", "ClaimResult", "CycleCatalog",
-    "CycleCatalogEntry", "EdgeLabel", "EdgeSet", "FormulaFVector",
-    "FormulaTerm", "Graph", "GraphParseError", "HilbertSeries",
-    "IntersectionMismatch", "IntersectionSurvey", "InvalidParameterError",
-    "JssError", "PartitionReport", "PurityError", "RunReport", "TreeClass",
-    "build_graph_report", "build_jahangir", "build_jahangir_report", "certify",
-    "claimed_order", "cohen_macaulay_verdict", "edge_indices", "emit_graph",
-    "enumerate_simple_cycles", "enumerate_spanning_trees_generic",
-    "enumerate_spanning_trees_jahangir", "f_vector_direct", "f_vector_exact_ie",
-    "f_vector_formula", "hilbert_function", "hilbert_series",
-    "intersection_survey", "is_connected", "jahangir_order",
-    "matrix_tree_count", "oracle_cycle_catalog", "parse_graph",
-    "predict_intersection", "prefix_block_ordering", "verify_partition",
-    "word_cycle_catalog", "word_edge_set", "word_of",
-]
+# Each public name under the module that defines it, its home.
+_EXPORTS = {
+    "errors": ("CapacityError", "GraphParseError", "InvalidParameterError",
+               "JssError", "PurityError"),
+    "records": ("EdgeLabel", "EdgeSet", "Graph", "build_jahangir", "edge_indices",
+                "is_connected"),
+    "graphs": ("emit_graph", "enumerate_simple_cycles", "matrix_tree_count",
+               "parse_graph"),
+    "cycles": ("CycleCatalog", "CycleCatalogEntry", "IntersectionMismatch",
+               "IntersectionSurvey", "claimed_order", "intersection_survey",
+               "jahangir_order", "oracle_cycle_catalog", "predict_intersection",
+               "word_cycle_catalog", "word_edge_set", "word_of"),
+    "complexes": ("HilbertSeries", "f_vector_direct", "hilbert_function",
+                  "hilbert_series"),
+    "spanning": ("PartitionReport", "TreeClass", "enumerate_spanning_trees_generic",
+                 "enumerate_spanning_trees_jahangir", "verify_partition"),
+    "formulas": ("FormulaFVector", "FormulaTerm", "f_vector_exact_ie",
+                 "f_vector_formula"),
+    "algebra": ("CMVerdict", "block_ordering_histogram", "certify",
+                "cohen_macaulay_verdict", "prefix_block_ordering"),
+    "reports": ("ClaimResult", "RunReport", "build_graph_report",
+                "build_jahangir_report"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
 
 # The layers in import order: each imports only from errors and the
 # layers before it. complexes imports from records alone, and precedes
@@ -104,12 +112,10 @@ globals().update({layer: _lazy(layer) for layer in _LAYERS})
 
 
 def __getattr__(name: str):
-    # The first module that has a public name defines it, since a layer
-    # imports only from the modules before it.
-    if name in __all__:
-        for module in (errors, *map(globals().get, _LAYERS)):
-            if hasattr(module, name):
-                return getattr(module, name)
+    # a public name is read from its home alone, which runs that layer
+    # and the layers it imports
+    if name in _HOME:
+        return getattr(globals()[_HOME[name]], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -20,9 +20,43 @@ sweep's f-vector.
 A verdict takes one of two orderings. The block ordering ("block")
 lists the facet-ideal generators of J(2,m) by the length of the
 leading run of deleted spokes (longest run first, lexicographic inside
-each block); it is defined on J(2,m) in its canonical edge order only,
-and the test suite, not this module, is the arbiter that it passes the
-quotient test.
+each block); it is defined on J(2,m) in its canonical edge order only.
+
+`block_ordering_histogram` gives the block ordering's histogram of
+|U_i| without listing a facet, from exchange rules. A tree deletes a
+spoke set S (never all m spokes) and one rim edge, its pick, from each
+arc: the base cycles between two cyclically consecutive kept spokes.
+Spoke j is s_j, k is the length of S's leading run s_1..s_k, and inside
+one block F - x + y comes earlier exactly when x < y as edge indices. A
+tree F - x + y needs x on the fundamental cycle of y in F. A pick's
+cycle is its arc's rim path and the two kept spokes at its ends; a
+deleted spoke's cycle runs along the rim from its rim vertex, away from
+the pick, to the kept spoke on that side. So x in F is usable in four
+cases:
+  (a) x is a rim edge of an arc, below that arc's pick;
+  (b) x is a rim edge on the far side, from the pick, of a deleted spoke
+      s_j (j > k) inside its arc, and x < s_j;
+  (c) x is a kept spoke s_j between two arcs, and either j = k + 1 or
+      s_j is below one of the two picks;
+  (d) x is a kept spoke s_j, and a deleted spoke s_i inside those two
+      arcs separates their picks, with i > k and s_j < s_i. With one
+      arc (|S| = m - 1) no pick can replace s_{k+1}, the one kept spoke,
+      and it is usable exactly when S holds a spoke past k.
+A rim edge lies on the cycles of its own arc's pick and deleted spokes
+only, so (a) and (b) read one pick. A kept spoke lies on the cycles of
+both arcs beside it, so (c) and (d) read two. Hence |U| is a sum: per
+arc, the usable rim edges, which its pick decides, and per kept spoke a
+0 or 1, which the picks on either side decide, each by a test of its
+own (the kept spoke is usable when either side's pick makes it so).
+Each arc's picks are tallied once into four polynomials in z, z^|usable
+rim edges| per pick, by the two tests its pick passes for the kept
+spokes at its ends; a polynomial is one int, each coefficient in a
+field of 3m bits, which no count of trees reaches. Since s_{k+1} is
+usable whatever the picks, a spoke set's histogram is a transfer along
+its arcs from s_{k+1} round to it, two polynomials wide (whether the
+next kept spoke is already usable), with no tree listed and no set of
+earlier facets. `verify` checks the block ordering this way; `cm`
+checks the permutation it prints with `certify`.
 
 The search ordering ("search"), for any connected graph, is the
 canonical facet order itself: spanning trees sorted as edge tuples. A
@@ -34,6 +68,7 @@ the lexicographic order of a matroid's bases is a shelling (Bjorner,
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from typing import NamedTuple, Sequence
 
@@ -50,25 +85,17 @@ from .records import (
 )
 from .spanning import enumerate_spanning_trees_generic, enumerate_spanning_trees_jahangir
 
-# Past this many facets a certificate is not checked: the search
-# ordering's verdict refuses, and verify leaves its Cohen-Macaulay claim
-# unchecked. The cap serves a budget of about 20 ms per check. On one
-# core of a shared 2-core Intel Xeon machine (CPython 3.11.7,
-# in-process, least of 5, block and canonical order) the one-pass
-# certificate takes 3 ms on J(2,5)'s 722 facets, 14-15 ms on J(2,6)'s
-# 2700, the largest certificate under the cap, and 65-71 ms on J(2,7)'s
-# 10,082; J(2,8)'s 37,632 take about 0.38 s and J(2,9)'s 140,450 about
-# 2.2 s. cm --ordering block is not capped here: the tree guard bounds
-# it.
+# Past this many facets the search ordering's verdict refuses, so a
+# graph document's Cohen-Macaulay claim is left unchecked. The cap
+# serves a budget of about 20 ms per check. On one core of a shared
+# 2-core Intel Xeon machine (CPython 3.11.7, in-process, least of 5,
+# block and canonical order) the one-pass certificate takes 3 ms on
+# J(2,5)'s 722 facets, 14-15 ms on J(2,6)'s 2700 and 65-71 ms on
+# J(2,7)'s 10,082; J(2,8)'s 37,632 take about 0.38 s and J(2,9)'s
+# 140,450 about 2.2 s. The block ordering is not capped here: verify
+# checks it by block_ordering_histogram, which lists no facet, and the
+# tree guard bounds cm --ordering block.
 CERTIFICATE_CHECK_LIMIT = 3000
-
-
-def _require_certifiable(facets: int) -> None:
-    """Refuse a certificate of more than CERTIFICATE_CHECK_LIMIT facets,
-    naming the facet count and the cap."""
-    if facets > CERTIFICATE_CHECK_LIMIT:
-        raise CapacityError(
-            f"{facets} facets over the certificate check limit of {CERTIFICATE_CHECK_LIMIT}")
 
 
 def certify(facets: Sequence[EdgeSet]) -> tuple[int | None, tuple[int, ...] | None]:
@@ -112,13 +139,6 @@ def certify(facets: Sequence[EdgeSet]) -> tuple[int | None, tuple[int, ...] | No
 # The block ordering for J(2,m)
 
 
-def _leading_spoke_run(removed: EdgeSet, m: int) -> int:
-    k = 0
-    while k < m and removed >> spoke_index(k + 1, m) & 1:
-        k += 1
-    return k
-
-
 # Each byte with its 8 bits in reverse order.
 _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
@@ -145,10 +165,100 @@ def prefix_block_ordering(m: int) -> tuple[int, ...]:
     position. For sets of one size the lexicographic order of the
     deleted sets is the reverse of that of the trees, so the ordering
     is the stable sort of the positions by run length, reversed."""
-    every_edge = (1 << 3 * m) - 1
+    spokes = sum(1 << spoke_index(j, m) for j in range(1, m + 1))
     trees = _lexicographic(enumerate_spanning_trees_jahangir(m), 3 * m)
-    runs = [_leading_spoke_run(every_edge ^ tree, m) for tree in trees]
+    # the leading run ends below the lowest kept spoke, s_(k+1) at bit
+    # 3k, the lowest bit of kept & -kept
+    runs = [(kept & -kept).bit_length() // 3 for kept in [t & spokes for t in trees]]
     return tuple(reversed(sorted(range(len(runs)), key=runs.__getitem__)))
+
+
+def _arc_polynomials(m: int, p: int, length: int, width: int) -> tuple[int, int, int, int]:
+    """The picks of the arc from kept spoke s_p over `length` base
+    cycles, tallied as four polynomials in z, packed `width` bits a
+    coefficient: z^|usable rim edges| per pick (cases a and b), indexed
+    2*start + end, where start and end say whether the pick makes s_p
+    and the arc's end spoke usable (cases c and d)."""
+    end = (p + length - 1) % m + 1
+    # the arc that wraps past s_m ends at s_(k+1), and holds the run s_1..s_k
+    k = max(0, p + length - m - 1)
+    cycles = [(p + t - 1) % m + 1 for t in range(length)]
+    rim = [3 * c - 2 + side for c in cycles for side in (0, 1)]  # edge indices, in arc order
+    # each deleted spoke inside the arc: its rim vertex's arc position
+    # (the number of rim edges before it), its number, and the rim
+    # edges below it between it and either end, as position bits
+    inner = []
+    for j in range(1, length):
+        s, v = cycles[j], 2 * j
+        below = sum(1 << t for t in range(2 * length) if cycles[t // 2] < s) if s > k else 0
+        inner.append((v, s, below & ((1 << v) - 1), below >> v << v))
+    polynomials = [0, 0, 0, 0]
+    for pick, x in enumerate(rim):
+        cycle = cycles[pick // 2]
+        usable = sum(1 << t for t, y in enumerate(rim) if y < x)   # (a)
+        start, stop = cycle >= p, cycle >= end                     # (c)
+        for v, s, near, far in inner:
+            if v <= pick:  # the spoke hangs from s_p
+                usable |= near                                     # (b)
+                start = start or s > p                             # (d)
+            else:          # from the end spoke
+                usable |= far                                      # (b)
+                stop = stop or s > end                             # (d)
+        polynomials[2 * start + stop] += 1 << width * usable.bit_count()
+    return tuple(polynomials)
+
+
+def _spoke_set_histograms(m: int):
+    """Each spoke set the cutting-down rule may delete, with its trees'
+    histogram of usable-element counts in the block order, packed 3m
+    bits a count."""
+    width = 3 * m
+    arcs: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+
+    def arc(p: int, length: int) -> tuple[int, int, int, int]:
+        if (p, length) not in arcs:
+            arcs[p, length] = _arc_polynomials(m, p, length, width)
+        return arcs[p, length]
+
+    for size in range(1, m + 1):
+        for kept in itertools.combinations(range(1, m + 1), size):
+            first = kept[0]  # s_(k+1)
+            if size == 1:
+                usable = 1 << width if first < m else 1  # (d), one arc
+                histogram = sum(arc(first, m)) * usable
+            else:
+                # s_(k+1) is usable whatever the picks (c, j = k + 1),
+                # so the cycle of arcs opens there. hit and miss tally
+                # the picks so far by whether they make the next kept
+                # spoke usable already; each arc's picks settle it
+                hit, miss = 1, 0
+                for i, p in enumerate(kept):
+                    q = kept[i + 1] if i + 1 < size else first + m
+                    p00, p01, p10, p11 = arc(p, q - p)
+                    usable = (hit + miss) << width  # the pick makes s_p usable
+                    unsure = (hit << width) + miss  # s_p usable if hit
+                    hit, miss = p01 * unsure + p11 * usable, p00 * unsure + p10 * usable
+                histogram = hit + miss
+            yield tuple(j for j in range(1, m + 1) if j not in kept), histogram
+
+
+def _unpacked(packed: int, width: int) -> tuple[int, ...]:
+    """The coefficients of a packed polynomial, up to its degree."""
+    field = (1 << width) - 1
+    return tuple((packed >> width * i) & field
+                 for i in range((packed.bit_length() + width - 1) // width))
+
+
+def block_ordering_histogram(m: int) -> tuple[int, ...]:
+    """histogram[u] counts the facets of J(2,m) with u usable elements
+    in the block order, as certify counts them on prefix_block_ordering's
+    permutation, but from the exchange rules (a)-(d) per spoke set: no
+    facet is listed. The order has quasi-linear quotients exactly when
+    histogram[0] is 1, and is a shelling exactly when the histogram is
+    the h-vector. The cost is O(2^m) transfers of O(m) products."""
+    if m < 3:
+        raise InvalidParameterError(f"m must be >= 3, got {m}")
+    return _unpacked(sum(h for _, h in _spoke_set_histograms(m)), 3 * m)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +309,10 @@ def cohen_macaulay_verdict(g: Graph, ordering: str, trees: int | None = None,
             raise InvalidParameterError(
                 "block ordering is only defined for J(2,m) in its canonical edge order")
     else:
-        _require_certifiable(matrix_tree_count(g) if trees is None else trees)
+        count = matrix_tree_count(g) if trees is None else trees
+        if count > CERTIFICATE_CHECK_LIMIT:
+            raise CapacityError(f"{count} facets over the certificate check limit "
+                                f"of {CERTIFICATE_CHECK_LIMIT}")
     facets = enumerate_spanning_trees_generic(g)
     certificate = (prefix_block_ordering(m) if ordering == "block"
                    else tuple(range(len(facets))))

@@ -142,12 +142,25 @@ class Graph(_Checked, _GraphFields):
         return len(self.edges)
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Adjacency lists of (neighbor, edge index) pairs."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
-        for idx, (u, v) in enumerate(self.edges):
-            adj[u].append((v, idx))
-            adj[v].append((u, idx))
+        """Adjacency lists of (neighbor, edge index) pairs, built once
+        for the graph last asked and shared: a caller must not change
+        them."""
+        global _ADJACENCY
+        graph, adj = _ADJACENCY
+        if graph is not self:
+            adj = [[] for _ in range(self.vertex_count)]
+            for idx, (u, v) in enumerate(self.edges):
+                adj[u].append((v, idx))
+                adj[v].append((u, idx))
+            _ADJACENCY = (self, adj)
         return adj
+
+
+# The graph whose adjacency lists were last built, and the lists. A
+# request reads them in the connectivity test and again in the cactus
+# bound, on one graph object, so it is matched by identity: hashing a
+# graph would hash its whole edge tuple.
+_ADJACENCY: tuple[Graph | None, list[list[tuple[int, int]]]] = (None, [])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from itertools import accumulate
 from operator import mul
 from typing import NamedTuple
 
-from .algebra import _require_certifiable, cohen_macaulay_verdict
+from .algebra import block_ordering_histogram, cohen_macaulay_verdict
 from .complexes import f_vector_direct, hilbert_series
 from .cycles import (
     claimed_order,
@@ -79,9 +79,9 @@ def _once(compute):
     return read
 
 
-def _unchecked(reason: str, claimed: object = None, oracle: object = None):
-    """A check's result when its oracle cannot run: the known values and why."""
-    return claimed, oracle, None, {"reason": reason}
+def _unchecked(reason: str, oracle: object = None):
+    """A check's result when its oracle cannot run: the known value and why."""
+    return None, oracle, None, {"reason": reason}
 
 
 def _run_claims(command: str, parameters: dict, rows) -> RunReport:
@@ -227,19 +227,18 @@ def build_jahangir_report(m: int, trees: int | None = None) -> RunReport:
                 {"diverging_indices": diverging})
 
     def cm():
-        # the block ordering has no cap of its own, so the claim checks
-        # the certificate cap here, keeping its claimed value
-        try:
-            _require_certifiable(len(facets()))
-        except CapacityError as exc:
-            return _unchecked(str(exc), claimed=True)
-        # the block ordering is always checked: its verdict is never None;
-        # a refused sweep leaves the claim unchecked, with its reason
-        verdict = cohen_macaulay_verdict(g, ordering="block", f_vector=sweep())
-        return (True, verdict.cohen_macaulay,
-                bool(verdict.cohen_macaulay and verdict.shelling_agrees),
-                {"ordering_source": verdict.ordering_source,
-                 "shelling_agrees": verdict.shelling_agrees})
+        # the block ordering's histogram by the exchange rules, at every
+        # m the guard serves; a refused sweep leaves the claim unchecked,
+        # with its reason. The histogram must count the trees of both
+        # enumerators, and only the first facet may have no usable element
+        h_vector = hilbert_series(sweep()).numerator
+        histogram = block_ordering_histogram(m)
+        counts = {len(enumerate_spanning_trees_generic(g)),
+                  len(enumerate_spanning_trees_jahangir(m)), sum(histogram)}
+        quotients = histogram[0] == 1 and len(counts) == 1
+        shelling = histogram == h_vector if quotients else None
+        return (True, quotients, bool(shelling),
+                {"ordering_source": "block", "shelling_agrees": shelling})
 
     return _run_claims("jahangir", {"m": m}, (
         ("spanning_tree_count", "structured cutting-down enumeration",

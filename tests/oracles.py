@@ -311,3 +311,37 @@ def termwise_hilbert_numerator(f: tuple[int, ...]) -> tuple[int, ...]:
     while len(h) > 1 and h[-1] == 0:
         h.pop()
     return tuple(h)
+
+
+def leading_spoke_run(deleted: frozenset[int], m: int) -> int:
+    """How many of spokes 1, 2, ... (edges 0, 3, ...) a deleted edge
+    set holds before the first it lacks, walked spoke by spoke."""
+    k = 0
+    while k < m and 3 * k in deleted:
+        k += 1
+    return k
+
+
+def block_order_histograms(trees: set[frozenset[int]], m: int) -> dict:
+    """For the spanning trees of J(2,m), given as edge index sets: per
+    deleted spoke set (spoke numbers, ascending), the histogram of the
+    trees' usable-element counts in the block order. The order is
+    written from its definition: longest leading run of deleted spokes
+    first, then the deleted edge tuples ascending. x in F is usable when
+    some F - x + y is a tree at an earlier position, found by trying
+    every y outside F."""
+    universe = frozenset(range(3 * m))
+
+    def key(tree):
+        deleted = universe - tree
+        return -leading_spoke_run(deleted, m), sorted(deleted)
+
+    position = {tree: i for i, tree in enumerate(sorted(trees, key=key))}
+    counts: dict = {}
+    for tree, i in position.items():
+        usable = sum(1 for x in tree if any(
+            position.get(tree - {x} | {y}, i) < i for y in universe - tree))
+        spokes = tuple(j + 1 for j in range(m) if 3 * j not in tree)
+        counts.setdefault(spokes, []).append(usable)
+    return {spokes: tuple(found.count(u) for u in range(max(found) + 1))
+            for spokes, found in counts.items()}

@@ -15,6 +15,7 @@ from jahangir_ssc import (
     cohen_macaulay_verdict,
     enumerate_spanning_trees_generic,
     enumerate_spanning_trees_jahangir,
+    block_ordering_histogram,
     f_vector_direct,
     hilbert_series,
     prefix_block_ordering,
@@ -23,7 +24,10 @@ from jahangir_ssc import (
 from oracles import (
     as_mask,
     as_set,
+    block_order_histograms,
     brute_face_counts,
+    brute_spanning_trees,
+    leading_spoke_run,
     naive_colon_mindeg,
     naive_is_shelling,
     random_connected_graph,
@@ -157,14 +161,12 @@ def test_block_ordering_structure(m):
     # generators are grouped by the length of the leading run of
     # deleted spokes, longest run first, lex on the deletions within;
     # with the permutation check that fixes the ordering uniquely
-    from jahangir_ssc.algebra import _leading_spoke_run
-
     g = build_jahangir(m)
     facets = enumerate_spanning_trees_generic(g)
     every_edge = (1 << g.edge_count) - 1
     ordering = prefix_block_ordering(m)
     assert sorted(ordering) == list(range(len(facets)))
-    runs = [_leading_spoke_run(every_edge ^ facets[i], m) for i in ordering]
+    runs = [leading_spoke_run(as_set(every_edge ^ facets[i]), m) for i in ordering]
     assert runs == sorted(runs, reverse=True)
     assert runs[0] == m - 1 and runs[-1] == 0
     for k in range(m):
@@ -286,6 +288,46 @@ def test_histogram_is_the_sweeps_hilbert_numerator(m):
     assert certify(canonical) == (None, numerator)
     if m is not None:
         assert certify([canonical[i] for i in prefix_block_ordering(m)]) == (None, numerator)
+
+
+# ---------------------------------------------------------------------------
+# the block ordering's histogram by the exchange rules
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+def test_block_ordering_histogram_is_the_certificate_pass(m):
+    # the exchange rules count, per facet, the usable elements that the
+    # certificate pass finds on the printed permutation
+    canonical = enumerate_spanning_trees_generic(build_jahangir(m))
+    assert certify([canonical[i] for i in prefix_block_ordering(m)]) == (
+        None, block_ordering_histogram(m))
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_block_ordering_histogram_is_the_h_vector(m):
+    # at m = 9 and 10 no certificate pass runs: 140,450 and 524,172 facets
+    histogram = block_ordering_histogram(m)
+    assert histogram == hilbert_series(f_vector_direct(build_jahangir(m))).numerator
+    assert histogram[0] == 1
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_block_ordering_histogram_per_spoke_set(m):
+    # each spoke set's transfer against the facets that delete it, each
+    # facet's usable elements found by block position from the definition
+    from jahangir_ssc.algebra import _spoke_set_histograms, _unpacked
+
+    g = build_jahangir(m)
+    expected = block_order_histograms(brute_spanning_trees(g.vertex_count, list(g.edges)), m)
+    got = {spokes: _unpacked(packed, 3 * m) for spokes, packed in _spoke_set_histograms(m)}
+    assert got == expected
+    assert len(got) == 2 ** m - 1
+
+
+def test_block_ordering_histogram_refuses_small_m():
+    for m in (-1, 0, 2):
+        with pytest.raises(InvalidParameterError, match=f"m must be >= 3, got {m}"):
+            block_ordering_histogram(m)
 
 
 # The quotient test and the shelling test are NOT equal ordering by

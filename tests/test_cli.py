@@ -98,10 +98,10 @@ def _sources(report):
 def test_a_claim_has_its_sources_whether_checked_or_not(triangle_file):
     from jahangir_ssc import parse_graph
 
-    # J(2,7) leaves cohen_macaulay unchecked; the long document, whose
-    # sweep is refused, the exact-ie, Hilbert and Cohen-Macaulay claims
+    # J(2,7) leaves no claim unchecked; the long document, whose sweep
+    # is refused, the exact-ie, Hilbert and Cohen-Macaulay claims
     small, large = build_jahangir_report(3), build_jahangir_report(7)
-    assert {c.name for c in large.claims if c.verdict == "unchecked"} == {"cohen_macaulay"}
+    assert {c.name for c in large.claims if c.verdict == "unchecked"} == set()
     assert _sources(small) == _sources(large)
     # the closed form answers at every m: at m = 7 it first departs at
     # i = 6, by the 7 theta subgraphs its pair truncation misses
@@ -154,21 +154,57 @@ def test_graph_report_leaves_large_certificates_unchecked():
         "reason": f"10082 facets over the certificate check limit of {CERTIFICATE_CHECK_LIMIT}"}
 
 
-def test_jahangir_verify_names_the_facet_count_and_the_certificate_cap(run_cli):
-    # J(2,7)'s 10,082 and J(2,8)'s 37,632 facets are past
-    # CERTIFICATE_CHECK_LIMIT; J(2,6)'s 2700 are the largest under it
-    for m, facets in ((7, 10082), (8, 37632)):
+def test_jahangir_verify_names_the_facet_count_and_the_certificate_cap(run_cli, tmp_path):
+    # the jahangir claim checks the block ordering by its exchange rules,
+    # past CERTIFICATE_CHECK_LIMIT too: J(2,7)'s 10,082 and J(2,8)'s
+    # 37,632 facets are certified like J(2,6)'s 2700. The same graph as
+    # a document is certified by the search ordering, which the cap
+    # still refuses with the facet count
+    for m in (6, 7, 8):
         res = run_cli("jahangir", "--m", str(m), "verify")
         assert res.code == 3
         cm = next(c for c in res.json()["claims"] if c["name"] == "cohen_macaulay")
-        assert cm["verdict"] == "unchecked" and cm["claimed"] is True
-        assert cm["detail"] == {"reason": f"{facets} facets over the certificate "
-                                          f"check limit of {CERTIFICATE_CHECK_LIMIT}"}
-    res = run_cli("jahangir", "--m", "6", "verify")
-    assert res.code == 3
-    cm = next(c for c in res.json()["claims"] if c["name"] == "cohen_macaulay")
-    assert cm["verdict"] == "match" and cm["oracle"] is True
-    assert cm["detail"] == {"ordering_source": "block", "shelling_agrees": True}
+        assert cm["verdict"] == "match" and (cm["claimed"], cm["oracle"]) == (True, True)
+        assert cm["detail"] == {"ordering_source": "block", "shelling_agrees": True}
+    from jahangir_ssc import emit_graph
+
+    doc = tmp_path / "j7.json"
+    doc.write_text(emit_graph(build_jahangir(7)))
+    res = run_cli("graph", "--input", str(doc), "verify")
+    cm = next(c for c in res.json()["claims"] if c["name"] == "cohen_macaulay_consistency")
+    assert cm["verdict"] == "unchecked"
+    assert cm["detail"] == {"reason": "10082 facets over the certificate "
+                                      f"check limit of {CERTIFICATE_CHECK_LIMIT}"}
+
+
+def _cm_claim(monkeypatch, m, **patches):
+    for name, value in patches.items():
+        monkeypatch.setattr(reports, name, value)
+    return build_jahangir_report(m).claims[-1]
+
+
+def test_a_tampered_h_vector_or_histogram_is_a_mismatch(monkeypatch):
+    # the claim is a match only when the histogram passes the quotient
+    # test, counts every tree and equals the sweep's h-vector
+    series = reports.hilbert_series
+
+    def tampered(f):
+        s = series(f)
+        return s._replace(numerator=(*s.numerator[:-1], s.numerator[-1] + 1))
+
+    assert _cm_claim(monkeypatch, 7).verdict == "match"
+    claim = _cm_claim(monkeypatch, 7, hilbert_series=tampered)
+    assert (claim.verdict, claim.oracle) == ("mismatch", True)
+    assert claim.detail == {"ordering_source": "block", "shelling_agrees": False}
+    monkeypatch.undo()
+    histogram = reports.block_ordering_histogram(4)
+    for changed, quotients in (
+            ((1, histogram[1] - 1, histogram[2] + 1, *histogram[3:]), True),
+            ((2, histogram[1] - 1, *histogram[2:]), False),  # a second facet with none
+            ((1, histogram[1] + 1, *histogram[2:]), False)):  # a tree too many
+        claim = _cm_claim(monkeypatch, 4, block_ordering_histogram=lambda m: changed)
+        assert (claim.verdict, claim.oracle) == ("mismatch", quotients)
+        assert claim.detail["shelling_agrees"] is (False if quotients else None)
 
 
 def test_cm_search_past_the_certificate_cap_exits_2(run_cli):
@@ -823,8 +859,9 @@ print(*sorted(m[len("jahangir_ssc."):] for m in sys.modules
     ("Graph", "errors records"),
     ("parse_graph", "errors graphs records"),
     ("word_of", "cycles errors graphs records"),
-    # the search reads cycles and complexes before spanning
-    ("enumerate_spanning_trees_generic", "complexes cycles errors graphs records spanning"),
+    # the search reads complexes' frontier helpers, and no cycles
+    ("enumerate_spanning_trees_generic", "complexes errors graphs records spanning"),
+    ("block_ordering_histogram", "algebra complexes errors graphs records spanning"),
 ])
 def test_a_re_export_runs_its_home_and_the_layers_before_it(name, ran):
     proc = _run_child(REEXPORT_CHILD, name)
