@@ -83,7 +83,7 @@ from .records import (
     require_spanning_complex,
     spoke_index,
 )
-from .spanning import enumerate_spanning_trees_generic, enumerate_spanning_trees_jahangir
+from .spanning import enumerate_spanning_trees_generic
 
 # Past this many facets the search ordering's verdict refuses, so a
 # graph document's Cohen-Macaulay claim is left unchecked. The cap
@@ -139,34 +139,18 @@ def certify(facets: Sequence[EdgeSet]) -> tuple[int | None, tuple[int, ...] | No
 # The block ordering for J(2,m)
 
 
-# Each byte with its 8 bits in reverse order.
-_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _lexicographic(masks: list[EdgeSet], width: int) -> list[EdgeSet]:
-    """Edge sets of one size, below bit `width`, in ascending order of
-    their index tuples. For equal sizes that is the descending order of
-    the masks with their `width` bits reversed, bit 0 the highest: each
-    byte reversed by a table, the bytes read back in reverse order, and
-    the padding bits of the top byte shifted out, an int key no wider
-    than the mask."""
-    size = (width + 7) // 8
-    pad = 8 * size - width
-    return sorted(masks, key=lambda s, table=_REVERSED, read=int.from_bytes: read(
-        s.to_bytes(size, "little").translate(table), "big") >> pad, reverse=True)
-
-
 def prefix_block_ordering(m: int) -> tuple[int, ...]:
     """Permutation of the canonical facet-ideal generators of J(2,m):
     blocks by the length of the leading run of deleted spokes, longest
     first, lexicographic on the deleted edge tuple within a block.
 
-    Sorted by _lexicographic, each tree's rank is its canonical facet
-    position. For sets of one size the lexicographic order of the
-    deleted sets is the reverse of that of the trees, so the ordering
-    is the stable sort of the positions by run length, reversed."""
+    The generic enumerator lists the trees in canonical order, so a
+    tree's position is its rank, and the list is the one the verdict
+    reads. For sets of one size the lexicographic order of the deleted
+    sets is the reverse of that of the trees, so the ordering is the
+    stable sort of the positions by run length, reversed."""
+    trees = enumerate_spanning_trees_generic(build_jahangir(m))
     spokes = sum(1 << spoke_index(j, m) for j in range(1, m + 1))
-    trees = _lexicographic(enumerate_spanning_trees_jahangir(m), 3 * m)
     # the leading run ends below the lowest kept spoke, s_(k+1) at bit
     # 3k, the lowest bit of kept & -kept
     runs = [(kept & -kept).bit_length() // 3 for kept in [t & spokes for t in trees]]

@@ -110,14 +110,13 @@ def parse_graph(text: str) -> Graph:
     raw_edges = doc.get("edges")
     if not isinstance(raw_edges, list):
         raise GraphParseError('"edges" must be a list of [u, v] pairs')
-    edges: list[tuple[int, int]] = []
+    # bool is JSON's only subclass of int, so an exact type test refuses it
     for pos, item in enumerate(raw_edges):
-        ok = (isinstance(item, list) and len(item) == 2
-              and all(isinstance(x, int) and not isinstance(x, bool) for x in item))
-        if not ok:
+        if not (type(item) is list and len(item) == 2
+                and type(item[0]) is int and type(item[1]) is int):
             raise GraphParseError(
                 f"edges[{pos}]: expected a pair of integers, got {_echo(item)}")
-        edges.append((item[0], item[1]))
+    edges = tuple(map(tuple, raw_edges))
     labels: tuple[EdgeLabel, ...] | None = None
     if "labels" in doc:
         raw_labels = doc["labels"]
@@ -131,7 +130,7 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError(f"labels[{pos}]: {exc}") from None
         labels = tuple(parsed)
     try:
-        return Graph(doc["vertices"], tuple(edges), labels)
+        return Graph(doc["vertices"], edges, labels)
     except InvalidParameterError as exc:
         raise GraphParseError(str(exc)) from None
 

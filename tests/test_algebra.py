@@ -14,7 +14,6 @@ from jahangir_ssc import (
     certify,
     cohen_macaulay_verdict,
     enumerate_spanning_trees_generic,
-    enumerate_spanning_trees_jahangir,
     block_ordering_histogram,
     f_vector_direct,
     hilbert_series,
@@ -175,27 +174,11 @@ def test_block_ordering_structure(m):
         assert block == sorted(block)
 
 
-@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
-def test_lexicographic_is_the_order_of_index_tuples(m):
-    # the int key reverses each mask's 3m bits; its descending order is
-    # the ascending order of the trees' edge index tuples, which is the
-    # generic enumerator's canonical facet order
-    from jahangir_ssc.algebra import _lexicographic
-
-    trees = list(enumerate_spanning_trees_jahangir(m))
-    random.Random(m).shuffle(trees)
-    by_tuples = sorted(trees, key=lambda s: sorted(as_set(s)))
-    assert _lexicographic(trees, 3 * m) == by_tuples
-    if m <= 7:
-        assert by_tuples == list(enumerate_spanning_trees_generic(build_jahangir(m)))
-
-
 def test_block_ordering_builds_no_table_of_facets():
-    # one sort of the trees by an int key and one stable sort of their
-    # ranks peak at about 9.2 MB at m = 9 with the trees listed (15-16 MB
-    # with a 27-character string key per tree); a mask -> position dict
-    # of every facet and per-run buckets would need about 21 MB
-    enumerate_spanning_trees_jahangir(9)
+    # one stable sort of the canonical positions by run length peaks at
+    # about 9.2 MB at m = 9 with the trees listed; a mask -> position
+    # dict of every facet and per-run buckets would need about 21 MB
+    enumerate_spanning_trees_generic(build_jahangir(9))
     tracemalloc.start()
     try:
         prefix_block_ordering(9)
@@ -328,6 +311,8 @@ def test_block_ordering_histogram_refuses_small_m():
     for m in (-1, 0, 2):
         with pytest.raises(InvalidParameterError, match=f"m must be >= 3, got {m}"):
             block_ordering_histogram(m)
+    with pytest.raises(InvalidParameterError, match="m must be >= 3, got 2"):
+        prefix_block_ordering(2)
 
 
 # The quotient test and the shelling test are NOT equal ordering by
@@ -490,6 +475,20 @@ def test_verdict_reports_a_failing_block_ordering(monkeypatch, j3):
     assert verdict.ordering_source == "block"
     assert verdict.block_first_failure == 1
     assert verdict.certificate is None
+
+
+def test_block_verdict_reads_the_canonical_trees_only(monkeypatch):
+    # the block ordering ranks the generic enumerator's list, the one
+    # the verdict certifies: the structured enumerator never runs
+    from jahangir_ssc import spanning
+
+    expected = cohen_macaulay_verdict(build_jahangir(4), ordering="block")
+
+    def refuse(m):
+        raise AssertionError("the structured enumerator ran")
+
+    monkeypatch.setattr(spanning, "_structured_trees", refuse)
+    assert cohen_macaulay_verdict(build_jahangir(4), ordering="block") == expected
 
 
 def _non_canonical_graphs():

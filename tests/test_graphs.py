@@ -196,6 +196,7 @@ def test_parse_minimal():
     [
         ('{"vertices": 3, "edges": [[0, 1], [0]]}', "edges[1]"),
         ('{"vertices": 3, "edges": [[0, 1], [1, true]]}', "edges[1]"),
+        ('{"vertices": 3, "edges": [[0, 1.5]]}', "edges[0]"),
         ('{"vertices": 3, "edges": [[0, 1]], "labels": ["zz"]}', "labels[0]"),
         ('{"vertices": 3, "edges": [[0, 5]]}', "edges[0]"),
         ('{"vertices": 3, "edges": [[0, 1], [1, 0]]}', "edges[1]"),

@@ -100,10 +100,12 @@ def test_generic_random_graphs():
 
 def test_generic_canonical_order(j3, j4):
     # emitted in order, lexicographic by sorted edge tuple, also when the
-    # edge list is not in the family's own order
+    # edge list is not in the family's own order; the block ordering
+    # ranks J(2,m)'s trees by their positions in this list
     shuffled = list(j4.edges)
     random.Random(13).shuffle(shuffled)
-    for g in (j3, j4, Graph(j4.vertex_count, tuple(shuffled))):
+    for g in (j3, j4, Graph(j4.vertex_count, tuple(shuffled)),
+              *map(build_jahangir, (5, 6, 7))):
         trees = enumerate_spanning_trees_generic(g)
         tuples = [sorted(as_set(t)) for t in trees]
         assert tuples == sorted(tuples)
