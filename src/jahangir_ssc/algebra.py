@@ -81,6 +81,7 @@ from .records import (
     _normalize,
     build_jahangir,
     require_spanning_complex,
+    rim_indices,
     spoke_index,
 )
 from .spanning import enumerate_spanning_trees_generic
@@ -167,7 +168,7 @@ def _arc_polynomials(m: int, p: int, length: int, width: int) -> tuple[int, int,
     # the arc that wraps past s_m ends at s_(k+1), and holds the run s_1..s_k
     k = max(0, p + length - m - 1)
     cycles = [(p + t - 1) % m + 1 for t in range(length)]
-    rim = [3 * c - 2 + side for c in cycles for side in (0, 1)]  # edge indices, in arc order
+    rim = [i for c in cycles for i in rim_indices(c, m)]  # edge indices, in arc order
     # each deleted spoke inside the arc: its rim vertex's arc position
     # (the number of rim edges before it), its number, and the rim
     # edges below it between it and either end, as position bits
@@ -263,7 +264,7 @@ class CMVerdict(NamedTuple):
     shelling_agrees: bool | None
 
 
-def cohen_macaulay_verdict(g: Graph, ordering: str, trees: int | None = None,
+def cohen_macaulay_verdict(g: Graph, ordering: str,
                            f_vector: tuple[int, ...] | None = None) -> CMVerdict:
     """Build the spanning complex of g, then certify Cohen-Macaulayness
     by an ordering of its facets with quasi-linear quotients: the
@@ -275,10 +276,9 @@ def cohen_macaulay_verdict(g: Graph, ordering: str, trees: int | None = None,
     caller has it; a refused sweep leaves shelling_agrees None.
 
     The search ordering is refused, by a CapacityError that names the
-    facet count and the cap, past CERTIFICATE_CHECK_LIMIT facets. trees,
-    g's spanning-tree count and so its facet count, decides that before
-    any tree is enumerated, and is computed only when the caller has not
-    got it.
+    facet count and the cap, past CERTIFICATE_CHECK_LIMIT facets. g's
+    spanning-tree count, its facet count, decides that before any tree
+    is enumerated.
     """
     if ordering not in ("block", "search"):
         raise InvalidParameterError(f"unknown ordering strategy {ordering!r}")
@@ -293,7 +293,7 @@ def cohen_macaulay_verdict(g: Graph, ordering: str, trees: int | None = None,
             raise InvalidParameterError(
                 "block ordering is only defined for J(2,m) in its canonical edge order")
     else:
-        count = matrix_tree_count(g) if trees is None else trees
+        count = matrix_tree_count(g)
         if count > CERTIFICATE_CHECK_LIMIT:
             raise CapacityError(f"{count} facets over the certificate check limit "
                                 f"of {CERTIFICATE_CHECK_LIMIT}")
@@ -314,9 +314,9 @@ def cohen_macaulay_verdict(g: Graph, ordering: str, trees: int | None = None,
                      histogram == hilbert_series(f_vector).numerator)
 
 
-def _cm_payload(g: Graph, ordering: str, trees: int, meta: dict) -> dict:
+def _cm_payload(g: Graph, ordering: str, meta: dict) -> dict:
     """The CLI's cm answer."""
-    verdict = cohen_macaulay_verdict(g, ordering=ordering, trees=trees)
+    verdict = cohen_macaulay_verdict(g, ordering=ordering)
     return {**meta,
             "cohen_macaulay": verdict.cohen_macaulay,
             "ordering_source": verdict.ordering_source,

@@ -196,14 +196,13 @@ def _execute(args: SimpleNamespace) -> tuple[dict, int]:
 
     # every action that enumerates spanning trees, and classes, which
     # reports their count, passes the one guard, whose determinant is
-    # the request's only one
-    trees = None
+    # the request's only one: its count is memoized
     if action in ("facets", "classes", "cm", "verify"):
-        trees = graphs._guard_tree_enumeration(g)
+        graphs._guard_tree_enumeration(g)
     if action == "facets":
-        return spanning._facet_payload(g, trees, meta), 0
+        return spanning._facet_payload(g, meta), 0
     if action == "classes":
-        return spanning._classes_payload(m, trees, meta), 0
+        return spanning._classes_payload(m, meta), 0
     if action == "cycles":
         cat = (cycles.word_cycle_catalog(m) if catalog == "word"
                else cycles.oracle_cycle_catalog(g))
@@ -213,11 +212,11 @@ def _execute(args: SimpleNamespace) -> tuple[dict, int]:
     if action == "hilbert":
         return _hilbert_payload(g, mode, m, {**meta, "mode": mode}), 0
     if action == "cm":
-        return algebra._cm_payload(g, ordering, trees, {**meta, "ordering": ordering}), 0
+        return algebra._cm_payload(g, ordering, {**meta, "ordering": ordering}), 0
     if m is None:
-        report = reports.build_graph_report(g, trees=trees)
+        report = reports.build_graph_report(g)
     else:
-        report = reports.build_jahangir_report(m, trees=trees)
+        report = reports.build_jahangir_report(m)
     code = MISMATCH_EXIT if report.mismatch_count else 0
     return reports._report_payload(report, args.seed, args.timings, meta), code
 

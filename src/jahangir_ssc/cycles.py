@@ -31,6 +31,7 @@ from .records import (
     base_cycle_indices,
     build_jahangir,
     edge_indices,
+    memo,
     spoke_index,
 )
 
@@ -106,6 +107,7 @@ def jahangir_order(g: Graph) -> int | None:
     return m if want == have else None
 
 
+@memo
 def word_cycle_catalog(m: int) -> CycleCatalog:
     """The full word catalog: m*m entries, one per (length, start)."""
     g = build_jahangir(m)
@@ -137,10 +139,9 @@ def oracle_cycle_catalog(g: Graph) -> CycleCatalog:
         # g's edge order may differ from the canonical one; translate.
         pos = {_normalize(u, v): idx for idx, (u, v) in enumerate(g.edges)}
         trans = [pos[_normalize(u, v)] for u, v in build_jahangir(m).edges]
-        for word in all_words(m):
-            canonical = word_edge_set(word, m)
-            translated = sum(1 << trans[i] for i in edge_indices(canonical))
-            by_edges.setdefault(translated, word)
+        for e in word_cycle_catalog(m).entries:
+            translated = sum(1 << trans[i] for i in edge_indices(e.edges))
+            by_edges.setdefault(translated, e.word)
     entries = tuple(CycleCatalogEntry(word=by_edges.get(cyc), edges=cyc,
                                       beta=cyc.bit_count(), is_simple_cycle=True)
                     for cyc in cycles)
@@ -243,16 +244,14 @@ class IntersectionSurvey(NamedTuple):
 
 def intersection_survey(m: int) -> IntersectionSurvey:
     """Predict every unordered pair of distinct catalog words and
-    compare against the actual edge sets. Disagreements are collected,
-    never asserted away."""
-    if m < 3:
-        raise InvalidParameterError(f"m must be >= 3, got {m}")
-    words = all_words(m)
+    compare against the actual edge sets, read from the word catalog.
+    Disagreements are collected, never asserted away."""
+    entries = word_cycle_catalog(m).entries
     bad = []
-    for (u, a), (v, b) in combinations([(w, word_edge_set(w, m)) for w in words], 2):
+    for (u, a, _, _), (v, b, _, _) in combinations(entries, 2):
         relation, predicted = _predict(u, v, m)
         actual = (a & b).bit_count()
         if predicted != actual:
             bad.append(IntersectionMismatch(u, v, relation, predicted, actual))
-    return IntersectionSurvey(m=m, pairs_checked=comb(len(words), 2),
+    return IntersectionSurvey(m=m, pairs_checked=comb(len(entries), 2),
                               mismatches=tuple(bad))

@@ -7,7 +7,7 @@ enumeration. The Graph record and J(2,m) itself are in records.
 from __future__ import annotations
 
 from .errors import CapacityError, GraphParseError, InvalidParameterError
-from .records import EdgeLabel, EdgeSet, Graph, _echo, edge_indices
+from .records import EdgeLabel, EdgeSet, Graph, _echo, edge_indices, memo
 
 # Cycle-space enumeration walks 2^mu masks; mu above this is refused, so
 # a scan stays under 1 s. A mask costs 1.2-4.0 us on one core of a
@@ -158,6 +158,7 @@ def _edge_lister(g: Graph):
 # Oracle 1: exact spanning-tree count
 
 
+@memo
 def matrix_tree_count(g: Graph) -> int:
     """Number of spanning trees, as a cofactor of the Laplacian computed
     by sparse fraction-free (Bareiss) elimination.
@@ -315,10 +316,10 @@ def _cactus_tree_bound(g: Graph, stop: int) -> int:
     return bound
 
 
-def _guard_tree_enumeration(g: Graph) -> int:
-    """The spanning-tree count of g, refused past the enumeration limit:
-    before the determinant runs, past its vertex bound and when a cactus
-    subgraph already has more trees than the limit."""
+def _guard_tree_enumeration(g: Graph) -> None:
+    """Refuse g past the enumeration limit of spanning trees: before the
+    determinant runs, past its vertex bound and when a cactus subgraph
+    already has more trees than the limit."""
     if g.vertex_count > TREE_GUARD_VERTEX_LIMIT:
         raise CapacityError(
             f"{g.vertex_count} vertices exceed {TREE_GUARD_VERTEX_LIMIT}, the largest "
@@ -333,7 +334,6 @@ def _guard_tree_enumeration(g: Graph) -> int:
         raise CapacityError(
             f"{count} spanning trees exceed the enumeration limit "
             f"{TREE_ENUMERATION_LIMIT}")
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +383,11 @@ def enumerate_simple_cycles(g: Graph) -> list[EdgeSet]:
     as the union of the fundamental cycles, not the edge list, and each
     kept one is mapped back to the document's edge indices.
     """
+    return list(_simple_cycles(g))
+
+
+@memo
+def _simple_cycles(g: Graph) -> tuple[EdgeSet, ...]:
     n, edges = g.vertex_count, g.edges
     if n > MAX_CYCLE_SCAN_VERTICES:
         raise CapacityError(f"{n} vertices exceed {MAX_CYCLE_SCAN_VERTICES}; "
@@ -422,4 +427,4 @@ def enumerate_simple_cycles(g: Graph) -> list[EdgeSet]:
             idx = support[k]
             bits[idx >> 3] |= 1 << (idx & 7)
         out.append(int.from_bytes(bits, "little"))
-    return out
+    return tuple(out)

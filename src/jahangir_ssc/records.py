@@ -1,6 +1,7 @@
-"""The Graph and EdgeLabel records, the Jahangir family J(2,m), and the
-connectivity test every spanning complex needs: the lowest layer, and
-all that a forest sweep of J(2,m) runs besides complexes.
+"""The Graph and EdgeLabel records, the Jahangir family J(2,m), the
+connectivity test every spanning complex needs, and memo, the one cache
+of the inputs a request shares: the lowest layer, and all that a forest
+sweep of J(2,m) runs besides complexes.
 
 The edge order of J(2,m) is fixed once and for all, cycle by cycle with
 the spoke first: index 3*(k-1) is the k-th spoke (hub to rim), followed
@@ -12,9 +13,10 @@ depend on this order staying put.
 
 from __future__ import annotations
 
+from functools import partial, update_wrapper
 from typing import NamedTuple
 
-from .errors import InvalidParameterError
+from .errors import CapacityError, InvalidParameterError
 
 # An edge set is an int bit mask, bit i standing for edge i: the one
 # form of every cycle, spanning tree, facet, face and facet-ideal
@@ -40,6 +42,33 @@ class _Checked:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+
+def memo(compute):
+    """compute with one slot: a call whose arguments equal the last
+    call's, in type and value (==, never hashed), returns the last
+    result, which callers must not change, or raises its CapacityError
+    again as a fresh error of that type and message, so no traceback is
+    kept. The slot is one tuple, replaced whole and read once per call:
+    each thread gets its own arguments' result. cache_clear() empties it."""
+    last: list = [None]
+
+    def read(*args):
+        key = (tuple(map(type, args)), args)
+        entry = last[0]
+        if entry is None or entry[0] != key:
+            try:
+                entry = key, compute(*args), None
+            except CapacityError as exc:
+                last[0] = key, None, partial(type(exc), *exc.args)
+                raise
+            last[0] = entry
+        if entry[2] is not None:
+            raise entry[2]()
+        return entry[1]
+
+    read.cache_clear = lambda: last.__setitem__(0, None)
+    return update_wrapper(read, compute)
 
 
 # An error echoes at most this many characters of a document's value,
@@ -141,26 +170,15 @@ class Graph(_Checked, _GraphFields):
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @memo
     def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Adjacency lists of (neighbor, edge index) pairs, built once
-        for the graph last asked and shared: a caller must not change
-        them."""
-        global _ADJACENCY
-        graph, adj = _ADJACENCY
-        if graph is not self:
-            adj = [[] for _ in range(self.vertex_count)]
-            for idx, (u, v) in enumerate(self.edges):
-                adj[u].append((v, idx))
-                adj[v].append((u, idx))
-            _ADJACENCY = (self, adj)
+        """Adjacency lists of (neighbor, edge index) pairs, shared by
+        every caller: a caller must not change them."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
+        for idx, (u, v) in enumerate(self.edges):
+            adj[u].append((v, idx))
+            adj[v].append((u, idx))
         return adj
-
-
-# The graph whose adjacency lists were last built, and the lists. A
-# request reads them in the connectivity test and again in the cactus
-# bound, on one graph object, so it is matched by identity: hashing a
-# graph would hash its whole edge tuple.
-_ADJACENCY: tuple[Graph | None, list[list[tuple[int, int]]]] = (None, [])
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +203,7 @@ def base_cycle_indices(j: int, m: int) -> EdgeSet:
     return 0b111 << spoke_index(j, m) | 1 << spoke_index(j + 1, m)
 
 
+@memo
 def build_jahangir(m: int) -> Graph:
     """The graph J(2,m): a 2m-cycle plus a hub joined to every second
     rim vertex. 2m+1 vertices, 3m labeled edges."""
@@ -207,6 +226,7 @@ def build_jahangir(m: int) -> Graph:
 # Connectivity: a graph has a spanning complex exactly when it is connected
 
 
+@memo
 def is_connected(g: Graph) -> bool:
     # fewer than V - 1 edges cannot connect V vertices: no adjacency needed
     if g.vertex_count == 0 or g.edge_count < g.vertex_count - 1:

@@ -27,7 +27,7 @@ from .cycles import (
 from .errors import CapacityError
 from .formulas import f_vector_divergence, f_vector_exact_ie, f_vector_formula
 from .graphs import matrix_tree_count
-from .records import EdgeSet, Graph, build_jahangir, require_spanning_complex
+from .records import EdgeSet, Graph, build_jahangir, memo, require_spanning_complex
 from .spanning import (
     enumerate_spanning_trees_generic,
     enumerate_spanning_trees_jahangir,
@@ -57,26 +57,6 @@ class RunReport(NamedTuple):
 
 def _fvec_strings(f) -> list[str]:
     return [str(x) for x in f]
-
-
-def _once(compute):
-    """A reader of compute()'s value, computed at the first read. A
-    CapacityError is kept and raised again at each later read, so a
-    refused input is never computed twice."""
-    kept: list = []
-
-    def read():
-        if not kept:
-            try:
-                kept.append((compute(), None))
-            except CapacityError as exc:
-                kept.append((None, exc))
-        value, refusal = kept[0]
-        if refusal is not None:
-            raise refusal
-        return value
-
-    return read
 
 
 def _unchecked(reason: str, oracle: object = None):
@@ -170,20 +150,18 @@ def _complex_rows(g: Graph, sweep, facets) -> tuple:
     )
 
 
-def build_jahangir_report(m: int, trees: int | None = None) -> RunReport:
-    """Structured claims about J(2,m) against the oracles. trees is the
-    determinant's spanning-tree count where the caller has it."""
+def build_jahangir_report(m: int) -> RunReport:
+    """Structured claims about J(2,m) against the oracles."""
     g = build_jahangir(m)
-    partition = _once(lambda: verify_partition(m))
-    words = _once(lambda: word_cycle_catalog(m))
-    sweep = _once(lambda: f_vector_direct(g))
-    facets = _once(lambda: enumerate_spanning_trees_generic(g))
+    partition = memo(lambda: verify_partition(m))
+    sweep = memo(lambda: f_vector_direct(g))
+    facets = memo(lambda: enumerate_spanning_trees_generic(g))
 
     def tree_count():
         # only the count is kept: the trees live on in the enumerator's memo
         structured = len(enumerate_spanning_trees_jahangir(m))
         generic = partition().generic_total
-        mt = matrix_tree_count(g) if trees is None else trees
+        mt = matrix_tree_count(g)
         return (structured, {"matrix_tree": mt, "generic_enumeration": generic},
                 structured == mt == generic, None)
 
@@ -195,7 +173,8 @@ def build_jahangir_report(m: int, trees: int | None = None) -> RunReport:
 
     def catalog_size():
         actual = oracle_cycle_catalog(g).entries
-        non_simple = [list(e.word) for e in words().entries if not e.is_simple_cycle]
+        non_simple = [list(e.word) for e in word_cycle_catalog(m).entries
+                      if not e.is_simple_cycle]
         wordless = sum(1 for e in actual if e.word is None)
         return (m * m, len(actual), m * m == len(actual),
                 {"non_simple_catalog_entries": non_simple,
@@ -203,7 +182,7 @@ def build_jahangir_report(m: int, trees: int | None = None) -> RunReport:
 
     def catalog_orders():
         diverging = []
-        for e in words().entries:
+        for e in word_cycle_catalog(m).entries:
             stated = claimed_order(len(e.word))
             if stated != e.beta:
                 diverging.append({"word": list(e.word), "claimed": stated,
@@ -259,23 +238,20 @@ def build_jahangir_report(m: int, trees: int | None = None) -> RunReport:
     ))
 
 
-def build_graph_report(g: Graph, trees: int | None = None) -> RunReport:
-    """Generic-engine cross-checks for an arbitrary connected graph.
-    trees is the determinant's spanning-tree count where the caller has
-    it."""
+def build_graph_report(g: Graph) -> RunReport:
+    """Generic-engine cross-checks for an arbitrary connected graph."""
     require_spanning_complex(g)
-    sweep = _once(lambda: f_vector_direct(g))
-    facets = _once(lambda: enumerate_spanning_trees_generic(g))
-    mt = matrix_tree_count(g) if trees is None else trees
+    sweep = memo(lambda: f_vector_direct(g))
+    facets = memo(lambda: enumerate_spanning_trees_generic(g))
 
     def tree_count():
-        count = len(facets())
+        count, mt = len(facets()), matrix_tree_count(g)
         return count, mt, count == mt, None
 
     def cm():
         # a refused sweep, and past the certificate cap the verdict's
         # refusal, leave the claim unchecked with the refusal as reason
-        verdict = cohen_macaulay_verdict(g, ordering="search", trees=mt, f_vector=sweep())
+        verdict = cohen_macaulay_verdict(g, ordering="search", f_vector=sweep())
         return ({"quotient_ordering_shells": True},
                 {"cohen_macaulay": verdict.cohen_macaulay,
                  "shelling_agrees": verdict.shelling_agrees},

@@ -28,19 +28,19 @@ from __future__ import annotations
 import itertools
 import math
 from enum import Enum
-from functools import lru_cache
 from operator import eq
 from typing import NamedTuple
 
 from .complexes import _entered, _frontier_steps, _kept, _merged
 from .errors import InvalidParameterError
-from .graphs import _edge_lister, cyclic_runs
+from .graphs import _edge_lister, cyclic_runs, matrix_tree_count
 from .records import (
     EdgeSet,
     Graph,
     build_jahangir,
     edge_indices,
     is_connected,
+    memo,
     rim_indices,
     spoke_index,
 )
@@ -97,9 +97,9 @@ def enumerate_spanning_trees_generic(g: Graph) -> list[EdgeSet]:
     return list(_generic_trees(g))
 
 
-# One slot per enumerator: a verify run asks for the same trees several
-# times, and each call copies the cached tuple into a fresh list.
-@lru_cache(maxsize=1, typed=True)
+# A verify run asks for the same trees several times, and each call
+# copies the memoized tuple into a fresh list.
+@memo
 def _generic_trees(g: Graph) -> tuple[EdgeSet, ...]:
     if not is_connected(g):
         return ()
@@ -233,7 +233,7 @@ def enumerate_spanning_trees_jahangir(m: int) -> list[EdgeSet]:
     return list(_structured_trees(m))
 
 
-@lru_cache(maxsize=1, typed=True)
+@memo
 def _structured_trees(m: int) -> tuple[EdgeSet, ...]:
     every_edge = (1 << 3 * m) - 1
     trees: list[EdgeSet] = []
@@ -309,13 +309,13 @@ def verify_partition(m: int) -> PartitionReport:
 # compiles them
 
 
-def _facet_payload(g: Graph, trees: int, meta: dict) -> dict:
+def _facet_payload(g: Graph, meta: dict) -> dict:
     facets = enumerate_spanning_trees_generic(g)
-    return {**meta, "count": len(facets), "matrix_tree_count": trees,
+    return {**meta, "count": len(facets), "matrix_tree_count": matrix_tree_count(g),
             "facets": map(_edge_lister(g), facets)}
 
 
-def _classes_payload(m: int, trees: int, meta: dict) -> dict:
+def _classes_payload(m: int, meta: dict) -> dict:
     counts = dict(_class_counts(m))
     return {**meta, "counts": counts, "total": sum(counts.values()),
-            "matrix_tree_count": trees}
+            "matrix_tree_count": matrix_tree_count(build_jahangir(m))}

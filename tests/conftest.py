@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,55 @@ class CliResult:
 
     def json(self) -> dict:
         return json.loads(self.stdout)
+
+
+def package_memos():
+    """Every memo of the package's run layers: a module's memoized
+    functions and those in the class bodies it defines. An unrun layer
+    holds none and is left unrun."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("jahangir_ssc.") and type(module) is types.ModuleType:
+            for value in list(vars(module).values()):
+                inner = vars(value).values() if isinstance(value, type) else ()
+                for obj in (value, *inner):
+                    if isinstance(obj, types.FunctionType) and hasattr(obj, "cache_clear"):
+                        yield obj
+
+
+@pytest.fixture(autouse=True)
+def clear_memos():
+    """Each test starts with every memo empty, so a test that patches an
+    engine or a cap never reads a result an earlier test left."""
+    for read in package_memos():
+        read.cache_clear()
+
+
+@pytest.fixture
+def body_runs():
+    """body_runs(call, *functions): call()'s value, and the list of how
+    many times the body of each function ran meanwhile. Every memo is
+    emptied first, as in a fresh process. A memo's body is the function
+    it wraps, so a memoized read that computes nothing does not count."""
+
+    def run(call, *functions) -> tuple[object, list[int]]:
+        for read in package_memos():
+            read.cache_clear()
+        codes = [getattr(f, "__wrapped__", f).__code__ for f in functions]
+        runs = dict.fromkeys(codes, 0)
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in runs:
+                runs[frame.f_code] += 1
+
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            value = call()
+        finally:
+            sys.setprofile(outer)
+        return value, [runs[code] for code in codes]
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -457,8 +457,6 @@ def test_verdict_search_leaves_large_ideals_unchecked(monkeypatch):
     reason = "10082 facets over the certificate check limit of 3000"
     with pytest.raises(CapacityError, match=f"^{reason}$"):
         cohen_macaulay_verdict(j7, ordering="search")
-    with pytest.raises(CapacityError, match=f"^{reason}$"):
-        cohen_macaulay_verdict(j6, ordering="search", trees=10082)
 
 
 def test_verdict_reports_a_failing_block_ordering(monkeypatch, j3):

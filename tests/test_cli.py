@@ -115,14 +115,14 @@ def test_a_claim_has_its_sources_whether_checked_or_not(triangle_file):
     refused = build_graph_report(long)
     assert {c.name for c in refused.claims if c.verdict == "unchecked"} == {
         "f_vector_exact_ie", "hilbert_series", "cohen_macaulay_consistency"}
-    assert _sources(build_graph_report(parse_graph(open(triangle_file).read()))) == \
+    assert _sources(build_graph_report(parse_graph(Path(triangle_file).read_text()))) == \
         _sources(refused)
 
 
 def test_graph_report_triangle(triangle_file):
     from jahangir_ssc import parse_graph
 
-    g = parse_graph(open(triangle_file).read())
+    g = parse_graph(Path(triangle_file).read_text())
     report = build_graph_report(g)
     assert report.mismatch_count == 0
     assert [c.verdict for c in report.claims] == ["match"] * 5
@@ -271,33 +271,41 @@ def test_dimension_claim_can_mismatch(monkeypatch, tamper, oracle):
     assert claim.verdict == "mismatch"
 
 
-def test_one_determinant_per_request(run_cli, triangle_file):
+def test_one_determinant_per_request(run_cli, triangle_file, body_runs):
     # the tree-count guard's determinant serves the whole request: the
-    # reports and the cm verdict take its count instead of their own
+    # reports and the cm verdict read its memoized count
     from jahangir_ssc import graphs
-
-    determinant = graphs.matrix_tree_count.__code__
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is determinant:
-            calls += 1
 
     for argv in (("jahangir", "--m", "3", "verify"),
                  ("jahangir", "--m", "3", "cm"),
                  ("jahangir", "--m", "3", "cm", "--ordering", "search"),
                  ("jahangir", "--m", "3", "facets"),
+                 ("jahangir", "--m", "3", "classes"),
                  ("graph", "--input", triangle_file, "verify"),
                  ("graph", "--input", triangle_file, "cm")):
-        calls = 0
-        sys.setprofile(count)
-        try:
-            res = run_cli(*argv)
-        finally:
-            sys.setprofile(None)
+        res, runs = body_runs(lambda: run_cli(*argv), graphs.matrix_tree_count)
         assert res.code in (0, 3), argv
-        assert calls == 1, argv
+        assert runs == [1], argv
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # J(2,5) built, connectivity walked, simple cycles scanned, word edge
+    # sets formed (25 for the catalog, 5 for the closed form),
+    # determinant run
+    (("jahangir", "--m", "5", "verify"), [1, 1, 1, 30, 1]),
+    (("jahangir", "--m", "5", "cm"), [1, 1, 0, 0, 1]),
+    (("graph", "--input", "petersen", "verify"), [0, 1, 1, 0, 1]),
+], ids=["jahangir-verify", "jahangir-cm", "petersen-verify"])
+def test_each_shared_input_is_computed_once_per_request(
+        argv, expected, run_cli, petersen_file, body_runs):
+    from jahangir_ssc import cycles, graphs, records
+
+    argv = [petersen_file if a == "petersen" else a for a in argv]
+    res, runs = body_runs(lambda: run_cli(*argv), records.build_jahangir,
+                          records.is_connected, graphs._simple_cycles,
+                          cycles.word_edge_set, graphs.matrix_tree_count)
+    assert res.code in (0, 3), res.stderr
+    assert runs == expected
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +330,14 @@ def test_classes_json(run_cli):
     assert doc["total"] == doc["matrix_tree_count"] == 192
 
 
-def test_classes_lists_no_tree(run_cli):
+def test_classes_lists_no_tree(run_cli, body_runs):
     # the counts come one product per spoke set, so the structured
     # enumerator never runs
-    spanning._structured_trees.cache_clear()
-    doc = run_cli("jahangir", "--m", "9", "classes").json()
+    res, runs = body_runs(lambda: run_cli("jahangir", "--m", "9", "classes"),
+                          spanning._structured_trees)
+    doc = res.json()
     assert doc["total"] == doc["matrix_tree_count"] == 140450
-    assert spanning._structured_trees.cache_info().misses == 0
+    assert runs == [0]
 
 
 def test_cycles_catalogs_differ(run_cli):

@@ -320,12 +320,13 @@ def test_memoized_enumerators_return_fresh_lists(enumerate_):
 
 
 def test_memoized_enumerators_agree_with_the_oracle_after_eviction(j3, j4):
+    # cache_clear() empties each enumerator's slot before each graph
     for g in (j3, j4, j3):
         m = g.edge_count // 3
         for memo in (spanning._structured_trees, spanning._generic_trees):
             memo.cache_clear()
         oracle = brute_spanning_trees(g.vertex_count, list(g.edges))
-        for _ in range(2):  # a miss, then a hit
+        for _ in range(2):  # computed, then read from the memo
             structured = enumerate_spanning_trees_jahangir(m)
             assert set(map(as_set, structured)) == oracle
             assert len(structured) == len(oracle)
@@ -333,15 +334,13 @@ def test_memoized_enumerators_agree_with_the_oracle_after_eviction(j3, j4):
             assert set(map(as_set, generic)) == oracle and len(generic) == len(oracle)
 
 
-def test_a_report_enumerates_each_kind_of_tree_once():
+def test_a_report_enumerates_each_kind_of_tree_once(body_runs):
     # J(2,5)'s 722 facets are under the certificate check limit, so the
-    # cm verdict runs too: the tree count, the partition and the block
-    # ordering ask for the structured trees, the partition and two
-    # spanning complexes for the generic ones
-    memos = (spanning._structured_trees, spanning._generic_trees)
-    for memo in memos:
-        memo.cache_clear()
-    build_jahangir_report(5)
-    for memo in memos:
-        info = memo.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+    # cm verdict runs too: the tree count, the partition and the cm claim
+    # ask for the structured trees, the partition, the facets and the cm
+    # claim for the generic ones, three times each, and each list is
+    # built once
+    _, runs = body_runs(lambda: build_jahangir_report(5),
+                        enumerate_spanning_trees_jahangir, spanning._structured_trees,
+                        enumerate_spanning_trees_generic, spanning._generic_trees)
+    assert runs == [3, 1, 3, 1]
