@@ -68,7 +68,6 @@ the lexicographic order of a matroid's bases is a shelling (Bjorner,
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from typing import NamedTuple, Sequence
 
@@ -84,7 +83,7 @@ from .records import (
     rim_indices,
     spoke_index,
 )
-from .spanning import enumerate_spanning_trees_generic
+from .spanning import _spoke_sets, enumerate_spanning_trees_generic
 
 # Past this many facets the search ordering's verdict refuses, so a
 # graph document's Cohen-Macaulay claim is left unchecked. The cap
@@ -194,37 +193,35 @@ def _arc_polynomials(m: int, p: int, length: int, width: int) -> tuple[int, int,
 
 
 def _spoke_set_histograms(m: int):
-    """Each spoke set the cutting-down rule may delete, with its trees'
-    histogram of usable-element counts in the block order, packed 3m
-    bits a count."""
+    """Each spoke set the cutting-down rule may delete, in the order of
+    spanning._spoke_sets, with its trees' histogram of usable-element
+    counts in the block order, packed 3m bits a count."""
     width = 3 * m
-    arcs: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+    tallies: dict[tuple[int, int], tuple[int, int, int, int]] = {}
 
-    def arc(p: int, length: int) -> tuple[int, int, int, int]:
-        if (p, length) not in arcs:
-            arcs[p, length] = _arc_polynomials(m, p, length, width)
-        return arcs[p, length]
+    def tally(p: int, length: int) -> tuple[int, int, int, int]:
+        if (p, length) not in tallies:
+            tallies[p, length] = _arc_polynomials(m, p, length, width)
+        return tallies[p, length]
 
-    for size in range(1, m + 1):
-        for kept in itertools.combinations(range(1, m + 1), size):
-            first = kept[0]  # s_(k+1)
-            if size == 1:
-                usable = 1 << width if first < m else 1  # (d), one arc
-                histogram = sum(arc(first, m)) * usable
-            else:
-                # s_(k+1) is usable whatever the picks (c, j = k + 1),
-                # so the cycle of arcs opens there. hit and miss tally
-                # the picks so far by whether they make the next kept
-                # spoke usable already; each arc's picks settle it
-                hit, miss = 1, 0
-                for i, p in enumerate(kept):
-                    q = kept[i + 1] if i + 1 < size else first + m
-                    p00, p01, p10, p11 = arc(p, q - p)
-                    usable = (hit + miss) << width  # the pick makes s_p usable
-                    unsure = (hit << width) + miss  # s_p usable if hit
-                    hit, miss = p01 * unsure + p11 * usable, p00 * unsure + p10 * usable
-                histogram = hit + miss
-            yield tuple(j for j in range(1, m + 1) if j not in kept), histogram
+    for spokes, _, arcs in _spoke_sets(m):
+        if len(arcs) == 1:
+            p = arcs[0][0]  # the one kept spoke, s_(k+1)
+            usable = 1 << width if p < m else 1  # (d), one arc
+            histogram = sum(tally(p, m)) * usable
+        else:
+            # s_(k+1) is usable whatever the picks (c, j = k + 1), so
+            # the cycle of arcs opens there. hit and miss tally the
+            # picks so far by whether they make the next kept spoke
+            # usable already; each arc's picks settle it
+            hit, miss = 1, 0
+            for p, length in arcs:
+                p00, p01, p10, p11 = tally(p, length)
+                usable = (hit + miss) << width  # the pick makes s_p usable
+                unsure = (hit << width) + miss  # s_p usable if hit
+                hit, miss = p01 * unsure + p11 * usable, p00 * unsure + p10 * usable
+            histogram = hit + miss
+        yield spokes, histogram
 
 
 def _unpacked(packed: int, width: int) -> tuple[int, ...]:

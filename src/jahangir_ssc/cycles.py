@@ -23,7 +23,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import InvalidParameterError
-from .graphs import _edge_lister, _is_simple_cycle_mask, cyclic_runs, enumerate_simple_cycles
+from .graphs import _edge_lister, _is_simple_cycle_mask, enumerate_simple_cycles
 from .records import (
     EdgeSet,
     Graph,
@@ -178,6 +178,25 @@ def _nested(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     if u1 == v1 or up == vq:
         return beta - 1
     return beta - 2
+
+
+def cyclic_runs(indices: set[int], m: int) -> list[list[int]]:
+    """Decompose a set of cycle indices into maximal cyclic runs of
+    consecutive indices, each run listed in cyclic order."""
+    if len(indices) == m:
+        return [sorted(indices)]
+    runs = []
+    for j in sorted(indices):
+        prev = j - 1 if j > 1 else m
+        if prev in indices:
+            continue  # not the head of a run
+        run = [j]
+        nxt = j % m + 1
+        while nxt in indices:
+            run.append(nxt)
+            nxt = nxt % m + 1
+        runs.append(run)
+    return runs
 
 
 def _partial_one_way(u: tuple[int, ...], v: tuple[int, ...], common: set[int],

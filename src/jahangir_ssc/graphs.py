@@ -1,13 +1,14 @@
 """Labeled simple graphs: the document reader and writer, and the two
 ground-truth oracles everything else is checked against: an exact
 fraction-free spanning-tree count and exhaustive simple-cycle
-enumeration. The Graph record and J(2,m) itself are in records.
+enumeration. The Graph record, J(2,m) itself and the spanning forest
+that the tree guard and the cycle scan read are in records.
 """
 
 from __future__ import annotations
 
 from .errors import CapacityError, GraphParseError, InvalidParameterError
-from .records import EdgeLabel, EdgeSet, Graph, _echo, edge_indices, memo
+from .records import EdgeLabel, EdgeSet, Graph, _echo, edge_indices, memo, spanning_forest
 
 # Cycle-space enumeration walks 2^mu masks; mu above this is refused, so
 # a scan stays under 1 s. A mask costs 1.2-4.0 us on one core of a
@@ -21,29 +22,6 @@ MAX_INDEPENDENT_CYCLES = 17
 # machine a 250,000-vertex path closed into one cycle is scanned by
 # `graph ... cycles` in 0.7 s at 182 MB of peak RSS.
 MAX_CYCLE_SCAN_VERTICES = 250_000
-
-
-# ---------------------------------------------------------------------------
-# The cyclic runs of J(2,m)
-
-
-def cyclic_runs(indices: set[int], m: int) -> list[list[int]]:
-    """Decompose a set of cycle indices into maximal cyclic runs of
-    consecutive indices, each run listed in cyclic order."""
-    if len(indices) == m:
-        return [sorted(indices)]
-    runs = []
-    for j in sorted(indices):
-        prev = j - 1 if j > 1 else m
-        if prev in indices:
-            continue  # not the head of a run
-        run = [j]
-        nxt = j % m + 1
-        while nxt in indices:
-            run.append(nxt)
-            nxt = nxt % m + 1
-        runs.append(run)
-    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -248,28 +226,6 @@ TREE_ENUMERATION_LIMIT = 500_000
 TREE_GUARD_VERTEX_LIMIT = 415
 
 
-def _spanning_forest(g: Graph) -> tuple[list[int], list[int]]:
-    """A breadth-first spanning forest of g, one tree from each vertex
-    not yet reached, in vertex order: per vertex, the index of its edge
-    to its parent (-1 at a root) and its depth (0 at a root)."""
-    n = g.vertex_count
-    adj = g.adjacency()
-    up, depth = [-1] * n, [-1] * n  # depth -1: not reached
-    for root in range(n):
-        if depth[root] >= 0:
-            continue
-        depth[root], level = 0, [root]
-        while level:
-            below = []
-            for x in level:
-                for y, idx in adj[x]:
-                    if depth[y] < 0:
-                        depth[y], up[y] = depth[x] + 1, idx
-                        below.append(y)
-            level = below
-    return up, depth
-
-
 def _forest_path(edges, up: list[int], depth: list[int], u: int, v: int):
     """The edge indices of the forest path between u and v, climbing
     from the deeper end until the ends meet."""
@@ -293,7 +249,7 @@ def _cactus_tree_bound(g: Graph, stop: int) -> int:
     cycles' lengths. Deleting edges never adds a spanning tree, so the
     product is at most g's count."""
     edges = g.edges
-    up, depth = _spanning_forest(g)
+    up, depth = spanning_forest(g)
     if depth.count(0) != 1:
         return 0
     taken = bytearray(len(edges))  # 1: a tree edge on a path already taken
@@ -392,7 +348,7 @@ def _simple_cycles(g: Graph) -> tuple[EdgeSet, ...]:
     if n > MAX_CYCLE_SCAN_VERTICES:
         raise CapacityError(f"{n} vertices exceed {MAX_CYCLE_SCAN_VERTICES}; "
                             "exhaustive cycle enumeration refused")
-    up, depth = _spanning_forest(g)
+    up, depth = spanning_forest(g)
     rank = len(edges) - n + depth.count(0)  # one root per component
     if rank > MAX_INDEPENDENT_CYCLES:
         raise CapacityError(f"cycle space rank {rank} exceeds {MAX_INDEPENDENT_CYCLES}; "

@@ -1,7 +1,8 @@
-"""The Graph and EdgeLabel records, the Jahangir family J(2,m), the
-connectivity test every spanning complex needs, and memo, the one cache
-of the inputs a request shares: the lowest layer, and all that a forest
-sweep of J(2,m) runs besides complexes.
+"""The Graph and EdgeLabel records, the Jahangir family J(2,m), a
+graph's one spanning forest and the connectivity test every spanning
+complex needs, and memo, the one cache of the inputs a request shares:
+the lowest layer, and all that a forest sweep of J(2,m) runs besides
+complexes.
 
 The edge order of J(2,m) is fixed once and for all, cycle by cycle with
 the spoke first: index 3*(k-1) is the k-th spoke (hub to rim), followed
@@ -49,11 +50,21 @@ def memo(compute):
     call's, in type and value (==, never hashed), returns the last
     result, which callers must not change, or raises its CapacityError
     again as a fresh error of that type and message, so no traceback is
-    kept. The slot is one tuple, replaced whole and read once per call:
-    each thread gets its own arguments' result. cache_clear() empties it."""
+    kept. Keyword arguments take their parameters' positions, so f(m=3)
+    shares f(3)'s slot; a call that does not name each remaining
+    parameter once goes to compute, which takes its defaults or raises
+    the interpreter's TypeError. The slot is one tuple, replaced whole
+    and read once per call: each thread gets its own arguments' result.
+    cache_clear() empties it."""
     last: list = [None]
+    params = compute.__code__.co_varnames[:compute.__code__.co_argcount]
 
-    def read(*args):
+    def read(*args, **kwargs):
+        if kwargs:
+            rest = params[len(args):]
+            if kwargs.keys() != set(rest):
+                return compute(*args, **kwargs)
+            args += tuple(kwargs[name] for name in rest)
         key = (tuple(map(type, args)), args)
         entry = last[0]
         if entry is None or entry[0] != key:
@@ -170,10 +181,8 @@ class Graph(_Checked, _GraphFields):
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @memo
     def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Adjacency lists of (neighbor, edge index) pairs, shared by
-        every caller: a caller must not change them."""
+        """Adjacency lists of (neighbor, edge index) pairs."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
         for idx, (u, v) in enumerate(self.edges):
             adj[u].append((v, idx))
@@ -223,25 +232,41 @@ def build_jahangir(m: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Connectivity: a graph has a spanning complex exactly when it is connected
+# The spanning forest, the one walk of a graph: connectivity, the tree
+# guard's cactus bound and the simple-cycle scan read it
 
 
 @memo
+def spanning_forest(g: Graph) -> tuple[list[int], list[int]]:
+    """A breadth-first spanning forest of g, one tree from each vertex
+    not yet reached, in vertex order: per vertex, the index of its edge
+    to its parent (-1 at a root) and its depth (0 at a root). Shared by
+    every caller: a caller must not change the lists."""
+    n = g.vertex_count
+    adj = g.adjacency()
+    up, depth = [-1] * n, [-1] * n  # depth -1: not reached
+    for root in range(n):
+        if depth[root] >= 0:
+            continue
+        depth[root], level = 0, [root]
+        while level:
+            below = []
+            for x in level:
+                for y, idx in adj[x]:
+                    if depth[y] < 0:
+                        depth[y], up[y] = depth[x] + 1, idx
+                        below.append(y)
+            level = below
+    return up, depth
+
+
 def is_connected(g: Graph) -> bool:
-    # fewer than V - 1 edges cannot connect V vertices: no adjacency needed
+    """Whether g has one vertex or more and a single component: its
+    forest has one root."""
+    # fewer than V - 1 edges cannot connect V vertices: no forest needed
     if g.vertex_count == 0 or g.edge_count < g.vertex_count - 1:
         return False
-    adj = g.adjacency()
-    seen = [False] * g.vertex_count
-    stack = [0]
-    seen[0] = True
-    while stack:
-        x = stack.pop()
-        for y, _ in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                stack.append(y)
-    return all(seen)
+    return spanning_forest(g)[1].count(0) == 1
 
 
 def require_spanning_complex(g: Graph) -> None:

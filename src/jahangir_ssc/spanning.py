@@ -14,13 +14,13 @@ where the frontier stays small.
 
 The structured enumerator builds the same trees for J(2,m), as the
 same edge-set masks, by the cutting-down rules: choose which spokes to
-delete (never all m), then delete exactly one rim edge from every
-merged cycle and from every untouched cycle. A tree's class (CJ1-CJ3c)
-is the shape of its deleted spoke set, so the classes are counted per
-spoke set, as the product of its rim-pool sizes: no tree carries a
-label, and no single tree is classified. verify_partition checks that
-the structured trees are distinct and jointly exhaust the generic
-enumeration.
+delete (never all m), then delete exactly one rim edge from every arc,
+the base cycles between two cyclically consecutive kept spokes. A
+tree's class (CJ1-CJ3c) is the shape of its deleted spoke set, so the
+classes are counted per spoke set, as the product of twice its arc
+lengths: no tree carries a label, and no single tree is classified.
+verify_partition checks that the structured trees are distinct and
+jointly exhaust the generic enumeration.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .complexes import _entered, _frontier_steps, _kept, _merged
 from .errors import InvalidParameterError
-from .graphs import _edge_lister, cyclic_runs, matrix_tree_count
+from .graphs import _edge_lister, matrix_tree_count
 from .records import (
     EdgeSet,
     Graph,
@@ -183,51 +183,40 @@ def _generic_trees(g: Graph) -> tuple[EdgeSet, ...]:
 # Structured enumeration for J(2,m)
 
 
-def _tree_class(rho: int, runs: list[list[int]]) -> TreeClass:
-    """Class of the trees that delete rho spokes in the given runs."""
+def _tree_class(rho: int, runs: int) -> TreeClass:
+    """Class of the trees that delete rho spokes in the given number of
+    maximal cyclic runs."""
     if rho == 0:
         return TreeClass.KEEP_ALL_SPOKES
     if rho == 1:
         return TreeClass.DROP_ONE_SPOKE
-    if len(runs) == 1:
+    if runs == 1:
         return TreeClass.DROP_RUN
-    if len(runs) == rho:
+    if runs == rho:
         return TreeClass.DROP_SCATTERED
     return TreeClass.DROP_MIXED
 
 
-def _rim_pools(runs: list[list[int]], m: int) -> list[list[EdgeSet]]:
-    """One pool of candidate rim deletions, as one-edge sets, per
-    constraint: each maximal run of deleted spokes merges the run's
-    cycles with the one before it and demands exactly one rim deletion
-    from the merged cycle; each untouched cycle demands one of its own
-    two rim edges."""
-    pools: list[list[EdgeSet]] = []
-    covered: set[int] = set()
-    for run in runs:
-        first = run[0] - 1 if run[0] > 1 else m
-        merged = [first] + run
-        covered.update(merged)
-        pools.append([1 << i for j in merged for i in rim_indices(j, m)])
-    pools.extend([1 << i for i in rim_indices(j, m)]
-                 for j in range(1, m + 1) if j not in covered)
-    return pools
-
-
 def _spoke_sets(m: int):
     """Each spoke set the cutting-down rule may delete (never all m),
-    by size and then lexicographic, with its tree class and rim pools.
-    The set's trees pick one rim edge from every pool."""
+    by size and then lexicographic, with its tree class and its arcs.
+    An arc (p, length) is the base cycles from kept spoke p up to the
+    next kept spoke, cyclically, listed from the lowest kept spoke; the
+    set's trees delete one of an arc's 2 * length rim edges from each.
+    A run of r deleted spokes is one arc of r + 1 cycles."""
     for rho in range(m):
         for spokes in itertools.combinations(range(1, m + 1), rho):
-            runs = cyclic_runs(set(spokes), m)
-            yield spokes, _tree_class(rho, runs), _rim_pools(runs, m)
+            kept = [j for j in range(1, m + 1) if j not in spokes]
+            arcs = [(p, q - p) for p, q in zip(kept, kept[1:] + [kept[0] + m])]
+            runs = sum(length > 1 for _, length in arcs)
+            yield spokes, _tree_class(rho, runs), arcs
 
 
 def enumerate_spanning_trees_jahangir(m: int) -> list[EdgeSet]:
     """All spanning-tree edge sets of J(2,m) by the cutting-down rules,
     in a deterministic order: by the deleted spoke set (size, then
-    lexicographic), then by the rim picks."""
+    lexicographic), then by the rim picks, arc by arc. No claim reads
+    this order: verify_partition sorts."""
     if m < 3:
         raise InvalidParameterError(f"m must be >= 3, got {m}")
     return list(_structured_trees(m))
@@ -237,24 +226,25 @@ def enumerate_spanning_trees_jahangir(m: int) -> list[EdgeSet]:
 def _structured_trees(m: int) -> tuple[EdgeSet, ...]:
     every_edge = (1 << 3 * m) - 1
     trees: list[EdgeSet] = []
-    for spokes, _, pools in _spoke_sets(m):
-        # one pick per pool, in the order of itertools.product; the
+    for spokes, _, arcs in _spoke_sets(m):
+        # one pick per arc, in the order of itertools.product; the
         # picked rim edges are distinct and kept so far, so their bits
         # subtract
         kept = [every_edge - sum(1 << spoke_index(j, m) for j in spokes)]
-        for pool in pools:
-            kept = [t - p for t in kept for p in pool]
+        for p, length in arcs:
+            pool = [1 << i for c in range(p, p + length) for i in rim_indices(c, m)]
+            kept = [t - b for t in kept for b in pool]
         trees += kept
     return tuple(trees)
 
 
 def _class_counts(m: int) -> tuple[tuple[str, int], ...]:
     """(class name, tree count) for every class in TreeClass order,
-    empty classes included: each spoke set adds the product of its
-    rim-pool sizes to its class, and no tree is listed."""
+    empty classes included: each spoke set adds the product of twice
+    its arc lengths to its class, and no tree is listed."""
     counts = dict.fromkeys(TreeClass, 0)
-    for _, cls, pools in _spoke_sets(m):
-        counts[cls] += math.prod(map(len, pools))
+    for _, cls, arcs in _spoke_sets(m):
+        counts[cls] += math.prod(2 * length for _, length in arcs)
     return tuple((cls.value, n) for cls, n in counts.items())
 
 

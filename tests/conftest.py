@@ -28,15 +28,12 @@ class CliResult:
 
 def package_memos():
     """Every memo of the package's run layers: a module's memoized
-    functions and those in the class bodies it defines. An unrun layer
-    holds none and is left unrun."""
+    functions. An unrun layer holds none and is left unrun."""
     for name, module in list(sys.modules.items()):
         if name.startswith("jahangir_ssc.") and type(module) is types.ModuleType:
-            for value in list(vars(module).values()):
-                inner = vars(value).values() if isinstance(value, type) else ()
-                for obj in (value, *inner):
-                    if isinstance(obj, types.FunctionType) and hasattr(obj, "cache_clear"):
-                        yield obj
+            for obj in list(vars(module).values()):
+                if isinstance(obj, types.FunctionType) and hasattr(obj, "cache_clear"):
+                    yield obj
 
 
 @pytest.fixture(autouse=True)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -305,6 +306,21 @@ def test_block_ordering_histogram_per_spoke_set(m):
     got = {spokes: _unpacked(packed, 3 * m) for spokes, packed in _spoke_set_histograms(m)}
     assert got == expected
     assert len(got) == 2 ** m - 1
+
+
+@pytest.mark.parametrize("m", range(3, 10))
+def test_block_ordering_histograms_walk_the_enumerators_arcs(m):
+    # the histograms and the structured enumerator read one list of
+    # spoke sets and arcs: the same sets in the same order, and each
+    # histogram counts the set's prod(2 * length) trees
+    from jahangir_ssc.algebra import _spoke_set_histograms, _unpacked
+    from jahangir_ssc.spanning import _spoke_sets
+
+    histograms = list(_spoke_set_histograms(m))
+    sets = list(_spoke_sets(m))
+    assert [spokes for spokes, _ in histograms] == [spokes for spokes, _, _ in sets]
+    for (_, packed), (_, _, arcs) in zip(histograms, sets):
+        assert sum(_unpacked(packed, 3 * m)) == math.prod(2 * length for _, length in arcs)
 
 
 def test_block_ordering_histogram_refuses_small_m():

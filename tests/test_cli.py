@@ -289,8 +289,8 @@ def test_one_determinant_per_request(run_cli, triangle_file, body_runs):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    # J(2,5) built, connectivity walked, simple cycles scanned, word edge
-    # sets formed (25 for the catalog, 5 for the closed form),
+    # J(2,5) built, spanning forest walked, simple cycles scanned, word
+    # edge sets formed (25 for the catalog, 5 for the closed form),
     # determinant run
     (("jahangir", "--m", "5", "verify"), [1, 1, 1, 30, 1]),
     (("jahangir", "--m", "5", "cm"), [1, 1, 0, 0, 1]),
@@ -302,7 +302,7 @@ def test_each_shared_input_is_computed_once_per_request(
 
     argv = [petersen_file if a == "petersen" else a for a in argv]
     res, runs = body_runs(lambda: run_cli(*argv), records.build_jahangir,
-                          records.is_connected, graphs._simple_cycles,
+                          records.spanning_forest, graphs._simple_cycles,
                           cycles.word_edge_set, graphs.matrix_tree_count)
     assert res.code in (0, 3), res.stderr
     assert runs == expected

@@ -96,6 +96,34 @@ def test_memo_keeps_the_last_result_by_type_and_value():
     assert double([1]) is double([1]) and runs[-1] == [1]
 
 
+def test_memo_takes_keyword_arguments_in_their_positions():
+    runs = []
+
+    @memo
+    def pair(x, y):
+        runs.append((x, y))
+        return [x, y]
+
+    first = pair(1, y=2)
+    assert pair(1, 2) is first and pair(x=1, y=2) is first and pair(y=2, x=1) is first
+    assert pair(y=2.0, x=1) == [1, 2.0] and runs == [(1, 2), (1, 2.0)]
+    for bad in ({"z": 2}, {"x": 1, "y": 2}):
+        with pytest.raises(TypeError):
+            pair(1, **bad)
+    assert len(runs) == 2
+
+
+def test_memoized_public_functions_take_their_documented_keywords():
+    from jahangir_ssc import graphs, cycles
+    from jahangir_ssc.records import is_connected
+
+    g = build_jahangir(m=3)
+    assert g is build_jahangir(3)
+    assert graphs.matrix_tree_count(g=g) == 50
+    assert cycles.word_cycle_catalog(m=3) is cycles.word_cycle_catalog(3)
+    assert is_connected(g=g)
+
+
 def test_memo_raises_a_kept_refusal_again_and_keeps_no_other_error():
     runs = []
 
@@ -181,8 +209,8 @@ def test_every_memo_is_cleared_between_tests():
     from jahangir_ssc import cycles, graphs, spanning  # noqa: F401  (runs the layers)
 
     names = {f"{read.__module__}.{read.__qualname__}" for read in package_memos()}
-    assert {"jahangir_ssc.records.build_jahangir", "jahangir_ssc.records.is_connected",
-            "jahangir_ssc.records.Graph.adjacency", "jahangir_ssc.graphs.matrix_tree_count",
+    assert {"jahangir_ssc.records.build_jahangir", "jahangir_ssc.records.spanning_forest",
+            "jahangir_ssc.graphs.matrix_tree_count",
             "jahangir_ssc.graphs._simple_cycles", "jahangir_ssc.cycles.word_cycle_catalog",
             "jahangir_ssc.spanning._generic_trees",
             "jahangir_ssc.spanning._structured_trees"} <= names
