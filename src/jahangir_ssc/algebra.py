@@ -72,7 +72,8 @@ from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .complexes import f_vector_direct, hilbert_series
-from .errors import CapacityError, InvalidParameterError, PurityError
+from .errors import (CERTIFICATE_CHECK_LIMIT, CapacityError, InvalidParameterError,
+                     PurityError, capacity_error)
 from .graphs import matrix_tree_count
 from .records import (
     EdgeSet,
@@ -84,18 +85,6 @@ from .records import (
     spoke_index,
 )
 from .spanning import _spoke_sets, enumerate_spanning_trees_generic
-
-# Past this many facets the search ordering's verdict refuses, so a
-# graph document's Cohen-Macaulay claim is left unchecked. The cap
-# serves a budget of about 20 ms per check. On one core of a shared
-# 2-core Intel Xeon machine (CPython 3.11.7, in-process, least of 5,
-# block and canonical order) the one-pass certificate takes 3 ms on
-# J(2,5)'s 722 facets, 14-15 ms on J(2,6)'s 2700 and 65-71 ms on
-# J(2,7)'s 10,082; J(2,8)'s 37,632 take about 0.38 s and J(2,9)'s
-# 140,450 about 2.2 s. The block ordering is not capped here: verify
-# checks it by block_ordering_histogram, which lists no facet, and the
-# tree guard bounds cm --ordering block.
-CERTIFICATE_CHECK_LIMIT = 3000
 
 
 def certify(facets: Sequence[EdgeSet]) -> tuple[int | None, tuple[int, ...] | None]:
@@ -238,8 +227,7 @@ def block_ordering_histogram(m: int) -> tuple[int, ...]:
     facet is listed. The order has quasi-linear quotients exactly when
     histogram[0] is 1, and is a shelling exactly when the histogram is
     the h-vector. The cost is O(2^m) transfers of O(m) products."""
-    if m < 3:
-        raise InvalidParameterError(f"m must be >= 3, got {m}")
+    build_jahangir(m)  # refuses m < 3
     return _unpacked(sum(h for _, h in _spoke_set_histograms(m)), 3 * m)
 
 
@@ -292,8 +280,7 @@ def cohen_macaulay_verdict(g: Graph, ordering: str,
     else:
         count = matrix_tree_count(g)
         if count > CERTIFICATE_CHECK_LIMIT:
-            raise CapacityError(f"{count} facets over the certificate check limit "
-                                f"of {CERTIFICATE_CHECK_LIMIT}")
+            raise capacity_error("CERTIFICATE_CHECK_LIMIT", count)
     facets = enumerate_spanning_trees_generic(g)
     certificate = (prefix_block_ordering(m) if ordering == "block"
                    else tuple(range(len(facets))))

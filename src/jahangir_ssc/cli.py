@@ -24,28 +24,12 @@ from collections.abc import Iterator
 from types import SimpleNamespace
 
 from . import algebra, complexes, cycles, formulas, graphs, records, reports, spanning
-from .errors import CapacityError, InvalidParameterError, JssError
+from .errors import (JAHANGIR_M_LIMIT, CapacityError, InvalidParameterError, JssError,
+                     capacity_error)
 
 ACTIONS = ("facets", "classes", "cycles", "f-vector", "hilbert", "cm", "verify")
 
 MISMATCH_EXIT = 3
-
-# The largest m served: the forest sweep, the engine that reaches
-# furthest, refuses J(2,208). Past it only the word catalog would go on,
-# with m*m entries and about m^3 output lines, so a larger m is refused
-# before J(2,m) is built. At m = 207 on one core of a shared 2-core AMD
-# EPYC machine (wall time, peak RSS, least of 3): f-vector 0.15 s,
-# 16 MB; hilbert 0.55 s, 16 MB; the oracle catalog and exact-ie
-# refused in 0.10-0.12 s, 16 MB; facets, classes, cm and verify
-# refused by the tree-count guard in 0.12-0.13 s, 16 MB. On one core of
-# a shared 2-core Intel Xeon machine (CPython 3.11.7, least of 3 in
-# each of two series), the formula modes answer: f-vector 0.26-0.32 s,
-# hilbert 0.21-0.28 s, 16 MB. The word catalog, on that machine with
-# PYTHONUNBUFFERED=1 and stdout to /dev/null (least of 3): 15 s as
-# JSON, 11.6 s as CSV and 9.3 s as text, 62 MB in each format, most of
-# it the catalog itself, since its entries are formatted as they are
-# written.
-JAHANGIR_M_LIMIT = 207
 
 _MODE_ALIASES = {"paper": "formula"}
 _CATALOG_ALIASES = {"paper": "word"}
@@ -169,8 +153,7 @@ def _execute(args: SimpleNamespace) -> tuple[dict, int]:
             raise InvalidParameterError("--n must be 2 (reserved for future use)")
         m = args.m
         if m > JAHANGIR_M_LIMIT:
-            raise CapacityError(
-                f"m = {m} exceeds {JAHANGIR_M_LIMIT}, the largest m any engine answers")
+            raise capacity_error("JAHANGIR_M_LIMIT", m)
         g = records.build_jahangir(m)
         meta = {"command": "jahangir", "action": action, "m": m}
         catalog = catalog or "word"

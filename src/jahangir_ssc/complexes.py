@@ -28,19 +28,8 @@ from math import comb
 from operator import sub
 from typing import NamedTuple
 
-from .errors import CapacityError, InvalidParameterError
+from .errors import F_VECTOR_STEP_LIMIT, InvalidParameterError, capacity_error
 from .records import Graph, _Checked, require_spanning_complex
-
-# Work bound of the forest sweep, in steps: one per count carried across
-# an edge, checked before each edge, so the table can at most double past
-# it. A step costs 20 ns on J(2,m) and 150-300 ns on complete graphs and
-# on graphs with long frontiers. On one core of a shared 2-core AMD EPYC
-# machine (least of 3 runs), J(2,200) (1.12M steps) answers in 0.023 s,
-# J(2,208) is the first refused, and K10 answers in 0.08 s. K11, K12,
-# K20, a 12x12 grid and shuffled random graphs are refused after
-# 0.15-0.45 s, and a 24-edge matching swept before the edges joining it
-# after 0.63 s.
-F_VECTOR_STEP_LIMIT = 1_200_000
 
 
 def _canonical(labels: list[int]) -> tuple[int, ...]:
@@ -118,9 +107,7 @@ def f_vector_direct(g: Graph) -> tuple[int, ...]:
     steps = 0
     for fresh, pu, pv, keep, _ in _frontier_steps(g.edges):
         if steps > F_VECTOR_STEP_LIMIT:
-            raise CapacityError(
-                f"forest sweep over {g.edge_count} edges exceeds the step bound "
-                f"{F_VECTOR_STEP_LIMIT}")
+            raise capacity_error("F_VECTOR_STEP_LIMIT", steps, f"on {g.edge_count} edges")
         if fresh:
             table = {_entered(s, fresh): c for s, c in table.items()}
         carried: dict[tuple[int, ...], list[int]] = {}

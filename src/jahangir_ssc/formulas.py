@@ -15,7 +15,7 @@ Two inclusion-exclusion engines live here, deliberately kept apart:
   estimate, a class of pairs at a time, instead of listing them; the
   counts are its audit, rows (sign, union estimate, multiplicity) from
   which any value can be recomputed by hand. It answers at every m the
-  command line serves, up to 207.
+  command line serves, up to JAHANGIR_M_LIMIT.
 
 * f_vector_exact_ie is the corrected engine: it runs full
   inclusion-exclusion over the true simple-cycle catalog using exact
@@ -33,26 +33,8 @@ from typing import NamedTuple
 # module bindings, read at call time: the layers run at first use, so a
 # request runs only those its engine reaches
 from . import complexes, cycles, graphs
-from .errors import CapacityError, InvalidParameterError
-from .records import Graph, require_spanning_complex, spoke_index
-
-# Work bound of exact inclusion-exclusion, in steps: one per 64-bit
-# machine word of each entry of the union table carried across one
-# cycle, and of the sum each binomial term leaves, in the first row
-# C(E, j) and in one row per union size, so an entry or a term of a small
-# graph costs 1; and the square of the words of each first-row entry,
-# the cost of writing the answer in decimal. A pass is charged before it
-# runs and at most doubles the table, so the table never holds more than
-# 4/3 of the bound in words of keys. On one core of a shared 2-core
-# Intel Xeon machine (least of 3 runs, in-process, the simple-cycle
-# enumeration included), J(2,8) (57 cycles) answers in 2.6-4.7 ms,
-# J(2,13) (157) in 0.43-0.78 s with 113,037 unions in the table, and K7
-# (1172) in 0.14-0.24 s, while J(2,14) is refused after 0.42-0.76 s and
-# K7 with 15 pendant leaves after 0.65-1.1 s. A path with two chords
-# answers at 2,000 vertices in 7-10 ms and is refused at 4,000 in
-# 9-14 ms and at 20,000 in 0.11-0.14 s, before its first row is
-# complete. The simple-cycle enumeration is not counted in the steps.
-EXACT_IE_STEP_LIMIT = 3_000_000
+from .errors import EXACT_IE_STEP_LIMIT, capacity_error
+from .records import Graph, build_jahangir, require_spanning_complex, spoke_index
 
 
 def binomial(a: int, b: int) -> int:
@@ -184,8 +166,7 @@ def f_vector_formula(m: int) -> FormulaFVector:
     per sign and union estimate that reaches some index; the rows and
     C(3m, i+1) rebuild every f_i by hand.
     """
-    if m < 3:
-        raise InvalidParameterError(f"m must be >= 3, got {m}")
+    build_jahangir(m)  # refuses m < 3
     dim = 2 * m - 1
     edge_count = 3 * m
     singles, pairs = _union_histograms(m)
@@ -245,8 +226,7 @@ def f_vector_exact_ie(g: Graph) -> tuple[int, ...]:
     masks = graphs.enumerate_simple_cycles(g)
     edge_count = g.edge_count
     fmax = g.vertex_count - 1  # largest forest of a connected graph
-    refusal = (f"inclusion-exclusion over {len(masks)} simple cycles "
-               f"exceeds the step bound {EXACT_IE_STEP_LIMIT}")
+    over = f"over {len(masks)} simple cycles"  # the refusal's note
     counts = [0] * (fmax + 1)  # counts[j]: j-edge subsets, signed over T
     steps = 0
 
@@ -264,7 +244,7 @@ def f_vector_exact_ie(g: Graph) -> tuple[int, ...]:
             counts[j] = total
             steps += total.bit_length() // 64 + 1
             if steps > EXACT_IE_STEP_LIMIT:
-                raise CapacityError(refusal)
+                raise capacity_error("EXACT_IE_STEP_LIMIT", steps, over)
             c = c * (top - k) // (k + 1)
 
     add_row(0, 1)  # the empty T: every edge subset
@@ -273,7 +253,7 @@ def f_vector_exact_ie(g: Graph) -> tuple[int, ...]:
     # sparse document that, not the sum, dominates the request.
     steps += sum((x.bit_length() // 64 + 1) ** 2 for x in counts)
     if steps > EXACT_IE_STEP_LIMIT:
-        raise CapacityError(refusal)
+        raise capacity_error("EXACT_IE_STEP_LIMIT", steps, over)
     # A subset T of cycles counts with sign (-1)^|T| and depends only on
     # its union's size, so the table maps each union of the cycles taken
     # so far to the sum of its subsets' signs (Moebius inversion on the
@@ -288,7 +268,7 @@ def f_vector_exact_ie(g: Graph) -> tuple[int, ...]:
     for cycle in masks:
         steps += len(table) * words
         if steps > EXACT_IE_STEP_LIMIT:
-            raise CapacityError(refusal)
+            raise capacity_error("EXACT_IE_STEP_LIMIT", steps, over)
         for union, sign in zip(list(table), list(table.values())):
             merged = union | cycle
             if merged.bit_count() <= fmax:

@@ -7,21 +7,10 @@ that the tree guard and the cycle scan read are in records.
 
 from __future__ import annotations
 
-from .errors import CapacityError, GraphParseError, InvalidParameterError
+from .errors import (MAX_CYCLE_SCAN_VERTICES, MAX_INDEPENDENT_CYCLES, TREE_ENUMERATION_LIMIT,
+                     TREE_GUARD_VERTEX_LIMIT, GraphParseError, InvalidParameterError,
+                     capacity_error)
 from .records import EdgeLabel, EdgeSet, Graph, _echo, edge_indices, memo, spanning_forest
-
-# Cycle-space enumeration walks 2^mu masks; mu above this is refused, so
-# a scan stays under 1 s. A mask costs 1.2-4.0 us on one core of a
-# shared 2-core AMD EPYC machine (least of 3): at rank 17 a chain of
-# triangles takes 0.16 s, J(2,17) 0.17 s and the 2x18 ladder, the
-# slowest shape, 0.52 s; each further rank doubles the time.
-MAX_INDEPENDENT_CYCLES = 17
-
-# The scan keeps adjacency lists and two entries per vertex, so a graph
-# with more vertices is refused before any of them is built. On the same
-# machine a 250,000-vertex path closed into one cycle is scanned by
-# `graph ... cycles` in 0.7 s at 182 MB of peak RSS.
-MAX_CYCLE_SCAN_VERTICES = 250_000
 
 
 # ---------------------------------------------------------------------------
@@ -197,35 +186,6 @@ def matrix_tree_count(g: Graph) -> int:
     return minors[-1]
 
 
-# The CLI refuses to enumerate every spanning tree of a graph past this
-# count, which a cactus subgraph's count or the determinant tells in
-# advance. One guard serves facets, classes, cm and verify, before
-# spanning runs, so it is sized by the costliest of them; classes lists no tree, but reports the
-# guard's count. Raised past J(2,10)'s 524,172 trees (single runs in
-# a child under a 1 GB address-space cap, one core of a shared 2-core
-# Intel Xeon machine, wall time and peak RSS): build_jahangir_report(10)
-# would take 0.93-1.2 s and 128 MB, and verify 1.1 s and 127 MB, but
-# facets 3.5-3.9 s and 42 MB (stdout to /dev/null), and cm --ordering
-# block 62 s and 198 MB. So the value stays until cm and facets have
-# budgets of their own.
-TREE_ENUMERATION_LIMIT = 500_000
-
-# The tree-count guard refuses a graph with more vertices than
-# J(2,207)'s 415, the largest the CLI builds, before it counts. The
-# count is a sparse elimination that is fast on sparse graphs:
-# in-process on one core of a shared 2-core AMD EPYC machine (least of
-# 3), J(2,207) takes 3-6 ms, and 415- and 800-vertex cycles 1-2 ms.
-# Dense graphs cost O(V^3) steps on entries thousands of bits wide:
-# single runs took 29 s and 99 s on random 415-vertex graphs with 4,296
-# and 42,932 edges. The cactus bound refuses those before the
-# determinant runs, in 1.4 ms and 16 ms in-process on one core of a
-# shared 2-core Intel Xeon machine. The cap bounds the determinant on
-# graphs the bound leaves undecided, and an answer's output: up to
-# 500,000 trees of at most 414 edges. Lifting it needs a budget on the
-# output.
-TREE_GUARD_VERTEX_LIMIT = 415
-
-
 def _forest_path(edges, up: list[int], depth: list[int], u: int, v: int):
     """The edge indices of the forest path between u and v, climbing
     from the deeper end until the ends meet."""
@@ -273,23 +233,18 @@ def _cactus_tree_bound(g: Graph, stop: int) -> int:
 
 
 def _guard_tree_enumeration(g: Graph) -> None:
-    """Refuse g past the enumeration limit of spanning trees: before the
-    determinant runs, past its vertex bound and when a cactus subgraph
-    already has more trees than the limit."""
+    """Refuse g past TREE_ENUMERATION_LIMIT spanning trees: before the
+    determinant runs, past TREE_GUARD_VERTEX_LIMIT vertices and when a
+    cactus subgraph already has more trees than the limit."""
     if g.vertex_count > TREE_GUARD_VERTEX_LIMIT:
-        raise CapacityError(
-            f"{g.vertex_count} vertices exceed {TREE_GUARD_VERTEX_LIMIT}, the largest "
-            "graph whose spanning trees are counted")
+        raise capacity_error("TREE_GUARD_VERTEX_LIMIT", g.vertex_count)
     bound = _cactus_tree_bound(g, TREE_ENUMERATION_LIMIT)
     if bound > TREE_ENUMERATION_LIMIT:
-        raise CapacityError(
-            f"at least {bound} spanning trees, the count of a cactus subgraph, exceed "
-            f"the enumeration limit {TREE_ENUMERATION_LIMIT}")
+        raise capacity_error("TREE_ENUMERATION_LIMIT", f"at least {bound}",
+                             "a cactus subgraph's count")
     count = matrix_tree_count(g)
     if count > TREE_ENUMERATION_LIMIT:
-        raise CapacityError(
-            f"{count} spanning trees exceed the enumeration limit "
-            f"{TREE_ENUMERATION_LIMIT}")
+        raise capacity_error("TREE_ENUMERATION_LIMIT", count)
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +301,11 @@ def enumerate_simple_cycles(g: Graph) -> list[EdgeSet]:
 def _simple_cycles(g: Graph) -> tuple[EdgeSet, ...]:
     n, edges = g.vertex_count, g.edges
     if n > MAX_CYCLE_SCAN_VERTICES:
-        raise CapacityError(f"{n} vertices exceed {MAX_CYCLE_SCAN_VERTICES}; "
-                            "exhaustive cycle enumeration refused")
+        raise capacity_error("MAX_CYCLE_SCAN_VERTICES", n)
     up, depth = spanning_forest(g)
     rank = len(edges) - n + depth.count(0)  # one root per component
     if rank > MAX_INDEPENDENT_CYCLES:
-        raise CapacityError(f"cycle space rank {rank} exceeds {MAX_INDEPENDENT_CYCLES}; "
-                            "exhaustive cycle enumeration refused")
+        raise capacity_error("MAX_INDEPENDENT_CYCLES", rank)
     tree = set(up)
     walks = [[chord, *_forest_path(edges, up, depth, *edges[chord])]
              for chord in range(len(edges)) if chord not in tree]

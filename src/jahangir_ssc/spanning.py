@@ -32,7 +32,6 @@ from operator import eq
 from typing import NamedTuple
 
 from .complexes import _entered, _frontier_steps, _kept, _merged
-from .errors import InvalidParameterError
 from .graphs import _edge_lister, matrix_tree_count
 from .records import (
     EdgeSet,
@@ -217,8 +216,7 @@ def enumerate_spanning_trees_jahangir(m: int) -> list[EdgeSet]:
     in a deterministic order: by the deleted spoke set (size, then
     lexicographic), then by the rim picks, arc by arc. No claim reads
     this order: verify_partition sorts."""
-    if m < 3:
-        raise InvalidParameterError(f"m must be >= 3, got {m}")
+    build_jahangir(m)  # refuses m < 3
     return list(_structured_trees(m))
 
 

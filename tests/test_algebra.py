@@ -460,17 +460,18 @@ def test_verdict_search_leaves_large_ideals_unchecked(monkeypatch):
     # the certificate checks stop at CERTIFICATE_CHECK_LIMIT facets; past
     # it the search ordering is refused, naming the facet count and the
     # cap, and the tree count decides that before any tree is enumerated
-    from jahangir_ssc import algebra
+    from jahangir_ssc import algebra, errors
 
     j6, j7 = build_jahangir(6), build_jahangir(7)
-    assert (len(enumerate_spanning_trees_generic(j6)) <= algebra.CERTIFICATE_CHECK_LIMIT
+    assert (len(enumerate_spanning_trees_generic(j6)) <= errors.CERTIFICATE_CHECK_LIMIT
             < len(enumerate_spanning_trees_generic(j7)))
 
     def no_enumeration(g):
         raise AssertionError("facets enumerated past the check limit")
 
     monkeypatch.setattr(algebra, "enumerate_spanning_trees_generic", no_enumeration)
-    reason = "10082 facets over the certificate check limit of 3000"
+    reason = ("search-ordering certificate: 10082 facets exceed "
+              "CERTIFICATE_CHECK_LIMIT = 3000")
     with pytest.raises(CapacityError, match=f"^{reason}$"):
         cohen_macaulay_verdict(j7, ordering="search")
 

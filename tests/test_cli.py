@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -23,9 +24,10 @@ from jahangir_ssc import (
     reports,
     spanning,
 )
-from jahangir_ssc.algebra import CERTIFICATE_CHECK_LIMIT
-from jahangir_ssc.cli import JAHANGIR_M_LIMIT
-from jahangir_ssc.graphs import (
+from jahangir_ssc.errors import (
+    CAPS,
+    CERTIFICATE_CHECK_LIMIT,
+    JAHANGIR_M_LIMIT,
     MAX_CYCLE_SCAN_VERTICES,
     MAX_INDEPENDENT_CYCLES,
     TREE_GUARD_VERTEX_LIMIT,
@@ -139,8 +141,8 @@ def test_graph_report_checks_hilbert_past_the_exact_ie_budget():
     assert claims["hilbert_series"].verdict == "match"
     ie = claims["f_vector_exact_ie"]
     assert ie.verdict == "unchecked"
-    assert ie.detail == {"reason": "inclusion-exclusion over 1172 simple cycles "
-                                   "exceeds the step bound 3000000"}
+    assert ie.detail == {"reason": "exact inclusion-exclusion: 3011074 steps (over 1172 "
+                                   "simple cycles) exceed EXACT_IE_STEP_LIMIT = 3000000"}
     assert ie.oracle[-1] == str(7 ** 5)
 
 
@@ -150,8 +152,8 @@ def test_graph_report_leaves_large_certificates_unchecked():
     cm = build_graph_report(build_jahangir(7)).claims[-1]
     assert cm.name == "cohen_macaulay_consistency" and cm.verdict == "unchecked"
     assert cm.claimed_source == "lexicographic facet order"
-    assert cm.detail == {
-        "reason": f"10082 facets over the certificate check limit of {CERTIFICATE_CHECK_LIMIT}"}
+    assert cm.detail == {"reason": "search-ordering certificate: 10082 facets exceed "
+                                   f"CERTIFICATE_CHECK_LIMIT = {CERTIFICATE_CHECK_LIMIT}"}
 
 
 def test_jahangir_verify_names_the_facet_count_and_the_certificate_cap(run_cli, tmp_path):
@@ -173,8 +175,8 @@ def test_jahangir_verify_names_the_facet_count_and_the_certificate_cap(run_cli, 
     res = run_cli("graph", "--input", str(doc), "verify")
     cm = next(c for c in res.json()["claims"] if c["name"] == "cohen_macaulay_consistency")
     assert cm["verdict"] == "unchecked"
-    assert cm["detail"] == {"reason": "10082 facets over the certificate "
-                                      f"check limit of {CERTIFICATE_CHECK_LIMIT}"}
+    assert cm["detail"] == {"reason": "search-ordering certificate: 10082 facets exceed "
+                                      f"CERTIFICATE_CHECK_LIMIT = {CERTIFICATE_CHECK_LIMIT}"}
 
 
 def _cm_claim(monkeypatch, m, **patches):
@@ -212,8 +214,8 @@ def test_cm_search_past_the_certificate_cap_exits_2(run_cli):
     # before any tree is enumerated; the block ordering has no such cap
     res = run_cli("jahangir", "--m", "7", "cm", "--ordering", "search")
     assert (res.code, res.stdout) == (2, "")
-    assert res.stderr == ("capacity error: 10082 facets over the certificate check "
-                          f"limit of {CERTIFICATE_CHECK_LIMIT}\n")
+    assert res.stderr == ("capacity error: search-ordering certificate: 10082 facets "
+                          f"exceed CERTIFICATE_CHECK_LIMIT = {CERTIFICATE_CHECK_LIMIT}\n")
     res = run_cli("jahangir", "--m", "6", "cm", "--ordering", "search")
     assert res.code == 0 and res.json()["cohen_macaulay"] is True
     assert run_cli("jahangir", "--m", "7", "cm", "--ordering", "block").code == 0
@@ -581,7 +583,8 @@ def test_graph_verify_names_the_refusing_sweep(tmp_path, run_cli):
     res = run_cli("graph", "--input", str(path), "verify")
     assert res.code == 0
     claims = {c["name"]: c for c in res.json()["claims"]}
-    reason = {"reason": "forest sweep over 153 edges exceeds the step bound 1200000"}
+    reason = {"reason": "forest sweep: 1262651 steps (on 153 edges) exceed "
+                        "F_VECTOR_STEP_LIMIT = 1200000"}
     ie, hilbert = claims["f_vector_exact_ie"], claims["hilbert_series"]
     assert ie["verdict"] == hilbert["verdict"] == "unchecked"
     assert ie["oracle_source"] == "frontier forest sweep"
@@ -655,8 +658,8 @@ def test_capacity_errors_exit_2(tmp_path, run_cli):
     k12.write_text(emit_graph(Graph(12, tuple(
         (u, v) for u in range(12) for v in range(u + 1, 12)))))
     res = run_cli("graph", "--input", str(k12), "f-vector")
-    assert res.code == 2
-    assert res.stderr.startswith("capacity error:") and "step bound" in res.stderr
+    assert (res.code, res.stderr) == (2, "capacity error: forest sweep: 1237333 steps (on 66 "
+                                         "edges) exceed F_VECTOR_STEP_LIMIT = 1200000\n")
     # K7 plus 15 pendant leaves: 1172 cycles, none pruned, past the step cap
     edges = [(u, v) for u in range(7) for v in range(u + 1, 7)]
     edges += [(i % 7, 7 + i) for i in range(15)]
@@ -665,7 +668,8 @@ def test_capacity_errors_exit_2(tmp_path, run_cli):
     for action in ("f-vector", "hilbert"):
         res = run_cli("graph", "--input", str(path), action, "--mode", "exact-ie")
         assert res.code == 2
-        assert "step bound" in res.stderr
+        assert res.stderr == ("capacity error: exact inclusion-exclusion: 3011074 steps (over "
+                              "1172 simple cycles) exceed EXACT_IE_STEP_LIMIT = 3000000\n")
     # a chain of triangles one past the cycle-space rank cap: refused
     # before the 2^rank scan starts
     k = MAX_INDEPENDENT_CYCLES + 1
@@ -678,7 +682,78 @@ def test_capacity_errors_exit_2(tmp_path, run_cli):
     res = run_cli("graph", "--input", str(path), "cycles")
     assert time.perf_counter() - start < 1.0
     assert res.code == 2
-    assert res.stderr.startswith("capacity error:") and "cycle space rank" in res.stderr
+    assert res.stderr == ("capacity error: simple-cycle scan: 18 independent cycles exceed "
+                          f"MAX_INDEPENDENT_CYCLES = {MAX_INDEPENDENT_CYCLES}\n")
+
+
+# Each cap of the budget table driven one step past its limit: (cap,
+# argv, and the verify claim the refusal leaves unchecked, or None when
+# the request exits 2). The documents are written by _cap_documents.
+CAP_CASES = [
+    ("JAHANGIR_M_LIMIT", ("jahangir", "--m", str(JAHANGIR_M_LIMIT + 1), "facets"), None),
+    ("TREE_GUARD_VERTEX_LIMIT", ("graph", "--input", "cycle.json", "facets"), None),
+    ("TREE_ENUMERATION_LIMIT", ("jahangir", "--m", "10", "facets"), None),
+    ("CERTIFICATE_CHECK_LIMIT", ("jahangir", "--m", "7", "cm", "--ordering", "search"), None),
+    ("CERTIFICATE_CHECK_LIMIT", ("graph", "--input", "j7.json", "verify"),
+     "cohen_macaulay_consistency"),
+    ("F_VECTOR_STEP_LIMIT", ("graph", "--input", "long.json", "f-vector"), None),
+    ("F_VECTOR_STEP_LIMIT", ("graph", "--input", "long.json", "verify"), "hilbert_series"),
+    ("EXACT_IE_STEP_LIMIT", ("graph", "--input", "k7_leaves.json", "f-vector", "--mode",
+                             "exact-ie"), None),
+    ("EXACT_IE_STEP_LIMIT", ("graph", "--input", "k7_leaves.json", "verify"),
+     "f_vector_exact_ie"),
+    ("MAX_INDEPENDENT_CYCLES", ("graph", "--input", "triangles.json", "cycles"), None),
+    ("MAX_CYCLE_SCAN_VERTICES", ("graph", "--input", "empty.json", "cycles"), None),
+]
+
+
+def _cap_documents(directory: Path) -> None:
+    """The graph documents of CAP_CASES, written to directory."""
+    from jahangir_ssc import emit_graph
+
+    k, n = MAX_INDEPENDENT_CYCLES + 1, TREE_GUARD_VERTEX_LIMIT + 1
+    graphs = {
+        # the chords come last, so the forest sweep refuses
+        "long.json": Graph(150, tuple((i, i + 1) for i in range(149))
+                           + tuple((a, a + 3) for a in (16, 48, 80, 112))),
+        "k7_leaves.json": Graph(22, tuple((u, v) for u in range(7) for v in range(u + 1, 7))
+                                + tuple((i % 7, 7 + i) for i in range(15))),
+        "triangles.json": Graph(2 * k + 1, tuple(
+            e for i in range(k)
+            for e in ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2), (2 * i, 2 * i + 2)))),
+        "cycle.json": Graph(n, tuple((i, (i + 1) % n) for i in range(n))),
+        "j7.json": build_jahangir(7),
+    }
+    for name, g in graphs.items():
+        (directory / name).write_text(emit_graph(g))
+    (directory / "empty.json").write_text(
+        json.dumps({"vertices": MAX_CYCLE_SCAN_VERTICES + 1, "edges": []}))
+
+
+@pytest.mark.parametrize("cap, argv, claim", [
+    pytest.param(*case, id=f"{case[0]}-{case[1][3]}") for case in CAP_CASES])
+def test_every_cap_refuses_one_step_past_its_limit(cap, argv, claim, tmp_path, monkeypatch,
+                                                   run_cli):
+    # every cap has a case, so a cap added to the table without one fails
+    assert {case[0] for case in CAP_CASES} == CAPS.keys()
+    _cap_documents(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    res = run_cli(*argv)
+    if claim is None:
+        assert (res.code, res.stdout) == (2, "")
+        assert res.stderr.startswith("capacity error: ") and res.stderr.count("\n") == 1
+        refusal = res.stderr[len("capacity error: "):-1]
+    else:
+        assert res.code == 0 and res.stderr == ""
+        verdict = {c["name"]: c for c in res.json()["claims"]}[claim]
+        assert verdict["verdict"] == "unchecked"
+        refusal = verdict["detail"]["reason"]
+    # the engine, the measured size in the cap's unit, the cap and its limit
+    limit, engine, unit = CAPS[cap]
+    shape = (rf"{re.escape(engine)}: (?:at least )?(\d+) {re.escape(unit)}(?: \(.+\))? "
+             rf"exceed {cap} = {limit}")
+    measured = re.fullmatch(shape, refusal)
+    assert measured and int(measured[1]) > limit, refusal
 
 
 def test_exact_ie_refuses_large_sparse_documents_within_budget(tmp_path, run_cli):
@@ -687,7 +762,7 @@ def test_exact_ie_refuses_large_sparse_documents_within_budget(tmp_path, run_cli
     # so the step bound must charge the words, not count the terms
     from jahangir_ssc import Graph, emit_graph
 
-    for n in (4000, 20000):
+    for n, steps in ((4000, 9617276), (20000, 3000057)):
         edges = tuple((i, i + 1) for i in range(n - 1)) + ((0, 3), (n // 2, n // 2 + 3))
         path = tmp_path / f"path{n}.json"
         path.write_text(emit_graph(Graph(n, edges)))
@@ -695,8 +770,8 @@ def test_exact_ie_refuses_large_sparse_documents_within_budget(tmp_path, run_cli
         res = run_cli("graph", "--input", str(path), "f-vector", "--mode", "exact-ie")
         assert time.perf_counter() - start < 2.0
         assert res.code == 2
-        assert res.stderr == ("capacity error: inclusion-exclusion over 2 simple cycles "
-                              "exceeds the step bound 3000000\n")
+        assert res.stderr == (f"capacity error: exact inclusion-exclusion: {steps} steps "
+                              "(over 2 simple cycles) exceed EXACT_IE_STEP_LIMIT = 3000000\n")
 
 
 # Run in a child capped at 1 GB of address space, so that a regression
@@ -738,7 +813,7 @@ def test_large_m_is_refused_within_a_memory_cap():
     proc = _run_child(CAPPED_CHILD)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines() == [
-        f"capacity error: m = {m} exceeds 207, the largest m any engine answers"
+        f"capacity error: jahangir command: {m} spokes exceed JAHANGIR_M_LIMIT = 207"
         for m in (1000, 1000000, 1000000, 208)]
 
 
@@ -774,8 +849,8 @@ def test_exact_ie_answers_and_refuses_within_a_memory_cap():
     proc = _run_child(EXACT_IE_CHILD)
     assert proc.returncode == 0, proc.stderr
     refusal, refused_s, answered_s = proc.stdout.splitlines()
-    assert refusal == ("inclusion-exclusion over 1172 simple cycles "
-                       "exceeds the step bound 3000000")
+    assert refusal == ("exact inclusion-exclusion: 3011074 steps (over 1172 simple "
+                       "cycles) exceed EXACT_IE_STEP_LIMIT = 3000000")
     assert float(refused_s) < 2.0 and float(answered_s) < 2.0
 
 
@@ -1052,8 +1127,8 @@ def test_deep_forest_is_scanned_within_a_memory_cap(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["0 0", "0 4", "0 1", "2 None"]
     assert proc.stderr.splitlines() == [
-        f"capacity error: cycle space rank 18 exceeds {MAX_INDEPENDENT_CYCLES}; "
-        "exhaustive cycle enumeration refused"]
+        "capacity error: simple-cycle scan: 18 independent cycles exceed "
+        f"MAX_INDEPENDENT_CYCLES = {MAX_INDEPENDENT_CYCLES}"]
 
 
 # Forty bytes name 10^8 vertices. Nothing may be built per vertex: the
@@ -1081,8 +1156,8 @@ def test_a_huge_empty_document_is_refused_within_a_memory_cap(tmp_path):
     assert proc.stderr.splitlines() == [
         disconnected,
         "error: tree classes are defined only for the jahangir command",
-        f"capacity error: 100000000 vertices exceed {MAX_CYCLE_SCAN_VERTICES}; "
-        "exhaustive cycle enumeration refused",
+        "capacity error: simple-cycle scan: 100000000 vertices exceed "
+        f"MAX_CYCLE_SCAN_VERTICES = {MAX_CYCLE_SCAN_VERTICES}",
         disconnected, disconnected, disconnected, disconnected]
 
 
@@ -1097,8 +1172,8 @@ def test_tree_count_guard_refuses_before_the_determinant(run_cli, tmp_path):
     res = run_cli("graph", "--input", str(path), "facets")
     assert time.perf_counter() - start < 1.0
     assert res.code == 2 and res.stdout == ""
-    assert res.stderr == (f"capacity error: {n} vertices exceed {TREE_GUARD_VERTEX_LIMIT}, "
-                          "the largest graph whose spanning trees are counted\n")
+    assert res.stderr == (f"capacity error: spanning-tree count: {n} vertices exceed "
+                          f"TREE_GUARD_VERTEX_LIMIT = {TREE_GUARD_VERTEX_LIMIT}\n")
     # the largest graph the jahangir command builds is counted
     assert TREE_GUARD_VERTEX_LIMIT == build_jahangir(JAHANGIR_M_LIMIT).vertex_count
 
@@ -1128,9 +1203,9 @@ def test_dense_documents_are_refused_before_the_determinant(run_cli, tmp_path):
             res = run_cli("graph", "--input", doc, action)
             assert time.perf_counter() - start < 1.0, (edges, action)
             assert (res.code, res.stdout) == (2, "")
-            assert res.stderr == (f"capacity error: at least {bound} spanning trees, the "
-                                  "count of a cactus subgraph, exceed the enumeration "
-                                  "limit 500000\n")
+            assert res.stderr == (f"capacity error: tree enumeration: at least {bound} "
+                                  "spanning trees (a cactus subgraph's count) exceed "
+                                  "TREE_ENUMERATION_LIMIT = 500000\n")
     # K9's cactus has 3^4 = 81 trees, which decides nothing: the
     # determinant's exact count is the reason, as before
     from jahangir_ssc import Graph, emit_graph
@@ -1139,8 +1214,8 @@ def test_dense_documents_are_refused_before_the_determinant(run_cli, tmp_path):
     k9.write_text(emit_graph(Graph(9, tuple((u, v) for u in range(9)
                                              for v in range(u + 1, 9)))))
     res = run_cli("graph", "--input", str(k9), "facets")
-    assert res.stderr == ("capacity error: 4782969 spanning trees exceed the "
-                          "enumeration limit 500000\n")
+    assert res.stderr == ("capacity error: tree enumeration: 4782969 spanning trees "
+                          "exceed TREE_ENUMERATION_LIMIT = 500000\n")
 
 
 def test_tree_counts_at_the_guard_cap_answer_within_budget(run_cli, tmp_path):
@@ -1151,8 +1226,9 @@ def test_tree_counts_at_the_guard_cap_answer_within_budget(run_cli, tmp_path):
     res = run_cli("jahangir", "--m", "207", "verify")
     assert time.perf_counter() - start < 1.0
     assert res.code == 2 and res.stdout == ""
-    assert res.stderr == ("capacity error: at least 1048576 spanning trees, the count "
-                          "of a cactus subgraph, exceed the enumeration limit 500000\n")
+    assert res.stderr == ("capacity error: tree enumeration: at least 1048576 spanning "
+                          "trees (a cactus subgraph's count) exceed "
+                          "TREE_ENUMERATION_LIMIT = 500000\n")
 
     from jahangir_ssc import Graph, emit_graph
 

@@ -182,11 +182,12 @@ def test_exact_ie_capacity():
     assert f_vector_exact_ie(j9) == f_vector_direct(j9)
     k7_leaves = Graph(22, tuple((u, v) for u in range(7) for v in range(u + 1, 7))
                       + tuple((i % 7, 7 + i) for i in range(15)))
-    for g, cycles in ((build_jahangir(14), 183), (k7_leaves, 1172)):
+    for g, steps, cycles in ((build_jahangir(14), 3006312, 183), (k7_leaves, 3011074, 1172)):
         with pytest.raises(CapacityError) as refused:
             f_vector_exact_ie(g)
-        assert str(refused.value) == (f"inclusion-exclusion over {cycles} simple cycles "
-                                      "exceeds the step bound 3000000")
+        assert str(refused.value) == (f"exact inclusion-exclusion: {steps} steps (over "
+                                      f"{cycles} simple cycles) exceed "
+                                      "EXACT_IE_STEP_LIMIT = 3000000")
 
 
 @pytest.mark.parametrize("m", range(3, 9))

@@ -19,11 +19,8 @@ from jahangir_ssc import (
     matrix_tree_count,
     parse_graph,
 )
-from jahangir_ssc.graphs import (
-    MAX_INDEPENDENT_CYCLES,
-    _cactus_tree_bound,
-    _is_simple_cycle_mask,
-)
+from jahangir_ssc.errors import MAX_INDEPENDENT_CYCLES
+from jahangir_ssc.graphs import _cactus_tree_bound, _is_simple_cycle_mask
 from jahangir_ssc.records import base_cycle_indices, rim_indices, spoke_index
 
 from oracles import (
