@@ -46,8 +46,8 @@ _EXPORTS = {
                  "enumerate_spanning_trees_jahangir", "verify_partition"),
     "formulas": ("FormulaFVector", "FormulaTerm", "f_vector_exact_ie",
                  "f_vector_formula"),
-    "algebra": ("CMVerdict", "block_ordering_histogram", "certify",
-                "cohen_macaulay_verdict", "prefix_block_ordering"),
+    "algebra": ("CMVerdict", "block_ordering_histogram", "block_ordering_verdict",
+                "certify", "cohen_macaulay_verdict", "prefix_block_ordering"),
     "reports": ("ClaimResult", "RunReport", "build_graph_report",
                 "build_jahangir_report"),
 }

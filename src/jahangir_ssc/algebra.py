@@ -55,21 +55,20 @@ field of 3m bits, which no count of trees reaches. Since s_{k+1} is
 usable whatever the picks, a spoke set's histogram is a transfer along
 its arcs from s_{k+1} round to it, two polynomials wide (whether the
 next kept spoke is already usable), with no tree listed and no set of
-earlier facets. `verify` checks the block ordering this way; `cm`
-checks the permutation it prints with `certify`.
+earlier facets. `cm` and `verify` both read the block verdict so.
 
 The search ordering ("search"), for any connected graph, is the
 canonical facet order itself: spanning trees sorted as edge tuples. A
 spanning complex is the independence complex of a graphic matroid, and
 the lexicographic order of a matroid's bases is a shelling (Bjorner,
 "The homology and shellability of matroids and geometric lattices",
-1992; Provan-Billera, 1980). The verdict still runs both checks on it.
+1992; Provan-Billera, 1980). The verdict still checks it, by `certify`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import f_vector_direct, hilbert_series
 from .errors import (CERTIFICATE_CHECK_LIMIT, CapacityError, InvalidParameterError,
@@ -134,10 +133,11 @@ def prefix_block_ordering(m: int) -> tuple[int, ...]:
     first, lexicographic on the deleted edge tuple within a block.
 
     The generic enumerator lists the trees in canonical order, so a
-    tree's position is its rank, and the list is the one the verdict
-    reads. For sets of one size the lexicographic order of the deleted
-    sets is the reverse of that of the trees, so the ordering is the
-    stable sort of the positions by run length, reversed."""
+    tree's position is its rank. For sets of one size the lexicographic
+    order of the deleted sets is the reverse of that of the trees, so
+    the ordering is the stable sort of the positions by run length,
+    reversed. cm prints it as the certificate that the histogram of
+    block_ordering_histogram judges; no certify pass runs over it."""
     trees = enumerate_spanning_trees_generic(build_jahangir(m))
     spokes = sum(1 << spoke_index(j, m) for j in range(1, m + 1))
     # the leading run ends below the lowest kept spoke, s_(k+1) at bit
@@ -224,9 +224,8 @@ def block_ordering_histogram(m: int) -> tuple[int, ...]:
     """histogram[u] counts the facets of J(2,m) with u usable elements
     in the block order, as certify counts them on prefix_block_ordering's
     permutation, but from the exchange rules (a)-(d) per spoke set: no
-    facet is listed. The order has quasi-linear quotients exactly when
-    histogram[0] is 1, and is a shelling exactly when the histogram is
-    the h-vector. The cost is O(2^m) transfers of O(m) products."""
+    facet is listed; block_ordering_verdict reads it. The cost is O(2^m)
+    transfers of O(m) products."""
     build_jahangir(m)  # refuses m < 3
     return _unpacked(sum(h for _, h in _spoke_set_histograms(m)), 3 * m)
 
@@ -240,31 +239,37 @@ class CMVerdict(NamedTuple):
     the block ordering of J(2,m) or, with ordering_source "search", the
     canonical facet order. cohen_macaulay is None when the canonical
     order failed the quotient test, which the matroid theorem rules out;
-    it is False only when the block ordering fails."""
+    it is False only when the block ordering's histogram fails it."""
 
     cohen_macaulay: bool | None
     certificate: tuple[int, ...] | None
     ordering_source: str | None        # "block" or "search"
-    block_first_failure: int | None    # position where the block order failed
     shelling_agrees: bool | None
+
+
+def block_ordering_verdict(m: int, tree_counts: Iterable[int],
+                           h_vector: tuple[int, ...] | None) -> tuple[bool, bool | None]:
+    """(quotients, shelling) of the block ordering on J(2,m), from its
+    histogram: quasi-linear quotients when only the first facet has no
+    usable element and the histogram counts every tree, as each of
+    tree_counts gives it; then a shelling exactly when the histogram is
+    h_vector. shelling is None when either is missing."""
+    histogram = block_ordering_histogram(m)
+    quotients = histogram[0] == 1 and set(tree_counts) == {sum(histogram)}
+    return quotients, (histogram == h_vector if quotients and h_vector else None)
 
 
 def cohen_macaulay_verdict(g: Graph, ordering: str,
                            f_vector: tuple[int, ...] | None = None) -> CMVerdict:
-    """Build the spanning complex of g, then certify Cohen-Macaulayness
-    by an ordering of its facets with quasi-linear quotients: the
-    block ordering ("block"), defined on J(2,m) in its canonical edge
-    order only, or the canonical facet order ("search"). Every
-    certificate is checked, never assumed: shelling_agrees is whether
-    the pass's histogram is the Hilbert numerator of f_vector, which
-    the forest sweep computes, once the quotient test passes, unless the
-    caller has it; a refused sweep leaves shelling_agrees None.
-
-    The search ordering is refused, by a CapacityError that names the
-    facet count and the cap, past CERTIFICATE_CHECK_LIMIT facets. g's
-    spanning-tree count, its facet count, decides that before any tree
-    is enumerated.
-    """
+    """Certify the Cohen-Macaulayness of g's spanning complex by an
+    ordering of its facets with quasi-linear quotients, checked, never
+    assumed: the block ordering of J(2,m) ("block") by
+    block_ordering_verdict, or the canonical facet order ("search") by
+    one certify pass, refused past CERTIFICATE_CHECK_LIMIT facets, which
+    g's spanning-tree count decides before any tree is listed.
+    shelling_agrees compares the histogram with the Hilbert numerator of
+    f_vector, which the forest sweep computes unless the caller has it;
+    a refused sweep leaves it None."""
     if ordering not in ("block", "search"):
         raise InvalidParameterError(f"unknown ordering strategy {ordering!r}")
     require_spanning_complex(g)
@@ -281,21 +286,20 @@ def cohen_macaulay_verdict(g: Graph, ordering: str,
         count = matrix_tree_count(g)
         if count > CERTIFICATE_CHECK_LIMIT:
             raise capacity_error("CERTIFICATE_CHECK_LIMIT", count)
-    facets = enumerate_spanning_trees_generic(g)
-    certificate = (prefix_block_ordering(m) if ordering == "block"
-                   else tuple(range(len(facets))))
-    failure, histogram = certify([facets[k] for k in certificate])
-    if failure is not None:
-        if ordering == "search":  # ruled out by the matroid theorem
-            return CMVerdict(None, None, "search", None, None)
-        return CMVerdict(False, None, "block", failure, None)
-    if f_vector is None:
-        try:
-            f_vector = f_vector_direct(g)
-        except CapacityError:  # no h-vector to compare with
-            return CMVerdict(True, certificate, ordering, None, None)
-    return CMVerdict(True, certificate, ordering, None,
-                     histogram == hilbert_series(f_vector).numerator)
+    try:
+        h_vector = hilbert_series(f_vector or f_vector_direct(g)).numerator
+    except CapacityError:  # no h-vector to compare with
+        h_vector = None
+    if ordering == "block":
+        # the histogram must count the facets the certificate permutes
+        certificate = prefix_block_ordering(m)
+        quotients, shelling = block_ordering_verdict(m, (len(certificate),), h_vector)
+        return CMVerdict(quotients, certificate if quotients else None, "block", shelling)
+    failure, histogram = certify(enumerate_spanning_trees_generic(g))
+    if failure is not None:  # ruled out by the matroid theorem
+        return CMVerdict(None, None, "search", None)
+    return CMVerdict(True, tuple(range(sum(histogram))), "search",
+                     None if h_vector is None else histogram == h_vector)
 
 
 def _cm_payload(g: Graph, ordering: str, meta: dict) -> dict:
@@ -305,5 +309,5 @@ def _cm_payload(g: Graph, ordering: str, meta: dict) -> dict:
             "cohen_macaulay": verdict.cohen_macaulay,
             "ordering_source": verdict.ordering_source,
             "certificate": verdict.certificate,  # the writer takes tuples
-            "block_first_failure": verdict.block_first_failure,
+            "block_first_failure": None,  # the histogram locates no failure
             "shelling_agrees": verdict.shelling_agrees}

@@ -69,12 +69,11 @@ TREE_GUARD_VERTEX_LIMIT = _cap("TREE_GUARD_VERTEX_LIMIT", 2 * JAHANGIR_M_LIMIT +
 
 # One guard, before any tree is listed, serves facets, classes (which
 # reports the count), cm and verify, so it is sized by the costliest of
-# them. Past J(2,10)'s 524,172 trees (single runs in a child under a
-# 1 GB address-space cap, Xeon): build_jahangir_report(10) would take
-# 0.93-1.2 s and 128 MB and verify 1.1 s and 127 MB, but facets 3.5-3.9 s
-# and 42 MB (stdout to /dev/null) and cm --ordering block 62 s and
-# 198 MB. It also bounds verify's O(m^4) intersection survey. The value
-# stays until cm and facets have budgets of their own.
+# them, facets. Past it, J(2,10)'s 524,172 trees (single runs in a child
+# under a 1 GB address-space cap, Xeon, stdout to /dev/null) take facets
+# 3.3-3.5 s and 41 MB, verify 0.5 s and 69 MB and cm --ordering block
+# 0.3-0.4 s and 69 MB. It also bounds verify's O(m^4) intersection
+# survey. The value stays until facets has a budget of its own.
 TREE_ENUMERATION_LIMIT = _cap("TREE_ENUMERATION_LIMIT", 500_000,
                               "tree enumeration", "spanning trees")
 
@@ -82,8 +81,8 @@ TREE_ENUMERATION_LIMIT = _cap("TREE_ENUMERATION_LIMIT", 500_000,
 # in-process, least of 5): the one-pass check takes 3 ms on J(2,5)'s
 # 722 facets, 14-15 ms on J(2,6)'s 2700 and 65-71 ms on J(2,7)'s
 # 10,082; J(2,8)'s 37,632 take about 0.38 s and J(2,9)'s 140,450 about
-# 2.2 s. The block ordering is not capped here: verify checks it by
-# exchange rules, listing no facet, and the tree guard bounds cm.
+# 2.2 s. The block ordering is not capped here: cm and verify check it
+# by exchange rules, listing no facet.
 CERTIFICATE_CHECK_LIMIT = _cap("CERTIFICATE_CHECK_LIMIT", 3000,
                                "search-ordering certificate", "facets")
 

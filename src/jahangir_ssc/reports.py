@@ -16,7 +16,7 @@ from itertools import accumulate
 from operator import mul
 from typing import NamedTuple
 
-from .algebra import block_ordering_histogram, cohen_macaulay_verdict
+from .algebra import block_ordering_verdict, cohen_macaulay_verdict
 from .complexes import f_vector_direct, hilbert_series
 from .cycles import (
     claimed_order,
@@ -206,16 +206,12 @@ def build_jahangir_report(m: int) -> RunReport:
                 {"diverging_indices": diverging})
 
     def cm():
-        # the block ordering's histogram by the exchange rules, at every
-        # m the guard serves; a refused sweep leaves the claim unchecked,
-        # with its reason. The histogram must count the trees of both
-        # enumerators, and only the first facet may have no usable element
-        h_vector = hilbert_series(sweep()).numerator
-        histogram = block_ordering_histogram(m)
-        counts = {len(enumerate_spanning_trees_generic(g)),
-                  len(enumerate_spanning_trees_jahangir(m)), sum(histogram)}
-        quotients = histogram[0] == 1 and len(counts) == 1
-        shelling = histogram == h_vector if quotients else None
+        # cm's block verdict, against the trees of both enumerators; a
+        # refused sweep leaves the claim unchecked, with its reason
+        quotients, shelling = block_ordering_verdict(
+            m, (len(enumerate_spanning_trees_generic(g)),
+                len(enumerate_spanning_trees_jahangir(m))),
+            hilbert_series(sweep()).numerator)
         return (True, quotients, bool(shelling),
                 {"ordering_source": "block", "shelling_agrees": shelling})
 

@@ -345,3 +345,48 @@ def block_order_histograms(trees: set[frozenset[int]], m: int) -> dict:
         counts.setdefault(spokes, []).append(usable)
     return {spokes: tuple(found.count(u) for u in range(max(found) + 1))
             for spokes, found in counts.items()}
+
+
+def _gf2_rank(rows: list[int]) -> int:
+    """Rank over GF(2) of rows given as bit vectors, by elimination on
+    each row's leading bit."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row ^= pivots[lead]
+    return len(pivots)
+
+
+def _acyclic_below_top(faces: set[frozenset[int]]) -> bool:
+    """Whether the complex with this face set (the empty face included)
+    has H~_i = 0 over GF(2) for every i below its dimension: the reduced
+    Betti number |C_i| - rank d_i - rank d_(i+1), with C_(-1) spanned by
+    the empty face, is 0."""
+    by_dim: dict[int, list[frozenset[int]]] = {}
+    for face in faces:
+        by_dim.setdefault(len(face) - 1, []).append(face)
+    position = {face: i for group in by_dim.values() for i, face in enumerate(group)}
+
+    def boundary_rank(d: int) -> int:
+        return _gf2_rank([sum(1 << position[face - {v}] for v in face)
+                          for face in by_dim.get(d, ())] if d >= 0 else [])
+
+    return all(len(by_dim.get(i, ())) - boundary_rank(i) - boundary_rank(i + 1) == 0
+               for i in range(-1, max(by_dim)))
+
+
+def reisner_cohen_macaulay(facets) -> bool:
+    """Reisner's criterion (Reisner 1976; Stanley, Combinatorics and
+    Commutative Algebra, II.4.1): k[complex] is Cohen-Macaulay over GF(2)
+    exactly when the link of every face, the empty face's link (the
+    whole complex) included, has no reduced homology below its top
+    dimension. Every face's link is built from the full face set."""
+    faces = {frozenset(c) for facet in facets for size in range(len(facet) + 1)
+             for c in itertools.combinations(sorted(facet), size)}
+    return all(_acyclic_below_top({tau for tau in faces
+                                   if not tau & sigma and tau | sigma in faces})
+               for sigma in faces)

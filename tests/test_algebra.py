@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -31,6 +32,7 @@ from oracles import (
     naive_colon_mindeg,
     naive_is_shelling,
     random_connected_graph,
+    reisner_cohen_macaulay,
     termwise_hilbert_numerator,
 )
 
@@ -407,7 +409,6 @@ def test_verdict_family(m):
     assert verdict.cohen_macaulay is True
     assert verdict.ordering_source == "block"
     assert verdict.certificate is not None
-    assert verdict.block_first_failure is None
     assert verdict.shelling_agrees is True
 
 
@@ -476,20 +477,29 @@ def test_verdict_search_leaves_large_ideals_unchecked(monkeypatch):
         cohen_macaulay_verdict(j7, ordering="search")
 
 
-def test_verdict_reports_a_failing_block_ordering(monkeypatch, j3):
-    # the block ordering has no fallback to the canonical order: an
-    # ordering that fails the quotient test is False
+def tampered_block_histograms(m):
+    """J(2,m)'s block histogram with one count moved, and whether it
+    still passes the quotient test: a count shifted by one element, a
+    second facet with no usable element, and one tree too many."""
+    h = block_ordering_histogram(m)
+    return (((1, h[1] - 1, h[2] + 1, *h[3:]), True),
+            ((2, h[1] - 1, *h[2:]), False),
+            ((1, h[1] + 1, *h[2:]), False))
+
+
+def test_verdict_reads_the_block_histogram(monkeypatch, j4):
+    # the block verdict is its histogram's, with no fallback to the
+    # canonical order: a quotient failure is False with no certificate,
+    # and a shifted count passes the quotient test but is no shelling
     from jahangir_ssc import algebra
 
-    facets = enumerate_spanning_trees_generic(j3)
-    far = next(i for i, f in enumerate(facets) if (facets[0] & ~f).bit_count() >= 2)
-    failing = (0, far) + tuple(i for i in range(1, len(facets)) if i != far)
-    monkeypatch.setattr(algebra, "prefix_block_ordering", lambda m: failing)
-    verdict = cohen_macaulay_verdict(j3, ordering="block")
-    assert verdict.cohen_macaulay is False
-    assert verdict.ordering_source == "block"
-    assert verdict.block_first_failure == 1
-    assert verdict.certificate is None
+    for histogram, quotients in tampered_block_histograms(4):
+        monkeypatch.setattr(algebra, "block_ordering_histogram", lambda m: histogram)
+        verdict = cohen_macaulay_verdict(j4, ordering="block")
+        assert verdict.cohen_macaulay is quotients
+        assert verdict.ordering_source == "block"
+        assert (verdict.certificate is None) is not quotients
+        assert verdict.shelling_agrees is (False if quotients else None)
 
 
 def test_block_verdict_reads_the_canonical_trees_only(monkeypatch):
@@ -582,6 +592,34 @@ def test_verdict_compares_the_histogram_with_the_sweep(monkeypatch, j3):
         assert sorted(verdict.certificate) == list(range(50))
 
 
+def test_reisner_criterion_agrees_with_the_verdict():
+    # an independent judge of "Cohen-Macaulay": Reisner's criterion over
+    # GF(2), from the homology of every face's link, accepts the spanning
+    # complexes of K4, K5, J(2,3) and small random graphs, as cm does
+    start = time.perf_counter()
+    graphs = [(Graph(n, tuple(itertools.combinations(range(n), 2))), "search")
+              for n in (4, 5)]
+    graphs += [(build_jahangir(3), "block"), (build_jahangir(3), "search")]
+    rng = random.Random(71)
+    for _ in range(12):
+        n, edges = random_connected_graph(rng, max_vertices=6, max_extra=3, max_edges=8)
+        graphs.append((Graph(n, tuple(edges)), "search"))
+    for g, ordering in graphs:
+        facets = [as_set(f) for f in enumerate_spanning_trees_generic(g)]
+        assert reisner_cohen_macaulay(facets) is True
+        assert cohen_macaulay_verdict(g, ordering).cohen_macaulay is True
+    assert time.perf_counter() - start < 2.0
+
+
+def test_reisner_criterion_rejects_complexes_that_are_not_cohen_macaulay():
+    # two triangles sharing a vertex: that vertex's link is two disjoint
+    # edges. Two disjoint edges: every nonempty face's link passes, and
+    # only the empty face's, the whole disconnected complex, fails
+    assert reisner_cohen_macaulay([{0, 1, 2}, {2, 3, 4}]) is False
+    assert reisner_cohen_macaulay([{0, 1}, {2, 3}]) is False
+    assert reisner_cohen_macaulay([{0, 1}, {1, 2}, {0, 2}]) is True  # a circle
+
+
 def test_verdict_certificate_is_checkable(j4):
     verdict = cohen_macaulay_verdict(j4, "block")
     facets = enumerate_spanning_trees_generic(j4)
@@ -594,8 +632,9 @@ def test_verdict_certificate_is_checkable(j4):
 
 
 def test_each_verdict_makes_one_certificate_pass(monkeypatch, j4):
-    # the quotient test and the shelling cross-check come from one pass
-    # over the facets in the certificate's order, never two
+    # the search ordering's quotient test and shelling cross-check come
+    # from one pass over the facets, never two; the block ordering's come
+    # from its histogram, with no pass at all
     from jahangir_ssc import algebra
 
     passes = []
@@ -605,11 +644,11 @@ def test_each_verdict_makes_one_certificate_pass(monkeypatch, j4):
         return certify(facets)
 
     monkeypatch.setattr(algebra, "certify", counted)
-    for g, ordering, facets in ((j4, "block", 192), (PETERSEN, "search", 2000)):
+    for g, ordering, facets in ((j4, "block", []), (PETERSEN, "search", [2000])):
         passes.clear()
         verdict = cohen_macaulay_verdict(g, ordering=ordering)
         assert verdict.cohen_macaulay is True and verdict.shelling_agrees is True
-        assert passes == [facets]
+        assert passes == facets
 
 
 def test_certificate_pass_matches_both_checks_and_the_definitions():

@@ -185,9 +185,13 @@ def _cm_claim(monkeypatch, m, **patches):
     return build_jahangir_report(m).claims[-1]
 
 
-def test_a_tampered_h_vector_or_histogram_is_a_mismatch(monkeypatch):
+def test_a_tampered_h_vector_or_histogram_is_a_mismatch(monkeypatch, run_cli):
     # the claim is a match only when the histogram passes the quotient
-    # test, counts every tree and equals the sweep's h-vector
+    # test, counts every tree and equals the sweep's h-vector; cm reads
+    # the same verdict, and a quotient failure prints no certificate
+    from jahangir_ssc import algebra
+    from test_algebra import tampered_block_histograms
+
     series = reports.hilbert_series
 
     def tampered(f):
@@ -199,14 +203,36 @@ def test_a_tampered_h_vector_or_histogram_is_a_mismatch(monkeypatch):
     assert (claim.verdict, claim.oracle) == ("mismatch", True)
     assert claim.detail == {"ordering_source": "block", "shelling_agrees": False}
     monkeypatch.undo()
-    histogram = reports.block_ordering_histogram(4)
-    for changed, quotients in (
-            ((1, histogram[1] - 1, histogram[2] + 1, *histogram[3:]), True),
-            ((2, histogram[1] - 1, *histogram[2:]), False),  # a second facet with none
-            ((1, histogram[1] + 1, *histogram[2:]), False)):  # a tree too many
-        claim = _cm_claim(monkeypatch, 4, block_ordering_histogram=lambda m: changed)
+    for changed, quotients in tampered_block_histograms(4):
+        monkeypatch.setattr(algebra, "block_ordering_histogram", lambda m: changed)
+        claim = _cm_claim(monkeypatch, 4)
         assert (claim.verdict, claim.oracle) == ("mismatch", quotients)
         assert claim.detail["shelling_agrees"] is (False if quotients else None)
+        res = run_cli("jahangir", "--m", "4", "cm")
+        assert (res.code, res.stderr) == (0, "")
+        doc = res.json()
+        assert doc["cohen_macaulay"] is quotients and doc["block_first_failure"] is None
+        assert (doc["certificate"] is None) is not quotients
+        assert doc["shelling_agrees"] is (False if quotients else None)
+
+
+def test_block_cm_runs_no_certificate_pass(monkeypatch, run_cli):
+    # cm reads the block verdict from the exchange rules: at m = 9 it
+    # lists the 140,450 trees once, for the printed permutation, and
+    # runs no certify pass, which alone would take about 1.5 s
+    from jahangir_ssc import algebra
+
+    def refuse(facets):
+        raise AssertionError("certify ran")
+
+    monkeypatch.setattr(algebra, "certify", refuse)
+    start = time.perf_counter()
+    res = run_cli("jahangir", "--m", "9", "cm", "--ordering", "block")
+    assert time.perf_counter() - start < 0.5
+    assert (res.code, res.stderr) == (0, "")
+    doc = res.json()
+    assert doc["cohen_macaulay"] is True and doc["shelling_agrees"] is True
+    assert sorted(doc["certificate"]) == list(range(140450))
 
 
 def test_cm_search_past_the_certificate_cap_exits_2(run_cli):

@@ -88,6 +88,9 @@ def requests() -> list[tuple[str, ...]]:
                 for fmt in FORMATS:
                     out.append(("jahangir", "--m", m, action, *opts, "--format", fmt))
     out += [("jahangir", "--m", "5", "verify", "--format", fmt) for fmt in FORMATS]
+    # the block verdict and its printed permutation up to the tree guard
+    out += [("jahangir", "--m", str(m), "cm", "--format", fmt)
+            for m in range(5, 10) for fmt in ("json", "csv")]
     out.append(("jahangir", "--m", "3", "verify", "--seed", "7"))
     for name in ("triangle.json", "petersen.json", "long.json", "one.json",
                  "split.json", "j3_shuffled.json"):
