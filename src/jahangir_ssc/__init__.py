@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 # Each public name under the module that defines it, its home.
 _EXPORTS = {
     "errors": ("CapacityError", "GraphParseError", "InvalidParameterError",
-               "JssError", "PurityError"),
+               "JssError"),
     "records": ("EdgeLabel", "EdgeSet", "Graph", "build_jahangir", "edge_indices",
                 "is_connected"),
     "graphs": ("emit_graph", "enumerate_simple_cycles", "matrix_tree_count",
@@ -47,7 +47,8 @@ _EXPORTS = {
     "formulas": ("FormulaFVector", "FormulaTerm", "f_vector_exact_ie",
                  "f_vector_formula"),
     "algebra": ("CMVerdict", "block_ordering_histogram", "block_ordering_verdict",
-                "certify", "cohen_macaulay_verdict", "prefix_block_ordering"),
+                "cohen_macaulay_verdict", "prefix_block_ordering",
+                "search_ordering_histogram"),
     "reports": ("ClaimResult", "RunReport", "build_graph_report",
                 "build_jahangir_report"),
 }

@@ -1,21 +1,22 @@
-"""The certificate pass, the block ordering of J(2,m), and the
-Cohen-Macaulay verdict.
+"""The block ordering of J(2,m) and the search ordering of any connected
+graph, each judged by exchange rules, and the Cohen-Macaulay verdict.
 
 The facet ideal has one squarefree generator per facet, whose support
 is the facet, so a facet's edge-set mask stands for its generator. The
 colon ideal of a prefix is never built either: its minimal generator
 degrees are the sizes min_j |supp(m_j) \\ supp(m_i)|, which for one
 degree is 1 exactly when some swap of one variable, supp(m_i) - x + y,
-is an earlier support. `certify` makes one pass over the facets in
-order and finds, for each facet F_i, its usable elements U_i: the x for
-which such a swap exists (a set lookup per swap). The quotient test
-needs U_i nonempty at every position after 0. The order is a shelling
-exactly when #{i : |U_i| = k} is h_k, the h-vector of the complex
-(Bjorner 1992, sections 7.2-7.3): a face first met at F_i contains U_i,
-so the sum of 2^(|F_i| - |U_i|) bounds the face count, degree by
-degree, with equality exactly when no earlier facet contains any U_i,
-the classical shelling condition. The verdict reads h off the forest
-sweep's f-vector.
+is an earlier support. Such an x is a usable element of the facet F_i,
+and U_i is the set of them. The quotient test needs U_i nonempty at
+every position after 0. The order is a shelling exactly when
+#{i : |U_i| = k} is h_k, the h-vector of the complex (Bjorner 1992,
+sections 7.2-7.3): a face first met at F_i contains U_i, so the sum of
+2^(|F_i| - |U_i|) bounds the face count, degree by degree, with
+equality exactly when no earlier facet contains any U_i, the classical
+shelling condition. The verdict reads h off the forest sweep's
+f-vector. A tree F - x + y needs x on the fundamental cycle of y in F,
+and each ordering says by a rule on x and y when that tree comes
+earlier, so neither keeps a set of earlier facets.
 
 A verdict takes one of two orderings. The block ordering ("block")
 lists the facet-ideal generators of J(2,m) by the length of the
@@ -28,8 +29,7 @@ spoke set S (never all m spokes) and one rim edge, its pick, from each
 arc: the base cycles between two cyclically consecutive kept spokes.
 Spoke j is s_j, k is the length of S's leading run s_1..s_k, and inside
 one block F - x + y comes earlier exactly when x < y as edge indices. A
-tree F - x + y needs x on the fundamental cycle of y in F. A pick's
-cycle is its arc's rim path and the two kept spokes at its ends; a
+pick's cycle is its arc's rim path and the two kept spokes at its ends; a
 deleted spoke's cycle runs along the rim from its rim vertex, away from
 the pick, to the kept spoke on that side. So x in F is usable in four
 cases:
@@ -58,22 +58,22 @@ next kept spoke is already usable), with no tree listed and no set of
 earlier facets. `cm` and `verify` both read the block verdict so.
 
 The search ordering ("search"), for any connected graph, is the
-canonical facet order itself: spanning trees sorted as edge tuples. A
-spanning complex is the independence complex of a graphic matroid, and
-the lexicographic order of a matroid's bases is a shelling (Bjorner,
-"The homology and shellability of matroids and geometric lattices",
-1992; Provan-Billera, 1980). The verdict still checks it, by `certify`.
+canonical facet order itself: spanning trees sorted as edge tuples, the
+lexicographic order of the graphic matroid's bases, which is a shelling
+(Bjorner, "The homology and shellability of matroids and geometric
+lattices", 1992; Provan-Billera, 1980). There F - x + y comes earlier
+exactly when y < x, so x in F is usable when some edge y < x outside F
+has x on its fundamental cycle. `search_ordering_histogram` checks that
+each tree comes after the one before and counts U per tree from its
+root-path masks: the fundamental cycle of y = uv is path[u] ^ path[v].
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import f_vector_direct, hilbert_series
-from .errors import (CERTIFICATE_CHECK_LIMIT, CapacityError, InvalidParameterError,
-                     PurityError, capacity_error)
-from .graphs import matrix_tree_count
+from .errors import CapacityError, InvalidParameterError
 from .records import (
     EdgeSet,
     Graph,
@@ -83,44 +83,7 @@ from .records import (
     rim_indices,
     spoke_index,
 )
-from .spanning import _spoke_sets, enumerate_spanning_trees_generic
-
-
-def certify(facets: Sequence[EdgeSet]) -> tuple[int | None, tuple[int, ...] | None]:
-    """Both certificate checks of an ordered list of equal-sized facets,
-    from one pass: (first_failure, histogram).
-
-    first_failure is the first position after 0 whose facet has no
-    usable element, where the pass stops with histogram None. Otherwise
-    it is None, and histogram[k] counts the facets with k usable
-    elements, up to the largest k: the order is a shelling exactly
-    when that is the h-vector (Bjorner 1992, sections 7.2-7.3). An order
-    can have quasi-linear quotients and still not be a shelling."""
-    if len({f.bit_count() for f in facets}) > 1:
-        raise PurityError("shelling test requires equal-sized facets")
-    universe = 0
-    for mask in facets:
-        universe |= mask
-    if universe < 0:
-        raise InvalidParameterError("edge-set masks must be nonnegative")
-    elements = [1 << x for x in range(universe.bit_length()) if universe >> x & 1]
-    histogram: Counter[int] = Counter()
-    seen: set[EdgeSet] = set()
-    for i, mask in enumerate(facets):
-        outside = [y for y in elements if not mask & y]
-        usable = 0
-        for x in elements:
-            if mask & x:
-                base = mask ^ x
-                for y in outside:
-                    if base | y in seen:
-                        usable += 1
-                        break
-        if i and not usable:
-            return i, None
-        histogram[usable] += 1
-        seen.add(mask)
-    return None, tuple(histogram[k] for k in range(max(histogram, default=-1) + 1))
+from .spanning import _generic_trees, _spoke_sets, enumerate_spanning_trees_generic
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +100,7 @@ def prefix_block_ordering(m: int) -> tuple[int, ...]:
     order of the deleted sets is the reverse of that of the trees, so
     the ordering is the stable sort of the positions by run length,
     reversed. cm prints it as the certificate that the histogram of
-    block_ordering_histogram judges; no certify pass runs over it."""
+    block_ordering_histogram judges; no pass runs over its facets."""
     trees = enumerate_spanning_trees_generic(build_jahangir(m))
     spokes = sum(1 << spoke_index(j, m) for j in range(1, m + 1))
     # the leading run ends below the lowest kept spoke, s_(k+1) at bit
@@ -222,12 +185,59 @@ def _unpacked(packed: int, width: int) -> tuple[int, ...]:
 
 def block_ordering_histogram(m: int) -> tuple[int, ...]:
     """histogram[u] counts the facets of J(2,m) with u usable elements
-    in the block order, as certify counts them on prefix_block_ordering's
-    permutation, but from the exchange rules (a)-(d) per spoke set: no
+    in the block order, the order of prefix_block_ordering's
+    permutation, from the exchange rules (a)-(d) per spoke set: no
     facet is listed; block_ordering_verdict reads it. The cost is O(2^m)
     transfers of O(m) products."""
     build_jahangir(m)  # refuses m < 3
     return _unpacked(sum(h for _, h in _spoke_set_histograms(m)), 3 * m)
+
+
+# ---------------------------------------------------------------------------
+# The search ordering for any connected graph
+
+
+def search_ordering_histogram(g: Graph, trees: Sequence[EdgeSet]
+                              ) -> tuple[int | None, tuple[int, ...] | None]:
+    """Both certificate checks of trees, an order of g's spanning trees,
+    from one walk: (first_failure, histogram). first_failure is the
+    first position after 0 whose tree does not come lexicographically
+    after the one before or has no usable element, where the walk stops
+    with histogram None; otherwise histogram[k] counts the trees with k
+    usable elements, up to the largest k. An order of all of g's trees
+    passes only when it is the canonical one."""
+    adjacent = [[(w, 1 << y) for w, y in row] for row in g.adjacency()]
+    # per edge y = uv, a chord unless in the tree: u, v and the bits of
+    # the edges above y
+    candidates = [(u, v, -(2 << y)) for y, (u, v) in enumerate(g.edges)]
+    start = [0] + [-1] * (g.vertex_count - 1)  # vertex 0 is every tree's root
+    counts = [0] * (g.vertex_count + 1)
+    prev = 0
+    for i, t in enumerate(trees):
+        # the lowest edge in one tree only must be in the one before
+        low = prev ^ t
+        if i and not prev & low & -low:
+            return i, None
+        # path[w]: the tree's edges from the root to w
+        path, reached = start[:], [0]
+        for x in reached:
+            to_x = path[x]
+            for w, bit in adjacent[x]:
+                if t & bit and path[w] < 0:
+                    path[w] = to_x | bit
+                    reached.append(w)
+        # a tree edge y is its own cycle, which holds no edge above y
+        usable = 0
+        for u, v, above in candidates:
+            usable |= (path[u] ^ path[v]) & above
+        k = usable.bit_count()
+        if i and not k:
+            return i, None
+        counts[k] += 1
+        prev = t
+    while counts and not counts[-1]:
+        counts.pop()
+    return None, tuple(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +248,9 @@ class CMVerdict(NamedTuple):
     """Cohen-Macaulay verdict for a spanning complex. The certificate is
     the block ordering of J(2,m) or, with ordering_source "search", the
     canonical facet order. cohen_macaulay is None when the canonical
-    order failed the quotient test, which the matroid theorem rules out;
-    it is False only when the block ordering's histogram fails it."""
+    order failed search_ordering_histogram's checks, which the matroid
+    theorem rules out; it is False only when the block ordering's
+    histogram fails the quotient test."""
 
     cohen_macaulay: bool | None
     certificate: tuple[int, ...] | None
@@ -265,8 +276,7 @@ def cohen_macaulay_verdict(g: Graph, ordering: str,
     ordering of its facets with quasi-linear quotients, checked, never
     assumed: the block ordering of J(2,m) ("block") by
     block_ordering_verdict, or the canonical facet order ("search") by
-    one certify pass, refused past CERTIFICATE_CHECK_LIMIT facets, which
-    g's spanning-tree count decides before any tree is listed.
+    search_ordering_histogram, one walk over the listed trees.
     shelling_agrees compares the histogram with the Hilbert numerator of
     f_vector, which the forest sweep computes unless the caller has it;
     a refused sweep leaves it None."""
@@ -282,10 +292,6 @@ def cohen_macaulay_verdict(g: Graph, ordering: str,
                 != [_normalize(*e) for e in build_jahangir(m).edges]):
             raise InvalidParameterError(
                 "block ordering is only defined for J(2,m) in its canonical edge order")
-    else:
-        count = matrix_tree_count(g)
-        if count > CERTIFICATE_CHECK_LIMIT:
-            raise capacity_error("CERTIFICATE_CHECK_LIMIT", count)
     try:
         h_vector = hilbert_series(f_vector or f_vector_direct(g)).numerator
     except CapacityError:  # no h-vector to compare with
@@ -295,7 +301,8 @@ def cohen_macaulay_verdict(g: Graph, ordering: str,
         certificate = prefix_block_ordering(m)
         quotients, shelling = block_ordering_verdict(m, (len(certificate),), h_vector)
         return CMVerdict(quotients, certificate if quotients else None, "block", shelling)
-    failure, histogram = certify(enumerate_spanning_trees_generic(g))
+    # the enumerator's memoized list, read in place
+    failure, histogram = search_ordering_histogram(g, _generic_trees(g))
     if failure is not None:  # ruled out by the matroid theorem
         return CMVerdict(None, None, "search", None)
     return CMVerdict(True, tuple(range(sum(histogram))), "search",

@@ -24,10 +24,6 @@ class CapacityError(JssError, RuntimeError):
     """The requested computation exceeds a cap of the budget table."""
 
 
-class PurityError(JssError, ValueError):
-    """An operation that requires a pure complex received a non-pure one."""
-
-
 # ---------------------------------------------------------------------------
 # The budget table: each cap's name -> (limit, the engine that refuses
 # past it, the unit of its measured size). The comment above a cap is
@@ -69,22 +65,14 @@ TREE_GUARD_VERTEX_LIMIT = _cap("TREE_GUARD_VERTEX_LIMIT", 2 * JAHANGIR_M_LIMIT +
 
 # One guard, before any tree is listed, serves facets, classes (which
 # reports the count), cm and verify, so it is sized by the costliest of
-# them, facets. Past it, J(2,10)'s 524,172 trees (single runs in a child
-# under a 1 GB address-space cap, Xeon, stdout to /dev/null) take facets
-# 3.3-3.5 s and 41 MB, verify 0.5 s and 69 MB and cm --ordering block
-# 0.3-0.4 s and 69 MB. It also bounds verify's O(m^4) intersection
-# survey. The value stays until facets has a budget of its own.
+# them, the search ordering's walk that graph ... cm and verify run. Past
+# it, J(2,10)'s 524,172 trees (runs in a child under a 1 GB address-space
+# cap, Xeon, stdout to /dev/null) take graph ... cm 3.6-4.0 s and 55 MB,
+# graph ... verify 3.5-3.7 s and 59 MB, facets 2.8-2.9 s and 41 MB,
+# jahangir verify 0.5 s and 68 MB and cm --ordering block 0.3 s and
+# 68 MB. It also bounds verify's O(m^4) intersection survey.
 TREE_ENUMERATION_LIMIT = _cap("TREE_ENUMERATION_LIMIT", 500_000,
                               "tree enumeration", "spanning trees")
-
-# The search ordering's certificate, about 20 ms a check (Xeon,
-# in-process, least of 5): the one-pass check takes 3 ms on J(2,5)'s
-# 722 facets, 14-15 ms on J(2,6)'s 2700 and 65-71 ms on J(2,7)'s
-# 10,082; J(2,8)'s 37,632 take about 0.38 s and J(2,9)'s 140,450 about
-# 2.2 s. The block ordering is not capped here: cm and verify check it
-# by exchange rules, listing no facet.
-CERTIFICATE_CHECK_LIMIT = _cap("CERTIFICATE_CHECK_LIMIT", 3000,
-                               "search-ordering certificate", "facets")
 
 # The forest sweep, in steps: one per count carried across an edge,
 # checked before each edge, so the table can at most double past it. A

@@ -245,8 +245,8 @@ def build_graph_report(g: Graph) -> RunReport:
         return count, mt, count == mt, None
 
     def cm():
-        # a refused sweep, and past the certificate cap the verdict's
-        # refusal, leave the claim unchecked with the refusal as reason
+        # a refused sweep leaves the claim unchecked, with its refusal
+        # as reason; the search ordering's walk has no cap of its own
         verdict = cohen_macaulay_verdict(g, ordering="search", f_vector=sweep())
         return ({"quotient_ordering_shells": True},
                 {"cohen_macaulay": verdict.cohen_macaulay,

@@ -12,10 +12,17 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import deque
+from collections import Counter, deque
+from collections.abc import Sequence
 from fractions import Fraction
 
+from jahangir_ssc.errors import InvalidParameterError
+
 Edge = tuple[int, int]
+
+
+class PurityError(ValueError):
+    """certify's refusal of facets of more than one size."""
 
 
 def as_set(mask: int) -> frozenset[int]:
@@ -232,6 +239,44 @@ def brute_face_counts(facets: list[frozenset[int]]) -> tuple[int, ...]:
 def naive_colon_mindeg(previous: list[frozenset[int]],
                        current: frozenset[int]) -> int:
     return min(len(p - current) for p in previous)
+
+
+def certify(facets: Sequence[int]) -> tuple[int | None, tuple[int, ...] | None]:
+    """Both certificate checks of an ordered list of equal-sized facets,
+    from one pass that keeps the set of earlier facets and looks up each
+    swap in it, for any order: (first_failure, histogram).
+
+    first_failure is the first position after 0 whose facet has no
+    usable element, where the pass stops with histogram None. Otherwise
+    it is None, and histogram[k] counts the facets with k usable
+    elements, up to the largest k: the order is a shelling exactly
+    when that is the h-vector (Bjorner 1992, sections 7.2-7.3). An order
+    can have quasi-linear quotients and still not be a shelling."""
+    if len({f.bit_count() for f in facets}) > 1:
+        raise PurityError("shelling test requires equal-sized facets")
+    universe = 0
+    for mask in facets:
+        universe |= mask
+    if universe < 0:
+        raise InvalidParameterError("edge-set masks must be nonnegative")
+    elements = [1 << x for x in range(universe.bit_length()) if universe >> x & 1]
+    histogram: Counter[int] = Counter()
+    seen: set[int] = set()
+    for i, mask in enumerate(facets):
+        outside = [y for y in elements if not mask & y]
+        usable = 0
+        for x in elements:
+            if mask & x:
+                base = mask ^ x
+                for y in outside:
+                    if base | y in seen:
+                        usable += 1
+                        break
+        if i and not usable:
+            return i, None
+        histogram[usable] += 1
+        seen.add(mask)
+    return None, tuple(histogram[k] for k in range(max(histogram, default=-1) + 1))
 
 
 def random_connected_graph(rng: random.Random,

@@ -14,7 +14,6 @@ from contextlib import contextmanager
 from jahangir_ssc import (
     Graph,
     build_jahangir,
-    certify,
     cohen_macaulay_verdict,
     enumerate_spanning_trees_generic,
     f_vector_direct,
@@ -33,7 +32,7 @@ from jahangir_ssc import (
 from jahangir_ssc.cycles import all_words
 from jahangir_ssc.formulas import binomial
 
-from oracles import brute_f_vector, random_connected_graph
+from oracles import brute_f_vector, certify, random_connected_graph
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
 

@@ -11,23 +11,24 @@ from jahangir_ssc import (
     CapacityError,
     Graph,
     InvalidParameterError,
-    PurityError,
     build_jahangir,
-    certify,
     cohen_macaulay_verdict,
     enumerate_spanning_trees_generic,
     block_ordering_histogram,
     f_vector_direct,
     hilbert_series,
     prefix_block_ordering,
+    search_ordering_histogram,
 )
 
 from oracles import (
+    PurityError,
     as_mask,
     as_set,
     block_order_histograms,
     brute_face_counts,
     brute_spanning_trees,
+    certify,
     leading_spoke_run,
     naive_colon_mindeg,
     naive_is_shelling,
@@ -37,6 +38,7 @@ from oracles import (
 )
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
+K4, K5 = (Graph(n, tuple(itertools.combinations(range(n), 2))) for n in (4, 5))
 PETERSEN = Graph(10, tuple(edge for i in range(5) for edge in
                            ((i, (i + 1) % 5), (i, i + 5), (i + 5, (i + 2) % 5 + 5))))
 
@@ -457,24 +459,11 @@ def test_verdict_search_certificate_is_lexicographic_shelling():
             assert naive_shelling(canonical)
 
 
-def test_verdict_search_leaves_large_ideals_unchecked(monkeypatch):
-    # the certificate checks stop at CERTIFICATE_CHECK_LIMIT facets; past
-    # it the search ordering is refused, naming the facet count and the
-    # cap, and the tree count decides that before any tree is enumerated
-    from jahangir_ssc import algebra, errors
-
-    j6, j7 = build_jahangir(6), build_jahangir(7)
-    assert (len(enumerate_spanning_trees_generic(j6)) <= errors.CERTIFICATE_CHECK_LIMIT
-            < len(enumerate_spanning_trees_generic(j7)))
-
-    def no_enumeration(g):
-        raise AssertionError("facets enumerated past the check limit")
-
-    monkeypatch.setattr(algebra, "enumerate_spanning_trees_generic", no_enumeration)
-    reason = ("search-ordering certificate: 10082 facets exceed "
-              "CERTIFICATE_CHECK_LIMIT = 3000")
-    with pytest.raises(CapacityError, match=f"^{reason}$"):
-        cohen_macaulay_verdict(j7, ordering="search")
+def test_verdict_search_answers_large_ideals():
+    # the search verdict has no cap of its own: J(2,7)'s 10,082 facets
+    # are judged like J(2,6)'s 2700, by one walk over the canonical list
+    verdict = cohen_macaulay_verdict(build_jahangir(7), ordering="search")
+    assert verdict == (True, tuple(range(10082)), "search", True)
 
 
 def tampered_block_histograms(m):
@@ -597,8 +586,7 @@ def test_reisner_criterion_agrees_with_the_verdict():
     # GF(2), from the homology of every face's link, accepts the spanning
     # complexes of K4, K5, J(2,3) and small random graphs, as cm does
     start = time.perf_counter()
-    graphs = [(Graph(n, tuple(itertools.combinations(range(n), 2))), "search")
-              for n in (4, 5)]
+    graphs = [(K4, "search"), (K5, "search")]
     graphs += [(build_jahangir(3), "block"), (build_jahangir(3), "search")]
     rng = random.Random(71)
     for _ in range(12):
@@ -633,22 +621,23 @@ def test_verdict_certificate_is_checkable(j4):
 
 def test_each_verdict_makes_one_certificate_pass(monkeypatch, j4):
     # the search ordering's quotient test and shelling cross-check come
-    # from one pass over the facets, never two; the block ordering's come
-    # from its histogram, with no pass at all
+    # from one walk over the canonical list, never two; the block
+    # ordering's come from its histogram, with no walk at all
     from jahangir_ssc import algebra
 
-    passes = []
+    walks = []
+    walk = algebra.search_ordering_histogram
 
-    def counted(facets):
-        passes.append(len(facets))
-        return certify(facets)
+    def counted(g, trees):
+        walks.append(g)
+        return walk(g, trees)
 
-    monkeypatch.setattr(algebra, "certify", counted)
-    for g, ordering, facets in ((j4, "block", []), (PETERSEN, "search", [2000])):
-        passes.clear()
+    monkeypatch.setattr(algebra, "search_ordering_histogram", counted)
+    for g, ordering, graphs in ((j4, "block", []), (PETERSEN, "search", [PETERSEN])):
+        walks.clear()
         verdict = cohen_macaulay_verdict(g, ordering=ordering)
         assert verdict.cohen_macaulay is True and verdict.shelling_agrees is True
-        assert passes == facets
+        assert walks == graphs
 
 
 def test_certificate_pass_matches_both_checks_and_the_definitions():
@@ -668,3 +657,57 @@ def test_certificate_pass_matches_both_checks_and_the_definitions():
             assert failure == _naive_first_failure(facets)
             if len(facets) <= 40:
                 assert shelling == naive_shelling(facets)
+
+
+# ---------------------------------------------------------------------------
+# the search ordering's exchange rule
+
+
+def _search_rule_graphs():
+    yield from (build_jahangir(m) for m in range(3, 7))
+    yield from (PETERSEN, K4, K5)
+    rng = random.Random(73)
+    for _ in range(40):
+        n, edges = random_connected_graph(rng, max_vertices=7, max_extra=4, max_edges=10)
+        yield Graph(n, tuple(edges))
+
+
+def test_search_ordering_histogram_is_the_certificate_pass():
+    # the lexicographic exchange rule counts, per tree, the usable
+    # elements that the set-of-earlier-facets pass finds on the list
+    for g in _search_rule_graphs():
+        canonical = enumerate_spanning_trees_generic(g)
+        assert search_ordering_histogram(g, canonical) == certify(canonical)
+
+
+def test_search_ordering_histogram_stops_at_the_first_inversion():
+    # a list out of lexicographic order fails where it first goes back:
+    # the reversed list at position 1, a swapped adjacent pair at the
+    # later of its two positions
+    for g in (build_jahangir(3), PETERSEN, K5):
+        canonical = enumerate_spanning_trees_generic(g)
+        assert search_ordering_histogram(g, canonical[::-1]) == (1, None)
+        for i in (1, len(canonical) // 2, len(canonical) - 1):
+            swapped = canonical[:]
+            swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
+            assert search_ordering_histogram(g, swapped) == (i, None)
+
+
+def test_search_ordering_histogram_of_one_vertex():
+    # one tree, the empty edge set, with no usable element
+    assert search_ordering_histogram(Graph(1, ()), [0]) == (None, (1,))
+
+
+def test_the_rule_judges_the_canonical_order_alone(j3):
+    # a shuffle of J(2,3)'s canonical list is no shelling, though the
+    # complex is Cohen-Macaulay by Reisner's criterion; the reversed list
+    # is one, the lexicographic order of the reversed edge labels, and
+    # the rule still rejects it: it judges the canonical order only
+    canonical = enumerate_spanning_trees_generic(j3)
+    h = hilbert_series(f_vector_direct(j3)).numerator
+    shuffled = random.Random(79).sample(canonical, len(canonical))
+    assert certify(shuffled) == (1, None)  # no quotient at position 1
+    assert reisner_cohen_macaulay([as_set(f) for f in shuffled]) is True
+    assert certify(canonical[::-1]) == (None, h)
+    assert search_ordering_histogram(j3, canonical[::-1]) == (1, None)
+    assert search_ordering_histogram(j3, canonical) == (None, h)

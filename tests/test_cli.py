@@ -26,7 +26,6 @@ from jahangir_ssc import (
 )
 from jahangir_ssc.errors import (
     CAPS,
-    CERTIFICATE_CHECK_LIMIT,
     JAHANGIR_M_LIMIT,
     MAX_CYCLE_SCAN_VERTICES,
     MAX_INDEPENDENT_CYCLES,
@@ -146,22 +145,20 @@ def test_graph_report_checks_hilbert_past_the_exact_ie_budget():
     assert ie.oracle[-1] == str(7 ** 5)
 
 
-def test_graph_report_leaves_large_certificates_unchecked():
-    # J(2,7) has 10,082 facets, past the certificate check limit; the
-    # verdict's refusal is the claim's reason
+def test_graph_report_certifies_large_complexes():
+    # J(2,7) has 10,082 facets, which the search ordering's exchange rule
+    # judges in one walk, as it judges Petersen's 2000
     cm = build_graph_report(build_jahangir(7)).claims[-1]
-    assert cm.name == "cohen_macaulay_consistency" and cm.verdict == "unchecked"
+    assert cm.name == "cohen_macaulay_consistency" and cm.verdict == "match"
     assert cm.claimed_source == "lexicographic facet order"
-    assert cm.detail == {"reason": "search-ordering certificate: 10082 facets exceed "
-                                   f"CERTIFICATE_CHECK_LIMIT = {CERTIFICATE_CHECK_LIMIT}"}
+    assert cm.oracle == {"cohen_macaulay": True, "shelling_agrees": True}
 
 
-def test_jahangir_verify_names_the_facet_count_and_the_certificate_cap(run_cli, tmp_path):
-    # the jahangir claim checks the block ordering by its exchange rules,
-    # past CERTIFICATE_CHECK_LIMIT too: J(2,7)'s 10,082 and J(2,8)'s
-    # 37,632 facets are certified like J(2,6)'s 2700. The same graph as
-    # a document is certified by the search ordering, which the cap
-    # still refuses with the facet count
+def test_jahangir_verify_and_its_document_certify_the_same_complex(run_cli, tmp_path):
+    # the jahangir claim checks the block ordering by its exchange rules:
+    # J(2,7)'s 10,082 and J(2,8)'s 37,632 facets are certified like
+    # J(2,6)'s 2700. The same graph as a document is certified by the
+    # search ordering's exchange rule
     for m in (6, 7, 8):
         res = run_cli("jahangir", "--m", str(m), "verify")
         assert res.code == 3
@@ -173,10 +170,10 @@ def test_jahangir_verify_names_the_facet_count_and_the_certificate_cap(run_cli, 
     doc = tmp_path / "j7.json"
     doc.write_text(emit_graph(build_jahangir(7)))
     res = run_cli("graph", "--input", str(doc), "verify")
+    assert (res.code, res.stderr) == (0, "")
     cm = next(c for c in res.json()["claims"] if c["name"] == "cohen_macaulay_consistency")
-    assert cm["verdict"] == "unchecked"
-    assert cm["detail"] == {"reason": "search-ordering certificate: 10082 facets exceed "
-                                      f"CERTIFICATE_CHECK_LIMIT = {CERTIFICATE_CHECK_LIMIT}"}
+    assert cm["verdict"] == "match" and cm["detail"] is None
+    assert cm["oracle"] == {"cohen_macaulay": True, "shelling_agrees": True}
 
 
 def _cm_claim(monkeypatch, m, **patches):
@@ -219,13 +216,13 @@ def test_a_tampered_h_vector_or_histogram_is_a_mismatch(monkeypatch, run_cli):
 def test_block_cm_runs_no_certificate_pass(monkeypatch, run_cli):
     # cm reads the block verdict from the exchange rules: at m = 9 it
     # lists the 140,450 trees once, for the printed permutation, and
-    # runs no certify pass, which alone would take about 1.5 s
+    # walks no facet list, which alone would take about 1 s
     from jahangir_ssc import algebra
 
-    def refuse(facets):
-        raise AssertionError("certify ran")
+    def refuse(g, trees):
+        raise AssertionError("a facet walk ran")
 
-    monkeypatch.setattr(algebra, "certify", refuse)
+    monkeypatch.setattr(algebra, "search_ordering_histogram", refuse)
     start = time.perf_counter()
     res = run_cli("jahangir", "--m", "9", "cm", "--ordering", "block")
     assert time.perf_counter() - start < 0.5
@@ -235,15 +232,16 @@ def test_block_cm_runs_no_certificate_pass(monkeypatch, run_cli):
     assert sorted(doc["certificate"]) == list(range(140450))
 
 
-def test_cm_search_past_the_certificate_cap_exits_2(run_cli):
-    # the search ordering is refused like every other capped request,
-    # before any tree is enumerated; the block ordering has no such cap
-    res = run_cli("jahangir", "--m", "7", "cm", "--ordering", "search")
-    assert (res.code, res.stdout) == (2, "")
-    assert res.stderr == ("capacity error: search-ordering certificate: 10082 facets "
-                          f"exceed CERTIFICATE_CHECK_LIMIT = {CERTIFICATE_CHECK_LIMIT}\n")
-    res = run_cli("jahangir", "--m", "6", "cm", "--ordering", "search")
-    assert res.code == 0 and res.json()["cohen_macaulay"] is True
+def test_cm_search_answers_past_3000_facets(run_cli):
+    # the search ordering has no cap of its own: J(2,7)'s 10,082 facets
+    # are certified like J(2,6)'s 2700, in their canonical order
+    for m, count in ((6, 2700), (7, 10082)):
+        res = run_cli("jahangir", "--m", str(m), "cm", "--ordering", "search")
+        assert (res.code, res.stderr) == (0, "")
+        doc = res.json()
+        assert doc["cohen_macaulay"] is True and doc["shelling_agrees"] is True
+        assert doc["ordering_source"] == "search"
+        assert doc["certificate"] == list(range(count))
     assert run_cli("jahangir", "--m", "7", "cm", "--ordering", "block").code == 0
 
 
@@ -719,9 +717,6 @@ CAP_CASES = [
     ("JAHANGIR_M_LIMIT", ("jahangir", "--m", str(JAHANGIR_M_LIMIT + 1), "facets"), None),
     ("TREE_GUARD_VERTEX_LIMIT", ("graph", "--input", "cycle.json", "facets"), None),
     ("TREE_ENUMERATION_LIMIT", ("jahangir", "--m", "10", "facets"), None),
-    ("CERTIFICATE_CHECK_LIMIT", ("jahangir", "--m", "7", "cm", "--ordering", "search"), None),
-    ("CERTIFICATE_CHECK_LIMIT", ("graph", "--input", "j7.json", "verify"),
-     "cohen_macaulay_consistency"),
     ("F_VECTOR_STEP_LIMIT", ("graph", "--input", "long.json", "f-vector"), None),
     ("F_VECTOR_STEP_LIMIT", ("graph", "--input", "long.json", "verify"), "hilbert_series"),
     ("EXACT_IE_STEP_LIMIT", ("graph", "--input", "k7_leaves.json", "f-vector", "--mode",
@@ -748,7 +743,6 @@ def _cap_documents(directory: Path) -> None:
             e for i in range(k)
             for e in ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2), (2 * i, 2 * i + 2)))),
         "cycle.json": Graph(n, tuple((i, (i + 1) % n) for i in range(n))),
-        "j7.json": build_jahangir(7),
     }
     for name, g in graphs.items():
         (directory / name).write_text(emit_graph(g))

@@ -53,7 +53,7 @@ DISCONNECTED = "a graph with no vertex or more than one component has no spannin
 
 def test_spanning_complex_rejects_disconnected():
     # a disconnected graph has no facet; the verdict refuses it rather
-    # than certify the empty list as Cohen-Macaulay
+    # than judge the empty list Cohen-Macaulay
     split = Graph(4, ((0, 1), (2, 3)))
     assert enumerate_spanning_trees_generic(split) == []
     with pytest.raises(InvalidParameterError, match=f"^{DISCONNECTED}$"):

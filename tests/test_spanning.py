@@ -336,11 +336,9 @@ def test_memoized_enumerators_agree_with_the_oracle_after_eviction(j3, j4):
 
 
 def test_a_report_enumerates_each_kind_of_tree_once(body_runs):
-    # J(2,5)'s 722 facets are under the certificate check limit, so the
-    # cm verdict runs too: the tree count, the partition and the cm claim
-    # ask for the structured trees, the partition, the facets and the cm
-    # claim for the generic ones, three times each, and each list is
-    # built once
+    # on J(2,5) the tree count, the partition and the cm claim ask for
+    # the structured trees, the partition, the facets and the cm claim
+    # for the generic ones, three times each, and each list is built once
     _, runs = body_runs(lambda: build_jahangir_report(5),
                         enumerate_spanning_trees_jahangir, spanning._structured_trees,
                         enumerate_spanning_trees_generic, spanning._generic_trees)
