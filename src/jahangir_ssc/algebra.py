@@ -74,12 +74,12 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import f_vector_direct, hilbert_series
 from .errors import CapacityError, InvalidParameterError
+from .graphs import _guard_tree_enumeration
 from .records import (
     EdgeSet,
     Graph,
     _normalize,
     build_jahangir,
-    require_spanning_complex,
     rim_indices,
     spoke_index,
 )
@@ -279,10 +279,10 @@ def cohen_macaulay_verdict(g: Graph, ordering: str,
     search_ordering_histogram, one walk over the listed trees.
     shelling_agrees compares the histogram with the Hilbert numerator of
     f_vector, which the forest sweep computes unless the caller has it;
-    a refused sweep leaves it None."""
+    a refused sweep leaves it None. g passes the tree guard first."""
     if ordering not in ("block", "search"):
         raise InvalidParameterError(f"unknown ordering strategy {ordering!r}")
-    require_spanning_complex(g)
+    _guard_tree_enumeration(g)
     if ordering == "block":
         # the block ordering permutes the facets of J(2,m) in its
         # canonical edge order, so g must list exactly those edges

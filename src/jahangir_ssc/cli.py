@@ -11,9 +11,12 @@ extra and is off by default.
 
 Only what a direct-mode f-vector or hilbert request runs is here. The
 rest lives beside what it serves, so such a request compiles none of
-it: reading a document and the tree guard in graphs, the answers of the
-other actions and modes in their engines' modules, the argparse parser
-in usage, and CSV and text in formats.
+it: reading a document in graphs, the answers of the other actions and
+modes in their engines' modules, the argparse parser in usage, and CSV
+and text in formats. _execute checks only what the command line
+decides: --n, JAHANGIR_M_LIMIT, the flags the graph command refuses and
+classes on a document. Each engine checks its own graph: a spanning
+complex and, where trees are listed or counted, the tree guard.
 """
 
 from __future__ import annotations
@@ -172,16 +175,9 @@ def _execute(args: SimpleNamespace) -> tuple[dict, int]:
         if action == "classes":
             raise InvalidParameterError(
                 "tree classes are defined only for the jahangir command")
-        if action != "cycles":
-            records.require_spanning_complex(g)
         catalog = "oracle"
         ordering = "search"
 
-    # every action that enumerates spanning trees, and classes, which
-    # reports their count, passes the one guard, whose determinant is
-    # the request's only one: its count is memoized
-    if action in ("facets", "classes", "cm", "verify"):
-        graphs._guard_tree_enumeration(g)
     if action == "facets":
         return spanning._facet_payload(g, meta), 0
     if action == "classes":

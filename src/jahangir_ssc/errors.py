@@ -63,9 +63,11 @@ JAHANGIR_M_LIMIT = _cap("JAHANGIR_M_LIMIT", 207, "jahangir command", "spokes")
 TREE_GUARD_VERTEX_LIMIT = _cap("TREE_GUARD_VERTEX_LIMIT", 2 * JAHANGIR_M_LIMIT + 1,
                                "spanning-tree count", "vertices")
 
-# One guard, before any tree is listed, serves facets, classes (which
-# reports the count), cm and verify, so it is sized by the costliest of
-# them, the search ordering's walk that graph ... cm and verify run. Past
+# One guard, before any tree is listed, is called first by the facets
+# and classes answers (classes reports the count), the Cohen-Macaulay
+# verdict and both report builders, so the CLI's cm and verify and a
+# library caller are refused alike; the enumerators list unguarded. It
+# is sized by the costliest of them, the search ordering's walk. Past
 # it, J(2,10)'s 524,172 trees (runs in a child under a 1 GB address-space
 # cap, Xeon, stdout to /dev/null) take graph ... cm 3.6-4.0 s and 55 MB,
 # graph ... verify 3.5-3.7 s and 59 MB, facets 2.8-2.9 s and 41 MB,

@@ -27,7 +27,6 @@ Two inclusion-exclusion engines live here, deliberately kept apart:
 
 from __future__ import annotations
 
-from math import comb
 from typing import NamedTuple
 
 # module bindings, read at call time: the layers run at first use, so a
@@ -35,14 +34,6 @@ from typing import NamedTuple
 from . import complexes, cycles, graphs
 from .errors import EXACT_IE_STEP_LIMIT, capacity_error
 from .records import Graph, build_jahangir, require_spanning_complex, spoke_index
-
-
-def binomial(a: int, b: int) -> int:
-    """C(a, b) with the convention that out-of-range lower indices give
-    0 (including negative upper index)."""
-    if b < 0 or a < 0 or b > a:
-        return 0
-    return comb(a, b)
 
 
 class FormulaTerm(NamedTuple):

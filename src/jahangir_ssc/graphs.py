@@ -10,7 +10,8 @@ from __future__ import annotations
 from .errors import (MAX_CYCLE_SCAN_VERTICES, MAX_INDEPENDENT_CYCLES, TREE_ENUMERATION_LIMIT,
                      TREE_GUARD_VERTEX_LIMIT, GraphParseError, InvalidParameterError,
                      capacity_error)
-from .records import EdgeLabel, EdgeSet, Graph, _echo, edge_indices, memo, spanning_forest
+from .records import (EdgeLabel, EdgeSet, Graph, _echo, edge_indices, memo,
+                      require_spanning_complex, spanning_forest)
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +233,15 @@ def _cactus_tree_bound(g: Graph, stop: int) -> int:
     return bound
 
 
+@memo
 def _guard_tree_enumeration(g: Graph) -> None:
-    """Refuse g past TREE_ENUMERATION_LIMIT spanning trees: before the
-    determinant runs, past TREE_GUARD_VERTEX_LIMIT vertices and when a
-    cactus subgraph already has more trees than the limit."""
+    """The precondition of every computation that lists or counts g's
+    spanning trees: a spanning complex, then at most
+    TREE_ENUMERATION_LIMIT trees, refused before the determinant past
+    TREE_GUARD_VERTEX_LIMIT vertices or when a cactus subgraph already
+    has more trees. The facets and classes answers, the Cohen-Macaulay
+    verdict and both reports call it first; the enumerators do not."""
+    require_spanning_complex(g)
     if g.vertex_count > TREE_GUARD_VERTEX_LIMIT:
         raise capacity_error("TREE_GUARD_VERTEX_LIMIT", g.vertex_count)
     bound = _cactus_tree_bound(g, TREE_ENUMERATION_LIMIT)

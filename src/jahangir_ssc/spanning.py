@@ -32,7 +32,7 @@ from operator import eq
 from typing import NamedTuple
 
 from .complexes import _entered, _frontier_steps, _kept, _merged
-from .graphs import _edge_lister, matrix_tree_count
+from .graphs import _edge_lister, _guard_tree_enumeration, matrix_tree_count
 from .records import (
     EdgeSet,
     Graph,
@@ -298,12 +298,15 @@ def verify_partition(m: int) -> PartitionReport:
 
 
 def _facet_payload(g: Graph, meta: dict) -> dict:
+    _guard_tree_enumeration(g)
     facets = enumerate_spanning_trees_generic(g)
     return {**meta, "count": len(facets), "matrix_tree_count": matrix_tree_count(g),
             "facets": map(_edge_lister(g), facets)}
 
 
 def _classes_payload(m: int, meta: dict) -> dict:
+    g = build_jahangir(m)
+    _guard_tree_enumeration(g)
     counts = dict(_class_counts(m))
     return {**meta, "counts": counts, "total": sum(counts.values()),
-            "matrix_tree_count": matrix_tree_count(build_jahangir(m))}
+            "matrix_tree_count": matrix_tree_count(g)}

@@ -81,6 +81,14 @@ def brute_spanning_trees(n: int, edges: list[Edge]) -> set[frozenset[int]]:
     return out
 
 
+def binomial(a: int, b: int) -> int:
+    """C(a, b) with the convention that out-of-range lower indices give
+    0 (including negative upper index)."""
+    if b < 0 or a < 0 or b > a:
+        return 0
+    return math.comb(a, b)
+
+
 def brute_f_vector(n: int, edges: list[Edge]) -> tuple[int, ...]:
     """f_i = number of acyclic (i+1)-subsets, found by scanning 2^E."""
     counts: list[int] = []
@@ -302,6 +310,55 @@ def random_connected_graph(rng: random.Random,
     extra = rng.randint(0, budget) if budget > 0 else 0
     edges.extend(non_edges[:extra])
     return n, edges
+
+
+# ---------------------------------------------------------------------------
+# Named graph families and their spanning-tree counts from the literature
+# (Boesch and Prodinger, Graphs and Combinatorics 2, 1986; Scoins 1962)
+
+
+def fibonacci(k: int) -> int:
+    """F_k, with F_0 = 0 and F_1 = 1."""
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def lucas(k: int) -> int:
+    """L_k, with L_0 = 2 and L_1 = 1."""
+    a, b = 2, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def wheel(n: int) -> tuple[int, list[Edge]]:
+    """W_n: an n-cycle on vertices 1..n and a hub 0 joined to each;
+    tau(W_n) = L_(2n) - 2."""
+    rim = [(i, i % n + 1) for i in range(1, n + 1)]
+    return n + 1, [(0, i) for i in range(1, n + 1)] + rim
+
+
+def fan(n: int) -> tuple[int, list[Edge]]:
+    """fan_n: a path on vertices 1..n and a hub 0 joined to each;
+    tau(fan_n) = F_(2n)."""
+    return n + 1, [(0, i) for i in range(1, n + 1)] + [(i, i + 1) for i in range(1, n)]
+
+
+def complete_bipartite(a: int, b: int) -> tuple[int, list[Edge]]:
+    """K_(a,b) on sides 0..a-1 and a..a+b-1; tau = a^(b-1) b^(a-1)."""
+    return a + b, [(i, a + j) for j in range(b) for i in range(a)]
+
+
+def family_tree_counts() -> list[tuple[str, int, list[Edge], int]]:
+    """(name, vertices, edges, spanning-tree count by the closed form)
+    for W_3..W_10, fan_2..fan_10 and K_(a,b) with 1 <= a <= b <= 5."""
+    out = [(f"W{n}", *wheel(n), lucas(2 * n) - 2) for n in range(3, 11)]
+    out += [(f"fan{n}", *fan(n), fibonacci(2 * n)) for n in range(2, 11)]
+    out += [(f"K{a},{b}", *complete_bipartite(a, b), a ** (b - 1) * b ** (a - 1))
+            for a in range(1, 6) for b in range(a, 6)]
+    return out
 
 
 def partition_by_sets(trees: list[int], generic: list[int]) -> dict:

@@ -30,9 +30,8 @@ from jahangir_ssc import (
     word_edge_set,
 )
 from jahangir_ssc.cycles import all_words
-from jahangir_ssc.formulas import binomial
 
-from oracles import brute_f_vector, certify, random_connected_graph
+from oracles import binomial, brute_f_vector, certify, random_connected_graph
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
 

@@ -27,6 +27,7 @@ from jahangir_ssc import (
 from jahangir_ssc.errors import (
     CAPS,
     JAHANGIR_M_LIMIT,
+    JssError,
     MAX_CYCLE_SCAN_VERTICES,
     MAX_INDEPENDENT_CYCLES,
     TREE_GUARD_VERTEX_LIMIT,
@@ -1236,6 +1237,54 @@ def test_dense_documents_are_refused_before_the_determinant(run_cli, tmp_path):
     res = run_cli("graph", "--input", str(k9), "facets")
     assert res.stderr == ("capacity error: tree enumeration: 4782969 spanning trees "
                           "exceed TREE_ENUMERATION_LIMIT = 500000\n")
+
+
+def _refusal(call):
+    """The error call() raises on purpose; an answer fails the test."""
+    try:
+        call()
+    except JssError as exc:
+        return exc
+    raise AssertionError(f"{call} answered")
+
+
+def test_library_entry_points_are_refused_as_the_cli_is(run_cli, tmp_path, body_runs):
+    # the verdict and both report builders check the spanning complex and
+    # the tree budget themselves, so a library caller is refused with the
+    # CLI's own line, quickly and with no tree listed
+    from jahangir_ssc import cohen_macaulay_verdict, emit_graph, parse_graph
+
+    dense = Path(_random_document(tmp_path / "dense.json", 415, 4296, 1))
+    n = TREE_GUARD_VERTEX_LIMIT + 1
+    graphs = {
+        "j10": build_jahangir(10),  # 524,172 trees
+        "k9": Graph(9, tuple((u, v) for u in range(9) for v in range(u + 1, 9))),
+        "dense": parse_graph(dense.read_text()),  # a cactus bound of 2,025,000
+        "cycle": Graph(n, tuple((i, (i + 1) % n) for i in range(n))),
+        "split": Graph(4, ((0, 1), (2, 3))),
+    }
+    lines = {}
+    for name, g in graphs.items():
+        doc = tmp_path / f"{name}.json"
+        doc.write_text(emit_graph(g))
+        line = lines[name] = run_cli("graph", "--input", str(doc), "verify").stderr
+        calls = [lambda: cohen_macaulay_verdict(g, "search"), lambda: build_graph_report(g)]
+        if name == "j10":
+            calls += [lambda: cohen_macaulay_verdict(g, "block"),
+                      lambda: build_jahangir_report(10)]
+        for call in calls:
+            start = time.perf_counter()
+            exc, runs = body_runs(lambda: _refusal(call), spanning._generic_trees)
+            assert time.perf_counter() - start < 1.0, name
+            prefix = "capacity error: " if isinstance(exc, CapacityError) else "error: "
+            assert line == f"{prefix}{exc}\n", name
+            assert runs == [0], name
+    assert lines["j10"] == run_cli("jahangir", "--m", "10", "verify").stderr
+    assert "524172 spanning trees" in lines["j10"]
+    assert "4782969 spanning trees" in lines["k9"]
+    assert "at least 2025000" in lines["dense"]
+    assert "TREE_GUARD_VERTEX_LIMIT" in lines["cycle"]
+    assert "no spanning complex" in lines["split"]
 
 
 def test_tree_counts_at_the_guard_cap_answer_within_budget(run_cli, tmp_path):

@@ -22,10 +22,11 @@ from jahangir_ssc import (
     word_of,
 )
 from jahangir_ssc import formulas
-from jahangir_ssc.formulas import binomial, f_vector_divergence
+from jahangir_ssc.formulas import f_vector_divergence
 
 from oracles import (
     as_set,
+    binomial,
     brute_simple_cycles,
     cycle_subset_f_vector,
     listed_closed_form,
@@ -133,17 +134,35 @@ def test_overlap_rule_is_the_edge_set_intersection():
                     assert overlap == (edges_a & edges_b).bit_count()
 
 
-@pytest.mark.parametrize("m", [*range(4, 41), 207])
+def _formula_error(m: int) -> list[int]:
+    """D_i(m): the closed form's f_i minus the sweep's, for each i."""
+    formula = f_vector_formula(m).values
+    direct = f_vector_direct(build_jahangir(m))
+    assert len(formula) == len(direct) == 2 * m
+    return [a - b for a, b in zip(formula, direct)]
+
+
+@pytest.mark.parametrize("m", [*range(4, 61), 207])
 def test_formula_first_departs_by_the_thetas(m):
     # Two adjacent base cycles make a 7-edge theta graph holding three
     # cycles (both base cycles and their length-2 word). Every pair's
     # union is the theta's 7 edges, so the pair truncation drops only
-    # the triple term -1 at 7 edges, i = 6, once per theta: m of them
-    formula = f_vector_formula(m).values
-    direct = f_vector_direct(build_jahangir(m))
-    assert len(formula) == len(direct) == 2 * m
-    assert formula[:6] == direct[:6]
-    assert formula[6] - direct[6] == m
+    # the triple term -1 at 7 edges, i = 6, once per theta: m of them.
+    # Past it the error is a polynomial in m wherever the rim's extra 1
+    # at i = 2m - 1 does not fall on the index
+    error = _formula_error(m)
+    assert error[:6] == [0] * 6
+    assert error[6] == m
+    if m >= 5:
+        assert error[7] == 3 * m * m - 7 * m
+        assert 2 * error[8] == 9 * m ** 3 - 45 * m * m + 60 * m
+
+
+def test_formula_error_gains_one_at_the_top_index():
+    # at i = 2m - 1 the rim's cycle adds 1 to the polynomial: D_5 = 0 + 1
+    # at m = 3 (f_5 = 51 against 50) and D_7 = (3m^2 - 7m) + 1 = 21 at m = 4
+    assert _formula_error(3) == [0, 0, 0, 0, 0, 1]
+    assert _formula_error(4)[7] == 3 * 4 * 4 - 7 * 4 + 1 == 21
 
 
 def test_formula_rejects_m_below_3():
