@@ -33,13 +33,13 @@ _EXPORTS = {
     "errors": ("CapacityError", "GraphParseError", "InvalidParameterError",
                "JssError"),
     "records": ("EdgeLabel", "EdgeSet", "Graph", "build_jahangir", "edge_indices",
-                "is_connected"),
+                "is_connected", "word_edge_set", "word_of"),
     "graphs": ("emit_graph", "enumerate_simple_cycles", "matrix_tree_count",
                "parse_graph"),
     "cycles": ("CycleCatalog", "CycleCatalogEntry", "IntersectionMismatch",
                "IntersectionSurvey", "claimed_order", "intersection_survey",
                "jahangir_order", "oracle_cycle_catalog", "predict_intersection",
-               "word_cycle_catalog", "word_edge_set", "word_of"),
+               "word_cycle_catalog"),
     "complexes": ("HilbertSeries", "f_vector_direct", "hilbert_function",
                   "hilbert_series"),
     "spanning": ("PartitionReport", "TreeClass", "enumerate_spanning_trees_generic",

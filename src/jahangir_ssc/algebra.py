@@ -100,8 +100,11 @@ def prefix_block_ordering(m: int) -> tuple[int, ...]:
     order of the deleted sets is the reverse of that of the trees, so
     the ordering is the stable sort of the positions by run length,
     reversed. cm prints it as the certificate that the histogram of
-    block_ordering_histogram judges; no pass runs over its facets."""
-    trees = enumerate_spanning_trees_generic(build_jahangir(m))
+    block_ordering_histogram judges; no pass runs over its facets. Past
+    the tree guard it is refused, before any tree is listed."""
+    g = build_jahangir(m)
+    _guard_tree_enumeration(g)
+    trees = enumerate_spanning_trees_generic(g)
     spokes = sum(1 << spoke_index(j, m) for j in range(1, m + 1))
     # the leading run ends below the lowest kept spoke, s_(k+1) at bit
     # 3k, the lowest bit of kept & -kept

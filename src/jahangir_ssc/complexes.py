@@ -13,9 +13,9 @@ connectivity-state method of Sekine, Imai and Tani, "Computing the Tutte
 polynomial of a graph of moderate size", ISAAC 1995; Knuth, TAOCP 4A
 section 7.1.4), whose cost is polynomial in the edge count for graphs of
 small pathwidth such as J(2,m), and is capped by the work it does.
-Its frontier helpers, the steps of a sweep and the moves on a partition
-of the frontier, also serve spanning's enumerator, which walks the same
-states; they live here so that a sweep does not run that module.
+Its frontier helpers, the steps of a sweep and _after, the one move of
+a partition along an edge, also serve spanning's enumerator, which walks
+the same states; they live here so that a sweep does not run that module.
 
 The Hilbert series of the face ring is read off the f-vector, so it
 lives beside the sweep: a direct-mode hilbert request runs this module
@@ -24,6 +24,7 @@ and records alone.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import comb
 from operator import sub
 from typing import NamedTuple
@@ -32,30 +33,23 @@ from .errors import F_VECTOR_STEP_LIMIT, InvalidParameterError, capacity_error
 from .records import Graph, _Checked, require_spanning_complex
 
 
-def _canonical(labels: list[int]) -> tuple[int, ...]:
-    """Block labels renumbered in order of first appearance, so equal
-    partitions get equal keys."""
-    seen: dict[int, int] = {}
-    return tuple(seen.setdefault(x, len(seen)) for x in labels)
-
-
 def _entered(state: tuple[int, ...], fresh: int) -> tuple[int, ...]:
     """state with fresh new frontier vertices as blocks of their own."""
     top = max(state, default=-1) + 1
     return state + tuple(range(top, top + fresh))
 
 
-def _merged(state: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    """state with blocks a != b merged; the labels stay in order of
-    first appearance."""
-    lo, hi = min(a, b), max(a, b)
-    return tuple(lo if x == hi else x - (x > hi) for x in state)
-
-
-def _kept(state: tuple[int, ...], keep: list[int] | None) -> tuple[int, ...]:
-    """state without the vertices that leave, keep naming the positions
-    that stay (None: all of them), renumbered canonically."""
-    return state if keep is None else _canonical([state[p] for p in keep])
+def _after(state: tuple[int, ...], keep: list[int] | None,
+           a: int, b: int) -> tuple[int, ...]:
+    """The state an edge between blocks a and b leads to, in one pass: b
+    merged into a (none when a == b), the positions outside keep dropped
+    (None keeps all), and the blocks renumbered by first appearance, so
+    equal partitions get equal keys; state itself when nothing changes."""
+    if a == b and keep is None:
+        return state
+    seen: dict[int, int] = {}
+    labels = state if keep is None else [state[p] for p in keep]
+    return tuple([seen.setdefault(a if x == b else x, len(seen)) for x in labels])
 
 
 def _frontier_steps(edges: tuple[tuple[int, int], ...]):
@@ -83,13 +77,6 @@ def _frontier_steps(edges: tuple[tuple[int, int], ...]):
         frontier = [frontier[p] for p in keep]
 
 
-def _plus(a: list[int], b: list[int]) -> list[int]:
-    """Entrywise sum of two count lists of any lengths."""
-    if len(a) < len(b):
-        a, b = b, a
-    return [x + y for x, y in zip(a, b)] + a[len(b):]
-
-
 def f_vector_direct(g: Graph) -> tuple[int, ...]:
     """f_i = number of (i+1)-edge acyclic subsets, by a frontier sweep
     over the edges in g's own order.
@@ -108,19 +95,20 @@ def f_vector_direct(g: Graph) -> tuple[int, ...]:
     for fresh, pu, pv, keep, _ in _frontier_steps(g.edges):
         if steps > F_VECTOR_STEP_LIMIT:
             raise capacity_error("F_VECTOR_STEP_LIMIT", steps, f"on {g.edge_count} edges")
-        if fresh:
-            table = {_entered(s, fresh): c for s, c in table.items()}
         carried: dict[tuple[int, ...], list[int]] = {}
         for s, c in table.items():
+            if fresh:
+                s = _entered(s, fresh)
             a, b = s[pu], s[pv]
-            moves = [(s, c)]
+            moves = [(_after(s, keep, a, a), c)]
             if a != b:
-                moves.append((_merged(s, a, b), [0] + c))
+                moves.append((_after(s, keep, a, b), [0] + c))
             for key, counts in moves:
                 steps += len(counts)
-                key = _kept(key, keep)
                 old = carried.get(key)
-                carried[key] = counts if old is None else _plus(old, counts)
+                if old is not None:
+                    counts = [x + y for x, y in zip_longest(old, counts, fillvalue=0)]
+                carried[key] = counts
         table = carried
     # every vertex has left: one state, whose counts run from the empty
     # forest to the spanning trees

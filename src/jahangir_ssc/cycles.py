@@ -3,12 +3,14 @@ pairwise intersection sizes.
 
 A word is a tuple of cyclically consecutive cycle indices, e.g. (2,3,4)
 or, wrapping, (5,1) for m=5. The catalog entry for a word is the union
-of its base cycles with the interior spokes deleted. For word length
-k < m this is a simple cycle on 2(k+1) edges; the length-m entries are
-kept in the catalog but flagged, since deleting only the interior
-spokes of a full wrap leaves a non-simple subgraph (2m+1 edges, one
-surviving spoke). The outer rim cycle has no word at all. Both facts
-are surfaced by the verification report rather than corrected here.
+of its base cycles with the interior spokes deleted; records builds
+both, as word_of and word_edge_set, beside the edge indexing they read.
+For word length k < m this is a simple cycle on 2(k+1) edges; the
+length-m entries are kept in the catalog but flagged, since deleting
+only the interior spokes of a full wrap leaves a non-simple subgraph
+(2m+1 edges, one surviving spoke). The outer rim cycle has no word at
+all. Both facts are surfaced by the verification report rather than
+corrected here.
 
 The intersection predictions depend only on the words (their endpoint
 cycles and cyclic adjacency), never on the edge sets; the survey at the
@@ -28,11 +30,11 @@ from .records import (
     EdgeSet,
     Graph,
     _normalize,
-    base_cycle_indices,
     build_jahangir,
     edge_indices,
     memo,
-    spoke_index,
+    word_edge_set,
+    word_of,
 )
 
 
@@ -57,12 +59,6 @@ class CycleCatalog(NamedTuple):
         return len(self.entries)
 
 
-def word_of(start: int, length: int, m: int) -> tuple[int, ...]:
-    """The word of `length` consecutive cycle indices beginning at
-    `start`, wrapping after m."""
-    return tuple((start - 1 + t) % m + 1 for t in range(length))
-
-
 def all_words(m: int) -> list[tuple[int, ...]]:
     """All m*m words, shortest first, then by start index."""
     return [word_of(start, k, m) for k in range(1, m + 1) for start in range(1, m + 1)]
@@ -76,16 +72,6 @@ def validate_word(word: tuple[int, ...], m: int) -> None:
     for a, b in zip(word, word[1:]):
         if b != a % m + 1:
             raise InvalidParameterError(f"word indices must be consecutive, got {word!r}")
-
-
-def word_edge_set(word: tuple[int, ...], m: int) -> EdgeSet:
-    """Union of the word's base cycles minus the interior spokes."""
-    edges = 0
-    for j in word:
-        edges |= base_cycle_indices(j, m)
-    for j in word[1:]:
-        edges &= ~(1 << spoke_index(j, m))
-    return edges
 
 
 def claimed_order(k: int) -> int:

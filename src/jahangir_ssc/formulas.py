@@ -14,8 +14,9 @@ Two inclusion-exclusion engines live here, deliberately kept apart:
   estimates, so it counts the words and the m^4/2 pairs by union
   estimate, a class of pairs at a time, instead of listing them; the
   counts are its audit, rows (sign, union estimate, multiplicity) from
-  which any value can be recomputed by hand. It answers at every m the
-  command line serves, up to JAHANGIR_M_LIMIT.
+  which any value can be recomputed by hand. It reads the words' edge
+  sets from records, so it runs neither cycles nor graphs, and answers
+  at every m the command line serves, up to JAHANGIR_M_LIMIT.
 
 * f_vector_exact_ie is the corrected engine: it runs full
   inclusion-exclusion over the true simple-cycle catalog using exact
@@ -31,9 +32,10 @@ from typing import NamedTuple
 
 # module bindings, read at call time: the layers run at first use, so a
 # request runs only those its engine reaches
-from . import complexes, cycles, graphs
+from . import complexes, graphs
 from .errors import EXACT_IE_STEP_LIMIT, capacity_error
-from .records import Graph, build_jahangir, require_spanning_complex, spoke_index
+from .records import (Graph, build_jahangir, require_spanning_complex, spoke_index,
+                      word_edge_set, word_of)
 
 
 class FormulaTerm(NamedTuple):
@@ -66,7 +68,7 @@ def _representatives(m: int) -> list[_Word]:
     """The words of lengths 1..m from cycle 1, read from their edge sets."""
     out = []
     for k in range(1, m + 1):
-        edges = cycles.word_edge_set(cycles.word_of(1, k, m), m)
+        edges = word_edge_set(word_of(1, k, m), m)
         ends = frozenset(j for j in range(m) if edges >> spoke_index(j + 1, m) & 1)
         out.append(_Word(k, edges.bit_count(), ends))
     return out

@@ -239,8 +239,8 @@ def _guard_tree_enumeration(g: Graph) -> None:
     spanning trees: a spanning complex, then at most
     TREE_ENUMERATION_LIMIT trees, refused before the determinant past
     TREE_GUARD_VERTEX_LIMIT vertices or when a cactus subgraph already
-    has more trees. The facets and classes answers, the Cohen-Macaulay
-    verdict and both reports call it first; the enumerators do not."""
+    has more trees. The facets, classes, verdict, block ordering,
+    partition and report entry points call it first; the enumerators do not."""
     require_spanning_complex(g)
     if g.vertex_count > TREE_GUARD_VERTEX_LIMIT:
         raise capacity_error("TREE_GUARD_VERTEX_LIMIT", g.vertex_count)

@@ -1,8 +1,8 @@
-"""The Graph and EdgeLabel records, the Jahangir family J(2,m), a
-graph's one spanning forest and the connectivity test every spanning
-complex needs, and memo, the one cache of the inputs a request shares:
-the lowest layer, and all that a forest sweep of J(2,m) runs besides
-complexes.
+"""The Graph and EdgeLabel records, the Jahangir family J(2,m) and its
+words' edge sets, a graph's one spanning forest and the connectivity
+test every spanning complex needs, and memo, the one cache of the inputs
+a request shares: the lowest layer, and all that a forest sweep or the
+closed form of J(2,m) runs besides complexes and formulas.
 
 The edge order of J(2,m) is fixed once and for all, cycle by cycle with
 the spoke first: index 3*(k-1) is the k-th spoke (hub to rim), followed
@@ -210,6 +210,22 @@ def base_cycle_indices(j: int, m: int) -> EdgeSet:
     and the next spoke (wrapping after m). The first three are
     consecutive indices."""
     return 0b111 << spoke_index(j, m) | 1 << spoke_index(j + 1, m)
+
+
+def word_of(start: int, length: int, m: int) -> tuple[int, ...]:
+    """The word of `length` consecutive cycle indices beginning at
+    `start`, wrapping after m."""
+    return tuple((start - 1 + t) % m + 1 for t in range(length))
+
+
+def word_edge_set(word: tuple[int, ...], m: int) -> EdgeSet:
+    """Union of the word's base cycles minus the interior spokes."""
+    edges = 0
+    for j in word:
+        edges |= base_cycle_indices(j, m)
+    for j in word[1:]:
+        edges &= ~(1 << spoke_index(j, m))
+    return edges
 
 
 @memo

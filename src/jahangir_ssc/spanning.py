@@ -4,13 +4,13 @@ The generic enumerator is the oracle: a frontier-based search over the
 edge list (Sekine, Imai and Tani, ISAAC 1995; Kawahara, Inoue, Iwashita
 and Minato, IEICE Trans. Fundamentals E100-A(9), 2017), the connectivity
 states of the forest sweep in complexes.f_vector_direct, whose frontier
-helpers it uses. A forward pass builds the graph of frontier states,
-each distinct state with one include and one exclude move, and drops
-every move after which the edges still to come cannot complete a
-spanning tree; a backward pass lists each state's completions, include
-before exclude, so edge sets come out in canonical order. A level
-holds at most as many states as there are trees, and only a handful
-where the frontier stays small.
+steps and one move, _after, it shares. A forward pass builds the graph
+of frontier states, each distinct state with one include and one exclude
+move, and drops every move after which the edges still to come cannot
+complete a spanning tree; a backward pass lists each state's
+completions, include before exclude, so edge sets come out in canonical
+order. A level holds at most as many states as there are trees, and only
+a handful where the frontier stays small.
 
 The structured enumerator builds the same trees for J(2,m), as the
 same edge-set masks, by the cutting-down rules: choose which spokes to
@@ -20,7 +20,8 @@ tree's class (CJ1-CJ3c) is the shape of its deleted spoke set, so the
 classes are counted per spoke set, as the product of twice its arc
 lengths: no tree carries a label, and no single tree is classified.
 verify_partition checks that the structured trees are distinct and
-jointly exhaust the generic enumeration.
+jointly exhaust the generic enumeration, refused past the tree guard as
+the facets answer is, before any tree is listed.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from enum import Enum
 from operator import eq
 from typing import NamedTuple
 
-from .complexes import _entered, _frontier_steps, _kept, _merged
+from .complexes import _after, _entered, _frontier_steps
 from .graphs import _edge_lister, _guard_tree_enumeration, matrix_tree_count
 from .records import (
     EdgeSet,
@@ -132,10 +133,10 @@ def _generic_trees(g: Graph) -> tuple[EdgeSet, ...]:
             # taking the edge leaves the forest plus the edges to come
             # as connected as before, so the include move always lives
             if a != b:
-                inc = index.setdefault(_kept(_merged(s, a, b), keep), len(index))
+                inc = index.setdefault(_after(s, keep, a, b), len(index))
             # skipping it loses the trees only where it is a bridge
             if a == b or _meet(s, comp, a, b):
-                exc = index.setdefault(_kept(s, keep), len(index))
+                exc = index.setdefault(_after(s, keep, a, a), len(index))
             level.append((inc, exc))
         moves.append(level)
         states = list(index)
@@ -269,9 +270,12 @@ def verify_partition(m: int) -> PartitionReport:
 
     Both sides are compared as sorted mask lists, so no tree is hashed:
     equal lists are the match, and an overlap shows as two equal
-    neighbours among the structured trees."""
+    neighbours among the structured trees. Past the tree guard it is
+    refused, before any tree is listed."""
+    g = build_jahangir(m)
+    _guard_tree_enumeration(g)
     trees = enumerate_spanning_trees_jahangir(m)
-    generic = enumerate_spanning_trees_generic(build_jahangir(m))
+    generic = enumerate_spanning_trees_generic(g)
     trees.sort()
     generic.sort()
     union_matches = trees == generic

@@ -325,12 +325,12 @@ def test_one_determinant_per_request(run_cli, triangle_file, body_runs):
 ], ids=["jahangir-verify", "jahangir-cm", "petersen-verify"])
 def test_each_shared_input_is_computed_once_per_request(
         argv, expected, run_cli, petersen_file, body_runs):
-    from jahangir_ssc import cycles, graphs, records
+    from jahangir_ssc import graphs, records
 
     argv = [petersen_file if a == "petersen" else a for a in argv]
     res, runs = body_runs(lambda: run_cli(*argv), records.build_jahangir,
                           records.spanning_forest, graphs._simple_cycles,
-                          cycles.word_edge_set, graphs.matrix_tree_count)
+                          records.word_edge_set, graphs.matrix_tree_count)
     assert res.code in (0, 3), res.stderr
     assert runs == expected
 
@@ -911,9 +911,12 @@ print(code, *sorted(m[len("jahangir_ssc."):] for m in sys.modules
 """
 
 # Beside errors and cli, which every request runs. A direct-mode sweep
-# runs complexes and records alone: no graphs and no formulas.
+# runs complexes and records alone: no graphs and no formulas. The
+# closed form adds formulas, which reads the word edge sets from records:
+# no cycles and no graphs.
 EXECUTED_LAYERS = {
     ("f-vector",): "complexes records",
+    ("f-vector", "--mode", "formula"): "complexes formulas records",
     ("hilbert",): "complexes records",
     ("hilbert", "--mode", "exact-ie"): "complexes formulas graphs records",
     ("facets",): "complexes graphs records spanning",
@@ -963,7 +966,7 @@ print(*sorted(m[len("jahangir_ssc."):] for m in sys.modules
     ("CapacityError", "errors"),
     ("Graph", "errors records"),
     ("parse_graph", "errors graphs records"),
-    ("word_of", "cycles errors graphs records"),
+    ("word_of", "errors records"),
     # the search reads complexes' frontier helpers, and no cycles
     ("enumerate_spanning_trees_generic", "complexes errors graphs records spanning"),
     ("block_ordering_histogram", "algebra complexes errors graphs records spanning"),
@@ -1249,10 +1252,12 @@ def _refusal(call):
 
 
 def test_library_entry_points_are_refused_as_the_cli_is(run_cli, tmp_path, body_runs):
-    # the verdict and both report builders check the spanning complex and
-    # the tree budget themselves, so a library caller is refused with the
-    # CLI's own line, quickly and with no tree listed
-    from jahangir_ssc import cohen_macaulay_verdict, emit_graph, parse_graph
+    # the verdict, both report builders, prefix_block_ordering and
+    # verify_partition check the spanning complex and the tree budget
+    # themselves, so a library caller is refused with the CLI's own line,
+    # quickly and with no tree listed
+    from jahangir_ssc import (cohen_macaulay_verdict, emit_graph, parse_graph,
+                              prefix_block_ordering, verify_partition)
 
     dense = Path(_random_document(tmp_path / "dense.json", 415, 4296, 1))
     n = TREE_GUARD_VERTEX_LIMIT + 1
@@ -1271,14 +1276,16 @@ def test_library_entry_points_are_refused_as_the_cli_is(run_cli, tmp_path, body_
         calls = [lambda: cohen_macaulay_verdict(g, "search"), lambda: build_graph_report(g)]
         if name == "j10":
             calls += [lambda: cohen_macaulay_verdict(g, "block"),
-                      lambda: build_jahangir_report(10)]
+                      lambda: build_jahangir_report(10),
+                      lambda: prefix_block_ordering(10), lambda: verify_partition(10)]
         for call in calls:
             start = time.perf_counter()
-            exc, runs = body_runs(lambda: _refusal(call), spanning._generic_trees)
+            exc, runs = body_runs(lambda: _refusal(call), spanning._generic_trees,
+                                  spanning._structured_trees)
             assert time.perf_counter() - start < 1.0, name
             prefix = "capacity error: " if isinstance(exc, CapacityError) else "error: "
             assert line == f"{prefix}{exc}\n", name
-            assert runs == [0], name
+            assert runs == [0, 0], name
     assert lines["j10"] == run_cli("jahangir", "--m", "10", "verify").stderr
     assert "524172 spanning trees" in lines["j10"]
     assert "4782969 spanning trees" in lines["k9"]
